@@ -39,10 +39,9 @@ class PdVote(enum.IntEnum):
 
 
 def _sign(values: np.ndarray) -> np.ndarray:
-    """Decision-slicer sign: zero samples count as high."""
-    signs = np.sign(np.asarray(values, dtype=float))
-    signs[signs == 0] = 1
-    return signs
+    """Decision-slicer sign: zero samples count as high, NaN as low
+    (the convention of every :mod:`repro.kernels` backend)."""
+    return np.where(np.asarray(values, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 def vote_step(previous_data: np.ndarray, samples_edge: np.ndarray,

@@ -10,8 +10,8 @@ backend selected once per process:
 * ``numba`` — ``@njit``-compiled per-row loops (parallel over rows),
   another order of magnitude over the NumPy batch path on the
   bit-serial stages.  Optional: ``pip install .[fast]``.
-* ``numpy`` — the pure-NumPy per-bit-step loop (the PR 2/3 engines),
-  always available.
+* ``numpy`` — the pure-NumPy per-bit-step loop, vectorized over rows
+  and trimmed to a handful of NumPy calls per step; always available.
 
 Selection order (decided lazily, on the first kernel call):
 

@@ -1,21 +1,34 @@
 """Pure-NumPy bit-serial kernels (the always-available fallback).
 
-These are the PR 2/3 batch engines verbatim: every bit-step performs
-one vectorized pass over all rows — interpolated sampling, Alexander
-votes, per-row loop-state updates — so the Python interpreter runs
-``total_bits`` iterations instead of ``n_rows * total_bits``.
+Every bit-step performs one vectorized pass over all rows, so the
+Python interpreter runs ``total_bits`` iterations instead of
+``n_rows * total_bits``.  With few rows the cost is the number of NumPy
+calls per step, not their width, so the loops keep only what truly
+depends on the previous bit:
+
+* the DFE samples every decision instant in one call before its loop
+  (the instants do not depend on the feedback); each step subtracts the
+  feedback, slices and pushes the decided level onto a ring of taps;
+* the CDR gathers its data and edge samples in one ``(2, n_rows)``
+  call, votes from booleans, slices its data decisions after the loop,
+  and leaves the masked end-of-waveform and phase-wrap handling to
+  steps where a single ``max`` says it is needed.
 
 The module is deliberately self-contained (NumPy only, no imports from
 the rest of ``repro``) so backend selection at any point of package
-import can never cycle.  The Alexander vote and the linear-interpolation
-sampler are re-implemented here with the exact expression order of
-``repro.cdr.phase_detector.vote_step`` and
-``repro.signals.waveform.sample_uniform``; the numba backend mirrors
-the same order scalar-by-scalar, which is what makes backends
-bit-exact interchangeable.
+import can never cycle.  :func:`sample_uniform` here is the one home of
+the interpolation arithmetic (``repro.signals.sample_uniform`` is this
+function).  The slicers keep the convention of the serial loops and
+``repro.cdr.phase_detector.vote_step``: a sample counts above a
+threshold only when ``sample > threshold`` (so NaN counts low), and the
+Alexander vote counts a sample at or above the middle threshold high.
+The numba backend mirrors the same expression order scalar by scalar,
+which is what makes backends bit-exact interchangeable.
 """
 
 from __future__ import annotations
+
+import collections
 
 import numpy as np
 
@@ -23,22 +36,41 @@ NAME = "numpy"
 
 
 def sample_uniform(data: np.ndarray, t0: float, sample_rate: float,
-                   times) -> np.ndarray:
+                   times, row_offsets=None) -> np.ndarray:
     """Linear interpolation on a uniform grid, vectorized over rows.
 
-    Same contract and arithmetic as
-    :func:`repro.signals.waveform.sample_uniform` (clamped instants,
-    ``d0 + frac * (d1 - d0)``).
+    ``data`` is either one signal ``(n_samples,)`` or a row stack
+    ``(n_rows, n_samples)``; ``times`` is broadcast per row: a scalar or
+    ``(m,)`` against 1-D data, a scalar, ``(n_rows,)`` or
+    ``(n_rows, m)`` against 2-D data.  Instants outside the grid clamp
+    to the end samples (as :func:`numpy.interp` does).
+
+    ``row_offsets`` is the gather of the bit-serial kernels: with a
+    C-ordered 2-D ``data``, each instant reads the row whose flat start
+    (``row * n_samples``) it broadcasts against, and the result takes
+    the broadcast shape of ``times`` and ``row_offsets`` — instants
+    ``(2, n_rows)`` against offsets ``(n_rows,)``, or ``(n_bits, 1)``
+    against ``(n_rows,)`` for a bit-major sample matrix.
+
+    Every consumer of per-instant sampling — the serial CDR and DFE
+    loops, ``Waveform.sample_at`` and both kernels here — goes through
+    this single function, so a batch row and its serial run perform
+    bit-identical arithmetic.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[-1]
     if n < 2:
         raise ValueError(f"need at least 2 samples to interpolate, got {n}")
     x = (np.asarray(times, dtype=float) - t0) * sample_rate
-    x = np.clip(x, 0.0, float(n - 1))
+    x = x.clip(0.0, float(n - 1))
     i0 = np.minimum(x.astype(np.int64), n - 2)
     frac = x - i0
-    if data.ndim == 1:
+    if row_offsets is not None:
+        flat = data.reshape(-1)
+        index = i0 + row_offsets
+        d0 = flat[index]
+        d1 = flat[1:][index]    # flat[index + 1], one add fewer
+    elif data.ndim == 1:
         d0 = data[i0]
         d1 = data[i0 + 1]
     elif data.ndim == 2:
@@ -61,22 +93,10 @@ def sample_uniform(data: np.ndarray, t0: float, sample_rate: float,
     return d0 + frac * (d1 - d0)
 
 
-def _vote_step(previous_data: np.ndarray, samples_edge: np.ndarray,
-               samples_data: np.ndarray) -> np.ndarray:
-    """One Alexander vote per row (sign convention: zero counts high)."""
-    def sign(values):
-        signs = np.sign(values)
-        signs[signs == 0] = 1
-        return signs
-
-    a = sign(previous_data)
-    b = sign(samples_data)
-    t = sign(samples_edge)
-    transition = a != b
-    votes = np.zeros(np.shape(t), dtype=np.int8)
-    votes[transition & (t == a)] = 1     # EARLY
-    votes[transition & (t == b)] = -1    # LATE
-    return votes
+def _slice(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Count of thresholds strictly below each value: the Gray level
+    index (NaN counts low)."""
+    return (values[..., np.newaxis] > thresholds).sum(axis=-1)
 
 
 def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
@@ -97,78 +117,84 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
     slips, row_bits)`` with rows that ran out of waveform blanked past
     their last valid bit (0 decisions/votes, NaN phases).
     """
-    data = np.asarray(data, dtype=float)
+    data = np.ascontiguousarray(data, dtype=float)
     thresholds = (np.zeros(1) if thresholds is None
                   else np.asarray(thresholds, dtype=float))
     center = float(thresholds[(len(thresholds) - 1) // 2])
     n_rows = data.shape[0]
     phase = np.array(phase, dtype=float)
     integral = np.array(integral, dtype=float)
-    bit_offset = np.zeros(n_rows, dtype=np.int64)
+    # Whole numbers held as floats: ``k + 0.5 + bit_offset`` rounds
+    # exactly as it does with the serial loop's integer offset.
+    bit_offset = np.zeros(n_rows)
     slips = np.zeros(n_rows, dtype=np.int64)
     active = np.ones(n_rows, dtype=bool)
     row_bits = np.full(n_rows, total_bits, dtype=np.int64)
+    row_offsets = np.arange(n_rows) * data.shape[1]
+    # [data, edge] instants of bit k, before the per-row offset/phase.
+    steps = np.arange(total_bits)[:, None, None] + np.array([[0.5], [1.0]])
 
-    decisions = np.zeros((n_rows, total_bits), dtype=np.int8)
-    phases = np.empty((n_rows, total_bits))
-    votes = np.zeros((n_rows, total_bits), dtype=np.int8)
-    previous_data = None
-    previous_edge = None
+    # Bit-major: each step writes one contiguous row.  Data samples are
+    # kept and sliced into decisions after the loop.
+    data_samples = np.zeros((total_bits, n_rows))
+    phases = np.empty((total_bits, n_rows))
+    votes = np.zeros((total_bits, n_rows), dtype=np.int8)
+    previous_high = None
 
-    for k in range(total_bits):
-        t_data = (k + 0.5 + bit_offset + phase) * ui
-        t_edge = (k + 1.0 + bit_offset + phase) * ui
-        ending = active & (t_edge >= t_last)
-        if ending.any():
-            row_bits[ending] = k
-            active = active & ~ending
-            if not active.any():
-                break
-        sample_data = sample_uniform(data, t0, sample_rate, t_data)
-        sample_edge = sample_uniform(data, t0, sample_rate, t_edge)
-        if len(thresholds) == 1:
-            # Binary fast path: identical to the historical sign slicer.
-            decisions[:, k] = sample_data > center
-        else:
-            decisions[:, k] = np.searchsorted(thresholds, sample_data,
-                                              side="left")
-        phases[:, k] = phase
+    # An empty batch has no edge instant to take the max of: no steps.
+    for k in range(total_bits if n_rows else 0):
+        instants = steps[k] + bit_offset
+        instants += phase
+        instants *= ui
+        if instants[1].max() >= t_last:
+            ending = active & (instants[1] >= t_last)
+            if ending.any():
+                row_bits[ending] = k
+                active &= ~ending
+                if not active.any():
+                    break
+        samples = sample_uniform(data, t0, sample_rate, instants,
+                                 row_offsets)
+        data_samples[k] = samples[0]
+        phases[k] = phase
+        high = (samples >= center).view(np.int8)
 
-        if k > 0:
-            if center != 0.0:
-                votes_k = _vote_step(previous_data - center,
-                                     previous_edge - center,
-                                     sample_data - center)
-            else:
-                votes_k = _vote_step(previous_data, previous_edge,
-                                     sample_data)
-            votes[:, k] = votes_k
-            new_integral = integral + ki * votes_k
-            new_phase = phase + (kp * votes_k + new_integral)
-            integral = np.where(active, new_integral, integral)
-            phase = np.where(active, new_phase, phase)
-            # A wrap across +-1 UI is a cycle slip: fold the whole bit
-            # into the index offset so the sampling instant (and the
-            # decision sequence) stays continuous, and count it.
-            wrap_up = active & (phase > 1.0)
-            wrap_down = active & (phase < -1.0)
-            phase[wrap_up] -= 1.0
-            bit_offset[wrap_up] += 1
-            slips[wrap_up] += 1
-            phase[wrap_down] += 1.0
-            bit_offset[wrap_down] -= 1
-            slips[wrap_down] -= 1
-        previous_data = sample_data
-        previous_edge = sample_edge
+        if previous_high is not None:
+            # Alexander vote from A (previous data), T (previous edge)
+            # and B (data): (T ^ B) - (T ^ A) is +1 when T agrees with A
+            # across a transition (EARLY), -1 when it agrees with B
+            # (LATE) and 0 without a transition.
+            edge = previous_high[1]
+            vote = (edge ^ high[0]) - (edge ^ previous_high[0])
+            votes[k] = vote
+            # Rows past their end keep updating too: everything they
+            # produce from here on is blanked below.
+            integral += ki * vote
+            phase += kp * vote + integral
+            if np.abs(phase).max() > 1.0:
+                # A wrap across +-1 UI is a cycle slip: fold the whole
+                # bit into the index offset so the sampling instant (and
+                # the decision sequence) stays continuous, and count it.
+                wrap_up = active & (phase > 1.0)
+                wrap_down = active & (phase < -1.0)
+                phase[wrap_up] -= 1.0
+                bit_offset[wrap_up] += 1.0
+                slips[wrap_up] += 1
+                phase[wrap_down] += 1.0
+                bit_offset[wrap_down] -= 1.0
+                slips[wrap_down] -= 1
+        previous_high = high
 
+    decisions = _slice(data_samples, thresholds).astype(np.int8)
     # Rows that ran out of waveform: blank everything past their last
     # valid bit so the rectangular arrays cannot leak the garbage
     # computed while other rows were still running.
-    tail = np.arange(total_bits)[np.newaxis, :] >= row_bits[:, np.newaxis]
+    tail = np.arange(total_bits)[:, np.newaxis] >= row_bits
     decisions[tail] = 0
     votes[tail] = 0
     phases[tail] = np.nan
-    return decisions, phases, votes, slips, row_bits
+    return (np.ascontiguousarray(decisions.T), np.ascontiguousarray(phases.T),
+            np.ascontiguousarray(votes.T), slips, row_bits)
 
 
 def dfe_equalize_batch(data: np.ndarray, taps: np.ndarray,
@@ -186,7 +212,7 @@ def dfe_equalize_batch(data: np.ndarray, taps: np.ndarray,
     order — the same order the numba backend and the serial reference
     use — so the result is bit-exact across backends for any tap count.
     """
-    data = np.asarray(data, dtype=float)
+    data = np.ascontiguousarray(data, dtype=float)
     taps = np.asarray(taps, dtype=float)
     thresholds = (np.zeros(1) if thresholds is None
                   else np.asarray(thresholds, dtype=float))
@@ -196,26 +222,30 @@ def dfe_equalize_batch(data: np.ndarray, taps: np.ndarray,
     else:
         decision_levels = np.asarray(decision_levels, dtype=float)
     n_rows = data.shape[0]
-    n_taps = len(taps)
-    decisions = np.zeros((n_rows, n_bits), dtype=np.int8)
-    corrected = np.zeros((n_rows, n_bits))
-    history = np.zeros((n_rows, n_taps))
     binary = len(thresholds) == 1
     threshold0 = float(thresholds[0])
+    # The sampling instants do not depend on the feedback: take every
+    # raw sample up front, bit-major, and correct it in place below.
+    instants = (np.arange(n_bits) + sample_phase_ui) * ui_samples
+    corrected = sample_uniform(data, 0.0, 1.0, instants[:, np.newaxis],
+                               np.arange(n_rows) * data.shape[1])
+    decisions = np.zeros((n_bits, n_rows), dtype=np.int8)
+    # Decided levels, newest first; the ring drops the oldest on push.
+    history = collections.deque([np.zeros(n_rows)] * len(taps),
+                                maxlen=len(taps))
+    weights = taps.tolist()
     for k in range(n_bits):
-        index = (k + sample_phase_ui) * ui_samples
-        raw = sample_uniform(data, 0.0, 1.0, index)
-        feedback = np.zeros(n_rows)
-        for j in range(n_taps):
-            feedback = feedback + taps[j] * history[:, j]
-        values = raw - feedback
-        corrected[:, k] = values
+        feedback = 0.0
+        for weight, past in zip(weights, history):
+            feedback = feedback + weight * past
+        values = corrected[k]
+        values -= feedback
         if binary:
             # Fast path, identical to the historical sign slicer.
-            symbols = (values > threshold0).astype(np.int64)
+            symbols = (values > threshold0).view(np.int8)
         else:
-            symbols = np.searchsorted(thresholds, values, side="left")
-        decisions[:, k] = symbols
-        history[:, 1:] = history[:, :-1]
-        history[:, 0] = decision_levels[symbols]
-    return decisions, corrected
+            symbols = _slice(values, thresholds)
+        decisions[k] = symbols
+        history.appendleft(decision_levels[symbols])
+    return (np.ascontiguousarray(decisions.T),
+            np.ascontiguousarray(corrected.T))

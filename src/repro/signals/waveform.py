@@ -15,52 +15,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+# The interpolation kernel lives with the bit-serial kernels that call
+# it every bit-step; re-exported here as the public sampling primitive.
+from ..kernels._numpy_backend import sample_uniform
+
 __all__ = ["Waveform", "DifferentialWaveform", "sample_uniform"]
-
-
-def sample_uniform(data: np.ndarray, t0: float, sample_rate: float,
-                   times) -> np.ndarray:
-    """Linear interpolation on a uniform grid, vectorized over rows.
-
-    ``data`` is either one signal ``(n_samples,)`` or a row stack
-    ``(n_rows, n_samples)``; ``times`` is broadcast per row: a scalar or
-    ``(m,)`` against 1-D data, a scalar, ``(n_rows,)`` or
-    ``(n_rows, m)`` against 2-D data.  Instants outside the grid clamp
-    to the end samples (as :func:`numpy.interp` does).
-
-    Every consumer of per-instant sampling — the serial CDR loop and the
-    batched one — goes through this single kernel, so a batch row and
-    its serial run perform bit-identical arithmetic.
-    """
-    data = np.asarray(data, dtype=float)
-    n = data.shape[-1]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples to interpolate, got {n}")
-    x = (np.asarray(times, dtype=float) - t0) * sample_rate
-    x = np.clip(x, 0.0, float(n - 1))
-    i0 = np.minimum(x.astype(np.int64), n - 2)
-    frac = x - i0
-    if data.ndim == 1:
-        d0 = data[i0]
-        d1 = data[i0 + 1]
-    elif data.ndim == 2:
-        n_rows = data.shape[0]
-        if i0.ndim >= 1 and i0.shape[0] != n_rows:
-            raise ValueError(
-                f"per-row instants must be scalar, ({n_rows},) or "
-                f"({n_rows}, m) for {n_rows} rows, got shape {i0.shape}"
-            )
-        rows = np.arange(n_rows)
-        if i0.ndim == 2:
-            rows = rows[:, np.newaxis]
-        elif i0.ndim == 0:
-            i0 = np.broadcast_to(i0, (n_rows,))
-            frac = np.broadcast_to(frac, (n_rows,))
-        d0 = data[rows, i0]
-        d1 = data[rows, i0 + 1]
-    else:
-        raise ValueError(f"data must be 1-D or 2-D, got shape {data.shape}")
-    return d0 + frac * (d1 - d0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,0 +1,356 @@
+"""Pinned kernel oracle: the lean NumPy kernels are bit-exact.
+
+The functions in the first section are inline frozen copies of the
+per-bit-step NumPy kernels as they were before the bit-serial loops
+were slimmed down (one interpolation pass per sample stream, ``np.sign``
+Alexander votes with masked assignments, a shifted 2-D DFE history).
+The property tests assert that every importable backend reproduces
+them exactly — every output array, NaN tails included — over random
+loop gains, per-row start phases and frequency offsets (so cycle slips
+and ragged rows occur), NRZ and PAM4 thresholds, 1 to 9 DFE taps and
+1, 2 or 64 rows.  The inputs are finite: on NaN samples the old votes
+and multi-level decisions disagreed with the serial reference and the
+numba backend, which ``test_nan_sample_counts_low_on_every_path`` pins
+instead.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.baselines import DecisionFeedbackEqualizer
+from repro.cdr import BangBangCdr, CdrConfig, vote_step
+from repro.link import stage
+from repro.signals import Nrz, Pam4, Waveform, WaveformBatch
+
+BIT_RATE = 10e9
+SAMPLES_PER_BIT = 8
+BACKENDS = kernels.available_backends()
+
+
+# ---------------------------------------------------------------------------
+# Frozen pre-optimization NumPy kernels, verbatim.
+# ---------------------------------------------------------------------------
+
+def _old_sample_uniform(data, t0, sample_rate, times):
+    data = np.asarray(data, dtype=float)
+    n = data.shape[-1]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples to interpolate, got {n}")
+    x = (np.asarray(times, dtype=float) - t0) * sample_rate
+    x = np.clip(x, 0.0, float(n - 1))
+    i0 = np.minimum(x.astype(np.int64), n - 2)
+    frac = x - i0
+    if data.ndim == 1:
+        d0 = data[i0]
+        d1 = data[i0 + 1]
+    elif data.ndim == 2:
+        n_rows = data.shape[0]
+        if i0.ndim >= 1 and i0.shape[0] != n_rows:
+            raise ValueError(
+                f"per-row instants must be scalar, ({n_rows},) or "
+                f"({n_rows}, m) for {n_rows} rows, got shape {i0.shape}"
+            )
+        rows = np.arange(n_rows)
+        if i0.ndim == 2:
+            rows = rows[:, np.newaxis]
+        elif i0.ndim == 0:
+            i0 = np.broadcast_to(i0, (n_rows,))
+            frac = np.broadcast_to(frac, (n_rows,))
+        d0 = data[rows, i0]
+        d1 = data[rows, i0 + 1]
+    else:
+        raise ValueError(f"data must be 1-D or 2-D, got shape {data.shape}")
+    return d0 + frac * (d1 - d0)
+
+
+def _old_vote_step(previous_data, samples_edge, samples_data):
+    def sign(values):
+        signs = np.sign(values)
+        signs[signs == 0] = 1
+        return signs
+
+    a = sign(previous_data)
+    b = sign(samples_data)
+    t = sign(samples_edge)
+    transition = a != b
+    votes = np.zeros(np.shape(t), dtype=np.int8)
+    votes[transition & (t == a)] = 1     # EARLY
+    votes[transition & (t == b)] = -1    # LATE
+    return votes
+
+
+def _old_cdr_recover_batch(data, t0, sample_rate, t_last, ui, kp, ki,
+                           phase, integral, total_bits, thresholds=None):
+    data = np.asarray(data, dtype=float)
+    thresholds = (np.zeros(1) if thresholds is None
+                  else np.asarray(thresholds, dtype=float))
+    center = float(thresholds[(len(thresholds) - 1) // 2])
+    n_rows = data.shape[0]
+    phase = np.array(phase, dtype=float)
+    integral = np.array(integral, dtype=float)
+    bit_offset = np.zeros(n_rows, dtype=np.int64)
+    slips = np.zeros(n_rows, dtype=np.int64)
+    active = np.ones(n_rows, dtype=bool)
+    row_bits = np.full(n_rows, total_bits, dtype=np.int64)
+
+    decisions = np.zeros((n_rows, total_bits), dtype=np.int8)
+    phases = np.empty((n_rows, total_bits))
+    votes = np.zeros((n_rows, total_bits), dtype=np.int8)
+    previous_data = None
+    previous_edge = None
+
+    for k in range(total_bits):
+        t_data = (k + 0.5 + bit_offset + phase) * ui
+        t_edge = (k + 1.0 + bit_offset + phase) * ui
+        ending = active & (t_edge >= t_last)
+        if ending.any():
+            row_bits[ending] = k
+            active = active & ~ending
+            if not active.any():
+                break
+        sample_data = _old_sample_uniform(data, t0, sample_rate, t_data)
+        sample_edge = _old_sample_uniform(data, t0, sample_rate, t_edge)
+        if len(thresholds) == 1:
+            decisions[:, k] = sample_data > center
+        else:
+            decisions[:, k] = np.searchsorted(thresholds, sample_data,
+                                              side="left")
+        phases[:, k] = phase
+
+        if k > 0:
+            if center != 0.0:
+                votes_k = _old_vote_step(previous_data - center,
+                                         previous_edge - center,
+                                         sample_data - center)
+            else:
+                votes_k = _old_vote_step(previous_data, previous_edge,
+                                         sample_data)
+            votes[:, k] = votes_k
+            new_integral = integral + ki * votes_k
+            new_phase = phase + (kp * votes_k + new_integral)
+            integral = np.where(active, new_integral, integral)
+            phase = np.where(active, new_phase, phase)
+            wrap_up = active & (phase > 1.0)
+            wrap_down = active & (phase < -1.0)
+            phase[wrap_up] -= 1.0
+            bit_offset[wrap_up] += 1
+            slips[wrap_up] += 1
+            phase[wrap_down] += 1.0
+            bit_offset[wrap_down] -= 1
+            slips[wrap_down] -= 1
+        previous_data = sample_data
+        previous_edge = sample_edge
+
+    tail = np.arange(total_bits)[np.newaxis, :] >= row_bits[:, np.newaxis]
+    decisions[tail] = 0
+    votes[tail] = 0
+    phases[tail] = np.nan
+    return decisions, phases, votes, slips, row_bits
+
+
+def _old_dfe_equalize_batch(data, taps, ui_samples, sample_phase_ui,
+                            decision_amplitude, n_bits, thresholds=None,
+                            decision_levels=None):
+    data = np.asarray(data, dtype=float)
+    taps = np.asarray(taps, dtype=float)
+    thresholds = (np.zeros(1) if thresholds is None
+                  else np.asarray(thresholds, dtype=float))
+    if decision_levels is None:
+        decision_levels = np.array([-decision_amplitude,
+                                    decision_amplitude])
+    else:
+        decision_levels = np.asarray(decision_levels, dtype=float)
+    n_rows = data.shape[0]
+    n_taps = len(taps)
+    decisions = np.zeros((n_rows, n_bits), dtype=np.int8)
+    corrected = np.zeros((n_rows, n_bits))
+    history = np.zeros((n_rows, n_taps))
+    binary = len(thresholds) == 1
+    threshold0 = float(thresholds[0])
+    for k in range(n_bits):
+        index = (k + sample_phase_ui) * ui_samples
+        raw = _old_sample_uniform(data, 0.0, 1.0, index)
+        feedback = np.zeros(n_rows)
+        for j in range(n_taps):
+            feedback = feedback + taps[j] * history[:, j]
+        values = raw - feedback
+        corrected[:, k] = values
+        if binary:
+            symbols = (values > threshold0).astype(np.int64)
+        else:
+            symbols = np.searchsorted(thresholds, values, side="left")
+        decisions[:, k] = symbols
+        history[:, 1:] = history[:, :-1]
+        history[:, 0] = decision_levels[symbols]
+    return decisions, corrected
+
+
+# ---------------------------------------------------------------------------
+# Random inputs.
+# ---------------------------------------------------------------------------
+
+AMPLITUDE = 0.4
+# Sorted thresholds and fed-back levels of the unit-swing alphabets.
+MODULATIONS = {
+    "nrz": (np.array([0.0]), np.array([-0.5, 0.5])),
+    "pam4": (np.array([-1.0, 0.0, 1.0]) / 3.0,
+             np.array([-0.5, -1.0 / 6.0, 1.0 / 6.0, 0.5])),
+}
+
+
+def _waveforms(rng, n_rows, n_bits, modulation):
+    """Random-symbol staircases, linearly smoothed, plus AWGN, with a
+    few bits held at exactly 0 V (on the middle threshold, which the
+    slicers count high)."""
+    levels = MODULATIONS[modulation][1] * AMPLITUDE
+    symbols = rng.integers(0, len(levels), (n_rows, n_bits))
+    data = np.repeat(levels[symbols], SAMPLES_PER_BIT, axis=1)
+    kernel = np.ones(3) / 3.0
+    data = np.apply_along_axis(np.convolve, 1, data, kernel, "same")
+    data += rng.normal(0.0, 0.02, data.shape)
+    zero_bits = np.repeat(rng.random((n_rows, n_bits)) < 0.05,
+                          SAMPLES_PER_BIT, axis=1)
+    data[zero_bits] = 0.0
+    return data
+
+
+def _assert_cdr_equal(got, want):
+    names = ("decisions", "phases", "votes", "slips", "row_bits")
+    for name, a, b in zip(names, got, want):
+        assert a.shape == b.shape, name
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=(name == "phases")), name
+
+
+cdr_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n_rows": st.sampled_from([1, 2, 64]),
+    "modulation": st.sampled_from(sorted(MODULATIONS)),
+    "kp": st.floats(1e-3, 0.3),
+    "ki": st.floats(0.0, 1e-3),
+    "t0": st.sampled_from([0.0, 3.7e-12]),
+})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(case=cdr_cases)
+def test_cdr_kernel_matches_frozen_oracle(backend, case):
+    rng = np.random.default_rng(case["seed"])
+    n_rows = case["n_rows"]
+    n_bits = 120
+    data = _waveforms(rng, n_rows, n_bits, case["modulation"])
+    sample_rate = BIT_RATE * SAMPLES_PER_BIT
+    t0 = case["t0"]
+    t_last = t0 + (data.shape[1] - 1) / sample_rate
+    # Per-row start phases and frequency offsets up to 5 %: slips and
+    # rows that run out of waveform early.
+    phase = rng.uniform(-0.9, 0.9, n_rows)
+    integral = rng.uniform(-0.05, 0.05, n_rows)
+    thresholds = MODULATIONS[case["modulation"]][0] * AMPLITUDE
+    args = (data, t0, sample_rate, t_last, 1.0 / BIT_RATE, case["kp"],
+            case["ki"], phase, integral, n_bits - 2, thresholds)
+    want = _old_cdr_recover_batch(*args)
+    got = kernels.get_backend(backend).cdr_recover_batch(*args)
+    _assert_cdr_equal(got, want)
+
+
+dfe_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n_rows": st.sampled_from([1, 2, 64]),
+    "modulation": st.sampled_from(sorted(MODULATIONS)),
+    "n_taps": st.integers(1, 9),
+    "sample_phase_ui": st.floats(0.0, 0.9),
+    "ui_samples": st.sampled_from([8.0, 7.3]),
+})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(case=dfe_cases)
+def test_dfe_kernel_matches_frozen_oracle(backend, case):
+    rng = np.random.default_rng(case["seed"])
+    data = _waveforms(rng, case["n_rows"], 100, case["modulation"])
+    taps = rng.uniform(-0.1, 0.1, case["n_taps"])
+    thresholds, levels = (AMPLITUDE * v
+                          for v in MODULATIONS[case["modulation"]])
+    n_bits = int((data.shape[1] - 1) / case["ui_samples"]
+                 - case["sample_phase_ui"]) + 1
+    args = (data, taps, case["ui_samples"], case["sample_phase_ui"],
+            AMPLITUDE / 2, n_bits, thresholds, levels)
+    want = _old_dfe_equalize_batch(*args)
+    got = kernels.get_backend(backend).dfe_equalize_batch(*args)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_zero_row_batch_returns_empty_arrays(backend):
+    backend = kernels.get_backend(backend)
+    data = np.zeros((0, 400))
+    empty = np.zeros(0)
+    cdr_args = (data, 0.0, 8e10, 399 / 8e10, 1e-10, 1e-2, 1e-5,
+                empty, empty, 48)
+    _assert_cdr_equal(backend.cdr_recover_batch(*cdr_args),
+                      _old_cdr_recover_batch(*cdr_args))
+    dfe_args = (data, np.array([0.05, 0.02]), 8.0, 0.5, 0.2, 48)
+    for a, b in zip(backend.dfe_equalize_batch(*dfe_args),
+                    _old_dfe_equalize_batch(*dfe_args)):
+        assert a.shape == b.shape == (0, 48)
+        assert a.dtype == b.dtype
+
+
+# ---------------------------------------------------------------------------
+# NaN samples: one slicer convention everywhere.
+# ---------------------------------------------------------------------------
+
+def test_vote_step_counts_nan_low():
+    # A high, T NaN (low), B low: T agrees with B -> LATE.  Under the
+    # old np.sign convention T was NaN, equal to neither, so HOLD.
+    assert vote_step(np.array([1.0]), np.array([np.nan]),
+                     np.array([-1.0]))[0] == -1
+    # A NaN (low), T high, B high: T agrees with B -> LATE.
+    assert vote_step(np.array([np.nan]), np.array([1.0]),
+                     np.array([1.0]))[0] == -1
+    # A NaN, T NaN, B NaN: all low, no transition.
+    assert vote_step(*[np.array([np.nan])] * 3)[0] == 0
+    # Zero still counts high.
+    assert vote_step(np.array([-1.0]), np.array([0.0]),
+                     np.array([1.0]))[0] == -1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["nrz", "pam4"])
+def test_nan_sample_counts_low_on_every_path(backend, name):
+    modulation = {"nrz": Nrz(), "pam4": Pam4()}[name]
+    rng = np.random.default_rng(5)
+    data = _waveforms(rng, 3, 200, name)
+    # A stretch of NaN samples over several bits of row 1, so data and
+    # edge instants across transitions land on NaN.
+    data[1, 60 * SAMPLES_PER_BIT:66 * SAMPLES_PER_BIT] = np.nan
+    sample_rate = BIT_RATE * SAMPLES_PER_BIT
+    batch = WaveformBatch(data, sample_rate)
+    cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE, kp=2e-2, ki=1e-4,
+                                modulation=modulation, amplitude=AMPLITUDE))
+    dfe = DecisionFeedbackEqualizer(taps=(0.05, 0.02), bit_rate=BIT_RATE,
+                                    decision_amplitude=AMPLITUDE / 2,
+                                    modulation=modulation)
+    with kernels.use_backend(backend):
+        recovered = stage(cdr).recover(batch)
+        decisions, corrected = stage(dfe).equalize(batch)
+    for i in range(batch.n_scenarios):
+        wave = Waveform(data[i], sample_rate)
+        serial = cdr.recover(wave)
+        row = recovered.row(i)
+        np.testing.assert_array_equal(row.decisions, serial.decisions)
+        np.testing.assert_array_equal(row.votes, serial.votes)
+        np.testing.assert_array_equal(row.phase_track_ui,
+                                      serial.phase_track_ui)
+        assert row.slips == serial.slips
+        serial_decisions, serial_corrected = dfe.equalize(wave)
+        np.testing.assert_array_equal(decisions[i], serial_decisions)
+        np.testing.assert_array_equal(corrected[i], serial_corrected)
