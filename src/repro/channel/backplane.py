@@ -25,9 +25,11 @@ switch-fabric path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
+import scipy.fft
 
 from ..lti.blocks import Block
 from ..signals.waveform import Waveform
@@ -133,32 +135,26 @@ class BackplaneChannel(Block):
         return self.length_m / self.params.velocity
 
     # -- time-domain application -------------------------------------------
-    def frequency_response(self, freq_hz: np.ndarray,
-                           n_fft: int | None = None,
-                           sample_rate: float | None = None) -> np.ndarray:
-        """Complex H(f) on an arbitrary grid: |H| plus causal phase.
+    def frequency_response(self, freq_hz: np.ndarray) -> np.ndarray:
+        """Complex H(f) on an arbitrary grid: |H| plus the bulk-delay phase.
 
-        When ``n_fft``/``sample_rate`` are given the minimum-phase
-        component is computed on that FFT grid (as used by
-        :meth:`process`); otherwise only the bulk-delay phase is applied,
-        which is adequate for plotting magnitude/delay.
+        The minimum-phase dispersion that :meth:`process` applies is not
+        included; this is adequate for plotting magnitude and delay.
         """
         freq_hz = np.asarray(freq_hz, dtype=float)
-        mag = self.magnitude(freq_hz)
         phase = np.zeros_like(freq_hz)
         if self.include_delay:
             phase = phase - 2.0 * np.pi * freq_hz * self.propagation_delay
-        del n_fft, sample_rate
-        return mag * np.exp(1j * phase)
+        return self.magnitude(freq_hz) * np.exp(1j * phase)
 
     def process(self, wave: Waveform) -> Waveform:
         """Pass a waveform through the channel (linear convolution).
 
-        The channel's minimum-phase impulse response is synthesized on a
-        long FFT grid and applied by *linear* convolution, so the long
-        skin-effect tail never wraps around.  The link is assumed to
-        have idled at the waveform's first value before time zero
-        (steady state), so no artificial start-up step appears.
+        The channel's minimum-phase impulse response is applied by
+        *linear* convolution, so the long skin-effect tail never wraps
+        around.  The link is assumed to have idled at the waveform's
+        first value before time zero (steady state), so no artificial
+        start-up step appears.
 
         A :class:`~repro.signals.batch.WaveformBatch` is convolved along
         its sample axis in one pass, each row idling at its own first
@@ -171,54 +167,12 @@ class BackplaneChannel(Block):
         if n == 0:
             return wave
         x0 = data[..., :1]
-        deviation = data - x0
-
-        h_t = self._impulse_response(wave.dt, min_length=n)
-        from scipy.signal import fftconvolve
-
-        h = h_t if data.ndim == 1 else h_t[np.newaxis, :]
-        filtered = fftconvolve(deviation, h, axes=-1)[..., :n]
-        dc_gain = float(np.sum(h_t))
-        out = filtered + x0 * dc_gain
-        return wave.with_data(out)
-
-    def _impulse_response(self, dt: float, min_length: int) -> np.ndarray:
-        """Discrete minimum-phase impulse response of the channel.
-
-        Synthesized on a power-of-two grid at least 4x the signal length
-        (and >= 2^13 samples) so the cepstral construction resolves the
-        loss curve and the tail decays inside the grid.
-        """
-        n_fft = 1 << max(13, int(math.ceil(math.log2(max(min_length, 2))))
-                         + 2)
-        freq = np.fft.rfftfreq(n_fft, d=dt)
-        h = self._causal_response(freq, n_fft)
-        return np.fft.irfft(h, n=n_fft)
-
-    def _causal_response(self, freq: np.ndarray, n_fft: int) -> np.ndarray:
-        """Minimum-phase H on an rfft grid via the real-cepstrum method.
-
-        The folded cepstrum of log|H| yields the unique minimum-phase
-        spectrum with that magnitude; an optional linear-phase bulk delay
-        is layered on top.
-        """
-        mag = np.maximum(self.magnitude(freq), 1e-12)
-        log_mag_half = np.log(mag)
-        # Build the full (hermitian-symmetric) log-magnitude spectrum.
-        log_mag_full = np.concatenate([log_mag_half,
-                                       log_mag_half[-2:0:-1]])
-        cepstrum = np.fft.ifft(log_mag_full).real
-        folded = np.zeros_like(cepstrum)
-        half = n_fft // 2
-        folded[0] = cepstrum[0]
-        folded[1:half] = 2.0 * cepstrum[1:half]
-        folded[half] = cepstrum[half]
-        log_h_min = np.fft.fft(folded)
-        h_full = np.exp(log_h_min)
-        h = h_full[: len(freq)]
-        if self.include_delay:
-            h = h * np.exp(-2j * np.pi * freq * self.propagation_delay)
-        return h
+        n_conv, spectrum, dc_gain = _channel_spectrum(
+            self.params, self.length_m, self.include_delay, wave.dt, n)
+        filtered = scipy.fft.irfft(
+            scipy.fft.rfft(data - x0, n=n_conv, axis=-1) * spectrum,
+            n=n_conv, axis=-1)[..., :n]
+        return wave.with_data(filtered + x0 * dc_gain)
 
     # -- convenience ---------------------------------------------------------
     def scaled_to_loss(self, target_db: float, at_hz: float
@@ -234,3 +188,48 @@ class BackplaneChannel(Block):
         if per_m == 0:
             raise ValueError("channel parameters give zero loss; cannot scale")
         return dataclasses.replace(self, length_m=target_db / per_m)
+
+
+@functools.lru_cache(maxsize=16)
+def _channel_spectrum(params: ChannelParameters, length_m: float,
+                      include_delay: bool, dt: float, n: int
+                      ) -> tuple[int, np.ndarray, float]:
+    """``(n_conv, H, dc_gain)`` with which :meth:`BackplaneChannel.process`
+    filters an ``n``-sample waveform.
+
+    The minimum-phase impulse response ``h`` is synthesized with the
+    real-cepstrum method (the folded cepstrum of log|H| gives the unique
+    minimum-phase spectrum with that magnitude; an optional bulk delay is
+    layered on top) on a power-of-two grid at least 4x the signal length
+    and >= 2^13 samples, so the loss curve is resolved and the tail
+    decays inside the grid.  Output sample ``k < n`` depends only on
+    ``h[:k + 1]``, so ``H`` is the spectrum of ``h[:n]`` at the shortest
+    fast real-FFT length ``n_conv >= 2n - 1`` (no wrap-around).  The idle
+    level before time zero passes through every tap, so ``dc_gain`` sums
+    the full ``h``.
+
+    The cache is module-level and keyed on every input rather than held
+    per channel, so channels rebuilt by ``scaled_to_loss`` or a sweep
+    still hit it and a mutated channel never reads a stale entry.  Its
+    array is shared, hence read-only.
+    """
+    channel = BackplaneChannel(length_m, params, include_delay)
+    n_fft = 1 << max(13, int(math.ceil(math.log2(max(n, 2)))) + 2)
+    freq = np.fft.rfftfreq(n_fft, d=dt)
+    log_mag_half = np.log(np.maximum(channel.magnitude(freq), 1e-12))
+    # Fold the cepstrum of the full (hermitian) log-magnitude spectrum.
+    cepstrum = np.fft.ifft(np.concatenate([log_mag_half,
+                                           log_mag_half[-2:0:-1]])).real
+    half = n_fft // 2
+    folded = np.zeros_like(cepstrum)
+    folded[0] = cepstrum[0]
+    folded[1:half] = 2.0 * cepstrum[1:half]
+    folded[half] = cepstrum[half]
+    h_min = np.exp(np.fft.fft(folded))[: len(freq)]
+    if include_delay:
+        h_min = h_min * np.exp(-2j * np.pi * freq * channel.propagation_delay)
+    h = np.fft.irfft(h_min, n=n_fft)
+    n_conv = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    spectrum = scipy.fft.rfft(h[:n], n=n_conv)
+    spectrum.flags.writeable = False
+    return n_conv, spectrum, float(np.sum(h))

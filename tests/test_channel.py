@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel import (
     BackplaneChannel,
@@ -16,7 +18,8 @@ from repro.channel import (
     required_drive_current,
     return_loss_db,
 )
-from repro.signals import bits_to_nrz, prbs7
+from repro.channel.backplane import _channel_spectrum
+from repro.signals import Waveform, WaveformBatch, bits_to_nrz, prbs7
 
 
 def test_loss_increases_with_frequency_and_length():
@@ -102,6 +105,152 @@ def test_channel_parameters_validation():
                           dielectric_constant=0.5)
     with pytest.raises(ValueError):
         BackplaneChannel(-1.0)
+
+
+def test_frequency_response_is_magnitude_with_bulk_delay():
+    f = np.array([0.0, 1e9, 5e9])
+    ch = BackplaneChannel(0.5)
+    np.testing.assert_array_equal(ch.frequency_response(f), ch.magnitude(f))
+    delayed = BackplaneChannel(0.5, include_delay=True).frequency_response(f)
+    np.testing.assert_allclose(np.abs(delayed), ch.magnitude(f))
+    np.testing.assert_allclose(
+        np.angle(delayed[1]),
+        np.angle(np.exp(-2j * np.pi * 1e9 * ch.propagation_delay)))
+
+
+# -- time-domain filtering against an independent oracle ---------------------
+
+def _reference_impulse_response(ch: BackplaneChannel, dt: float,
+                                n: int) -> np.ndarray:
+    """The full minimum-phase impulse response, synthesized from scratch.
+
+    Real-cepstrum construction from ``ch.magnitude`` on the documented
+    grid (power of two, >= 4n and >= 2^13 samples), plus the bulk delay
+    when the channel keeps it.
+    """
+    n_fft = 1 << max(13, int(math.ceil(math.log2(max(n, 2)))) + 2)
+    freq = np.fft.fftfreq(n_fft, d=dt)
+    cepstrum = np.fft.ifft(np.log(np.maximum(ch.magnitude(freq),
+                                             1e-12))).real
+    window = np.zeros(n_fft)
+    window[0] = window[n_fft // 2] = 1.0
+    window[1:n_fft // 2] = 2.0
+    spectrum = np.exp(np.fft.fft(cepstrum * window))
+    if ch.include_delay:
+        spectrum = spectrum * np.exp(-2j * np.pi * freq * ch.propagation_delay)
+    return np.fft.ifft(spectrum).real
+
+
+def _reference_process(ch: BackplaneChannel, data: np.ndarray,
+                       dt: float) -> np.ndarray:
+    """Direct time-domain convolution with the full response, per row."""
+    data = np.atleast_2d(data)
+    h = _reference_impulse_response(ch, dt, data.shape[-1])
+    return np.array([np.convolve(row - row[0], h)[: len(row)]
+                     + row[0] * h.sum() for row in data])
+
+
+def _assert_matches_reference(ch, wave):
+    expected = _reference_process(ch, wave.data, wave.dt)
+    got = ch.process(wave).data
+    assert got.shape == wave.data.shape
+    np.testing.assert_allclose(np.atleast_2d(got), expected, rtol=0,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 333, 1000, 2049])
+def test_process_matches_direct_convolution_oracle(n):
+    rng = np.random.default_rng(n)
+    ch = BackplaneChannel(0.3)
+    _assert_matches_reference(
+        ch, Waveform(rng.uniform(-0.5, 0.5, n), 160e9))
+    _assert_matches_reference(
+        ch, WaveformBatch(rng.uniform(-0.5, 0.5, (3, n)), 160e9))
+
+
+def test_process_matches_oracle_with_bulk_delay_and_nrz():
+    ch = BackplaneChannel(0.2, include_delay=True)
+    _assert_matches_reference(
+        ch, bits_to_nrz(prbs7(101), 10e9, samples_per_bit=16))
+
+
+def test_channel_spectrum_cache_follows_mutation_and_sample_rate():
+    rng = np.random.default_rng(1)
+    wave = Waveform(rng.uniform(-0.5, 0.5, 500), 160e9)
+    ch = BackplaneChannel(0.3)
+    before = ch.process(wave).data
+    _assert_matches_reference(ch, wave)
+    ch.length_m = 0.6
+    assert np.max(np.abs(ch.process(wave).data - before)) > 1e-3
+    _assert_matches_reference(ch, wave)
+    ch.include_delay = True
+    _assert_matches_reference(ch, wave)
+    ch.include_delay = False
+    _assert_matches_reference(ch, Waveform(wave.data, 80e9))
+    ch.length_m = 0.3
+    np.testing.assert_array_equal(ch.process(wave).data, before)
+
+
+def test_cached_channel_spectrum_is_read_only():
+    ch = BackplaneChannel(0.3)
+    ch.process(Waveform(np.arange(64.0), 160e9))
+    _, spectrum, _ = _channel_spectrum(ch.params, ch.length_m,
+                                       ch.include_delay, 1 / 160e9, 64)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+
+# -- LTI properties ------------------------------------------------------------
+
+_PROPERTY_CHANNEL = BackplaneChannel(0.3)
+# Millivolt-step samples in [-1, 1] V.  Keeping n <= 2048 puts every
+# length on one 2^13 synthesis grid, so a waveform and its delayed copy
+# see the same impulse response.
+_samples = st.lists(st.integers(min_value=-1000, max_value=1000),
+                    min_size=1, max_size=1024).map(
+                        lambda mv: np.array(mv) / 1000.0)
+_coefficients = st.integers(min_value=-300, max_value=300).map(
+    lambda c: c / 100.0)
+
+
+def _through_channel(data):
+    return _PROPERTY_CHANNEL.process(Waveform(data, 160e9)).data
+
+
+@given(_samples, _samples, _coefficients, _coefficients)
+@settings(max_examples=40, deadline=None)
+def test_channel_is_linear(x, y, a, b):
+    n = min(len(x), len(y))
+    x, y = x[:n], y[:n]
+    swing = abs(a) * np.max(np.abs(x)) + abs(b) * np.max(np.abs(y))
+    np.testing.assert_allclose(_through_channel(a * x + b * y),
+                               a * _through_channel(x)
+                               + b * _through_channel(y),
+                               rtol=0, atol=1e-12 * swing)
+
+
+@given(_samples, st.integers(min_value=1, max_value=1024))
+@settings(max_examples=40, deadline=None)
+def test_channel_is_time_invariant(x, delay):
+    # Idling at x[0] for `delay` samples only shifts the response.
+    out = _through_channel(x)
+    delayed = _through_channel(np.concatenate([np.full(delay, x[0]), x]))
+    np.testing.assert_allclose(
+        delayed, np.concatenate([np.full(delay, out[0]), out]),
+        rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=700),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_channel_batch_rows_equal_single_waveforms(n_rows, n, seed):
+    data = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_rows, n))
+    batch = _PROPERTY_CHANNEL.process(WaveformBatch(data, 160e9)).data
+    for row, out in zip(data, batch):
+        np.testing.assert_allclose(out, _through_channel(row), rtol=0,
+                                   atol=1e-12)
 
 
 # -- terminations ------------------------------------------------------------
