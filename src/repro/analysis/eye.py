@@ -12,10 +12,22 @@ per sub-eye and the scalar fields of :class:`EyeMeasurement` report the
 *worst* sub-eye (the one that limits the link), with the per-eye values
 kept alongside.  For the default two-level NRZ the decision threshold is
 exactly 0 V (differential signaling) and everything reduces to the
-classic single-eye measurement, bit for bit.  For ``L > 2`` thresholds
-are estimated from the folded traces themselves (min/max swing fit plus
-one Lloyd refinement of the level clusters), since the received swing is
+classic single-eye measurement.  For ``L > 2`` thresholds are estimated
+from the folded traces themselves (min/max swing fit plus one Lloyd
+refinement of the level clusters), since the received swing is
 generally unknown after a lossy channel.
+
+Every measurement runs as one vectorized pass over a batch of folded
+rows (:class:`EyeDiagramBatch`).  The serial :class:`EyeDiagram` folds
+(and, if needed, resamples) one waveform and measures it as a batch of
+one, so serial and batched results agree exactly.
+
+NaN samples count low, as in the CDR and DFE kernels: the level slicer
+files a NaN in the lowest level and the crossing detector treats it as
+below the threshold.  Statistics that include a NaN sample (a level's
+mean and extremes, a crossing interpolated from it) are NaN.  A
+multi-level row holding a NaN gets NaN thresholds, so all its samples
+slice low and it reports the closed eye of a degenerate signal.
 
 All horizontal quantities can be read in seconds or unit intervals (UI).
 """
@@ -36,50 +48,48 @@ __all__ = ["EyeMeasurement", "EyeDiagram", "EyeDiagramBatch",
            "measure_eye_batch"]
 
 
-def _center_crossings_ui(crossings: np.ndarray) -> np.ndarray:
-    """Center a modulo-1 crossing cluster on its circular mean.
+def _slice_levels(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Level index of every sample: the count of the row's thresholds
+    strictly below it (NaN counts low).
 
-    Crossing positions live on the UI circle: a cluster straddling the
-    0/1 boundary (e.g. crossings at 0.02 and 0.98 UI) wraps, and any
-    linear statistic of the raw values — in particular the median, whose
-    value lands mid-range for a balanced straddling cluster — fails to
-    detect it, reporting ~1 UI of peak-to-peak jitter for a clean eye.
-    The circular mean has no such failure mode: it always points at the
-    cluster, so shifting the wrap seam half a UI away from it unwraps
-    every cluster correctly.
+    ``values`` has one row per scenario and ``thresholds`` is
+    ``(n_rows, L - 1)``.
     """
-    angles = 2.0 * np.pi * crossings
-    center = np.arctan2(np.mean(np.sin(angles)),
-                        np.mean(np.cos(angles))) / (2.0 * np.pi)
-    center = np.mod(center, 1.0)
-    return np.mod(crossings - center + 0.5, 1.0) - 0.5 + center
+    level = np.zeros(values.shape,
+                     dtype=np.min_scalar_type(thresholds.shape[1]))
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    for e in range(thresholds.shape[1]):
+        level += values > thresholds[:, e].reshape(shape)
+    return level
 
 
 def _estimate_thresholds(traces: np.ndarray,
                          modulation: Modulation) -> np.ndarray:
-    """Estimate per-sub-eye decision thresholds from folded traces.
+    """Estimate per-row sub-eye decision thresholds from folded traces.
 
-    Nominal thresholds from the observed min/max swing, then one Lloyd
-    refinement: slice, take the mean of each level cluster, re-midpoint.
-    Only used for ``L > 2`` — the NRZ threshold is exactly 0 V and is
-    never estimated (that keeps the binary path bit-exact).
+    Nominal thresholds from each row's observed min/max swing, then one
+    Lloyd refinement: slice, take the mean of each level cluster (the
+    nominal level when the cluster is empty), re-midpoint.  Rows with no
+    swing get zero thresholds.  Only used for ``L > 2`` — the NRZ
+    threshold is exactly 0 V and is never estimated.  Returns
+    ``(n_rows, L - 1)``.
     """
-    flat = traces.reshape(-1)
-    lo = float(flat.min())
-    hi = float(flat.max())
+    flat = traces.reshape(len(traces), -1)
+    lo = flat.min(axis=1, keepdims=True)
+    hi = flat.max(axis=1, keepdims=True)
     swing = hi - lo
-    if swing <= 0:
-        return np.zeros(modulation.n_eyes)
     center = 0.5 * (lo + hi)
-    nominal_levels = center + modulation.level_values(swing)
-    thresholds = center + modulation.threshold_values(swing)
-    counts = np.searchsorted(thresholds, flat, side="left")
-    means = np.array([
-        float(flat[counts == i].mean()) if np.any(counts == i)
-        else float(nominal_levels[i])
-        for i in range(modulation.n_levels)
-    ])
-    return (means[:-1] + means[1:]) / 2.0
+    level = _slice_levels(flat, center + modulation.threshold_values(swing))
+    means = center + modulation.level_values(swing)
+    for i in range(modulation.n_levels):
+        mask = level == i
+        count = mask.sum(axis=1)
+        seen = count > 0
+        total = np.where(mask, flat, 0.0).sum(axis=1)
+        means[seen, i] = total[seen] / count[seen]
+    thresholds = (means[:, :-1] + means[:, 1:]) / 2.0
+    thresholds[swing[:, 0] <= 0] = 0.0
+    return thresholds
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +146,9 @@ class EyeMeasurement:
 class EyeDiagram:
     """A waveform folded at the unit interval.
 
+    Every measurement is that of an :class:`EyeDiagramBatch` of one row,
+    so it equals the matching row of a batched measurement exactly.
+
     Parameters
     ----------
     wave:
@@ -155,34 +168,19 @@ class EyeDiagram:
                  modulation: Optional[Modulation] = None):
         if bit_rate <= 0:
             raise ValueError(f"bit_rate must be positive, got {bit_rate}")
-        if skip_ui < 0:
-            raise ValueError(f"skip_ui must be >= 0, got {skip_ui}")
         samples_per_ui = wave.sample_rate / bit_rate
         if abs(samples_per_ui - round(samples_per_ui)) > 1e-6:
             target = bit_rate * max(8, int(math.ceil(samples_per_ui)))
             wave = wave.resampled(target)
-            samples_per_ui = wave.sample_rate / bit_rate
-        self.samples_per_ui = int(round(samples_per_ui))
-        if self.samples_per_ui < 4:
-            raise ValueError(
-                "need at least 4 samples per UI for eye analysis, got "
-                f"{self.samples_per_ui}"
-            )
+        self._batch = EyeDiagramBatch(
+            WaveformBatch(wave.data[None, :], wave.sample_rate, t0=wave.t0),
+            bit_rate, skip_ui=skip_ui, modulation=modulation)
+        self.samples_per_ui = self._batch.samples_per_ui
         self.bit_rate = bit_rate
-        self.unit_interval = 1.0 / bit_rate
-        self.modulation = Nrz() if modulation is None else modulation
-
-        data = wave.data[skip_ui * self.samples_per_ui:]
-        n_ui = len(data) // self.samples_per_ui
-        if n_ui < 8:
-            raise ValueError(
-                f"waveform too short for an eye: {n_ui} UI after skipping"
-            )
-        self.traces = data[: n_ui * self.samples_per_ui].reshape(
-            n_ui, self.samples_per_ui
-        )
-        self.n_ui = n_ui
-        self._thresholds: Optional[np.ndarray] = None
+        self.unit_interval = self._batch.unit_interval
+        self.modulation = self._batch.modulation
+        self.traces = self._batch.traces[0]
+        self.n_ui = self._batch.n_ui
 
     # -- folded views ---------------------------------------------------------
     def two_ui_traces(self) -> np.ndarray:
@@ -200,45 +198,15 @@ class EyeDiagram:
 
     # -- vertical measurements --------------------------------------------
     def decision_thresholds(self) -> np.ndarray:
-        """Per-sub-eye decision thresholds, in volts.
-
-        Exactly ``[0.0]`` for two-level signaling (differential NRZ
-        slices at zero by construction); estimated from the traces for
-        ``L > 2`` (see :func:`_estimate_thresholds`).
-        """
-        if self._thresholds is None:
-            if self.modulation.n_levels == 2:
-                self._thresholds = np.zeros(1)
-            else:
-                self._thresholds = _estimate_thresholds(self.traces,
-                                                        self.modulation)
-        return self._thresholds
-
-    def _level_clusters(self, phase_index: int) -> List[np.ndarray]:
-        """Samples at a phase, split into per-level clusters (lowest
-        level first).  For NRZ this is the classic zero/one split."""
-        column = self.traces[:, phase_index]
-        counts = np.searchsorted(self.decision_thresholds(), column,
-                                 side="left")
-        return [column[counts == i]
-                for i in range(self.modulation.n_levels)]
+        """Per-sub-eye decision thresholds, in volts (exactly ``[0.0]``
+        for two-level signaling)."""
+        return self._batch.decision_thresholds()[0]
 
     def eye_heights_at(self, phase_index: int) -> np.ndarray:
-        """Per-sub-eye vertical opening at a sampling phase.
-
-        Sub-eye ``e`` opens between level clusters ``e`` and ``e + 1``:
-        ``min(upper cluster) - max(lower cluster)`` — negative when that
-        sub-eye is closed, ``-inf`` when a cluster is empty.
-        """
-        clusters = self._level_clusters(phase_index)
-        heights = np.empty(self.modulation.n_eyes)
-        for e in range(self.modulation.n_eyes):
-            upper, lower = clusters[e + 1], clusters[e]
-            if upper.size == 0 or lower.size == 0:
-                heights[e] = -float("inf")
-            else:
-                heights[e] = float(upper.min() - lower.max())
-        return heights
+        """Per-sub-eye vertical opening at a sampling phase (negative
+        when that sub-eye is closed, ``-inf`` when a level is missing)."""
+        phases = np.array([phase_index], dtype=np.intp)
+        return self._batch._level_stats(phases)[3][:, 0]
 
     def eye_height_at(self, phase_index: int) -> float:
         """Worst-sub-eye vertical opening at a sampling phase."""
@@ -246,171 +214,56 @@ class EyeDiagram:
 
     def best_phase_index(self) -> int:
         """The sampling phase maximizing the (worst-sub-eye) opening."""
-        heights = [self.eye_height_at(i) for i in range(self.samples_per_ui)]
-        return int(np.argmax(heights))
+        return int(self._batch.best_phase_indices()[0])
 
     # -- horizontal measurements ----------------------------------------------
-    def _eye_index(self, eye: Optional[int]) -> int:
-        if eye is None:
-            return self.modulation.center_threshold_index
-        if not 0 <= eye < self.modulation.n_eyes:
-            raise ValueError(
-                f"eye must be in 0..{self.modulation.n_eyes - 1}, got {eye}"
-            )
-        return int(eye)
-
     def crossing_times_ui(self, eye: Optional[int] = None) -> np.ndarray:
-        """Threshold-crossing positions of all edges, in UI modulo 1.
-
-        Linear interpolation between the bracketing samples; the
-        distribution's spread is the crossing jitter.  ``eye`` selects
-        the sub-eye threshold; the default is the middle eye (the zero
-        crossing for NRZ — the edge the bang-bang CDR locks to).
-        """
-        threshold = float(self.decision_thresholds()[self._eye_index(eye)])
-        flat = self.traces.reshape(-1)
-        if threshold != 0.0:
-            flat = flat - threshold
-        sign = np.sign(flat)
-        sign[sign == 0] = 1
-        idx = np.flatnonzero(np.diff(sign) != 0)
-        if idx.size == 0:
-            return np.array([])
-        v0 = flat[idx]
-        v1 = flat[idx + 1]
-        frac = v0 / (v0 - v1)
-        times = (idx + frac) / self.samples_per_ui
-        crossings = np.mod(times, 1.0)
-        # Center the cluster: crossings near 0/1 wrap; shift the wrap
-        # seam half a UI away from the circular mean before measuring
-        # spread (a straddling cluster defeats linear centering).
-        return _center_crossings_ui(crossings)
+        """Threshold-crossing positions of all edges, in UI modulo 1,
+        centred on their circular mean (middle sub-eye by default)."""
+        return self._batch.crossing_times_ui(eye)[0]
 
     def jitter_rms_ui(self, eye: Optional[int] = None) -> float:
         """RMS crossing jitter in UI (middle sub-eye by default)."""
-        times = self.crossing_times_ui(eye)
-        if times.size < 2:
-            return 0.0
-        return float(np.std(times))
+        return float(self._batch.jitter_rms_ui(eye)[0])
 
     def jitter_pp_ui(self, eye: Optional[int] = None) -> float:
         """Peak-to-peak crossing jitter in UI (middle eye by default)."""
-        times = self.crossing_times_ui(eye)
-        if times.size < 2:
-            return 0.0
-        return float(np.ptp(times))
+        return float(self._batch.jitter_pp_ui(eye)[0])
 
     def eye_width_ui(self, eye: Optional[int] = None) -> float:
         """Horizontal opening: 1 UI minus the peak-to-peak jitter."""
-        return max(0.0, 1.0 - self.jitter_pp_ui(eye))
+        return float(self._batch.eye_width_ui(eye)[0])
 
     # -- composite measurement ------------------------------------------------
     def measure(self) -> EyeMeasurement:
         """Full scope-style measurement at the optimum sampling phase."""
-        return self.measure_at(self.best_phase_index())
+        return self._batch.measure_all()[0]
 
     def measure_at(self, phase: int) -> EyeMeasurement:
         """Scope-style measurement at a given sampling-phase index."""
-        clusters = self._level_clusters(phase)
-        n_levels = self.modulation.n_levels
-        n_eyes = self.modulation.n_eyes
-        if any(cluster.size == 0 for cluster in clusters):
-            # Degenerate signal (some level never observed at this
-            # phase): report a closed eye.
-            level = float(self.traces.mean())
-            return EyeMeasurement(
-                eye_height=-float("inf"), eye_width_ui=0.0,
-                eye_amplitude=0.0, level_one=level, level_zero=level,
-                jitter_rms=0.0, jitter_pp=0.0, q_factor=0.0,
-                sampling_phase_ui=phase / self.samples_per_ui,
-                n_ui=self.n_ui, n_levels=n_levels,
-            )
-        means = [float(cluster.mean()) for cluster in clusters]
-        sigmas = [float(cluster.std()) for cluster in clusters]
-        level_one = means[-1]
-        level_zero = means[0]
-        amplitude = level_one - level_zero
-        q_factors = []
-        for e in range(n_eyes):
-            separation = means[e + 1] - means[e]
-            denominator = sigmas[e + 1] + sigmas[e]
-            q_factors.append(separation / denominator
-                             if denominator > 0 else float("inf"))
-        heights = self.eye_heights_at(phase)
-        # One pass over each crossing distribution for all horizontal
-        # metrics (it is the costly part of a measurement).
-        jitter_rms_by_eye = []
-        jitter_pp_by_eye = []
-        for e in range(n_eyes):
-            times = self.crossing_times_ui(eye=e)
-            jitter_rms_by_eye.append(float(np.std(times))
-                                     if times.size >= 2 else 0.0)
-            jitter_pp_by_eye.append(float(np.ptp(times))
-                                    if times.size >= 2 else 0.0)
-        widths = [max(0.0, 1.0 - pp) for pp in jitter_pp_by_eye]
-        worst_eye = int(np.argmin(heights))
-        worst_jitter_rms = max(jitter_rms_by_eye)
-        worst_jitter_pp = max(jitter_pp_by_eye)
-        return EyeMeasurement(
-            eye_height=float(np.min(heights)),
-            eye_width_ui=min(widths),
-            eye_amplitude=amplitude,
-            level_one=level_one,
-            level_zero=level_zero,
-            jitter_rms=worst_jitter_rms * self.unit_interval,
-            jitter_pp=worst_jitter_pp * self.unit_interval,
-            q_factor=min(q_factors),
-            sampling_phase_ui=(phase + 0.5) / self.samples_per_ui,
-            n_ui=self.n_ui,
-            n_levels=n_levels,
-            worst_eye=worst_eye,
-            eye_heights=tuple(float(h) for h in heights),
-            eye_widths_ui=tuple(widths),
-            eye_jitter_rms_ui=tuple(jitter_rms_by_eye),
-            eye_jitter_pp_ui=tuple(jitter_pp_by_eye),
-            q_factors=tuple(q_factors),
-            levels=tuple(means),
-        )
+        return self._batch.measure_at(phase)[0]
 
     # -- convenience ----------------------------------------------------------
     @classmethod
     def measure_waveform(cls, wave: Waveform, bit_rate: float,
                          skip_ui: int = 8,
-                         max_ui: Optional[int] = None,
                          modulation: Optional[Modulation] = None
                          ) -> EyeMeasurement:
         """One-call fold-and-measure."""
-        eye = cls(wave, bit_rate, skip_ui=skip_ui, modulation=modulation)
-        del max_ui  # reserved for future windowed measurement
-        return eye.measure()
-
-    @classmethod
-    def _from_folded(cls, traces: np.ndarray, bit_rate: float,
-                     modulation: Optional[Modulation] = None
-                     ) -> "EyeDiagram":
-        """Internal: wrap already-folded ``(n_ui, samples_per_ui)`` traces."""
-        eye = cls.__new__(cls)
-        eye.bit_rate = bit_rate
-        eye.unit_interval = 1.0 / bit_rate
-        eye.samples_per_ui = traces.shape[1]
-        eye.traces = traces
-        eye.n_ui = traces.shape[0]
-        eye.modulation = Nrz() if modulation is None else modulation
-        eye._thresholds = None
-        return eye
+        return cls(wave, bit_rate, skip_ui=skip_ui,
+                   modulation=modulation).measure()
 
 
 class EyeDiagramBatch:
     """Every row of a :class:`WaveformBatch` folded at the unit interval.
 
-    The fold and the per-phase vertical-opening search — the dominant
-    cost of scope-style measurement — run vectorized across all
-    scenarios at once; each row's :class:`EyeMeasurement` is then
-    assembled through the same code path as the serial
-    :class:`EyeDiagram`, so batched results match per-waveform
-    measurements exactly.  Multi-level batches estimate decision
-    thresholds per row from that row's own traces, matching what the
-    serial path computes for the same waveform.
+    Each measurement is one vectorized pass over all scenarios: the
+    per-phase vertical-opening search, the level statistics at each
+    row's sampling phase, the crossing extraction and its circular
+    centring.  Only the final :class:`EyeMeasurement` records are built
+    row by row.  Multi-level batches estimate decision thresholds per
+    row from that row's own traces, so a row's results do not depend on
+    the other rows in the batch.
 
     The batch sample rate must be an integer multiple of ``bit_rate``
     (the encoder guarantees this; batches are never resampled).
@@ -443,7 +296,7 @@ class EyeDiagramBatch:
         n_ui = data.shape[1] // self.samples_per_ui
         if n_ui < 8:
             raise ValueError(
-                f"batch too short for an eye: {n_ui} UI after skipping"
+                f"too short for an eye: {n_ui} UI after skipping"
             )
         self.traces = data[:, : n_ui * self.samples_per_ui].reshape(
             batch.n_scenarios, n_ui, self.samples_per_ui
@@ -451,28 +304,30 @@ class EyeDiagramBatch:
         self.n_ui = n_ui
         self.n_scenarios = batch.n_scenarios
         self._thresholds: Optional[np.ndarray] = None
-        self._crossings: Dict[int, List[np.ndarray]] = {}
-        self._jitter: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._crossings: Dict[int, Tuple[np.ndarray, ...]] = {}
 
+    # -- vertical measurements ---------------------------------------------
     def decision_thresholds(self) -> np.ndarray:
         """Per-row decision thresholds, shape ``(n_scenarios, L - 1)``.
 
-        Exactly zero for two-level signaling; estimated per row from
-        that row's folded traces for ``L > 2`` (identical to what the
-        serial :class:`EyeDiagram` computes for the same waveform)."""
+        Exactly zero for two-level signaling (differential NRZ slices at
+        zero by construction); estimated per row from that row's folded
+        traces for ``L > 2`` (see :func:`_estimate_thresholds`)."""
         if self._thresholds is None:
             if self.modulation.n_levels == 2:
                 self._thresholds = np.zeros((self.n_scenarios, 1))
             else:
-                self._thresholds = np.stack([
-                    _estimate_thresholds(self.traces[i], self.modulation)
-                    for i in range(self.n_scenarios)
-                ])
+                self._thresholds = _estimate_thresholds(self.traces,
+                                                        self.modulation)
         return self._thresholds
 
     def eye_heights(self) -> np.ndarray:
         """Worst-sub-eye vertical opening per (scenario, phase), shape
-        ``(n_scenarios, samples_per_ui)`` — one vectorized pass."""
+        ``(n_scenarios, samples_per_ui)`` — one vectorized pass.
+
+        Sub-eye ``e`` opens between level clusters ``e`` and ``e + 1``:
+        ``min(upper cluster) - max(lower cluster)``, negative when that
+        sub-eye is closed and ``-inf`` when a cluster is empty."""
         if self.modulation.n_levels == 2:
             # Binary fast path: threshold exactly 0, single sub-eye.
             ones_mask = self.traces > 0
@@ -482,10 +337,7 @@ class EyeDiagramBatch:
                                axis=1)
             valid = ones_mask.any(axis=1) & (~ones_mask).any(axis=1)
             return np.where(valid, ones_min - zeros_max, -np.inf)
-        thresholds = self.decision_thresholds()
-        counts = np.zeros(self.traces.shape, dtype=np.int8)
-        for e in range(self.modulation.n_eyes):
-            counts += self.traces > thresholds[:, e, None, None]
+        counts = _slice_levels(self.traces, self.decision_thresholds())
         worst: Optional[np.ndarray] = None
         for e in range(self.modulation.n_eyes):
             upper_mask = counts == e + 1
@@ -503,6 +355,31 @@ class EyeDiagramBatch:
         """Per-scenario sampling phase maximizing the vertical opening."""
         return np.argmax(self.eye_heights(), axis=1)
 
+    def _level_stats(self, phases: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """Level clusters of each row's samples at its sampling phase.
+
+        Returns per-level ``counts``, ``means`` and ``sigmas``, shape
+        ``(L, n_scenarios)``, and per-sub-eye ``heights``, shape
+        ``(L - 1, n_scenarios)`` (``-inf`` where a cluster is empty).
+        """
+        columns = np.take_along_axis(self.traces, phases[:, None, None],
+                                     axis=2)[:, :, 0]
+        level = _slice_levels(columns, self.decision_thresholds())
+        masks = level == np.arange(self.modulation.n_levels)[:, None, None]
+        counts = masks.sum(axis=2)
+        n = np.maximum(counts, 1)
+        means = np.where(masks, columns, 0.0).sum(axis=2) / n
+        deviation = np.where(masks, columns - means[:, :, None], 0.0)
+        sigmas = np.sqrt((deviation * deviation).sum(axis=2) / n)
+        lowest = np.where(masks, columns, np.inf).min(axis=2)
+        highest = np.where(masks, columns, -np.inf).max(axis=2)
+        observed = counts > 0
+        heights = np.where(observed[1:] & observed[:-1],
+                           lowest[1:] - highest[:-1], -np.inf)
+        return counts, means, sigmas, heights
+
     # -- horizontal measurements (vectorized extraction) -------------------
     def _eye_index(self, eye: Optional[int]) -> int:
         if eye is None:
@@ -513,79 +390,150 @@ class EyeDiagramBatch:
             )
         return int(eye)
 
+    def _crossing_pass(self, e: int) -> Tuple[np.ndarray, ...]:
+        """Centred crossings of sub-eye ``e`` for every row, cached.
+
+        Returns the flat crossing positions (row-major, in UI), the row
+        offsets into them, and per-row RMS and peak-to-peak spread (0
+        for rows with fewer than two crossings).
+        """
+        if e in self._crossings:
+            return self._crossings[e]
+        n_rows = self.n_scenarios
+        flat = self.traces.reshape(n_rows, -1)
+        thresholds = self.decision_thresholds()[:, e]
+        if np.any(thresholds != 0.0):
+            flat = flat - thresholds[:, None]
+        high = flat >= 0.0
+        rows, cols = np.nonzero(high[:, 1:] != high[:, :-1])
+        v0 = flat[rows, cols]
+        v1 = flat[rows, cols + 1]
+        times = np.mod((cols + v0 / (v0 - v1)) / self.samples_per_ui, 1.0)
+        # Crossing positions live on the UI circle: a cluster straddling
+        # the 0/1 seam defeats any linear centring (its median lands
+        # mid-range).  The circular mean always points at the cluster, so
+        # moving the seam half a UI away from it unwraps every cluster.
+        angles = 2.0 * np.pi * times
+        center = np.mod(np.arctan2(
+            np.bincount(rows, np.sin(angles), minlength=n_rows),
+            np.bincount(rows, np.cos(angles), minlength=n_rows),
+        ) / (2.0 * np.pi), 1.0)[rows]
+        times = np.mod(times - center + 0.5, 1.0) - 0.5 + center
+
+        counts = np.bincount(rows, minlength=n_rows)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        n = np.maximum(counts, 1)
+        mean = np.bincount(rows, times, minlength=n_rows) / n
+        rms = np.sqrt(np.bincount(rows, (times - mean[rows]) ** 2,
+                                  minlength=n_rows) / n)
+        pp = np.zeros(n_rows)
+        seen = counts > 0
+        if times.size:
+            starts = offsets[:-1][seen]
+            pp[seen] = (np.maximum.reduceat(times, starts)
+                        - np.minimum.reduceat(times, starts))
+        spread = counts >= 2
+        result = (times, offsets, np.where(spread, rms, 0.0),
+                  np.where(spread, pp, 0.0))
+        self._crossings[e] = result
+        return result
+
     def crossing_times_ui(self, eye: Optional[int] = None
                           ) -> List[np.ndarray]:
         """Per-scenario threshold-crossing positions in UI modulo 1.
 
-        The extraction — sign changes, bracketing-sample interpolation —
-        runs as one vectorized pass over the whole batch, cached across
-        the horizontal-metric accessors; only the cheap per-row circular
-        centering loops in Python.  Row ``i`` equals
-        ``EyeDiagram.crossing_times_ui(eye)`` of that scenario exactly.
-        ``eye`` selects the sub-eye threshold (middle eye by default).
+        Linear interpolation between the bracketing samples, each row's
+        cluster centred on its circular mean; the distribution's spread
+        is the crossing jitter.  One vectorized pass over the whole
+        batch, cached across the horizontal-metric accessors.  ``eye``
+        selects the sub-eye threshold; the default is the middle eye
+        (the zero crossing for NRZ — the edge the bang-bang CDR locks
+        to).
         """
-        e = self._eye_index(eye)
-        if e in self._crossings:
-            return self._crossings[e]
-        flat = self.traces.reshape(self.n_scenarios, -1)
-        thresholds = self.decision_thresholds()[:, e]
-        if np.any(thresholds != 0.0):
-            flat = flat - thresholds[:, None]
-        sign = np.sign(flat)
-        sign[sign == 0] = 1
-        rows, cols = np.nonzero(np.diff(sign, axis=1) != 0)
-        v0 = flat[rows, cols]
-        v1 = flat[rows, cols + 1]
-        frac = v0 / (v0 - v1)
-        times = (cols + frac) / self.samples_per_ui
-        crossings = np.mod(times, 1.0)
-        counts = np.bincount(rows, minlength=self.n_scenarios)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        out: List[np.ndarray] = []
-        for i in range(self.n_scenarios):
-            chunk = crossings[offsets[i]:offsets[i + 1]]
-            out.append(_center_crossings_ui(chunk) if chunk.size
-                       else np.array([]))
-        self._crossings[e] = out
-        return out
-
-    def _horizontal_metrics(self, eye: Optional[int] = None
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (RMS, peak-to-peak) crossing jitter from one cached
-        extraction pass."""
-        e = self._eye_index(eye)
-        if e in self._jitter:
-            return self._jitter[e]
-        rms = np.zeros(self.n_scenarios)
-        pp = np.zeros(self.n_scenarios)
-        for i, times in enumerate(self.crossing_times_ui(e)):
-            if times.size >= 2:
-                rms[i] = float(np.std(times))
-                pp[i] = float(np.ptp(times))
-        self._jitter[e] = (rms, pp)
-        return rms, pp
+        times, offsets, _, _ = self._crossing_pass(self._eye_index(eye))
+        return np.split(times, offsets[1:-1])
 
     def jitter_rms_ui(self, eye: Optional[int] = None) -> np.ndarray:
         """Per-row RMS crossing jitter in UI (middle eye by default)."""
-        return self._horizontal_metrics(eye)[0]
+        return self._crossing_pass(self._eye_index(eye))[2]
 
     def jitter_pp_ui(self, eye: Optional[int] = None) -> np.ndarray:
         """Per-row peak-to-peak crossing jitter in UI."""
-        return self._horizontal_metrics(eye)[1]
+        return self._crossing_pass(self._eye_index(eye))[3]
 
     def eye_width_ui(self, eye: Optional[int] = None) -> np.ndarray:
         """Per-row horizontal opening: 1 UI minus the p-p jitter."""
-        return np.maximum(0.0, 1.0 - self._horizontal_metrics(eye)[1])
+        return np.maximum(0.0, 1.0 - self.jitter_pp_ui(eye))
 
+    # -- composite measurement ---------------------------------------------
     def measure_all(self) -> List[EyeMeasurement]:
-        """One :class:`EyeMeasurement` per scenario."""
-        phases = self.best_phase_indices()
-        return [
-            EyeDiagram._from_folded(self.traces[row], self.bit_rate,
-                                    self.modulation)
-            .measure_at(int(phases[row]))
-            for row in range(self.n_scenarios)
-        ]
+        """One :class:`EyeMeasurement` per scenario, each at its row's
+        optimum sampling phase."""
+        return self.measure_at(self.best_phase_indices())
+
+    def measure_at(self, phases) -> List[EyeMeasurement]:
+        """One :class:`EyeMeasurement` per scenario at the given
+        sampling-phase index (a scalar, or one per row)."""
+        phases = np.broadcast_to(np.asarray(phases, dtype=np.intp),
+                                 (self.n_scenarios,))
+        counts, means, sigmas, heights = self._level_stats(phases)
+        n_eyes = self.modulation.n_eyes
+        rms = np.empty((n_eyes, self.n_scenarios))
+        pp = np.empty((n_eyes, self.n_scenarios))
+        for e in range(n_eyes):
+            rms[e], pp[e] = self._crossing_pass(e)[2:]
+        widths = np.maximum(0.0, 1.0 - pp)
+        separation = means[1:] - means[:-1]
+        spread = sigmas[1:] + sigmas[:-1]
+        q_factors = np.divide(separation, spread,
+                              out=np.full_like(separation, np.inf),
+                              where=spread > 0)
+        columns = zip(
+            heights.min(axis=0).tolist(), widths.min(axis=0).tolist(),
+            (means[-1] - means[0]).tolist(), means[-1].tolist(),
+            means[0].tolist(),
+            (rms.max(axis=0) * self.unit_interval).tolist(),
+            (pp.max(axis=0) * self.unit_interval).tolist(),
+            q_factors.min(axis=0).tolist(),
+            ((phases + 0.5) / self.samples_per_ui).tolist(),
+            heights.argmin(axis=0).tolist(), heights.T.tolist(),
+            widths.T.tolist(), rms.T.tolist(), pp.T.tolist(),
+            q_factors.T.tolist(), means.T.tolist(),
+        )
+        # A level never observed at the sampling phase: the signal is
+        # degenerate, report a closed eye at the row's mean level.
+        degenerate = (counts == 0).any(axis=0)
+        mean_level = np.zeros(self.n_scenarios)
+        if degenerate.any():
+            mean_level[degenerate] = self.traces[degenerate].reshape(
+                int(degenerate.sum()), -1).mean(axis=1)
+        n_levels = self.modulation.n_levels
+        out = []
+        for row, (height, width, amplitude, one, zero, jitter_rms,
+                  jitter_pp, q, phase_ui, worst, by_height, by_width,
+                  by_rms, by_pp, by_q, levels) in enumerate(columns):
+            if degenerate[row]:
+                level = float(mean_level[row])
+                out.append(EyeMeasurement(
+                    eye_height=-float("inf"), eye_width_ui=0.0,
+                    eye_amplitude=0.0, level_one=level, level_zero=level,
+                    jitter_rms=0.0, jitter_pp=0.0, q_factor=0.0,
+                    sampling_phase_ui=phase_ui, n_ui=self.n_ui,
+                    n_levels=n_levels,
+                ))
+                continue
+            out.append(EyeMeasurement(
+                eye_height=height, eye_width_ui=width,
+                eye_amplitude=amplitude, level_one=one, level_zero=zero,
+                jitter_rms=jitter_rms, jitter_pp=jitter_pp, q_factor=q,
+                sampling_phase_ui=phase_ui, n_ui=self.n_ui,
+                n_levels=n_levels, worst_eye=worst,
+                eye_heights=tuple(by_height), eye_widths_ui=tuple(by_width),
+                eye_jitter_rms_ui=tuple(by_rms),
+                eye_jitter_pp_ui=tuple(by_pp), q_factors=tuple(by_q),
+                levels=tuple(levels),
+            ))
+        return out
 
 
 def measure_eye_batch(batch: WaveformBatch, bit_rate: float,
@@ -595,8 +543,8 @@ def measure_eye_batch(batch: WaveformBatch, bit_rate: float,
     """One-call batched fold-and-measure: one measurement per scenario.
 
     Equivalent to ``[EyeDiagram.measure_waveform(row, bit_rate, skip_ui,
-    modulation=modulation) for row in batch.rows()]`` but with the
-    folding and phase search vectorized across the whole batch.
+    modulation=modulation) for row in batch.rows()]`` but with every
+    step vectorized across the whole batch.
     """
     return EyeDiagramBatch(batch, bit_rate, skip_ui=skip_ui,
                            modulation=modulation).measure_all()

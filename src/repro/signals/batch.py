@@ -67,14 +67,19 @@ class WaveformBatch:
         if not waves:
             raise ValueError("cannot stack an empty waveform sequence")
         first = waves[0]
-        for wave in waves[1:]:
-            first._check_compatible(wave)
-            if not np.isclose(wave.t0, first.t0):
-                raise ValueError(
-                    f"waveform start times differ: {first.t0} vs {wave.t0}"
-                )
-        return cls(np.stack([wave.data for wave in waves]),
-                   first.sample_rate, t0=first.t0)
+        rows = [wave.data for wave in waves]
+        timebase = np.array([(wave.sample_rate, wave.t0) for wave in waves])
+        if (len({len(row) for row in rows}) > 1
+                or not np.isclose(timebase, timebase[0]).all()):
+            # Walk the rows only to name the first mismatch.
+            for wave in waves[1:]:
+                first._check_compatible(wave)
+                if not np.isclose(wave.t0, first.t0):
+                    raise ValueError(
+                        f"waveform start times differ: {first.t0} vs "
+                        f"{wave.t0}"
+                    )
+        return cls(np.stack(rows), first.sample_rate, t0=first.t0)
 
     @classmethod
     def tiled(cls, wave: Waveform, n_scenarios: int) -> "WaveformBatch":

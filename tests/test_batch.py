@@ -66,6 +66,24 @@ def test_stack_requires_compatible_waveforms():
         WaveformBatch.stack([a, Waveform(np.zeros(8), 2 * FS)])
 
 
+def test_stack_names_the_first_mismatch():
+    a = Waveform(np.zeros(8), FS)
+    waves = [a, a, Waveform(np.zeros(8), FS, t0=1e-6),
+             Waveform(np.zeros(9), FS)]
+    with pytest.raises(ValueError,
+                       match=r"^waveform start times differ: 0.0 vs 1e-06$"):
+        WaveformBatch.stack(waves)
+    with pytest.raises(ValueError,
+                       match=r"^waveform lengths differ: 8 vs 9$"):
+        WaveformBatch.stack(waves[:2] + waves[3:])
+    with pytest.raises(ValueError, match=r"^waveform sample rates differ: "):
+        WaveformBatch.stack([a, a, Waveform(np.zeros(8), 2 * FS)])
+    # Within np.isclose tolerance the first row's timebase wins.
+    near = Waveform(np.ones(8), FS * (1 + 1e-9), t0=1e-12)
+    batch = WaveformBatch.stack([a, near])
+    assert batch.sample_rate == FS and batch.t0 == 0.0
+
+
 def test_stack_and_rows_round_trip():
     waves = [Waveform(np.arange(5.0) + i, FS) for i in range(4)]
     batch = WaveformBatch.stack(waves)

@@ -90,6 +90,17 @@ def test_degenerate_all_ones_signal():
     assert not m.is_open
 
 
+def test_degenerate_record_reports_centred_sampling_phase():
+    """A degenerate eye (a level never observed) reports its sampling
+    phase at the centre of the sample, like every other record."""
+    wave = bits_to_nrz(np.ones(64, dtype=int), 10e9, samples_per_bit=16)
+    eye = EyeDiagram(wave, 10e9)
+    m = eye.measure()
+    assert m.eye_heights is None
+    assert m.sampling_phase_ui == (eye.best_phase_index() + 0.5) / 16
+    assert eye.measure_at(3).sampling_phase_ui == 3.5 / 16
+
+
 def test_eye_requires_enough_ui():
     wave = bits_to_nrz(prbs7(10), 10e9, samples_per_bit=16)
     with pytest.raises(ValueError):

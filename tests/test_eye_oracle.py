@@ -1,0 +1,359 @@
+"""Pinned eye oracle: the vectorized eye measurement matches the scalar one.
+
+The class and functions in the first section are inline frozen copies of
+the per-row scalar eye measurement as it was before the measurement ran
+as one pass over the batch (``searchsorted`` level clusters, per-eye
+Python loops, one circular centring per row).  The property test
+asserts that :class:`~repro.analysis.eye.EyeDiagramBatch` reproduces
+them over NRZ and PAM4, 1, 2 or 64 rows, crossing clusters that
+straddle the 0/1 UI seam, rows with fewer than two crossings and
+degenerate rows (a level never observed): heights, best phase,
+``worst_eye``, ``n_ui`` and ``n_levels`` exactly, level means, Q,
+jitter and widths within 1e-12.  The one intended difference is the
+degenerate record's ``sampling_phase_ui``, which is now centred in its
+sample like every other record's.  The inputs are finite; the NaN rule
+is pinned separately below.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import EyeDiagram, EyeDiagramBatch
+from repro.signals import Nrz, Pam4, WaveformBatch
+
+BIT_RATE = 10e9
+AMPLITUDE = 0.5
+TOL = 1e-12
+MODULATIONS = {"nrz": Nrz(), "pam4": Pam4()}
+
+
+# ---------------------------------------------------------------------------
+# Frozen scalar eye measurement, verbatim.
+# ---------------------------------------------------------------------------
+
+def _old_center_crossings_ui(crossings):
+    angles = 2.0 * np.pi * crossings
+    center = np.arctan2(np.mean(np.sin(angles)),
+                        np.mean(np.cos(angles))) / (2.0 * np.pi)
+    center = np.mod(center, 1.0)
+    return np.mod(crossings - center + 0.5, 1.0) - 0.5 + center
+
+
+def _old_estimate_thresholds(traces, modulation):
+    flat = traces.reshape(-1)
+    lo = float(flat.min())
+    hi = float(flat.max())
+    swing = hi - lo
+    if swing <= 0:
+        return np.zeros(modulation.n_eyes)
+    center = 0.5 * (lo + hi)
+    nominal_levels = center + modulation.level_values(swing)
+    thresholds = center + modulation.threshold_values(swing)
+    counts = np.searchsorted(thresholds, flat, side="left")
+    means = np.array([
+        float(flat[counts == i].mean()) if np.any(counts == i)
+        else float(nominal_levels[i])
+        for i in range(modulation.n_levels)
+    ])
+    return (means[:-1] + means[1:]) / 2.0
+
+
+class _OldEye:
+    """The scalar ``EyeDiagram`` over already-folded traces."""
+
+    def __init__(self, traces, bit_rate, modulation):
+        self.traces = traces
+        self.n_ui, self.samples_per_ui = traces.shape
+        self.unit_interval = 1.0 / bit_rate
+        self.modulation = modulation
+        self._thresholds = None
+
+    def decision_thresholds(self):
+        if self._thresholds is None:
+            if self.modulation.n_levels == 2:
+                self._thresholds = np.zeros(1)
+            else:
+                self._thresholds = _old_estimate_thresholds(self.traces,
+                                                            self.modulation)
+        return self._thresholds
+
+    def _level_clusters(self, phase_index):
+        column = self.traces[:, phase_index]
+        counts = np.searchsorted(self.decision_thresholds(), column,
+                                 side="left")
+        return [column[counts == i]
+                for i in range(self.modulation.n_levels)]
+
+    def eye_heights_at(self, phase_index):
+        clusters = self._level_clusters(phase_index)
+        heights = np.empty(self.modulation.n_eyes)
+        for e in range(self.modulation.n_eyes):
+            upper, lower = clusters[e + 1], clusters[e]
+            if upper.size == 0 or lower.size == 0:
+                heights[e] = -float("inf")
+            else:
+                heights[e] = float(upper.min() - lower.max())
+        return heights
+
+    def eye_height_at(self, phase_index):
+        return float(np.min(self.eye_heights_at(phase_index)))
+
+    def best_phase_index(self):
+        heights = [self.eye_height_at(i) for i in range(self.samples_per_ui)]
+        return int(np.argmax(heights))
+
+    def crossing_times_ui(self, eye):
+        threshold = float(self.decision_thresholds()[eye])
+        flat = self.traces.reshape(-1)
+        if threshold != 0.0:
+            flat = flat - threshold
+        sign = np.sign(flat)
+        sign[sign == 0] = 1
+        idx = np.flatnonzero(np.diff(sign) != 0)
+        if idx.size == 0:
+            return np.array([])
+        v0 = flat[idx]
+        v1 = flat[idx + 1]
+        frac = v0 / (v0 - v1)
+        times = (idx + frac) / self.samples_per_ui
+        crossings = np.mod(times, 1.0)
+        return _old_center_crossings_ui(crossings)
+
+    def measure_at(self, phase):
+        clusters = self._level_clusters(phase)
+        n_levels = self.modulation.n_levels
+        n_eyes = self.modulation.n_eyes
+        if any(cluster.size == 0 for cluster in clusters):
+            level = float(self.traces.mean())
+            return dict(
+                eye_height=-float("inf"), eye_width_ui=0.0,
+                eye_amplitude=0.0, level_one=level, level_zero=level,
+                jitter_rms=0.0, jitter_pp=0.0, q_factor=0.0,
+                sampling_phase_ui=phase / self.samples_per_ui,
+                n_ui=self.n_ui, n_levels=n_levels,
+            )
+        means = [float(cluster.mean()) for cluster in clusters]
+        sigmas = [float(cluster.std()) for cluster in clusters]
+        level_one = means[-1]
+        level_zero = means[0]
+        amplitude = level_one - level_zero
+        q_factors = []
+        for e in range(n_eyes):
+            separation = means[e + 1] - means[e]
+            denominator = sigmas[e + 1] + sigmas[e]
+            q_factors.append(separation / denominator
+                             if denominator > 0 else float("inf"))
+        heights = self.eye_heights_at(phase)
+        jitter_rms_by_eye = []
+        jitter_pp_by_eye = []
+        for e in range(n_eyes):
+            times = self.crossing_times_ui(eye=e)
+            jitter_rms_by_eye.append(float(np.std(times))
+                                     if times.size >= 2 else 0.0)
+            jitter_pp_by_eye.append(float(np.ptp(times))
+                                    if times.size >= 2 else 0.0)
+        widths = [max(0.0, 1.0 - pp) for pp in jitter_pp_by_eye]
+        worst_eye = int(np.argmin(heights))
+        worst_jitter_rms = max(jitter_rms_by_eye)
+        worst_jitter_pp = max(jitter_pp_by_eye)
+        return dict(
+            eye_height=float(np.min(heights)),
+            eye_width_ui=min(widths),
+            eye_amplitude=amplitude,
+            level_one=level_one,
+            level_zero=level_zero,
+            jitter_rms=worst_jitter_rms * self.unit_interval,
+            jitter_pp=worst_jitter_pp * self.unit_interval,
+            q_factor=min(q_factors),
+            sampling_phase_ui=(phase + 0.5) / self.samples_per_ui,
+            n_ui=self.n_ui,
+            n_levels=n_levels,
+            worst_eye=worst_eye,
+            eye_heights=tuple(float(h) for h in heights),
+            eye_widths_ui=tuple(widths),
+            eye_jitter_rms_ui=tuple(jitter_rms_by_eye),
+            eye_jitter_pp_ui=tuple(jitter_pp_by_eye),
+            q_factors=tuple(q_factors),
+            levels=tuple(means),
+        )
+
+
+# ---------------------------------------------------------------------------
+# Inputs and comparison.
+# ---------------------------------------------------------------------------
+
+def _traces(rng, n_rows, n_ui, samples_per_ui, modulation, seam, quantize):
+    """Folded traces ``(n_rows, n_ui, samples_per_ui)``.
+
+    Random symbols with smooth, jittered edges at a per-row UI offset
+    (near the 0/1 seam when ``seam``) plus AWGN.  A quarter of the rows
+    hold one symbol throughout (no crossings, degenerate) and a quarter
+    a sorted staircase (at most a few crossings per threshold, levels
+    often missing).  ``quantize`` rounds to a 1/256 V grid, which makes
+    exact zeros, ties and zero-variance clusters.
+    """
+    levels = np.asarray(modulation.levels) * AMPLITUDE
+    symbols = rng.integers(0, len(levels), (n_rows, n_ui + 1))
+    kind = rng.integers(0, 4, n_rows)
+    symbols[kind == 2] = symbols[kind == 2, :1]
+    symbols[kind == 3] = np.sort(symbols[kind == 3], axis=1)
+    if seam:
+        offset = np.mod(rng.uniform(-0.06, 0.06, n_rows), 1.0)
+    else:
+        offset = rng.uniform(0.0, 1.0, n_rows)
+    edges = (np.arange(n_ui + 1) + offset[:, None]
+             + rng.normal(0.0, 0.03, (n_rows, n_ui + 1)))
+    t = np.arange(n_ui * samples_per_ui) / samples_per_ui
+    k = np.clip(np.rint(t - offset[:, None]).astype(int), 0, n_ui)
+    rows = np.arange(n_rows)[:, None]
+    before = levels[symbols[rows, np.maximum(k - 1, 0)]]
+    after = levels[symbols[rows, k]]
+    ramp = 1.0 / (1.0 + np.exp(-(t - edges[rows, k]) / 0.08))
+    data = before + (after - before) * ramp
+    sigma = rng.choice([1e-3, 0.02, 0.06], n_rows) * AMPLITUDE
+    data += rng.normal(0.0, 1.0, data.shape) * sigma[:, None]
+    if quantize:
+        data = np.round(data * 256.0) / 256.0
+    return data.reshape(n_rows, n_ui, samples_per_ui)
+
+
+def _batch(traces):
+    n_rows, n_ui, samples_per_ui = traces.shape
+    return WaveformBatch(traces.reshape(n_rows, -1),
+                         BIT_RATE * samples_per_ui)
+
+
+def _assert_matches(got, want, phase, samples_per_ui):
+    """Compare an EyeMeasurement with an oracle record (a dict)."""
+    assert got.sampling_phase_ui == (phase + 0.5) / samples_per_ui
+    for name in ("eye_height", "eye_heights", "worst_eye", "n_ui",
+                 "n_levels"):
+        assert getattr(got, name) == want.get(name, getattr(got, name)), \
+            name
+    if "eye_heights" not in want:
+        assert got.eye_heights is None
+    for name in ("eye_width_ui", "eye_amplitude", "level_one", "level_zero",
+                 "eye_widths_ui", "eye_jitter_rms_ui", "eye_jitter_pp_ui",
+                 "levels"):
+        if name in want:
+            np.testing.assert_allclose(getattr(got, name), want[name],
+                                       rtol=0, atol=TOL, err_msg=name)
+    for name in ("jitter_rms", "jitter_pp"):
+        assert abs(getattr(got, name) - want[name]) <= TOL / BIT_RATE, name
+    for name in ("q_factor", "q_factors"):
+        if name in want:
+            np.testing.assert_allclose(getattr(got, name), want[name],
+                                       rtol=TOL, atol=TOL, err_msg=name)
+
+
+eye_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n_rows": st.sampled_from([1, 2, 64]),
+    "modulation": st.sampled_from(sorted(MODULATIONS)),
+    "n_ui": st.integers(8, 40),
+    "samples_per_ui": st.sampled_from([4, 8]),
+    "seam": st.booleans(),
+    "quantize": st.booleans(),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=eye_cases)
+def test_batched_eye_matches_frozen_scalar_oracle(case):
+    modulation = MODULATIONS[case["modulation"]]
+    rng = np.random.default_rng(case["seed"])
+    spu = case["samples_per_ui"]
+    traces = _traces(rng, case["n_rows"], case["n_ui"], spu, modulation,
+                     case["seam"], case["quantize"])
+    eye = EyeDiagramBatch(_batch(traces), BIT_RATE, skip_ui=0,
+                          modulation=modulation)
+    measured = eye.measure_all()
+    fixed_phase = int(rng.integers(0, spu))
+    at_fixed = eye.measure_at(fixed_phase)
+    best = eye.best_phase_indices()
+    thresholds = eye.decision_thresholds()
+    crossings = [eye.crossing_times_ui(e) for e in range(modulation.n_eyes)]
+    for i in range(case["n_rows"]):
+        oracle = _OldEye(traces[i], BIT_RATE, modulation)
+        phase = oracle.best_phase_index()
+        assert best[i] == phase
+        np.testing.assert_allclose(thresholds[i],
+                                   oracle.decision_thresholds(),
+                                   rtol=0, atol=TOL)
+        _assert_matches(measured[i], oracle.measure_at(phase), phase, spu)
+        _assert_matches(at_fixed[i], oracle.measure_at(fixed_phase),
+                        fixed_phase, spu)
+        for e in range(modulation.n_eyes):
+            want = oracle.crossing_times_ui(e)
+            assert crossings[e][i].shape == want.shape
+            np.testing.assert_allclose(crossings[e][i], want, rtol=0,
+                                       atol=TOL)
+        single = EyeDiagram(_batch(traces[i:i + 1])[0], BIT_RATE,
+                            skip_ui=0, modulation=modulation)
+        np.testing.assert_array_equal(single.eye_heights_at(fixed_phase),
+                                      oracle.eye_heights_at(fixed_phase))
+
+
+def test_oracle_property_covers_its_edge_cases():
+    """The generator really makes seam-straddling clusters, rows with
+    fewer than two crossings and degenerate rows."""
+    rng = np.random.default_rng(0)
+    nrz = Nrz()
+    traces = _traces(rng, 64, 40, 8, nrz, seam=True, quantize=False)
+    eye = EyeDiagramBatch(_batch(traces), BIT_RATE, skip_ui=0)
+    counts = np.array([c.size for c in eye.crossing_times_ui()])
+    assert np.any(counts < 2) and np.any(counts > 20)
+    raw = [_OldEye(t, BIT_RATE, nrz) for t in traces]
+    straddling = [np.ptp(np.mod(o.crossing_times_ui(0), 1.0)) > 0.5
+                  for o in raw if o.crossing_times_ui(0).size > 20]
+    assert any(straddling)
+    assert any(m.eye_heights is None for m in eye.measure_all())
+
+
+# ---------------------------------------------------------------------------
+# NaN samples count low, and batch == batch of one.
+# ---------------------------------------------------------------------------
+
+def _assert_same_record(a, b):
+    np.testing.assert_equal(dataclasses.astuple(a), dataclasses.astuple(b))
+
+
+@pytest.mark.parametrize("name", ["nrz", "pam4"])
+def test_nan_sample_counts_low_and_rows_match_batch_of_one(name):
+    modulation = MODULATIONS[name]
+    rng = np.random.default_rng(3)
+    traces = _traces(rng, 4, 32, 8, modulation, seam=False, quantize=False)
+    clean = EyeDiagramBatch(_batch(traces), BIT_RATE, skip_ui=0,
+                            modulation=modulation)
+    phase = clean.best_phase_indices()[1]
+    column = traces[1, :, phase]
+    ui = int(np.argmax(column))       # a sample of the top level
+    traces[1, ui, phase] = np.nan
+    batch = _batch(traces)
+    eye = EyeDiagramBatch(batch, BIT_RATE, skip_ui=0, modulation=modulation)
+    measured = eye.measure_all()
+    for i, row in enumerate(batch.rows()):
+        single = EyeDiagram(row, BIT_RATE, skip_ui=0, modulation=modulation)
+        _assert_same_record(measured[i], single.measure())
+        _assert_same_record(eye.measure_at(phase)[i],
+                            single.measure_at(phase))
+        np.testing.assert_equal(eye.crossing_times_ui()[i],
+                                single.crossing_times_ui())
+    nan_row = eye.measure_at(phase)[1]
+    if name == "nrz":
+        # Filed in the low cluster: the zero level turns NaN, the one
+        # level does not (searchsorted used to file it at the top).
+        assert np.isnan(nan_row.level_zero)
+        assert np.isfinite(nan_row.level_one)
+    else:
+        # The row's threshold estimate is NaN, every sample slices low
+        # and the row reports a closed eye.
+        assert np.all(np.isnan(eye.decision_thresholds()[1]))
+        assert nan_row.eye_height == -np.inf
+        assert nan_row.eye_heights is None
+    for i in (0, 2, 3):
+        _assert_same_record(measured[i], clean.measure_all()[i])
