@@ -24,8 +24,9 @@ the paper's Figs 7(a)/(b) show.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from ..devices.mosfet import Mosfet
 from ..devices.varactor import MosVaractor, neutralized_input_capacitance
@@ -33,7 +34,7 @@ from ..lti.blocks import TanhLimiter, WienerHammersteinBlock
 from ..lti.transfer_function import RationalTF, first_order_lowpass
 from .loads import LoadElement, node_impedance
 
-__all__ = ["CmlBuffer", "apply_active_feedback"]
+__all__ = ["CmlBuffer", "apply_active_feedback", "lowered_block"]
 
 
 def apply_active_feedback(open_loop: RationalTF, loop_gain: float,
@@ -66,6 +67,41 @@ def apply_active_feedback(open_loop: RationalTF, loop_gain: float,
     if restore_gain:
         closed = closed.scaled(1.0 + loop_gain)
     return closed
+
+
+@functools.lru_cache(maxsize=64)
+def _lowering(cls: type, limit_attr: str,
+              fields: Tuple[Tuple[str, Any], ...]
+              ) -> Tuple[RationalTF, float, float]:
+    """``(unity-DC shape, a0, limit)`` of the stage ``cls(**fields)``,
+    rebuilt from the key so no entry holds a caller's mutable stage."""
+    stage = cls(**dict(fields))
+    full = stage.small_signal_tf()
+    a0 = full.dc_gain()
+    shape = full.scaled(1.0 / a0)
+    shape.num.flags.writeable = False
+    shape.den.flags.writeable = False
+    return shape, a0, getattr(stage, limit_attr)
+
+
+def lowered_block(stage, limit_attr: str) -> WienerHammersteinBlock:
+    """The limiting block of a dataclass ``stage``: a tanh limiter of
+    small-signal gain ``a0`` saturating at ``getattr(stage, limit_attr)``,
+    then the unity-DC small-signal shape.
+
+    The transfer function is built once per tuple of field values (the
+    ``name`` label aside), so a stage rebuilt, replaced or mutated in
+    place reads the lowering of its current values; every field must be
+    hashable (frozen devices and loads, numbers).  The shape is shared
+    between blocks, so its arrays are read-only.
+    """
+    fields = tuple((field.name, getattr(stage, field.name))
+                   for field in dataclasses.fields(stage)
+                   if field.name != "name")
+    shape, a0, limit = _lowering(type(stage), limit_attr, fields)
+    return WienerHammersteinBlock(
+        nonlinearity=TanhLimiter(gain=a0, limit=limit), pre=None,
+        post=shape, name=stage.name)
 
 
 @dataclasses.dataclass
@@ -193,14 +229,11 @@ class CmlBuffer:
 
         The linearized response of the block equals
         :meth:`small_signal_tf`; large inputs limit at
-        :attr:`output_swing` through the tanh characteristic.
+        :attr:`output_swing` through the tanh characteristic.  The
+        transfer function is built once per stage value (see
+        :func:`lowered_block`).
         """
-        full = self.small_signal_tf()
-        a0 = full.dc_gain()
-        shape = full.scaled(1.0 / a0)  # unity-DC dynamic part
-        limiter = TanhLimiter(gain=a0, limit=self.output_swing)
-        return WienerHammersteinBlock(nonlinearity=limiter, pre=None,
-                                      post=shape, name=self.name)
+        return lowered_block(self, "output_swing")
 
     # -- design variants ----------------------------------------------------
     def with_load(self, load: LoadElement) -> "CmlBuffer":

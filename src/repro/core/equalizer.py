@@ -40,9 +40,9 @@ import numpy as np
 
 from ..devices.mosfet import Mosfet
 from ..devices.technology import Technology, TSMC180
-from ..lti.blocks import TanhLimiter, WienerHammersteinBlock
+from ..lti.blocks import WienerHammersteinBlock
 from ..lti.transfer_function import RationalTF
-from .cml_buffer import apply_active_feedback
+from .cml_buffer import apply_active_feedback, lowered_block
 from .loads import ResistiveLoad, node_impedance
 
 __all__ = ["TriodeDegeneration", "CherryHooperEqualizer"]
@@ -272,12 +272,7 @@ class CherryHooperEqualizer:
     # -- simulation ---------------------------------------------------------
     def to_block(self) -> WienerHammersteinBlock:
         """Behavioral block: dynamics + limiting at the output stage."""
-        tf = self.small_signal_tf()
-        a0 = tf.dc_gain()
-        shape = tf.scaled(1.0 / a0)
-        limiter = TanhLimiter(gain=a0, limit=self.output_limit)
-        return WienerHammersteinBlock(nonlinearity=limiter, pre=None,
-                                      post=shape, name=self.name)
+        return lowered_block(self, "output_limit")
 
     # -- variants ------------------------------------------------------------
     def tuned(self, control_voltage: float) -> "CherryHooperEqualizer":

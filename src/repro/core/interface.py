@@ -88,9 +88,7 @@ class InputInterface:
 
     def process(self, wave: Waveform) -> Waveform:
         """Receive a waveform: equalize (if enabled) then limit-amplify."""
-        if self.equalizer_enabled:
-            wave = self.equalizer.to_block().process(wave)
-        return self.limiting_amplifier.process(wave)
+        return self.to_pipeline().process(wave)
 
     # -- metrics ------------------------------------------------------------
     def small_signal_tf(self) -> RationalTF:

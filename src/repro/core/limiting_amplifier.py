@@ -19,7 +19,7 @@ import dataclasses
 import math
 from typing import List, Sequence
 
-from ..lti.blocks import Pipeline
+from ..lti.blocks import OffsetBlock, Pipeline
 from ..lti.transfer_function import RationalTF
 from ..signals.waveform import Waveform
 from .cml_buffer import CmlBuffer
@@ -121,24 +121,23 @@ class LimitingAmplifier:
 
     # -- simulation --------------------------------------------------------
     def to_pipeline(self) -> Pipeline:
-        """The behavioral stage chain as a pipeline of limiting blocks."""
-        return Pipeline([stage.to_block() for stage in self.stage_chain()],
-                        name=self.name)
-
-    def process(self, wave: Waveform, include_offset: bool = True) -> Waveform:
-        """Amplify a waveform through the limiting chain.
+        """The behavioral stage chain as a pipeline of limiting blocks.
 
         The offset loop is handled analytically (its time constant is
-        ~1e6 x the simulation window): the residual input-referred
-        offset is added before the chain, and the loop's DC correction
-        is applied as the steady-state operating point.
+        ~1e6 x the simulation window): a non-zero mismatch enters as a
+        leading :class:`~repro.lti.blocks.OffsetBlock` holding the
+        residual input-referred offset after the loop settles.
         """
-        if include_offset and self.input_offset_voltage != 0.0:
-            a0 = abs(self.dc_gain())
-            loop = a0 * self.offset_network.sense_gain
-            # Residual input-referred offset after loop settling.
-            residual_in = self.input_offset_voltage / (1.0 + loop)
-            wave = wave + residual_in
+        blocks = [stage.to_block() for stage in self.stage_chain()]
+        if self.input_offset_voltage != 0.0:
+            loop = abs(self.dc_gain()) * self.offset_network.sense_gain
+            blocks.insert(0, OffsetBlock(
+                self.input_offset_voltage / (1.0 + loop),
+                name="residual-offset"))
+        return Pipeline(blocks, name=self.name)
+
+    def process(self, wave: Waveform) -> Waveform:
+        """Amplify a waveform through the limiting chain."""
         return self.to_pipeline().process(wave)
 
     # -- variants -----------------------------------------------------------

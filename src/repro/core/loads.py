@@ -18,7 +18,7 @@ import numpy as np
 
 from ..devices.active_inductor import ActiveInductor
 from ..devices.passives import SpiralInductor
-from ..lti.transfer_function import RationalTF
+from ..lti.transfer_function import RationalTF, _polyadd, _polymul
 
 __all__ = [
     "LoadElement",
@@ -143,6 +143,9 @@ class ParallelLoad:
     def __post_init__(self) -> None:
         if not self.elements:
             raise ValueError("ParallelLoad needs at least one element")
+        # A tuple keeps the load hashable (stage lowerings are cached by
+        # field value, see repro.core.cml_buffer).
+        object.__setattr__(self, "elements", tuple(self.elements))
 
     def impedance_tf(self) -> RationalTF:
         # 1/Z = sum(1/Z_i): accumulate admittances as rationals.
@@ -151,9 +154,8 @@ class ParallelLoad:
         for element in self.elements:
             z = element.impedance_tf()
             # y_i = z.den / z.num
-            y_num = np.polyadd(np.polymul(y_num, z.num),
-                               np.polymul(z.den, y_den))
-            y_den = np.polymul(y_den, z.num)
+            y_num = _polyadd(_polymul(y_num, z.num), _polymul(z.den, y_den))
+            y_den = _polymul(y_den, z.num)
         return RationalTF(y_den, y_num)
 
     @property
@@ -180,8 +182,8 @@ def node_impedance(load: LoadElement, node_capacitance: float) -> RationalTF:
     z = load.impedance_tf()
     if node_capacitance == 0:
         return z
-    den = np.polyadd(np.polymul(z.den, np.array([1.0])),
-                     np.polymul(np.array([node_capacitance, 0.0]), z.num))
+    # z.den * 1 is z.den itself: only the s C n product needs a multiply.
+    den = _polyadd(z.den, _polymul(np.array([node_capacitance, 0.0]), z.num))
     return RationalTF(z.num, den)
 
 

@@ -23,7 +23,8 @@ from typing import List
 from ..channel.terminations import cml_output_swing
 from ..devices.mosfet import Mosfet
 from ..lti.blocks import Block, Pipeline
-from ..lti.transfer_function import RationalTF
+from ..lti.discretize import simulate_tf
+from ..lti.transfer_function import RationalTF, first_order_lowpass
 from ..signals.waveform import Waveform
 from .cml_buffer import CmlBuffer
 from .loads import ActiveInductorLoad, LoadElement, ResistiveLoad
@@ -58,17 +59,11 @@ class LevelShifter(Block):
                                    * (self.c_load + self.follower.cgs / 3.0))
 
     def transfer_function(self) -> RationalTF:
-        wp = 2.0 * math.pi * self.pole_hz
-        import numpy as np
-
-        return RationalTF(np.array([self.gain]), np.array([1.0 / wp, 1.0]))
+        return first_order_lowpass(self.pole_hz, gain=self.gain)
 
     def process(self, wave: Waveform) -> Waveform:
-        from ..lti.discretize import simulate_tf
-
-        out = simulate_tf(self.transfer_function(), wave.data,
-                          wave.sample_rate)
-        return wave.with_data(out)
+        return wave.with_data(simulate_tf(self.transfer_function(),
+                                          wave.data, wave.sample_rate))
 
     @property
     def supply_current(self) -> float:

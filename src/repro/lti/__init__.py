@@ -25,6 +25,7 @@ from .blocks import (
     TanhLimiter,
     WienerHammersteinBlock,
     GainBlock,
+    OffsetBlock,
     DelayBlock,
     SummingNode,
     Pipeline,
@@ -46,6 +47,7 @@ __all__ = [
     "TanhLimiter",
     "WienerHammersteinBlock",
     "GainBlock",
+    "OffsetBlock",
     "DelayBlock",
     "SummingNode",
     "Pipeline",

@@ -14,6 +14,10 @@ Every block is batch-transparent: passing a
 vectorized pass (the batch mirrors the waveform API, and
 :func:`~repro.lti.discretize.simulate_tf` filters 2-D data along the
 last axis), with each row numerically identical to its serial run.
+
+Blocks cache nothing: the circuit stages build their blocks from
+transfer functions cached per stage value (keyed on the stage's field
+values, see :func:`repro.core.cml_buffer.lowered_block`).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "TanhLimiter",
     "WienerHammersteinBlock",
     "GainBlock",
+    "OffsetBlock",
     "DelayBlock",
     "SummingNode",
     "Pipeline",
@@ -107,8 +112,10 @@ class TanhLimiter(Block):
             raise ValueError(f"limit must be positive, got {self.limit}")
 
     def process(self, wave: Waveform) -> Waveform:
-        scaled = (self.gain / self.limit) * wave.data
-        return wave.with_data(self.limit * np.tanh(scaled))
+        out = (self.gain / self.limit) * wave.data
+        np.tanh(out, out=out)
+        out *= self.limit
+        return wave.with_data(out)
 
     def transfer_function(self) -> RationalTF:
         """Small-signal linearization around zero input."""
@@ -167,6 +174,20 @@ class GainBlock(Block):
 
     def transfer_function(self) -> RationalTF:
         return RationalTF.constant(self.gain)
+
+
+@dataclasses.dataclass
+class OffsetBlock(Block):
+    """A constant added to every sample (a DC offset at the node)."""
+
+    offset: float
+    name: str = "offset"
+
+    def process(self, wave: Waveform) -> Waveform:
+        return wave + self.offset
+
+    def transfer_function(self) -> RationalTF:
+        return RationalTF.constant(1.0)
 
 
 @dataclasses.dataclass

@@ -17,7 +17,10 @@ Two properties matter for multi-scenario throughput:
 * discretization is **memoized** — coefficient sets are keyed on the
   analog coefficients, the sample rate and the prewarp frequency, so a
   pipeline re-simulated across thousands of scenarios derives each
-  digital filter once;
+  digital filter once (one level up, the circuit stages cache their
+  analog transfer functions per field value, see
+  :func:`repro.core.cml_buffer.lowered_block`, so neither the analog nor
+  the digital coefficients are rebuilt per call);
 * filtering is **batched** — :func:`simulate_tf` accepts a 2-D
   ``(n_scenarios, n_samples)`` array and runs one ``lfilter`` call over
   the last axis with per-row steady-state initial conditions, which is

@@ -24,11 +24,30 @@ __all__ = ["RationalTF", "first_order_lowpass", "second_order_lowpass",
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Strip leading (highest-order) zeros, keeping at least one term."""
+    if (type(coeffs) is np.ndarray and coeffs.dtype == np.float64
+            and coeffs.ndim == 1 and coeffs.size and coeffs[0] != 0):
+        return coeffs  # already trimmed: the common case in TF algebra
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     nonzero = np.flatnonzero(coeffs)
     if nonzero.size == 0:
         return np.zeros(1)
     return coeffs[nonzero[0]:]
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.polymul`` for float coefficient arrays, without its ``poly1d``
+    wrapping: the same convolution of the same trimmed operands."""
+    return np.convolve(_trim(a), _trim(b))
+
+
+def _polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.polyadd``: zero-pad the shorter operand at the high-order end."""
+    diff = len(b) - len(a)
+    if diff > 0:
+        a = np.concatenate((np.zeros(diff), a))
+    elif diff < 0:
+        b = np.concatenate((np.zeros(-diff), b))
+    return a + b
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,16 +114,16 @@ class RationalTF:
     # -- algebra ------------------------------------------------------------
     def cascade(self, other: "RationalTF") -> "RationalTF":
         """Series connection: ``H = H1 * H2`` (buffered stages)."""
-        return RationalTF(np.polymul(self.num, other.num),
-                          np.polymul(self.den, other.den))
+        return RationalTF(_polymul(self.num, other.num),
+                          _polymul(self.den, other.den))
 
     __mul__ = cascade
 
     def parallel(self, other: "RationalTF") -> "RationalTF":
         """Parallel (summing) connection: ``H = H1 + H2``."""
-        num = np.polyadd(np.polymul(self.num, other.den),
-                         np.polymul(other.num, self.den))
-        return RationalTF(num, np.polymul(self.den, other.den))
+        num = _polyadd(_polymul(self.num, other.den),
+                       _polymul(other.num, self.den))
+        return RationalTF(num, _polymul(self.den, other.den))
 
     __add__ = parallel
 
@@ -125,9 +144,9 @@ class RationalTF:
         """
         if loop is None:
             loop = RationalTF.constant(1.0)
-        open_num = np.polymul(self.num, loop.den)
-        den = np.polyadd(np.polymul(self.den, loop.den),
-                         np.polymul(self.num, loop.num))
+        open_num = _polymul(self.num, loop.den)
+        den = _polyadd(_polymul(self.den, loop.den),
+                       _polymul(self.num, loop.num))
         return RationalTF(open_num, den)
 
     def inverse(self) -> "RationalTF":
@@ -282,9 +301,9 @@ def pole_zero_tf(pole_hz: Sequence[float], zero_hz: Sequence[float] = (),
     for fz in zero_hz:
         if fz <= 0:
             raise ValueError(f"zero frequency must be positive, got {fz}")
-        num = np.polymul(num, np.array([1.0 / (2 * np.pi * fz), 1.0]))
+        num = _polymul(num, np.array([1.0 / (2 * np.pi * fz), 1.0]))
     for fp in pole_hz:
         if fp <= 0:
             raise ValueError(f"pole frequency must be positive, got {fp}")
-        den = np.polymul(den, np.array([1.0 / (2 * np.pi * fp), 1.0]))
+        den = _polymul(den, np.array([1.0 / (2 * np.pi * fp), 1.0]))
     return RationalTF(num, den)

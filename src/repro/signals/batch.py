@@ -281,9 +281,10 @@ class WaveformBatch:
     def delayed(self, delay_s: float) -> "WaveformBatch":
         """Every row delayed by ``delay_s`` seconds.
 
-        Same semantics (integer shift + fractional linear interpolation,
-        edge-hold fill) as :meth:`Waveform.delayed`, applied along the
-        sample axis of every row at once.
+        The integer-sample part shifts, the fractional part interpolates
+        linearly, and samples from before the start hold the first value
+        (from past the end, the last); :meth:`Waveform.delayed` is a
+        batch of one through this kernel.
         """
         if self.n_samples == 0:
             return self

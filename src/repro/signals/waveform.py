@@ -171,29 +171,16 @@ class Waveform:
         uses linear interpolation.  The output has the same length and
         timebase as the input; samples that would come from before the
         start of the signal hold the first value (consistent with a link
-        that was idle before time zero).
+        that was idle before time zero).  A batch of one through
+        :meth:`WaveformBatch.delayed
+        <repro.signals.batch.WaveformBatch.delayed>`.
         """
+        from .batch import WaveformBatch  # batch builds on this module
+
         if len(self.data) == 0:
             return self
-        shift = delay_s * self.sample_rate
-        n = int(np.floor(shift))
-        frac = shift - n
-        padded = np.empty(len(self.data))
-        if n >= len(self.data) or -n >= len(self.data):
-            fill = self.data[0] if n > 0 else self.data[-1]
-            return self.with_data(np.full(len(self.data), fill))
-        if n >= 0:
-            padded[:n] = self.data[0]
-            padded[n:] = self.data[: len(self.data) - n]
-        else:
-            padded[:n] = self.data[-n:]
-            padded[n:] = self.data[-1]
-        if frac > 0:
-            shifted_one_more = np.empty_like(padded)
-            shifted_one_more[0] = padded[0]
-            shifted_one_more[1:] = padded[:-1]
-            padded = (1.0 - frac) * padded + frac * shifted_one_more
-        return self.with_data(padded)
+        row = WaveformBatch(self.data[np.newaxis], self.sample_rate, self.t0)
+        return self.with_data(row.delayed(delay_s).data[0])
 
     def resampled(self, sample_rate: float) -> "Waveform":
         """Linearly resample the waveform onto a new uniform grid."""

@@ -1,5 +1,7 @@
 """Interface assemblies: the paper's calibrated design point."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,25 @@ def test_rx_budget_matches_paper_area(rx_interface):
 def test_rx_pipeline_has_equalizer_plus_la_stages(rx_interface):
     assert len(rx_interface.to_pipeline()) == 7  # eq + 6 LA stages
     assert len(rx_interface.without_equalizer().to_pipeline()) == 6
+
+
+def test_rx_offset_is_part_of_the_pipeline(small_wave):
+    """The residual input offset rides in the pipeline form as a leading
+    offset stage, so ``process`` and ``to_pipeline().process`` agree
+    exactly; the stage is picklable and absent at zero offset."""
+    rx = build_input_interface(input_offset_voltage=5e-3)
+    la = rx.limiting_amplifier
+    for chain in (rx, la):
+        assert np.array_equal(chain.process(small_wave).data,
+                              chain.to_pipeline().process(small_wave).data)
+    assert len(rx.to_pipeline()) == 8
+    offset = la.to_pipeline()[0]
+    loop = abs(la.dc_gain()) * la.offset_network.sense_gain
+    assert offset.offset == 5e-3 / (1.0 + loop)
+    assert pickle.loads(pickle.dumps(offset)) == offset
+    clean = build_input_interface()
+    shift = rx.process(small_wave).data - clean.process(small_wave).data
+    assert np.max(np.abs(shift)) > 1e-3
 
 
 def test_rx_processes_4mv_to_full_swing(rx_interface, small_wave):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.signals import DifferentialWaveform, Waveform
 
@@ -111,6 +113,48 @@ def test_huge_delay_holds_first_value():
     w = make([5.0, 1.0, 2.0], fs=1.0)
     d = w.delayed(100.0)
     np.testing.assert_allclose(d.data, [5.0, 5.0, 5.0])
+
+
+def _frozen_delayed(data, delay_s, sample_rate):
+    """``Waveform.delayed`` as it was before it became a batch of one."""
+    if len(data) == 0:
+        return data
+    shift = delay_s * sample_rate
+    n = int(np.floor(shift))
+    frac = shift - n
+    padded = np.empty(len(data))
+    if n >= len(data) or -n >= len(data):
+        fill = data[0] if n > 0 else data[-1]
+        return np.full(len(data), fill)
+    if n >= 0:
+        padded[:n] = data[0]
+        padded[n:] = data[: len(data) - n]
+    else:
+        padded[:n] = data[-n:]
+        padded[n:] = data[-1]
+    if frac > 0:
+        shifted_one_more = np.empty_like(padded)
+        shifted_one_more[0] = padded[0]
+        shifted_one_more[1:] = padded[:-1]
+        padded = (1.0 - frac) * padded + frac * shifted_one_more
+    return padded
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=40),
+       st.one_of(st.integers(-60, 60).map(float),
+                 st.floats(-60.0, 60.0),
+                 st.sampled_from([0.5, -0.5, 1e-12, -1e-12, 1e9, -1e9])),
+       st.sampled_from([1.0, 3.0, 1e9]))
+def test_delay_matches_frozen_scalar_delay(samples, delay_samples, fs):
+    """Integer, fractional, negative and longer-than-waveform delays are
+    bit-identical to the frozen single-waveform code."""
+    wave = make(samples, fs=fs, t0=0.25)
+    delay_s = delay_samples / fs
+    got = wave.delayed(delay_s)
+    want = _frozen_delayed(wave.data, delay_s, fs)
+    assert got.data.tobytes() == want.tobytes()
+    assert (got.sample_rate, got.t0) == (wave.sample_rate, wave.t0)
 
 
 def test_resample_preserves_duration_and_values():
