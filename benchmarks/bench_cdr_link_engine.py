@@ -9,12 +9,12 @@ recovered twice:
   advances all N bang-bang loops together, one bit-step at a time, with
   vectorized interpolation sampling, vectorized Alexander votes and
   per-row phase/integral/slip state;
-* **serial**: :meth:`~repro.cdr.BangBangCdr.recover` per scenario — the
-  reference loop.
+* **serial**: :meth:`~repro.cdr.BangBangCdr.recover` per scenario — each
+  waveform run as a batch of one through the same kernel.
 
 Acceptance: the batched path is >= 5x faster wall-clock, and every
 row's decisions, phase track, votes, lock index and slip count match
-the serial run exactly.
+the scalar reference loop (``tests/serial_oracles.py``) exactly.
 
 A second section exercises the framed link end to end:
 :func:`~repro.link.run_framed_link` serializes a payload once, fans it
@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 from conftest import run_once
+from serial_oracles import SerialCdr, run_link
 from repro.cdr import BangBangCdr, CdrConfig
 from repro.reporting import format_table
 from repro.signals import (
@@ -43,7 +44,6 @@ from repro.signals import (
     prbs7,
 )
 from repro.link import run_framed_link, stage
-from repro.serdes import run_link
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner, \
     closed_loop_cdr_measure
 
@@ -83,10 +83,12 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
     t_batched = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    serial = [cdr.recover(row) for row in batch.rows()]
+    for row in batch.rows():
+        cdr.recover(row)
     t_serial = time.perf_counter() - t0
 
     speedup = t_serial / t_batched
+    reference = [SerialCdr(cdr.config).recover(row) for row in batch.rows()]
     save_report("cdr_link_engine_speedup", format_table([{
         "scenarios": N_SCENARIOS,
         "bits/scenario": N_BITS,
@@ -100,7 +102,7 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
         and np.array_equal(batched.row(i).phase_track_ui,
                            ref.phase_track_ui)
         and batched.row(i).slips == ref.slips
-        for i, ref in enumerate(serial)
+        for i, ref in enumerate(reference)
     )
     save_json("cdr_link_engine", {
         "scenarios": N_SCENARIOS,
@@ -113,17 +115,17 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
         "speedup_floor_enforced": N_SCENARIOS >= 500,
     })
 
-    for i, reference in enumerate(serial):
+    for i, ref in enumerate(reference):
         row = batched.row(i)
-        np.testing.assert_array_equal(row.decisions, reference.decisions,
+        np.testing.assert_array_equal(row.decisions, ref.decisions,
                                       err_msg=f"decisions differ, row {i}")
         np.testing.assert_array_equal(row.phase_track_ui,
-                                      reference.phase_track_ui,
+                                      ref.phase_track_ui,
                                       err_msg=f"phase track differs, row {i}")
-        np.testing.assert_array_equal(row.votes, reference.votes,
+        np.testing.assert_array_equal(row.votes, ref.votes,
                                       err_msg=f"votes differ, row {i}")
-        assert row.locked_at_bit == reference.locked_at_bit, i
-        assert row.slips == reference.slips, i
+        assert row.locked_at_bit == ref.locked_at_bit, i
+        assert row.slips == ref.slips, i
     assert batched.lock_yield() > 0.95
     # Row-exactness is always enforced; the wall-clock gate only at
     # full scale (smoke runs time tens of milliseconds, where a CI
@@ -170,7 +172,8 @@ def test_framed_link_noise_sweep(benchmark, save_report):
 
 
 def test_framed_link_batch_matches_serial_run_link(benchmark, save_report):
-    """run_framed_link rows reproduce run_link scenario by scenario."""
+    """run_framed_link rows reproduce the scalar reference framed link
+    (``serial_oracles.run_link``) scenario by scenario."""
     payload = b"batched-framed-link!"
     rms = 0.01
     seeds = list(range(1, 7))
@@ -206,7 +209,8 @@ def test_framed_link_batch_matches_serial_run_link(benchmark, save_report):
 
 
 def test_closed_loop_sweep_lock_yield(benchmark, save_report):
-    """The sweep subsystem driving recover_batch: lock-time yield grid."""
+    """The sweep subsystem driving the batched CDR: lock-time yield
+    grid."""
     n_seeds = max(6, N_SCENARIOS // 25)
     grid = ScenarioGrid([
         SweepAxis("amplitude", (0.2, 0.4)),

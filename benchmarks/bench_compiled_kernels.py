@@ -1,27 +1,18 @@
-"""Compiled bit-serial kernels + the fused chunked link pass.
+"""The fused chunked link pass: row-exactness and memory ceiling.
 
-PRs 1-4 vectorized every layer across scenarios; the wall-clock floor
-left was the Python interpreter advancing the two bit-serial engines
-(bang-bang CDR, DFE) one bit-step at a time, and the memory ceiling was
-every stage materializing full ``(n_scenarios, n_samples)``
-intermediates.  This bench pins the contracts of the two answers:
+Every stage of a monolithic ``run_batch`` materializes full
+``(n_scenarios, n_samples)`` intermediates.  The fused chunked pass
+(``LinkSession.run_batch(chunk_rows=...)``) streams tx → rx → CDR/DFE
+in bounded row-chunks instead; this bench pins its two contracts:
 
-* **kernel backends** (``repro.kernels``): the numba-compiled per-row
-  loops must be *bit-identical* to the pure-NumPy batch engine on the
-  existing CDR/DFE contracts — decisions, phase tracks, votes, slips,
-  corrected samples — and >= 5x faster on the bit-serial stages at
-  full scale.  Without numba installed the NumPy fallback is timed
-  alone and the comparison is skipped (selection is silent by design).
-* **fused chunked pass** (``LinkSession.run_batch(chunk_rows=...)``):
-  streaming tx → rx → CDR/DFE in bounded row-chunks must be row-exact
-  vs the monolithic batch for uneven chunk boundaries, and a
-  100k-scenario synthetic batch must complete under a traced-memory
+* streaming must be row-exact vs the monolithic batch for uneven chunk
+  boundaries, at a small wall-clock overhead (reported, not gated);
+* a 100k-scenario synthetic batch must complete under a traced-memory
   bound that the monolithic pass exceeds.
 
-``BENCH_KERNEL_SCENARIOS`` shrinks the speedup sections and
+``BENCH_KERNEL_SCENARIOS`` shrinks the row-exactness section and
 ``BENCH_KERNEL_MEMORY_SCENARIOS`` the memory section for CI smoke runs
-(row-exactness and the memory ordering are always enforced; the
-wall-clock floor only at full scale).
+(row-exactness and the memory ordering are always enforced).
 """
 
 import os
@@ -29,14 +20,10 @@ import time
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from repro import kernels
-from repro.baselines import DecisionFeedbackEqualizer, dfe_taps_from_channel
-from repro.cdr import BangBangCdr, CdrConfig
-from repro.channel import BackplaneChannel
+from repro.cdr import CdrConfig
 from repro.link import ChannelConfig, DfeConfig, LinkSession, RxConfig, \
-    TxConfig, stage
+    TxConfig
 from repro.reporting import format_table
 from repro.signals import (
     NrzEncoder,
@@ -53,9 +40,6 @@ N_MEMORY_SCENARIOS = int(
     os.environ.get("BENCH_KERNEL_MEMORY_SCENARIOS", "100000"))
 N_BITS = 280
 SAMPLES_PER_BIT = 8
-COMPILED_SPEEDUP_FLOOR = 5.0
-
-HAVE_NUMBA = "numba" in kernels.available_backends()
 
 
 def make_cdr_batch(n_scenarios):
@@ -76,96 +60,6 @@ def _time(fn):
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
-
-
-def test_kernel_backends_bit_exact_and_compiled_speedup(save_report,
-                                                        save_json):
-    """CDR + DFE bit-serial stages under every available backend."""
-    batch = make_cdr_batch(N_SCENARIOS)
-    cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5))
-    channel = BackplaneChannel(0.5)
-    received = channel.process(
-        bits_to_nrz(prbs7(N_BITS), BIT_RATE, amplitude=1.0,
-                    samples_per_bit=16))
-    dfe_batch = WaveformBatch.with_noise_seeds(
-        received, rms_volts=0.01,
-        seeds=list(range(1, N_SCENARIOS + 1)))
-    dfe = DecisionFeedbackEqualizer(
-        taps=dfe_taps_from_channel(channel, BIT_RATE, n_taps=3,
-                                   amplitude=1.0),
-        bit_rate=BIT_RATE)
-
-    timings = {}
-    results = {}
-    for name in ("numpy",) + (("numba",) if HAVE_NUMBA else ()):
-        with kernels.use_backend(name):
-            # Warm up: numba compiles on first call, numpy pays cache
-            # effects; both paths then time steady state.
-            stage(cdr).recover(batch[:2])
-            stage(dfe).equalize(dfe_batch[:2])
-            cdr_result, t_cdr = _time(lambda: stage(cdr).recover(batch))
-            dfe_result, t_dfe = _time(lambda: stage(dfe).equalize(dfe_batch))
-        timings[name] = {"cdr_s": t_cdr, "dfe_s": t_dfe}
-        results[name] = (cdr_result, dfe_result)
-
-    bit_exact = None
-    cdr_speedup = dfe_speedup = None
-    if HAVE_NUMBA:
-        ref_cdr, (ref_dec, ref_cor) = results["numpy"]
-        fast_cdr, (fast_dec, fast_cor) = results["numba"]
-        bit_exact = (
-            np.array_equal(fast_cdr.decisions, ref_cdr.decisions)
-            and np.array_equal(fast_cdr.phase_track_ui,
-                               ref_cdr.phase_track_ui, equal_nan=True)
-            and np.array_equal(fast_cdr.votes, ref_cdr.votes)
-            and np.array_equal(fast_cdr.slips, ref_cdr.slips)
-            and np.array_equal(fast_cdr.locked_at_bit, ref_cdr.locked_at_bit)
-            and np.array_equal(fast_cdr.n_bits, ref_cdr.n_bits)
-            and np.array_equal(fast_dec, ref_dec)
-            and np.array_equal(fast_cor, ref_cor)
-        )
-        cdr_speedup = timings["numpy"]["cdr_s"] / timings["numba"]["cdr_s"]
-        dfe_speedup = timings["numpy"]["dfe_s"] / timings["numba"]["dfe_s"]
-
-    save_report("compiled_kernels_speedup", format_table([
-        {
-            "backend": name,
-            "scenarios": N_SCENARIOS,
-            "CDR (s)": t["cdr_s"],
-            "DFE (s)": t["dfe_s"],
-        }
-        for name, t in timings.items()
-    ]))
-    save_json("compiled_kernels", {
-        "scenarios": N_SCENARIOS,
-        "bits_per_scenario": N_BITS,
-        "backends_timed": sorted(timings),
-        "timings_s": timings,
-        "numba_available": HAVE_NUMBA,
-        "bit_exact_across_backends": bit_exact,
-        "cdr_compiled_speedup_x": cdr_speedup,
-        "dfe_compiled_speedup_x": dfe_speedup,
-        "speedup_floor": COMPILED_SPEEDUP_FLOOR,
-        "speedup_floor_enforced": HAVE_NUMBA and N_SCENARIOS >= 500,
-    })
-
-    if HAVE_NUMBA:
-        assert bit_exact, (
-            "compiled kernels are not bit-identical to the NumPy batch "
-            "path"
-        )
-        # Row-exactness is always enforced; the wall-clock gate only at
-        # full scale (smoke runs time milliseconds, where scheduler
-        # noise would make the ratio meaningless).
-        if N_SCENARIOS >= 500:
-            assert cdr_speedup >= COMPILED_SPEEDUP_FLOOR, (
-                f"compiled CDR only {cdr_speedup:.1f}x over the NumPy "
-                f"batch path (need >= {COMPILED_SPEEDUP_FLOOR}x)"
-            )
-            assert dfe_speedup >= COMPILED_SPEEDUP_FLOOR, (
-                f"compiled DFE only {dfe_speedup:.1f}x over the NumPy "
-                f"batch path (need >= {COMPILED_SPEEDUP_FLOOR}x)"
-            )
 
 
 def _fused_session():

@@ -14,8 +14,8 @@ import pytest
 from conftest import run_once
 from repro.channel import BackplaneChannel
 from repro.core import build_input_interface, build_output_interface
+from repro.link import run_framed_link
 from repro.reporting import format_table
-from repro.serdes import run_link
 
 PAYLOAD = bytes(range(128))
 
@@ -34,7 +34,8 @@ def full_path(length_m, equalizer_v1=0.6):
 def test_full_serdes_link(benchmark, save_report):
     report = run_once(
         benchmark,
-        lambda: run_link(PAYLOAD, full_path(0.3), samples_per_bit=16),
+        lambda: run_framed_link(PAYLOAD, full_path(0.3),
+                                samples_per_bit=16),
     )
     save_report("serdes_full_link", format_table([{
         "payload bytes": len(PAYLOAD),
@@ -54,8 +55,8 @@ def test_serdes_link_vs_channel_length(benchmark, save_report):
     def sweep():
         rows = []
         for length in (0.1, 0.3, 0.5):
-            report = run_link(bytes(range(64)), full_path(length),
-                              samples_per_bit=16)
+            report = run_framed_link(bytes(range(64)), full_path(length),
+                                     samples_per_bit=16)
             rows.append({
                 "length (m)": length,
                 "locked": report.cdr_locked,

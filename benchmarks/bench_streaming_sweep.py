@@ -16,6 +16,10 @@ measured at the first sample) runs three ways:
   doubles as the parity reference: count/min/max/yield/histogram agree
   exactly, mean/variance to ``PARITY_RTOL`` relative.
 
+Peak memory comes from ``tracemalloc`` runs, which slow every
+allocation; wall-clock throughput comes from separate untraced runs.
+The result JSON labels each key ``traced_`` or ``untraced_``.
+
 Gates apply at full scale only (``BENCH_STREAM_SCENARIOS`` shrinks the
 sweep for CI smoke legs, where a single chunk covers the whole sweep
 and the ratios degenerate).  Headline numbers land in
@@ -84,27 +88,38 @@ def make_reducers():
 
 
 def traced_run(runner):
-    """(result, wall seconds, peak traced bytes) of one sweep."""
+    """(result, peak traced bytes) of one sweep.  Memory only: the
+    tracer slows every allocation, so its wall time is not a
+    throughput."""
     gc.collect()
     tracemalloc.start()
-    t0 = time.perf_counter()
     result = runner.run()
-    elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return result, elapsed, peak
+    return result, peak
+
+
+def timed_run(runner):
+    """Untraced wall seconds of one sweep."""
+    gc.collect()
+    t0 = time.perf_counter()
+    runner.run()
+    return time.perf_counter() - t0
 
 
 def test_streaming_memory_ceiling_and_aggregate_parity(save_report,
                                                        save_json):
     quarter = max(CHUNK_ROWS, N_SCENARIOS // 4)
-    stream_q, t_stream_q, peak_stream_q = traced_run(
+    _, peak_stream_q = traced_run(
         make_runner(quarter, reducers=make_reducers(),
                     keep_results=False))
-    stream, t_stream, peak_stream = traced_run(
+    stream, peak_stream = traced_run(
         make_runner(N_SCENARIOS, reducers=make_reducers(),
                     keep_results=False))
-    dense, t_dense, peak_dense = traced_run(make_runner(N_SCENARIOS))
+    dense, peak_dense = traced_run(make_runner(N_SCENARIOS))
+    t_stream = timed_run(make_runner(N_SCENARIOS, reducers=make_reducers(),
+                                     keep_results=False))
+    t_dense = timed_run(make_runner(N_SCENARIOS))
 
     flatness = peak_stream / peak_stream_q
     dense_ratio = peak_dense / peak_stream
@@ -114,24 +129,29 @@ def test_streaming_memory_ceiling_and_aggregate_parity(save_report,
     gate_applied = N_SCENARIOS >= FULL_SCALE
     save_report("streaming_sweep_memory", format_table([
         {"run": "streaming N/4", "scenarios": quarter,
-         "wall (s)": t_stream_q, "peak (MiB)": peak_stream_q / 2**20},
+         "untraced wall (s)": "n/a",
+         "traced peak (MiB)": peak_stream_q / 2**20},
         {"run": "streaming N", "scenarios": N_SCENARIOS,
-         "wall (s)": t_stream, "peak (MiB)": peak_stream / 2**20},
+         "untraced wall (s)": t_stream,
+         "traced peak (MiB)": peak_stream / 2**20},
         {"run": "dense N", "scenarios": N_SCENARIOS,
-         "wall (s)": t_dense, "peak (MiB)": peak_dense / 2**20},
+         "untraced wall (s)": t_dense,
+         "traced peak (MiB)": peak_dense / 2**20},
     ]))
     save_json("streaming_sweep", {
         "n_scenarios": N_SCENARIOS,
         "chunk_rows": CHUNK_ROWS,
-        "peak_streaming_quarter_bytes": peak_stream_q,
-        "peak_streaming_full_bytes": peak_stream,
-        "peak_dense_full_bytes": peak_dense,
+        "traced_peak_streaming_quarter_bytes": peak_stream_q,
+        "traced_peak_streaming_full_bytes": peak_stream,
+        "traced_peak_dense_full_bytes": peak_dense,
         "streaming_flatness_ratio": flatness,
         "flatness_ceiling": FLATNESS_CEILING,
         "dense_over_streaming_ratio": dense_ratio,
         "dense_ratio_floor": DENSE_RATIO_FLOOR,
-        "t_streaming_full_s": t_stream,
-        "t_dense_full_s": t_dense,
+        "untraced_t_streaming_full_s": t_stream,
+        "untraced_t_dense_full_s": t_dense,
+        "untraced_streaming_scenarios_per_s": N_SCENARIOS / t_stream,
+        "untraced_dense_scenarios_per_s": N_SCENARIOS / t_dense,
         "yield_fraction": aggregates["yield"].fraction,
         "level_mean": aggregates["level"].mean,
         "level_p50": aggregates["quantiles"][0.5],

@@ -17,11 +17,16 @@ commit messages.
 import json
 import pathlib
 import platform
+import sys
 
 import pytest
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# The scalar reference loops (``serial_oracles``) live with the tests;
+# appended, so nothing here can shadow a bench-local module.
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

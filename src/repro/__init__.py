@@ -99,7 +99,7 @@ from .baselines import (
     zero_forcing_taps,
 )
 from .cdr import BangBangCdr, CdrConfig, CdrResult
-from .serdes import Serializer, Deserializer, run_link, LinkReport
+from .serdes import Serializer, Deserializer, LinkReport
 from .stateye import (StatEye, StatEyeBatchResult, StatEyeResult,
                       stat_eye_measure, stat_eye_stimulus)
 from .sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
@@ -198,7 +198,6 @@ __all__ = [
     "CdrResult",
     "Serializer",
     "Deserializer",
-    "run_link",
     "LinkReport",
     "ScenarioGrid",
     "SweepAxis",

@@ -414,14 +414,27 @@ class EyeDiagramBatch:
         # mid-range).  The circular mean always points at the cluster, so
         # moving the seam half a UI away from it unwraps every cluster.
         angles = 2.0 * np.pi * times
-        center = np.mod(np.arctan2(
-            np.bincount(rows, np.sin(angles), minlength=n_rows),
-            np.bincount(rows, np.cos(angles), minlength=n_rows),
-        ) / (2.0 * np.pi), 1.0)[rows]
-        times = np.mod(times - center + 0.5, 1.0) - 0.5 + center
-
         counts = np.bincount(rows, minlength=n_rows)
         offsets = np.concatenate(([0], np.cumsum(counts)))
+        sin_sum = np.bincount(rows, np.sin(angles), minlength=n_rows)
+        cos_sum = np.bincount(rows, np.cos(angles), minlength=n_rows)
+        center = np.mod(np.arctan2(sin_sum, cos_sum) / (2.0 * np.pi), 1.0)
+        # Where the resultant nearly cancels (crossings spread evenly
+        # round the circle) the centre is set by rounding, and a crossing
+        # within rounding of the seam wraps either way.  Recompute such
+        # rows with the per-row mean, so the wrap does not depend on the
+        # batch's summation order.
+        seam = np.abs(np.mod(times - center[rows], 1.0) - 0.5)
+        near_seam = np.bincount(rows, seam < 1e-9, minlength=n_rows) > 0
+        weak = np.hypot(sin_sum, cos_sum) < 1e-6 * counts
+        for row in np.flatnonzero(near_seam | weak):
+            row_angles = angles[offsets[row]:offsets[row + 1]]
+            center[row] = np.mod(np.arctan2(
+                np.mean(np.sin(row_angles)), np.mean(np.cos(row_angles)),
+            ) / (2.0 * np.pi), 1.0)
+        center = center[rows]
+        times = np.mod(times - center + 0.5, 1.0) - 0.5 + center
+
         n = np.maximum(counts, 1)
         mean = np.bincount(rows, times, minlength=n_rows) / n
         rms = np.sqrt(np.bincount(rows, (times - mean[rows]) ** 2,

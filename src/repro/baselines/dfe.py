@@ -10,29 +10,18 @@ The paper's receive equalization is purely analog (the Cherry-Hooper
 high-pass); this baseline quantifies what a small DFE would add on the
 same channels — the road the field took in the years after the paper.
 
-Two execution paths share one set of kernels, mirroring the CDR layer:
-
-* :meth:`DecisionFeedbackEqualizer.equalize` — the serial reference,
-  one scalar decision history per waveform;
-* the batched kernel — N scenarios advanced together through the
-  bit-serial backend selected by :mod:`repro.kernels` (numba-compiled
-  per-row loops when available, the vectorized one-bit-step-at-a-time
-  NumPy engine otherwise; both bit-exact), with per-row decision
-  history; reached through ``repro.link`` (``stage(dfe).equalize`` or
-  :class:`~repro.link.LinkSession`), with the deprecated
-  ``equalize_batch`` shim delegating to the same code.
-
-Both sample through :func:`~repro.signals.waveform.sample_uniform` and
-apply the feedback subtraction in the same expression order, so row
-``i`` of a batch run is bit-identical to the serial run of
-``batch[i]``.
+The decision-feedback loop runs in one batched kernel,
+:func:`repro.kernels.dfe_equalize_batch`, with a per-row decision
+history.  :meth:`DecisionFeedbackEqualizer.equalize` runs a single
+waveform as a batch of one; ``repro.link`` (``stage(dfe).equalize`` or
+:class:`~repro.link.LinkSession`) drives whole batches through the same
+kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +30,7 @@ from ..analysis.isi import pulse_response
 from ..lti.blocks import Block
 from ..signals.batch import WaveformBatch
 from ..signals.modulation import Modulation, Nrz
-from ..signals.waveform import Waveform, sample_uniform
+from ..signals.waveform import Waveform
 
 __all__ = ["DecisionFeedbackEqualizer", "dfe_taps_from_channel",
            "inner_eye_height_from_corrected"]
@@ -160,71 +149,21 @@ class DecisionFeedbackEqualizer:
         samples at the decision instants (the quantity whose histogram
         is the DFE's "inner eye").
         """
-        ui_samples = wave.sample_rate / self.bit_rate
-        n_bits = self._n_bits(len(wave), ui_samples)
-        thresholds = self.decision_thresholds
-        levels = self.decision_levels
-        decisions = np.zeros(n_bits, dtype=np.int8)
-        corrected = np.zeros(n_bits)
-        history = np.zeros(len(self.taps))  # previous decided values
-        data = wave.data
-        for k in range(n_bits):
-            index = (k + self.sample_phase_ui) * ui_samples
-            # The shared interpolation kernel clamps at the grid edge,
-            # guarding the last-sample instant against float round-up.
-            raw = float(sample_uniform(data, 0.0, 1.0, index))
-            # Tap-index-order accumulation: the exact summation order
-            # every repro.kernels backend uses, so serial == batched
-            # bit for bit at any tap count.
-            feedback = 0.0
-            for weight, past in zip(self.taps, history):
-                feedback += weight * past
-            value = raw - feedback
-            corrected[k] = value
-            # Nearest-level slice: count of thresholds strictly below
-            # the value.  For NRZ ([0.0]) this is the historical
-            # ``1 if value > 0 else 0`` sign slicer, bit for bit.
-            symbol = 0
-            for threshold in thresholds:
-                if value > threshold:
-                    symbol += 1
-            decisions[k] = symbol
-            history = np.roll(history, 1)
-            history[0] = levels[symbol]
-        return decisions, corrected
-
-    def equalize_batch(self, batch: WaveformBatch
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias for the single batched dispatch path.
-
-        Use ``repro.link.stage(dfe).equalize(batch)`` or a
-        :class:`~repro.link.LinkSession` with a DFE config; both drive
-        the same kernel this method always ran.
-        """
-        warnings.warn(
-            "DecisionFeedbackEqualizer.equalize_batch is deprecated; "
-            "drive the DFE through repro.link (stage(dfe).equalize(...) "
-            "or LinkSession.run_batch)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._equalize_batch(batch)
+        decisions, corrected = self._equalize_batch(
+            WaveformBatch.tiled(wave, 1))
+        return decisions[0], corrected[0]
 
     def _equalize_batch(self, batch: WaveformBatch
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run N independent DFEs over a batch through the kernel layer.
+        """Run N independent DFEs over a batch through the kernel.
 
-        The bit-serial recurrence (per-row decision history, shared
-        interpolation sampling, feedback subtraction) executes on the
-        backend selected by :mod:`repro.kernels`; returns
-        ``(decisions, corrected)`` of shape ``(n_scenarios, n_bits)``.
-        Row ``i`` matches ``equalize(batch[i])`` exactly on every
-        backend — same sampling kernel, same subtraction and update
-        order.
+        Returns ``(decisions, corrected)`` of shape
+        ``(n_scenarios, n_bits)``.  Rows are independent: row ``i``
+        equals ``equalize(batch[i])``.
         """
         ui_samples = batch.sample_rate / self.bit_rate
         n_bits = self._n_bits(batch.n_samples, ui_samples)
-        backend = kernels.get_backend()
-        return backend.dfe_equalize_batch(
+        return kernels.dfe_equalize_batch(
             batch.data, np.asarray(self.taps, dtype=float), ui_samples,
             self.sample_phase_ui, self.decision_amplitude, n_bits,
             self.decision_thresholds, self.decision_levels,
@@ -237,18 +176,6 @@ class DecisionFeedbackEqualizer:
         _, corrected = self.equalize(wave)
         return float(inner_eye_height_from_corrected(
             corrected, skip_bits, thresholds=self.decision_thresholds))
-
-    def inner_eye_height_batch(self, batch: WaveformBatch,
-                               skip_bits: int = 16) -> np.ndarray:
-        """Deprecated: use ``repro.link.stage(dfe).inner_eye_height``."""
-        warnings.warn(
-            "DecisionFeedbackEqualizer.inner_eye_height_batch is "
-            "deprecated; use repro.link (stage(dfe).inner_eye_height)",
-            DeprecationWarning, stacklevel=2,
-        )
-        _, corrected = self._equalize_batch(batch)
-        return inner_eye_height_from_corrected(
-            corrected, skip_bits, thresholds=self.decision_thresholds)
 
 
 def dfe_taps_from_channel(channel: Block, bit_rate: float, n_taps: int = 2,

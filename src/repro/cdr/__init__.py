@@ -3,10 +3,11 @@ amplifier feeds ("to amplify the input signal to a sufficient voltage
 for the reliable operation of Clock Data Recovery").
 
 Bang-bang (Alexander) phase detection and a proportional+integral
-digital loop running directly on simulated analog waveforms — serially
-(:meth:`~repro.cdr.BangBangCdr.recover`) or as N closed loops advanced
-together over a :class:`~repro.signals.batch.WaveformBatch`
-(:meth:`~repro.cdr.BangBangCdr.recover_batch`).
+digital loop running directly on simulated analog waveforms, as N
+closed loops advanced together over a
+:class:`~repro.signals.batch.WaveformBatch` (``stage(cdr).recover`` in
+:mod:`repro.link`); :meth:`~repro.cdr.BangBangCdr.recover` runs one
+waveform as a batch of one.
 """
 
 from .phase_detector import (

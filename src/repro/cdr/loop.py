@@ -9,22 +9,11 @@ waveform out of the limiting amplifier, sampling it by interpolation at
 the recovered instants — so the whole receive chain (equalizer → LA →
 CDR) can be simulated closed-loop.
 
-Two execution paths share one set of kernels:
-
-* :meth:`BangBangCdr.recover` — the serial reference, one scalar loop
-  state per waveform;
-* the batched kernel — N loops advanced together through the
-  bit-serial backend selected by :mod:`repro.kernels` (numba-compiled
-  per-row loops when available, the vectorized one-bit-step-at-a-time
-  NumPy engine otherwise; both bit-exact), with per-row
-  phase/integral/slip state; reached through ``repro.link``
-  (``stage(cdr).recover`` or :class:`~repro.link.LinkSession`), with
-  the deprecated ``recover_batch`` shim delegating to the same code.
-
-Row ``i`` of a batch run is bit-identical to the serial run of
-``batch[i]``: both paths sample through
-:func:`~repro.signals.waveform.sample_uniform` and apply the loop update
-in the same expression order.
+The loop runs in one batched kernel, :func:`repro.kernels.cdr_recover_batch`,
+which advances N loops together with per-row phase/integral/slip state.
+:meth:`BangBangCdr.recover` runs a single waveform as a batch of one;
+``repro.link`` (``stage(cdr).recover`` or :class:`~repro.link.LinkSession`)
+drives whole batches through the same kernel.
 
 Cycle slips are first-class: when the steered phase wraps across
 ±1.0 UI the sampling instant stays continuous (the wrap is absorbed
@@ -35,15 +24,13 @@ re-sampling or skipping a bit with an unchanged bit index.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from .. import kernels
 from ..signals.batch import WaveformBatch
 from ..signals.modulation import Modulation, Nrz
-from ..signals.waveform import Waveform, sample_uniform
-from .phase_detector import vote_step
+from ..signals.waveform import Waveform
 
 __all__ = ["CdrConfig", "CdrResult", "CdrBatchResult", "BangBangCdr"]
 
@@ -137,8 +124,8 @@ class CdrBatchResult:
     Arrays are rectangular ``(n_scenarios, total_bits)``; rows that ran
     out of waveform early are valid only up to ``n_bits[row]`` (their
     tails hold 0 decisions/votes and NaN phases).  :meth:`row` unpacks
-    one scenario into the serial :class:`CdrResult` form, truncated to
-    its valid span.
+    one scenario into the single-waveform :class:`CdrResult` form,
+    truncated to its valid span.
     """
 
     decisions: np.ndarray
@@ -166,7 +153,7 @@ class CdrBatchResult:
         return float(np.mean(self.is_locked))
 
     def row(self, index: int) -> CdrResult:
-        """Scenario ``index`` as a serial-form :class:`CdrResult`."""
+        """Scenario ``index`` as a single-waveform :class:`CdrResult`."""
         n = int(self.n_bits[index])
         return CdrResult(
             decisions=self.decisions[index, :n],
@@ -242,112 +229,11 @@ class BangBangCdr:
 
         The sampler interpolates the waveform at the recovered instants;
         data and edge samples alternate half a UI apart, Alexander votes
-        update the loop once per bit.
+        update the loop once per bit.  The waveform runs through the
+        batched kernel as a batch of one.
         """
-        config = self.config
-        ui = 1.0 / config.bit_rate
-        total_bits = self._usable_bits(wave.duration, n_bits)
-        thresholds = config.decision_thresholds()
-        center = float(thresholds[(len(thresholds) - 1) // 2])
-
-        data = wave.data
-        t0 = wave.t0
-        sample_rate = wave.sample_rate
-        t_last = wave.time[-1]
-        phase = config.initial_phase_ui
-        integral = config.initial_frequency_ppm * 1e-6
-        bit_offset = 0
-        slips = 0
-
-        decisions = np.zeros(total_bits, dtype=np.int8)
-        phases = np.empty(total_bits)
-        votes = np.zeros(total_bits, dtype=np.int8)
-        previous_data_sample = None
-        previous_edge_sample = None
-
-        for k in range(total_bits):
-            t_data = (k + 0.5 + bit_offset + phase) * ui
-            t_edge = (k + 1.0 + bit_offset + phase) * ui
-            if t_edge >= t_last:
-                total_bits = k
-                decisions = decisions[:k]
-                phases = phases[:k]
-                votes = votes[:k]
-                break
-            sample_data = float(sample_uniform(data, t0, sample_rate,
-                                               t_data))
-            sample_edge = float(sample_uniform(data, t0, sample_rate,
-                                               t_edge))
-            # Nearest-level slice: count of thresholds strictly below
-            # the sample.  For NRZ ([0.0]) this is the historical
-            # ``1 if sample > 0 else 0`` sign slicer, bit for bit.
-            symbol = 0
-            for threshold in thresholds:
-                if sample_data > threshold:
-                    symbol += 1
-            decisions[k] = symbol
-            phases[k] = phase
-
-            if previous_data_sample is not None:
-                # Alexander vote at the middle-eye threshold (the 0 V
-                # guard keeps the NRZ fast path untouched; subtracting
-                # an exact 0.0 could not change the votes anyway).
-                if center != 0.0:
-                    vote = int(vote_step(
-                        np.array([previous_data_sample - center]),
-                        np.array([previous_edge_sample - center]),
-                        np.array([sample_data - center]),
-                    )[0])
-                else:
-                    vote = int(vote_step(
-                        np.array([previous_data_sample]),
-                        np.array([previous_edge_sample]),
-                        np.array([sample_data]),
-                    )[0])
-                votes[k] = vote
-                integral = integral + config.ki * vote
-                phase = phase + (config.kp * vote + integral)
-                # A wrap across +-1 UI is a cycle slip: fold the whole
-                # bit into the index offset so the sampling instant (and
-                # therefore the decision sequence) stays continuous, and
-                # count it.
-                if phase > 1.0:
-                    phase -= 1.0
-                    bit_offset += 1
-                    slips += 1
-                elif phase < -1.0:
-                    phase += 1.0
-                    bit_offset -= 1
-                    slips -= 1
-            previous_data_sample = sample_data
-            previous_edge_sample = sample_edge
-
-        locked_at = self._detect_lock(phases)
-        return CdrResult(decisions=decisions, phase_track_ui=phases,
-                         votes=votes, locked_at_bit=locked_at,
-                         slips=slips)
-
-    def recover_batch(self, batch: WaveformBatch,
-                      n_bits: int | None = None,
-                      initial_phase_ui: np.ndarray | None = None,
-                      initial_frequency_ppm: np.ndarray | None = None
-                      ) -> CdrBatchResult:
-        """Deprecated alias for the single batched dispatch path.
-
-        Use ``repro.link.stage(cdr).recover(batch)`` or a
-        :class:`~repro.link.LinkSession` with a CDR config; both drive
-        the same kernel this method always ran.
-        """
-        warnings.warn(
-            "BangBangCdr.recover_batch is deprecated; drive the loop "
-            "through repro.link (stage(cdr).recover(...) or "
-            "LinkSession.run_batch)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._recover_batch(
-            batch, n_bits=n_bits, initial_phase_ui=initial_phase_ui,
-            initial_frequency_ppm=initial_frequency_ppm,
-        )
+        batch = WaveformBatch.tiled(wave, 1)
+        return self._recover_batch(batch, n_bits=n_bits).row(0)
 
     def _recover_batch(self, batch: WaveformBatch,
                        n_bits: int | None = None,
@@ -358,10 +244,9 @@ class BangBangCdr:
 
         All rows share the config; ``initial_phase_ui`` /
         ``initial_frequency_ppm`` optionally override the starting state
-        per row (for lock-time or pull-in yield studies).  Row ``i``
-        matches ``recover(batch[i])`` (with the matching config) exactly
-        — same sampling kernel, same update order, same wrap handling —
-        on every :mod:`repro.kernels` backend.
+        per row (for lock-time or pull-in yield studies).  Rows are
+        independent: row ``i`` equals ``recover(batch[i])`` with the
+        matching config.
         """
         config = self.config
         ui = 1.0 / config.bit_rate
@@ -383,9 +268,8 @@ class BangBangCdr:
         integral = _state(initial_frequency_ppm,
                           config.initial_frequency_ppm) * 1e-6
 
-        backend = kernels.get_backend()
         decisions, phases, votes, slips, row_bits = \
-            backend.cdr_recover_batch(
+            kernels.cdr_recover_batch(
                 batch.data, batch.t0, batch.sample_rate,
                 float(batch.time[-1]), ui, config.kp, config.ki,
                 phase, integral, total_bits,
@@ -398,39 +282,21 @@ class BangBangCdr:
                               slips=slips, n_bits=row_bits)
 
     @staticmethod
-    def _detect_lock(phases: np.ndarray, window: int = 64,
-                     tolerance_ui: float = 0.05) -> int:
-        """First bit index after which the phase stays within a band.
-
-        A window is a candidate when its peak-to-peak wander is inside
-        ``tolerance_ui`` AND the whole remaining track stays within
-        twice that band (the loop must not wander off later).  Both
-        scans run as vectorized sliding-window / suffix reductions.
-        """
-        n = len(phases)
-        if n < 2 * window:
-            return -1
-        windows = np.lib.stride_tricks.sliding_window_view(phases, window)
-        window_ptp = np.ptp(windows, axis=-1)[: n - window]
-        suffix_max = np.maximum.accumulate(phases[::-1])[::-1]
-        suffix_min = np.minimum.accumulate(phases[::-1])[::-1]
-        suffix_ptp = (suffix_max - suffix_min)[: n - window]
-        hits = np.nonzero((window_ptp < tolerance_ui)
-                          & (suffix_ptp < 2 * tolerance_ui))[0]
-        return int(hits[0]) if len(hits) else -1
-
-    @staticmethod
     def _detect_lock_batch(phases: np.ndarray, row_bits: np.ndarray,
                            window: int = 64,
                            tolerance_ui: float = 0.05) -> np.ndarray:
-        """:meth:`_detect_lock` for every row of a batch in one pass.
+        """First bit index after which each row's phase stays in a band.
+
+        A window is a candidate when its peak-to-peak wander is inside
+        ``tolerance_ui`` AND the whole remaining track stays within
+        twice that band (the loop must not wander off later); rows
+        shorter than ``2 * window`` bits never lock (-1).
 
         ``phases`` is the rectangular ``(n_rows, total_bits)`` track
         with NaN tails past ``row_bits[row]``; the NaNs make the 2-D
         sliding-window and suffix reductions self-masking (any window
         or suffix touching a tail compares False), so no per-row Python
-        loop is needed.  Row ``i`` equals
-        ``_detect_lock(phases[i, :row_bits[i]])`` exactly.
+        loop is needed.
         """
         n_rows, total_bits = phases.shape
         row_bits = np.asarray(row_bits, dtype=np.int64)
@@ -442,7 +308,7 @@ class BangBangCdr:
         window_ptp = np.ptp(windows, axis=-1)
         # Suffix peak-to-peak via NaN-ignoring right-to-left cumulative
         # extrema: positions past a row's valid span stay NaN and fail
-        # every comparison, mirroring the serial truncation.
+        # every comparison, as if each row were truncated to its span.
         suffix_max = np.fmax.accumulate(phases[:, ::-1], axis=-1)[:, ::-1]
         suffix_min = np.fmin.accumulate(phases[:, ::-1], axis=-1)[:, ::-1]
         n_windows = window_ptp.shape[1]

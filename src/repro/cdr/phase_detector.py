@@ -16,8 +16,9 @@ data centre (B) — and votes:
 * ``A != T == B``  → clock is LATE;
 * no transition or contradictory votes → no information (hold).
 
-All three entry points share one sign/compare core, so a batched row
-votes exactly as its serial run does.
+All three entry points share one sign/compare core, whose slicer
+convention (zero counts high, NaN counts low) is the one the CDR kernel
+in :mod:`repro.kernels` votes with.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class PdVote(enum.IntEnum):
 
 def _sign(values: np.ndarray) -> np.ndarray:
     """Decision-slicer sign: zero samples count as high, NaN as low
-    (the convention of every :mod:`repro.kernels` backend)."""
+    (the convention of the :mod:`repro.kernels` slicers)."""
     return np.where(np.asarray(values, dtype=float) >= 0.0, 1.0, -1.0)
 
 

@@ -1,4 +1,10 @@
-"""Pure-NumPy bit-serial kernels (the always-available fallback).
+"""Bit-serial kernels: the CDR and DFE recurrences and their sampler.
+
+The batched CDR and DFE engines advance N scenarios one bit-step at a
+time; the per-bit recurrence (interpolation sample → vote/decision →
+state update) is serial along the bit axis.  Each kernel here is the
+one implementation of its algorithm: a single waveform runs as a batch
+of one, so there is no scalar twin to keep in step.
 
 Every bit-step performs one vectorized pass over all rows, so the
 Python interpreter runs ``total_bits`` iterations instead of
@@ -15,15 +21,13 @@ depends on the previous bit:
   steps where a single ``max`` says it is needed.
 
 The module is deliberately self-contained (NumPy only, no imports from
-the rest of ``repro``) so backend selection at any point of package
-import can never cycle.  :func:`sample_uniform` here is the one home of
+the rest of ``repro``) so it can be imported at any point of package
+import without a cycle.  :func:`sample_uniform` here is the one home of
 the interpolation arithmetic (``repro.signals.sample_uniform`` is this
-function).  The slicers keep the convention of the serial loops and
+function).  The slicers follow one convention, shared with
 ``repro.cdr.phase_detector.vote_step``: a sample counts above a
 threshold only when ``sample > threshold`` (so NaN counts low), and the
 Alexander vote counts a sample at or above the middle threshold high.
-The numba backend mirrors the same expression order scalar by scalar,
-which is what makes backends bit-exact interchangeable.
 """
 
 from __future__ import annotations
@@ -32,7 +36,13 @@ import collections
 
 import numpy as np
 
-NAME = "numpy"
+__all__ = ["backend_name", "cdr_recover_batch", "dfe_equalize_batch",
+           "sample_uniform"]
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation, recorded with benchmark runs."""
+    return "numpy"
 
 
 def sample_uniform(data: np.ndarray, t0: float, sample_rate: float,
@@ -52,10 +62,9 @@ def sample_uniform(data: np.ndarray, t0: float, sample_rate: float,
     ``(2, n_rows)`` against offsets ``(n_rows,)``, or ``(n_bits, 1)``
     against ``(n_rows,)`` for a bit-major sample matrix.
 
-    Every consumer of per-instant sampling — the serial CDR and DFE
-    loops, ``Waveform.sample_at`` and both kernels here — goes through
-    this single function, so a batch row and its serial run perform
-    bit-identical arithmetic.
+    Every consumer of per-instant sampling — ``Waveform.sample_at``,
+    ``WaveformBatch.sample_at`` and both kernels here — goes through
+    this single function.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[-1]
@@ -105,8 +114,8 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
                       total_bits: int, thresholds=None):
     """Advance N bang-bang loops together, one bit-step at a time.
 
-    Parameters mirror the loop state of
-    :meth:`repro.cdr.BangBangCdr.recover`: per-row ``phase`` (UI) and
+    Parameters are the loop state of :class:`repro.cdr.BangBangCdr`:
+    per-row ``phase`` (UI) and
     ``integral`` (fractional frequency) starting states, shared
     ``kp``/``ki`` gains.  ``thresholds`` is the modulation's sorted
     decision-threshold vector (default ``[0.0]``, the binary sign
@@ -125,7 +134,7 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
     phase = np.array(phase, dtype=float)
     integral = np.array(integral, dtype=float)
     # Whole numbers held as floats: ``k + 0.5 + bit_offset`` rounds
-    # exactly as it does with the serial loop's integer offset.
+    # exactly as it would with an integer offset.
     bit_offset = np.zeros(n_rows)
     slips = np.zeros(n_rows, dtype=np.int64)
     active = np.ones(n_rows, dtype=bool)
@@ -209,8 +218,7 @@ def dfe_equalize_batch(data: np.ndarray, taps: np.ndarray,
     binary sign slicer, bit for bit.  Returns ``(decisions,
     corrected)`` of shape ``(n_rows, n_bits)``; decisions are level
     indices.  The feedback dot product accumulates tap by tap in index
-    order — the same order the numba backend and the serial reference
-    use — so the result is bit-exact across backends for any tap count.
+    order, starting from ``0.0``.
     """
     data = np.ascontiguousarray(data, dtype=float)
     taps = np.asarray(taps, dtype=float)

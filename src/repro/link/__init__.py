@@ -1,10 +1,7 @@
 """Batch-first public API: one dispatching facade over the whole link.
 
-After the batched-engine PRs, every layer of the library had grown a
-hand-written serial/batch method pair (``process``/batch transparency,
-``recover``/``recover_batch``, ``equalize``/``equalize_batch``,
-``run_link``/``run_link_batch``, ``measure``/``measure_batch``).  This
-package collapses those pairs into one batch-first surface:
+Every block runs one batched kernel; a single waveform is a batch of
+one.  This package is the surface that drives them:
 
 * :class:`~repro.link.stage.Stage` — the protocol: one
   ``__call__(WaveformBatch) -> WaveformBatch`` kernel, with single
@@ -19,11 +16,7 @@ package collapses those pairs into one batch-first surface:
   :class:`~repro.link.session.LinkResult` /
   :class:`~repro.link.session.LinkBatchResult` report family;
 * :func:`~repro.link.session.run_framed_link` — the framed-link runner
-  replacing the ``run_link``/``run_link_batch`` pair.
-
-The old ``*_batch`` twins survive as thin deprecated shims that
-delegate here; batch results remain row-exact against them because the
-shims and the facade share the same kernels.
+  (8b/10b serialize, batched CDR recovery, per-row decode).
 """
 
 from .stage import BlockStage, CdrStage, DfeStage, Stage, stage

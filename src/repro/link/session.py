@@ -20,7 +20,7 @@ through the same batched kernels:
   the session's configs by field name;
 * :meth:`LinkSession.run_framed` / :func:`run_framed_link` — the
   8b/10b framed link (serialize once, batched CDR recovery, per-row
-  decode), replacing the old ``run_link``/``run_link_batch`` pair.
+  decode).
 """
 
 from __future__ import annotations
@@ -147,6 +147,19 @@ class DfeConfig:
             sample_phase_ui=self.sample_phase_ui,
             modulation=effective,
         )
+
+
+def _require_finite(batch: WaveformBatch) -> None:
+    """Reject NaN/inf input samples: the chain would smear them over
+    every output sample while the CDR still reported lock."""
+    if np.isfinite(batch.data).all():
+        return
+    bad = ~np.isfinite(batch.data)
+    first_row = int(np.argmax(bad.any(axis=1)))
+    raise ValueError(
+        f"input has {int(bad.sum())} non-finite samples (first in row "
+        f"{first_row}); LinkSession.run/run_batch need finite waveforms"
+    )
 
 
 def _run_stages(stages: Sequence[Stage],
@@ -483,13 +496,19 @@ class LinkSession:
         return self._analyze(_run_stages(self.stages, batch), modulation)
 
     def run(self, wave: Waveform) -> LinkResult:
-        """One scenario end to end (dispatches through the batch path)."""
+        """One scenario end to end (dispatches through the batch path).
+
+        Raises ``ValueError`` on NaN or infinite input samples, as
+        :meth:`run_batch` does.
+        """
         if not isinstance(wave, Waveform):
             raise TypeError(
                 f"run() takes a Waveform, got {type(wave).__name__}; "
                 "use run_batch() for batches"
             )
-        result = self._run(_lift(wave)[0])
+        batch = _lift(wave)[0]
+        _require_finite(batch)
+        result = self._run(batch)
         if result.n_scenarios != 1:
             raise ValueError(
                 f"a stage fanned the waveform out to "
@@ -503,7 +522,11 @@ class LinkSession:
         """N scenarios in one batched pass.
 
         Accepts a :class:`WaveformBatch`, a single waveform (one-row
-        batch), or a sequence of compatible waveforms (stacked).
+        batch), or a sequence of compatible waveforms (stacked).  Input
+        with any NaN or infinite sample raises ``ValueError``, naming
+        the count and the first offending row (the kernels on their
+        own count NaN low; :meth:`sweep` quarantines non-finite
+        results through ``nan_guard`` instead).
 
         ``chunk_rows`` enables the fused chunked fast path: the batch
         streams tx → channel → rx → CDR/DFE in bounded row-chunks, so
@@ -531,6 +554,7 @@ class LinkSession:
             batch = WaveformBatch.stack(list(batch))
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        _require_finite(batch)
         if chunk_rows is None or chunk_rows >= batch.n_scenarios:
             return self._finish(self._run(batch), keep_output)
         parts = [
@@ -720,8 +744,7 @@ def run_framed_link(payload: bytes,
     returning a single :class:`Waveform` yields a
     :class:`~repro.serdes.LinkReport`; a batch yields a
     :class:`~repro.serdes.LinkBatchReport` whose row ``i`` equals the
-    single-scenario run of that row.  Replaces the old paired
-    ``run_link``/``run_link_batch`` entry points.
+    single-scenario run of that row.
     """
     wave = _serialize_payload(payload, bit_rate, samples_per_bit, amplitude,
                               training_commas, training_bytes)

@@ -1,10 +1,7 @@
 """The batch-first ``Stage`` protocol and the ``stage()`` adapter.
 
-Every simulation block in this library transforms signals, but the
-pre-redesign API exposed that through hand-paired serial/batch methods
-(``process`` riding on batch-transparency, ``recover``/``recover_batch``,
-``equalize``/``equalize_batch``).  A :class:`Stage` collapses each pair
-into one dispatching code path:
+Every simulation block in this library transforms signals; a
+:class:`Stage` gives them all one dispatching code path:
 
 * the protocol is a single ``__call__`` whose canonical form is
   :class:`~repro.signals.batch.WaveformBatch` in →
@@ -130,7 +127,7 @@ class CdrStage(Stage):
     chain; :meth:`recover` is the full-result form, returning the
     :class:`~repro.cdr.CdrResult` family through the same single
     batched kernel (a waveform is recovered as a one-row batch and row
-    0 is returned — row-exact against the serial reference loop).
+    0 is returned).
     """
 
     name = "cdr"

@@ -2,7 +2,8 @@
 
 8b/10b line coding (run-length/DC-balance guarantees for the CDR and
 the AC-coupled CML path), serializer/deserializer with K28.5 comma
-alignment, and a full framed-link runner.
+alignment, and the link reports; :func:`repro.link.run_framed_link` runs
+the full framed link.
 """
 
 from .encoding import (
@@ -19,8 +20,6 @@ from .serializer import (
     align_to_comma,
     LinkReport,
     LinkBatchReport,
-    run_link,
-    run_link_batch,
 )
 
 __all__ = [
@@ -35,6 +34,4 @@ __all__ = [
     "align_to_comma",
     "LinkReport",
     "LinkBatchReport",
-    "run_link",
-    "run_link_batch",
 ]

@@ -11,18 +11,16 @@ composition).
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..signals.batch import WaveformBatch
 from ..signals.nrz import NrzEncoder
 from ..signals.waveform import Waveform
 from .encoding import Decoder8b10b, Encoder8b10b, CodingError
 
 __all__ = ["Serializer", "Deserializer", "align_to_comma", "LinkReport",
-           "LinkBatchReport", "run_link", "run_link_batch"]
+           "LinkBatchReport"]
 
 #: The two transmitted forms of K28.5 (RD- and RD+), transmission order.
 _COMMA_NEG = (0, 0, 1, 1, 1, 1, 1, 0, 1, 0)
@@ -185,7 +183,7 @@ class LinkReport:
 def _report_from_cdr(payload: bytes, result,
                      deserializer: Deserializer,
                      training_bytes: int) -> LinkReport:
-    """Deserialize one CDR result (serial or a batch row) into a report."""
+    """Deserialize one CDR result (a batch row) into a report."""
     try:
         decoded = deserializer.deserialize(result.decisions)
         decoded = decoded[training_bytes:]  # strip the settle pad
@@ -211,43 +209,6 @@ def _serialize_payload(payload, bit_rate, samples_per_bit,
                             prepend_commas=training_commas)
     pad = bytes([0x55]) * training_bytes
     return serializer.serialize(pad + payload)
-
-
-def run_link(payload: bytes,
-             analog_path: Callable[[Waveform], Waveform],
-             bit_rate: float = 10e9,
-             samples_per_bit: int = 16,
-             amplitude: float = 0.25,
-             cdr_kp: float = 4e-3,
-             training_commas: int = 40,
-             training_bytes: int = 8,
-             use_last_comma: bool = False) -> LinkReport:
-    """Run bytes through serializer -> analog path -> CDR -> deserializer.
-
-    ``analog_path`` is any waveform transform: an output interface, a
-    channel, an input interface, or their composition.
-
-    ``training_commas`` sets the K28.5 preamble length; it must outlast
-    the CDR's lock time (a bang-bang loop with kp = 4 mUI pulls in from
-    a worst-case half-UI offset in ~0.5/kp ~ 125 bits, plus settling —
-    the 40-comma/400-bit default covers it, mirroring the training
-    sequences real link protocols send).  ``training_bytes`` adds
-    throwaway data bytes after the comma burst: the loop's lock point
-    shifts slightly between the transition-dense comma pattern and
-    ISI-shaped data, and the pad absorbs the re-settle.
-    """
-    from ..cdr import BangBangCdr, CdrConfig
-
-    wave = _serialize_payload(payload, bit_rate, samples_per_bit,
-                                     amplitude, training_commas,
-                                     training_bytes)
-    received = analog_path(wave)
-
-    cdr = BangBangCdr(CdrConfig(bit_rate=bit_rate, kp=cdr_kp))
-    result = cdr.recover(received)
-    return _report_from_cdr(payload, result,
-                            Deserializer(use_last_comma=use_last_comma),
-                            training_bytes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,39 +247,3 @@ class LinkBatchReport:
     def recovered_jitter_ui(self) -> np.ndarray:
         """Per-scenario post-lock jitter (NaN where unlocked)."""
         return np.array([r.recovered_jitter_ui for r in self.reports])
-
-
-def run_link_batch(payload: bytes,
-                   analog_path: Callable[[Waveform],
-                                         "WaveformBatch | Waveform"],
-                   bit_rate: float = 10e9,
-                   samples_per_bit: int = 16,
-                   amplitude: float = 0.25,
-                   cdr_kp: float = 4e-3,
-                   training_commas: int = 40,
-                   training_bytes: int = 8,
-                   use_last_comma: bool = False) -> LinkBatchReport:
-    """Deprecated shim over :func:`repro.link.run_framed_link`.
-
-    The facade is the one dispatching framed-link runner (serialize
-    once, batched CDR recovery, per-row decode); this wrapper only
-    preserves the historical contract that a path returning a plain
-    :class:`~repro.signals.waveform.Waveform` still yields a 1-row
-    :class:`LinkBatchReport`.
-    """
-    warnings.warn(
-        "run_link_batch is deprecated; use repro.link.run_framed_link "
-        "(or LinkSession.run_framed)",
-        DeprecationWarning, stacklevel=2,
-    )
-    from ..link.session import run_framed_link
-
-    report = run_framed_link(
-        payload, analog_path, bit_rate=bit_rate,
-        samples_per_bit=samples_per_bit, amplitude=amplitude,
-        cdr_kp=cdr_kp, training_commas=training_commas,
-        training_bytes=training_bytes, use_last_comma=use_last_comma,
-    )
-    if isinstance(report, LinkReport):
-        report = LinkBatchReport(reports=[report])
-    return report

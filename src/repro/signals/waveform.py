@@ -15,9 +15,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-# The interpolation kernel lives with the bit-serial kernels that call
-# it every bit-step; re-exported here as the public sampling primitive.
-from ..kernels._numpy_backend import sample_uniform
+# The interpolation kernel lives with the CDR/DFE kernels that call it
+# every bit-step; re-exported here as the public sampling primitive.
+from ..kernels import sample_uniform
 
 __all__ = ["Waveform", "DifferentialWaveform", "sample_uniform"]
 
@@ -93,8 +93,8 @@ class Waveform:
         """Linearly interpolated samples at arbitrary instants.
 
         Same kernel as :meth:`WaveformBatch.sample_at
-        <repro.signals.batch.WaveformBatch.sample_at>`, so serial and
-        batched consumers (e.g. the CDR sampler) agree bit for bit.
+        <repro.signals.batch.WaveformBatch.sample_at>` and the CDR/DFE
+        samplers in :mod:`repro.kernels`.
         """
         return sample_uniform(self.data, self.t0, self.sample_rate, times)
 

@@ -6,15 +6,14 @@ this module can make chosen execution units misbehave on demand —
 crash their worker process, hang, raise, emit NaNs, or abort the whole
 sweep — deterministically enough to test end to end in CI.
 
-Like the kernel backends' ``REPRO_KERNELS``, activation is env-gated:
-``REPRO_SWEEP_FAULTS`` names a JSON plan file (usually written by
-:func:`inject_faults`) and injection is a no-op when the variable is
-unset, so production sweeps never pay more than one ``os.environ``
-lookup per unit.  The plan travels to pool workers through the
-inherited environment, and per-rule attempt counters are kept as
-``O_EXCL`` marker files next to the plan, so "fail the first N
-attempts, then succeed" stays exact across worker death and pool
-respawns.
+Activation is env-gated: ``REPRO_SWEEP_FAULTS`` names a JSON plan
+file (usually written by :func:`inject_faults`) and injection is a
+no-op when the variable is unset, so production sweeps never pay more
+than one ``os.environ`` lookup per unit.  The plan travels to pool
+workers through the inherited environment, and per-rule attempt
+counters are kept as ``O_EXCL`` marker files next to the plan, so
+"fail the first N attempts, then succeed" stays exact across worker
+death and pool respawns.
 
 An execution unit is one (structural point, row-chunk) of a sweep,
 identified by ``(si, start, stop)``: structural-point index plus the

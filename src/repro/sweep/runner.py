@@ -72,9 +72,8 @@ def closed_loop_cdr_measure(config, n_bits: Optional[int] = None,
 
     The batched half advances all of a structural point's scenarios
     through the CDR's batched kernel (the one ``repro.link`` drives) in
-    one pass — the serial half (used by :meth:`SweepRunner.run_serial`)
-    recovers each row on its own, and the two are row-exact by
-    construction.
+    one pass; the serial half (used by :meth:`SweepRunner.run_serial`)
+    recovers each row as a batch of one through the same kernel.
 
     ``reduce(result, params)`` maps each per-scenario
     :class:`~repro.cdr.CdrResult` to the value recorded in the
@@ -115,8 +114,7 @@ def dfe_measure(dfe, skip_bits: int = 16,
     The batched half advances all of a structural point's scenarios
     through the DFE's batched kernel (the one ``repro.link`` drives) in
     one pass; the serial half (used by :meth:`SweepRunner.run_serial`)
-    equalizes each row on its own, and the two are row-exact by
-    construction.
+    equalizes each row as a batch of one through the same kernel.
 
     ``reduce((decisions, corrected), params)`` maps each scenario's DFE
     output to the value recorded in the :class:`SweepResult`; the

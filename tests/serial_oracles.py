@@ -1,0 +1,280 @@
+"""Scalar reference loops: the independent oracles for row parity.
+
+The library runs the bang-bang CDR, its lock detector and the DFE in
+one batched kernel each (:mod:`repro.kernels`); a single waveform is a
+batch of one.  A test that compared a batch row with a one-row call
+would compare the kernel with itself, so the parity tests compare
+against the scalar loops kept here instead.  Each loop advances one
+waveform one bit at a time with plain Python scalars, in the same
+floating-point expression order as the kernels, so a kernel row must
+match it bit for bit:
+
+* :class:`SerialCdr` — the scalar bang-bang loop (Alexander votes
+  through :func:`repro.cdr.vote_step`, proportional + integral update,
+  cycle-slip wrap) and its scalar lock detector;
+* :class:`SerialDfe` — the scalar decision-feedback loop for a
+  :class:`~repro.baselines.DecisionFeedbackEqualizer`'s geometry;
+* :func:`run_link` — the framed link (8b/10b serialize, analog path,
+  scalar CDR, deserialize) for one waveform.
+
+Tests import this module by name (``tests/`` is on ``sys.path`` under
+pytest); benchmarks add ``tests/`` to the path first.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Tuple
+
+import numpy as np
+
+from repro.baselines.dfe import inner_eye_height_from_corrected
+from repro.cdr import CdrConfig, CdrResult
+from repro.cdr.phase_detector import vote_step
+from repro.serdes.serializer import (
+    Deserializer,
+    LinkReport,
+    _report_from_cdr,
+    _serialize_payload,
+)
+from repro.signals.waveform import Waveform, sample_uniform
+
+
+class SerialCdr:
+    """The scalar reference of :class:`repro.cdr.BangBangCdr`."""
+
+    def __init__(self, config: CdrConfig):
+        self.config = config
+
+    def _usable_bits(self, duration: float, n_bits: int | None) -> int:
+        total_bits = int(duration / (1.0 / self.config.bit_rate)) - 2
+        if n_bits is not None:
+            total_bits = min(total_bits, n_bits)
+        if total_bits < 16:
+            raise ValueError(
+                f"waveform too short for CDR: {total_bits} usable bits"
+            )
+        return total_bits
+
+    def recover(self, wave: Waveform, n_bits: int | None = None
+                ) -> CdrResult:
+        """Run the loop over a waveform and return decisions + tracking.
+
+        The sampler interpolates the waveform at the recovered instants;
+        data and edge samples alternate half a UI apart, Alexander votes
+        update the loop once per bit.
+        """
+        config = self.config
+        ui = 1.0 / config.bit_rate
+        total_bits = self._usable_bits(wave.duration, n_bits)
+        thresholds = config.decision_thresholds()
+        center = float(thresholds[(len(thresholds) - 1) // 2])
+
+        data = wave.data
+        t0 = wave.t0
+        sample_rate = wave.sample_rate
+        t_last = wave.time[-1]
+        phase = config.initial_phase_ui
+        integral = config.initial_frequency_ppm * 1e-6
+        bit_offset = 0
+        slips = 0
+
+        decisions = np.zeros(total_bits, dtype=np.int8)
+        phases = np.empty(total_bits)
+        votes = np.zeros(total_bits, dtype=np.int8)
+        previous_data_sample = None
+        previous_edge_sample = None
+
+        for k in range(total_bits):
+            t_data = (k + 0.5 + bit_offset + phase) * ui
+            t_edge = (k + 1.0 + bit_offset + phase) * ui
+            if t_edge >= t_last:
+                total_bits = k
+                decisions = decisions[:k]
+                phases = phases[:k]
+                votes = votes[:k]
+                break
+            sample_data = float(sample_uniform(data, t0, sample_rate,
+                                               t_data))
+            sample_edge = float(sample_uniform(data, t0, sample_rate,
+                                               t_edge))
+            # Nearest-level slice: count of thresholds strictly below
+            # the sample.  For NRZ ([0.0]) this is the historical
+            # ``1 if sample > 0 else 0`` sign slicer, bit for bit.
+            symbol = 0
+            for threshold in thresholds:
+                if sample_data > threshold:
+                    symbol += 1
+            decisions[k] = symbol
+            phases[k] = phase
+
+            if previous_data_sample is not None:
+                # Alexander vote at the middle-eye threshold (the 0 V
+                # guard keeps the NRZ fast path untouched; subtracting
+                # an exact 0.0 could not change the votes anyway).
+                if center != 0.0:
+                    vote = int(vote_step(
+                        np.array([previous_data_sample - center]),
+                        np.array([previous_edge_sample - center]),
+                        np.array([sample_data - center]),
+                    )[0])
+                else:
+                    vote = int(vote_step(
+                        np.array([previous_data_sample]),
+                        np.array([previous_edge_sample]),
+                        np.array([sample_data]),
+                    )[0])
+                votes[k] = vote
+                integral = integral + config.ki * vote
+                phase = phase + (config.kp * vote + integral)
+                # A wrap across +-1 UI is a cycle slip: fold the whole
+                # bit into the index offset so the sampling instant (and
+                # therefore the decision sequence) stays continuous, and
+                # count it.
+                if phase > 1.0:
+                    phase -= 1.0
+                    bit_offset += 1
+                    slips += 1
+                elif phase < -1.0:
+                    phase += 1.0
+                    bit_offset -= 1
+                    slips -= 1
+            previous_data_sample = sample_data
+            previous_edge_sample = sample_edge
+
+        locked_at = self._detect_lock(phases)
+        return CdrResult(decisions=decisions, phase_track_ui=phases,
+                         votes=votes, locked_at_bit=locked_at,
+                         slips=slips)
+
+    @staticmethod
+    def _detect_lock(phases: np.ndarray, window: int = 64,
+                     tolerance_ui: float = 0.05) -> int:
+        """First bit index after which the phase stays within a band.
+
+        A window is a candidate when its peak-to-peak wander is inside
+        ``tolerance_ui`` AND the whole remaining track stays within
+        twice that band (the loop must not wander off later).  Both
+        scans run as vectorized sliding-window / suffix reductions.
+        """
+        n = len(phases)
+        if n < 2 * window:
+            return -1
+        windows = np.lib.stride_tricks.sliding_window_view(phases, window)
+        window_ptp = np.ptp(windows, axis=-1)[: n - window]
+        suffix_max = np.maximum.accumulate(phases[::-1])[::-1]
+        suffix_min = np.minimum.accumulate(phases[::-1])[::-1]
+        suffix_ptp = (suffix_max - suffix_min)[: n - window]
+        hits = np.nonzero((window_ptp < tolerance_ui)
+                          & (suffix_ptp < 2 * tolerance_ui))[0]
+        return int(hits[0]) if len(hits) else -1
+
+
+class SerialDfe:
+    """The scalar reference of
+    :class:`repro.baselines.DecisionFeedbackEqualizer`: reads the taps
+    and slicer geometry of ``dfe``, runs its own loop."""
+
+    def __init__(self, dfe):
+        self.taps = np.asarray(dfe.taps, dtype=float)
+        self.bit_rate = dfe.bit_rate
+        self.sample_phase_ui = dfe.sample_phase_ui
+        self.decision_thresholds = dfe.decision_thresholds
+        self.decision_levels = dfe.decision_levels
+
+    def _n_bits(self, n_samples: int, ui_samples: float) -> int:
+        """Decidable bits: every UI whose sampling instant
+        ``(k + sample_phase_ui) * ui_samples`` lies on the sample grid.
+
+        ``int((n_samples - 1) / ui_samples)`` — the old formula —
+        silently dropped the final UI when the waveform ends exactly on
+        a bit boundary: its mid-UI sampling instant is on the grid even
+        though the boundary itself is one sample past it.
+        """
+        n_bits = int(np.floor((n_samples - 1) / ui_samples
+                              - self.sample_phase_ui)) + 1
+        if n_bits < len(self.taps) + 4:
+            raise ValueError("waveform too short for the tap count")
+        return n_bits
+
+    def equalize(self, wave: Waveform) -> Tuple[np.ndarray, np.ndarray]:
+        """Run the DFE over a waveform.
+
+        Returns ``(decisions, corrected_samples)``: the sliced symbols
+        (level indices; 0/1 bits for NRZ) and the ISI-corrected analog
+        samples at the decision instants (the quantity whose histogram
+        is the DFE's "inner eye").
+        """
+        ui_samples = wave.sample_rate / self.bit_rate
+        n_bits = self._n_bits(len(wave), ui_samples)
+        thresholds = self.decision_thresholds
+        levels = self.decision_levels
+        decisions = np.zeros(n_bits, dtype=np.int8)
+        corrected = np.zeros(n_bits)
+        history = np.zeros(len(self.taps))  # previous decided values
+        data = wave.data
+        for k in range(n_bits):
+            index = (k + self.sample_phase_ui) * ui_samples
+            # The shared interpolation kernel clamps at the grid edge,
+            # guarding the last-sample instant against float round-up.
+            raw = float(sample_uniform(data, 0.0, 1.0, index))
+            # Tap-index-order accumulation: the exact summation order
+            # of the DFE kernel, so its rows match bit for bit at any
+            # tap count.
+            feedback = 0.0
+            for weight, past in zip(self.taps, history):
+                feedback += weight * past
+            value = raw - feedback
+            corrected[k] = value
+            # Nearest-level slice: count of thresholds strictly below
+            # the value.  For NRZ ([0.0]) this is the historical
+            # ``1 if value > 0 else 0`` sign slicer, bit for bit.
+            symbol = 0
+            for threshold in thresholds:
+                if value > threshold:
+                    symbol += 1
+            decisions[k] = symbol
+            history = np.roll(history, 1)
+            history[0] = levels[symbol]
+        return decisions, corrected
+
+    def inner_eye_height(self, wave: Waveform,
+                         skip_bits: int = 16) -> float:
+        """Worst-case vertical opening of the corrected samples
+        (worst sub-eye for multi-level modulations)."""
+        _, corrected = self.equalize(wave)
+        return float(inner_eye_height_from_corrected(
+            corrected, skip_bits, thresholds=self.decision_thresholds))
+
+
+def run_link(payload: bytes,
+             analog_path: Callable[[Waveform], Waveform],
+             bit_rate: float = 10e9,
+             samples_per_bit: int = 16,
+             amplitude: float = 0.25,
+             cdr_kp: float = 4e-3,
+             training_commas: int = 40,
+             training_bytes: int = 8,
+             use_last_comma: bool = False) -> LinkReport:
+    """Run bytes through serializer -> analog path -> CDR -> deserializer.
+
+    ``analog_path`` is any waveform transform: an output interface, a
+    channel, an input interface, or their composition.
+
+    ``training_commas`` sets the K28.5 preamble length; it must outlast
+    the CDR's lock time (a bang-bang loop with kp = 4 mUI pulls in from
+    a worst-case half-UI offset in ~0.5/kp ~ 125 bits, plus settling —
+    the 40-comma/400-bit default covers it, mirroring the training
+    sequences real link protocols send).  ``training_bytes`` adds
+    throwaway data bytes after the comma burst: the loop's lock point
+    shifts slightly between the transition-dense comma pattern and
+    ISI-shaped data, and the pad absorbs the re-settle.
+    """
+    wave = _serialize_payload(payload, bit_rate, samples_per_bit,
+                              amplitude, training_commas, training_bytes)
+    received = analog_path(wave)
+
+    cdr = SerialCdr(CdrConfig(bit_rate=bit_rate, kp=cdr_kp))
+    result = cdr.recover(received)
+    return _report_from_cdr(payload, result,
+                            Deserializer(use_last_comma=use_last_comma),
+                            training_bytes)

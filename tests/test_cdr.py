@@ -1,5 +1,5 @@
 """Clock-data recovery: phase detector votes, loop locking, cycle
-slips, and batched-vs-serial row-exactness."""
+slips, and batch rows against the scalar reference loop."""
 
 import dataclasses
 
@@ -21,6 +21,7 @@ from repro.signals import (
     bits_to_nrz,
     prbs7,
 )
+from serial_oracles import SerialCdr
 
 BIT_RATE = 10e9
 
@@ -264,6 +265,12 @@ def naive_detect_lock(phases, window=64, tolerance_ui=0.05):
     return -1
 
 
+def detect_lock(track):
+    """The library's lock detector on one track (a batch of one)."""
+    return int(BangBangCdr._detect_lock_batch(
+        np.asarray(track)[np.newaxis], np.array([len(track)]))[0])
+
+
 def test_detect_lock_matches_naive_reference():
     rng = np.random.default_rng(17)
     tracks = [
@@ -285,7 +292,7 @@ def test_detect_lock_matches_naive_reference():
     ]
     for i, track in enumerate(tracks):
         expected = naive_detect_lock(track)
-        got = BangBangCdr._detect_lock(track)
+        got = detect_lock(track)
         assert got == expected, f"track {i}: {got} != {expected}"
 
 
@@ -293,7 +300,7 @@ def test_detect_lock_matches_naive_on_real_tracks():
     for phase0 in (-0.4, 0.1, 0.45):
         config = CdrConfig(bit_rate=BIT_RATE, initial_phase_ui=phase0)
         track = BangBangCdr(config).recover(clean_wave()).phase_track_ui
-        assert BangBangCdr._detect_lock(track) == naive_detect_lock(track)
+        assert detect_lock(track) == naive_detect_lock(track)
 
 
 # -- batched closed-loop recovery ---------------------------------------
@@ -317,7 +324,7 @@ def test_recover_batch_rows_match_serial_on_jittered_waveforms():
     batched = stage(cdr).recover(batch)
     assert batched.n_scenarios == len(batch)
     for i in range(len(batch)):
-        serial = cdr.recover(batch[i])
+        serial = SerialCdr(cdr.config).recover(batch[i])
         row = batched.row(i)
         np.testing.assert_array_equal(row.decisions, serial.decisions)
         np.testing.assert_array_equal(row.phase_track_ui,
@@ -337,7 +344,7 @@ def test_recover_batch_rows_match_serial_with_slips():
     cdr = BangBangCdr(config)
     batched = stage(cdr).recover(batch)
     for i in range(len(batch)):
-        serial = cdr.recover(batch[i])
+        serial = SerialCdr(cdr.config).recover(batch[i])
         row = batched.row(i)
         assert int(batched.n_bits[i]) == len(serial.decisions)
         np.testing.assert_array_equal(row.decisions, serial.decisions)
@@ -358,7 +365,7 @@ def test_recover_batch_initial_state_overrides():
         config = dataclasses.replace(base,
                                      initial_phase_ui=float(phases0[i]),
                                      initial_frequency_ppm=float(ppm[i]))
-        serial = BangBangCdr(config).recover(batch[i])
+        serial = SerialCdr(config).recover(batch[i])
         np.testing.assert_array_equal(batched.row(i).decisions,
                                       serial.decisions)
         np.testing.assert_array_equal(batched.row(i).phase_track_ui,

@@ -1,21 +1,20 @@
-"""The kernel backend layer: selection, bit-exactness, chunked passes.
+"""The kernel layer: oracle parity, lock detection, chunked passes.
 
-Three contracts from the compiled-kernels PR:
+Three contracts:
 
-* **selection** — ``repro.kernels`` resolves its default lazily
-  (env override > numba-if-importable > numpy), errors clearly when
-  ``REPRO_KERNELS=numba`` has nothing to import, and restores the
-  previous default after ``use_backend`` blocks;
-* **bit-exactness** — every importable backend produces *identical*
-  arrays from the three bit-serial kernels (CDR recurrence, DFE loop,
-  ``sample_uniform``), including early-terminating rows and NaN
-  phase tails, and the vectorized batch lock detector matches the
-  serial one row by row;
+* **oracle parity** — the CDR and DFE kernels reproduce the scalar
+  reference loops in ``serial_oracles`` row by row, including
+  early-terminating rows, cycle slips and NaN phase tails, a single
+  waveform recovered as a batch of one matches them too, and
+  ``sample_uniform`` matches ``np.interp``;
+* **lock detection** — the vectorized batch lock detector matches the
+  scalar reference row by row;
 * **chunked fused pass** — ``LinkSession.run_batch(chunk_rows=...)``
   and ``SweepRunner(chunk_rows=...)`` are row-exact against their
   monolithic runs across uneven chunk boundaries.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -38,10 +37,9 @@ from repro.signals import (
     prbs7,
 )
 from repro.sweep import ScenarioGrid, SweepAxis
+from serial_oracles import SerialCdr, SerialDfe
 
 BIT_RATE = 10e9
-BACKENDS = kernels.available_backends()
-HAVE_NUMBA = "numba" in BACKENDS
 
 
 def make_batch(n_scenarios=8, n_bits=220, samples_per_bit=8):
@@ -58,146 +56,59 @@ def make_batch(n_scenarios=8, n_bits=220, samples_per_bit=8):
 
 
 # ---------------------------------------------------------------------------
-# Backend selection.
+# The one kernel implementation.
 # ---------------------------------------------------------------------------
 
 def test_numpy_backend_always_available():
-    assert "numpy" in BACKENDS
-    assert kernels.backend_name() in BACKENDS
+    assert kernels.backend_name() == "numpy"
 
 
-def test_unknown_backend_name_rejected():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.get_backend("cython")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.set_backend("cython")
-
-
-def test_use_backend_pins_and_restores():
-    before = kernels.backend_name()
-    with kernels.use_backend("numpy") as backend:
-        assert backend.NAME == "numpy"
-        assert kernels.backend_name() == "numpy"
-    assert kernels.backend_name() == before
-
-
-def test_set_backend_switches_default():
-    before = kernels.backend_name()
-    try:
-        assert kernels.set_backend("numpy").NAME == "numpy"
-        assert kernels.backend_name() == "numpy"
-    finally:
-        kernels.set_backend(before)
-
-
-def _run_subprocess(code, **env_overrides):
+def test_import_repro_with_default_selection():
+    """`import repro` works in a fresh interpreter and reports the
+    NumPy kernels."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_overrides)
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
-def test_env_override_numpy():
-    proc = _run_subprocess(
-        "from repro import kernels; print(kernels.backend_name())",
-        REPRO_KERNELS="numpy",
-    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import repro\n"
+         "from repro import kernels\n"
+         "print(kernels.backend_name())\n"],
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "numpy"
 
 
-def test_env_override_unknown_name_errors_lazily():
-    # import repro must succeed; the error surfaces on first kernel use.
-    proc = _run_subprocess(
-        "import repro\n"
-        "from repro import kernels\n"
-        "try:\n"
-        "    kernels.backend_name()\n"
-        "except ValueError as error:\n"
-        "    print('lazy-error', error)\n",
-        REPRO_KERNELS="cython",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("lazy-error")
-
-
-@pytest.mark.skipif(HAVE_NUMBA,
-                    reason="numba installed; the missing-backend error "
-                           "path is unreachable")
-def test_env_override_numba_without_numba_errors_clearly():
-    proc = _run_subprocess(
-        "import repro\n"
-        "from repro import kernels\n"
-        "try:\n"
-        "    kernels.backend_name()\n"
-        "except RuntimeError as error:\n"
-        "    print('clear-error', error)\n",
-        REPRO_KERNELS="numba",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("clear-error")
-    assert "REPRO_KERNELS" in proc.stdout
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_env_override_numba():
-    proc = _run_subprocess(
-        "from repro import kernels; print(kernels.backend_name())",
-        REPRO_KERNELS="numba",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numba"
-
-
-def test_import_repro_with_default_selection():
-    """`import repro` works with no env override regardless of numba."""
-    proc = _run_subprocess(
-        "import repro\n"
-        "from repro import kernels\n"
-        "print(kernels.backend_name())\n",
-        REPRO_KERNELS="",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() in ("numpy", "numba")
-
-
 # ---------------------------------------------------------------------------
-# Cross-backend bit-exactness.
+# Parity with the scalar reference loops.
 # ---------------------------------------------------------------------------
 
-def _cdr_arrays(backend_name, batch, **overrides):
-    cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5))
-    with kernels.use_backend(backend_name):
-        result = stage(cdr).recover(batch, **overrides)
-    return result
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cdr_backend_matches_numpy_reference(backend):
+def test_cdr_ragged_rows_match_serial_oracle():
     batch = make_batch()
+    config = CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5)
     # Large per-row frequency offsets force cycle slips and make some
     # rows run out of waveform early — the ragged-tail code paths.
     ppm = np.linspace(-4e4, 4e4, batch.n_scenarios)
-    reference = _cdr_arrays("numpy", batch, initial_frequency_ppm=ppm)
-    candidate = _cdr_arrays(backend, batch, initial_frequency_ppm=ppm)
+    result = stage(BangBangCdr(config)).recover(
+        batch, initial_frequency_ppm=ppm)
+    # The offsets above must actually produce ragged rows and slips for
+    # this test to mean anything.
+    assert len(np.unique(result.n_bits)) > 1
+    assert np.any(result.slips != 0)
+    for i, wave in enumerate(batch.rows()):
+        reference = SerialCdr(dataclasses.replace(
+            config, initial_frequency_ppm=float(ppm[i]))).recover(wave)
+        row = result.row(i)
+        np.testing.assert_array_equal(row.decisions, reference.decisions)
+        np.testing.assert_array_equal(row.phase_track_ui,
+                                      reference.phase_track_ui)
+        np.testing.assert_array_equal(row.votes, reference.votes)
+        assert row.slips == reference.slips
+        assert row.locked_at_bit == reference.locked_at_bit
+        assert np.isnan(result.phase_track_ui[i, result.n_bits[i]:]).all()
 
-    assert np.array_equal(candidate.n_bits, reference.n_bits)
-    # The offsets above must actually produce ragged rows for this test
-    # to mean anything.
-    assert len(np.unique(reference.n_bits)) > 1
-    np.testing.assert_array_equal(candidate.decisions, reference.decisions)
-    assert np.array_equal(candidate.phase_track_ui,
-                          reference.phase_track_ui, equal_nan=True)
-    np.testing.assert_array_equal(candidate.votes, reference.votes)
-    np.testing.assert_array_equal(candidate.slips, reference.slips)
-    np.testing.assert_array_equal(candidate.locked_at_bit,
-                                  reference.locked_at_bit)
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dfe_backend_matches_numpy_reference(backend):
+def test_dfe_rows_match_serial_oracle():
     channel = BackplaneChannel(0.5)
     received = channel.process(
         bits_to_nrz(prbs7(260), BIT_RATE, amplitude=1.0, samples_per_bit=16))
@@ -207,44 +118,40 @@ def test_dfe_backend_matches_numpy_reference(backend):
         taps=dfe_taps_from_channel(channel, BIT_RATE, n_taps=3,
                                    amplitude=1.0),
         bit_rate=BIT_RATE)
-    with kernels.use_backend("numpy"):
-        ref_decisions, ref_corrected = stage(dfe).equalize(batch)
-    with kernels.use_backend(backend):
-        decisions, corrected = stage(dfe).equalize(batch)
-    np.testing.assert_array_equal(decisions, ref_decisions)
-    np.testing.assert_array_equal(corrected, ref_corrected)
+    decisions, corrected = stage(dfe).equalize(batch)
+    for i, wave in enumerate(batch.rows()):
+        ref_decisions, ref_corrected = SerialDfe(dfe).equalize(wave)
+        np.testing.assert_array_equal(decisions[i], ref_decisions)
+        np.testing.assert_array_equal(corrected[i], ref_corrected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sample_uniform_backend_matches_numpy_reference(backend):
+def test_sample_uniform_matches_np_interp():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(6, 50))
     t0, sample_rate = 2e-10, 8e10
-    # Includes times outside the span: both ends must clamp identically.
+    grid = t0 + np.arange(50) / sample_rate
+    # Includes times outside the span: both ends must clamp the way
+    # np.interp does.
     times = np.array([-1e-9, 0.0, 2.5e-10, 3.1e-10, 5e-10, 1e-6])
-    reference = kernels.get_backend("numpy").sample_uniform(
-        data, t0, sample_rate, times)
-    candidate = kernels.get_backend(backend).sample_uniform(
-        data, t0, sample_rate, times)
-    np.testing.assert_array_equal(candidate, reference)
-    assert candidate.shape == (6,)
+    got = kernels.sample_uniform(data, t0, sample_rate, times)
+    assert got.shape == (6,)
+    want = [np.interp(t, grid, row) for t, row in zip(times, data)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_serial_recover_matches_batch_rows_under_backend(backend):
-    """The serial reference loop pins every backend, not just numpy."""
+def test_one_row_recover_matches_serial_oracle():
+    """``BangBangCdr.recover`` (a batch of one) against the scalar
+    loop."""
     batch = make_batch(n_scenarios=4)
-    cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5))
-    with kernels.use_backend(backend):
-        batched = stage(cdr).recover(batch)
-    for i, wave in enumerate(batch.rows()):
-        reference = cdr.recover(wave)
-        row = batched.row(i)
-        np.testing.assert_array_equal(row.decisions, reference.decisions)
-        np.testing.assert_array_equal(row.phase_track_ui,
+    config = CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5)
+    for wave in batch.rows():
+        got = BangBangCdr(config).recover(wave)
+        reference = SerialCdr(config).recover(wave)
+        np.testing.assert_array_equal(got.decisions, reference.decisions)
+        np.testing.assert_array_equal(got.phase_track_ui,
                                       reference.phase_track_ui)
-        assert row.slips == reference.slips
-        assert row.locked_at_bit == reference.locked_at_bit
+        assert got.slips == reference.slips
+        assert got.locked_at_bit == reference.locked_at_bit
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +167,7 @@ def test_detect_lock_batch_matches_serial_rows():
                                             result.n_bits)
     for i in range(batch.n_scenarios):
         track = result.phase_track_ui[i, :result.n_bits[i]]
-        assert locked[i] == BangBangCdr._detect_lock(track), f"row {i}"
+        assert locked[i] == SerialCdr._detect_lock(track), f"row {i}"
 
 
 def test_detect_lock_batch_synthetic_edges():
@@ -286,7 +193,7 @@ def test_detect_lock_batch_synthetic_edges():
     assert locked[3] == -1
     for i in range(4):
         track = phases[i, :row_bits[i]]
-        assert locked[i] == BangBangCdr._detect_lock(track), f"row {i}"
+        assert locked[i] == SerialCdr._detect_lock(track), f"row {i}"
 
 
 def test_detect_lock_batch_short_batch_returns_unlocked():

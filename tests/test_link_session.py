@@ -8,9 +8,8 @@ Pins the api-redesign contract:
   interfaces, baseline CTLE/DFE/pre-emphasis, CDR, the framed serdes
   runner — is drivable through ``stage()`` with Waveform in →
   Waveform out and WaveformBatch in → WaveformBatch out, matching the
-  family's serial reference per row;
-* the old ``*_batch`` twins are deprecated shims that still delegate
-  to the same kernels.
+  family's serial reference per row (for the CDR, DFE and framed link,
+  the scalar loops in ``serial_oracles``).
 """
 
 import dataclasses
@@ -34,7 +33,6 @@ from repro import (
     bits_to_nrz,
     prbs7,
     run_framed_link,
-    run_link,
     sample_uniform,
     stage,
 )
@@ -50,8 +48,8 @@ from repro.core import build_input_interface
 from repro.link import BlockStage, CdrStage, DfeStage
 from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
     first_order_lowpass
-from repro.serdes import run_link_batch
 from repro.signals import NrzEncoder, RandomJitter, add_awgn
+from serial_oracles import SerialCdr, SerialDfe, run_link
 
 BIT_RATE = 10e9
 
@@ -195,10 +193,10 @@ def test_stage_dispatch_dfe_matches_serial():
     decisions, corrected = wrapped.equalize(batch)
     heights = wrapped.inner_eye_height(batch)
     for i, row in enumerate(batch.rows()):
-        ref_decisions, ref_corrected = dfe.equalize(row)
+        ref_decisions, ref_corrected = SerialDfe(dfe).equalize(row)
         np.testing.assert_array_equal(decisions[i], ref_decisions)
         np.testing.assert_array_equal(corrected[i], ref_corrected)
-        assert heights[i] == dfe.inner_eye_height(row)
+        assert heights[i] == SerialDfe(dfe).inner_eye_height(row)
         one_decisions, one_corrected = wrapped.equalize(row)
         np.testing.assert_array_equal(one_decisions, ref_decisions)
         np.testing.assert_array_equal(one_corrected, ref_corrected)
@@ -216,7 +214,7 @@ def test_stage_dispatch_cdr_matches_serial():
     assert isinstance(wrapped, CdrStage)
     batched = wrapped.recover(batch)
     for i in range(len(batch)):
-        serial = cdr.recover(batch[i])
+        serial = SerialCdr(cdr.config).recover(batch[i])
         row = batched.row(i)
         np.testing.assert_array_equal(row.decisions, serial.decisions)
         np.testing.assert_array_equal(row.phase_track_ui,
@@ -245,7 +243,7 @@ def test_stage_dispatch_cdr_initial_state_overrides():
         config = dataclasses.replace(base,
                                      initial_phase_ui=float(phases0[i]),
                                      initial_frequency_ppm=float(ppm[i]))
-        serial = BangBangCdr(config).recover(batch[i])
+        serial = SerialCdr(config).recover(batch[i])
         np.testing.assert_array_equal(batched.row(i).decisions,
                                       serial.decisions)
         np.testing.assert_array_equal(batched.row(i).phase_track_ui,
@@ -369,43 +367,49 @@ def test_session_sweep_structural_axes_require_configs():
         session.sweep(grid, lambda p: scenario_batch(1)[0])
 
 
-# -- deprecated shims ---------------------------------------------------------
+# -- input validation ---------------------------------------------------------
 
-def test_recover_batch_shim_warns_and_delegates():
-    batch = scenario_batch(2, amplitude=0.4)
-    cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE))
-    with pytest.warns(DeprecationWarning, match="recover_batch"):
-        old = cdr.recover_batch(batch)
-    new = stage(cdr).recover(batch)
-    np.testing.assert_array_equal(old.decisions, new.decisions)
-    np.testing.assert_array_equal(old.phase_track_ui, new.phase_track_ui)
+def _nan_session():
+    return LinkSession.from_configs(
+        channel=ChannelConfig(0.3),
+        rx=RxConfig(equalizer_control_voltage=0.6),
+        cdr=CdrConfig(bit_rate=BIT_RATE),
+        dfe=DfeConfig(taps=(0.05, 0.02), decision_amplitude=0.2))
 
 
-def test_equalize_batch_shims_warn_and_delegate():
-    batch = scenario_batch(2)
-    dfe = DecisionFeedbackEqualizer(taps=[0.02], bit_rate=BIT_RATE)
-    with pytest.warns(DeprecationWarning, match="equalize_batch"):
-        old_decisions, old_corrected = dfe.equalize_batch(batch)
-    new_decisions, new_corrected = stage(dfe).equalize(batch)
-    np.testing.assert_array_equal(old_decisions, new_decisions)
-    np.testing.assert_array_equal(old_corrected, new_corrected)
-    with pytest.warns(DeprecationWarning, match="inner_eye_height_batch"):
-        old_heights = dfe.inner_eye_height_batch(batch)
-    np.testing.assert_array_equal(old_heights,
-                                  stage(dfe).inner_eye_height(batch))
+def test_run_rejects_non_finite_input():
+    # 100 NaN samples in a 300-bit PRBS7 stimulus used to come out as
+    # 4800 NaN output samples with the CDR still reporting lock at bit 0.
+    wave = bits_to_nrz(prbs7(300), BIT_RATE, amplitude=0.4,
+                       samples_per_bit=16)
+    data = wave.data.copy()
+    data[1000:1100] = np.nan
+    message = (r"^input has 100 non-finite samples \(first in row 0\); "
+               r"LinkSession\.run/run_batch need finite waveforms$")
+    with pytest.raises(ValueError, match=message):
+        _nan_session().run(wave.with_data(data))
 
 
-def test_run_link_batch_shim_warns_and_delegates():
-    payload = b"shim"
-    with pytest.warns(DeprecationWarning, match="run_link_batch"):
-        old = run_link_batch(payload, analog_path=lambda w: w,
-                             training_commas=24, training_bytes=4)
-    assert old.n_scenarios == 1                # waveform path: 1-row batch
-    new = run_framed_link(payload, path=lambda w: w,
-                          training_commas=24, training_bytes=4)
-    assert old[0].payload_received == new.payload_received
-    assert old[0].cdr_slips == new.cdr_slips
+def test_run_batch_rejects_non_finite_input_naming_first_row():
+    batch = scenario_batch(4)
+    data = batch.data.copy()
+    data[2, 10:13] = np.inf
+    data[3, 50] = -np.inf
+    data[3, 60] = np.nan
+    bad = WaveformBatch(data, batch.sample_rate, t0=batch.t0)
+    message = r"^input has 5 non-finite samples \(first in row 2\);"
+    session = _nan_session()
+    with pytest.raises(ValueError, match=message):
+        session.run_batch(bad)
+    with pytest.raises(ValueError, match=message):
+        session.run_batch(bad, chunk_rows=1)
+    with pytest.raises(ValueError, match=message):
+        session.run_batch(bad.rows())
+    # Finite input still runs.
+    assert session.run_batch(batch).n_scenarios == 4
 
+
+# -- deprecations -------------------------------------------------------------
 
 def test_repro_package_never_triggers_its_own_deprecations(recwarn):
     """The repo is migrated: facade runs emit no DeprecationWarning."""

@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     ber_from_measurement,
@@ -97,13 +99,23 @@ def test_gray_adjacent_symbols_differ_in_one_bit():
             assert bin(a ^ b).count("1") == 1
 
 
-def test_bits_symbols_roundtrip():
-    rng = np.random.default_rng(11)
-    for mod in (Nrz(), Pam4()):
-        bits = rng.integers(0, 2, 10 * mod.bits_per_symbol)
-        symbols = mod.bits_to_symbols(bits)
-        assert symbols.min() >= 0 and symbols.max() < mod.n_levels
-        np.testing.assert_array_equal(mod.symbols_to_bits(symbols), bits)
+@settings(max_examples=60, deadline=None)
+@given(bits_per_symbol=st.integers(1, 6),
+       n_symbols=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_bits_symbols_roundtrip(bits_per_symbol, n_symbols, seed):
+    """Gray decode inverts Gray encode on every power-of-two alphabet
+    from 2 to 64 levels, for any whole number of symbols."""
+    n_levels = 2 ** bits_per_symbol
+    mod = Modulation(f"pam{n_levels}",
+                     tuple(np.linspace(-0.5, 0.5, n_levels)))
+    assert mod.bits_per_symbol == bits_per_symbol
+    bits = np.random.default_rng(seed).integers(
+        0, 2, n_symbols * bits_per_symbol)
+    symbols = mod.bits_to_symbols(bits)
+    assert len(symbols) == n_symbols
+    assert symbols.min() >= 0 and symbols.max() < mod.n_levels
+    np.testing.assert_array_equal(mod.symbols_to_bits(symbols), bits)
 
 
 def test_pam4_gray_mapping_explicit():

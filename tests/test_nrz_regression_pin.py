@@ -5,15 +5,14 @@ Every reference function in this file is an inline frozen copy of the
 ``(bits - 0.5) * amplitude`` encoder, the ``value > 0`` DFE sign
 slicer with ``+-A`` feedback, the sign-sliced Alexander CDR, the
 threshold-0 eye clusters).  The tests assert the modulation-aware
-paths reproduce them bit for bit on NRZ defaults — through the serial
-references, every importable kernel backend, ``run_batch``, and a
+paths reproduce them bit for bit on NRZ defaults — through the
+single-waveform methods, the batched kernels, ``run_batch``, and a
 checkpoint-resumed chunked sweep.
 """
 
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.analysis.eye import EyeDiagramBatch
 from repro.baselines import DecisionFeedbackEqualizer
 from repro.cdr import BangBangCdr, CdrConfig
@@ -30,7 +29,6 @@ from repro.signals.waveform import Waveform, sample_uniform
 from repro.sweep import ScenarioGrid, SweepAxis
 
 BIT_RATE = 10e9
-BACKENDS = kernels.available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def test_encoder_bit_exact_vs_pre_refactor(rise_time):
 
 
 # ---------------------------------------------------------------------------
-# DFE pin: serial + every backend.
+# DFE pin: single waveform + batch.
 # ---------------------------------------------------------------------------
 
 def test_dfe_serial_bit_exact_vs_sign_slicer():
@@ -198,13 +196,11 @@ def test_dfe_serial_bit_exact_vs_sign_slicer():
             _old_inner_eye_height(old_corr))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dfe_batch_bit_exact_per_backend(backend):
+def test_dfe_batch_bit_exact_per_backend():
     batch = make_batch()
     dfe = DecisionFeedbackEqualizer(taps=(0.08, 0.03), bit_rate=BIT_RATE,
                                     decision_amplitude=0.2)
-    with kernels.use_backend(backend):
-        decisions, corrected = dfe._equalize_batch(batch)
+    decisions, corrected = dfe._equalize_batch(batch)
     for i in range(batch.n_scenarios):
         old_dec, old_corr = _old_dfe_equalize(
             batch[i], dfe.taps, BIT_RATE, 0.2, dfe.sample_phase_ui)
@@ -213,7 +209,7 @@ def test_dfe_batch_bit_exact_per_backend(backend):
 
 
 # ---------------------------------------------------------------------------
-# CDR pin: serial + every backend.
+# CDR pin: single waveform + batch.
 # ---------------------------------------------------------------------------
 
 def test_cdr_serial_bit_exact_vs_sign_slicer():
@@ -230,12 +226,10 @@ def test_cdr_serial_bit_exact_vs_sign_slicer():
         assert result.slips == old_slips
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cdr_batch_bit_exact_per_backend(backend):
+def test_cdr_batch_bit_exact_per_backend():
     batch = make_batch()
     config = CdrConfig(bit_rate=BIT_RATE, initial_phase_ui=0.25)
-    with kernels.use_backend(backend):
-        result = BangBangCdr(config)._recover_batch(batch)
+    result = BangBangCdr(config)._recover_batch(batch)
     for i in range(batch.n_scenarios):
         old_dec, old_phases, old_votes, old_slips = _old_cdr_recover(
             batch[i], config)
@@ -277,14 +271,12 @@ def test_nrz_eye_heights_match_threshold_zero_clusters():
 # Facade pin: run_batch and a checkpoint-resumed chunked sweep.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_batch_bit_exact_vs_pre_refactor(backend):
+def test_run_batch_bit_exact_vs_pre_refactor():
     batch = make_batch()
     session = LinkSession(
         [], bit_rate=BIT_RATE, cdr=CdrConfig(bit_rate=BIT_RATE),
         dfe=DfeConfig(taps=(0.08,), decision_amplitude=0.2))
-    with kernels.use_backend(backend):
-        result = session.run_batch(batch)
+    result = session.run_batch(batch)
     dfe = session.dfe
     config = session.cdr_config
     for i in range(batch.n_scenarios):

@@ -4,14 +4,13 @@ The functions in the first section are inline frozen copies of the
 per-bit-step NumPy kernels as they were before the bit-serial loops
 were slimmed down (one interpolation pass per sample stream, ``np.sign``
 Alexander votes with masked assignments, a shifted 2-D DFE history).
-The property tests assert that every importable backend reproduces
-them exactly — every output array, NaN tails included — over random
-loop gains, per-row start phases and frequency offsets (so cycle slips
-and ragged rows occur), NRZ and PAM4 thresholds, 1 to 9 DFE taps and
-1, 2 or 64 rows.  The inputs are finite: on NaN samples the old votes
-and multi-level decisions disagreed with the serial reference and the
-numba backend, which ``test_nan_sample_counts_low_on_every_path`` pins
-instead.
+The property tests assert that the kernels reproduce them exactly —
+every output array, NaN tails included — over random loop gains,
+per-row start phases and frequency offsets (so cycle slips and ragged
+rows occur), NRZ and PAM4 thresholds, 1 to 9 DFE taps and 1, 2 or 64
+rows.  The inputs are finite: on NaN samples the old votes and
+multi-level decisions disagreed with the scalar reference loops, which
+``test_nan_sample_counts_low_on_every_path`` pins instead.
 """
 
 import numpy as np
@@ -24,10 +23,10 @@ from repro.baselines import DecisionFeedbackEqualizer
 from repro.cdr import BangBangCdr, CdrConfig, vote_step
 from repro.link import stage
 from repro.signals import Nrz, Pam4, Waveform, WaveformBatch
+from serial_oracles import SerialCdr, SerialDfe
 
 BIT_RATE = 10e9
 SAMPLES_PER_BIT = 8
-BACKENDS = kernels.available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +234,9 @@ cdr_cases = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=30, deadline=None)
 @given(case=cdr_cases)
-def test_cdr_kernel_matches_frozen_oracle(backend, case):
+def test_cdr_kernel_matches_frozen_oracle(case):
     rng = np.random.default_rng(case["seed"])
     n_rows = case["n_rows"]
     n_bits = 120
@@ -254,7 +252,7 @@ def test_cdr_kernel_matches_frozen_oracle(backend, case):
     args = (data, t0, sample_rate, t_last, 1.0 / BIT_RATE, case["kp"],
             case["ki"], phase, integral, n_bits - 2, thresholds)
     want = _old_cdr_recover_batch(*args)
-    got = kernels.get_backend(backend).cdr_recover_batch(*args)
+    got = kernels.cdr_recover_batch(*args)
     _assert_cdr_equal(got, want)
 
 
@@ -268,10 +266,9 @@ dfe_cases = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=30, deadline=None)
 @given(case=dfe_cases)
-def test_dfe_kernel_matches_frozen_oracle(backend, case):
+def test_dfe_kernel_matches_frozen_oracle(case):
     rng = np.random.default_rng(case["seed"])
     data = _waveforms(rng, case["n_rows"], 100, case["modulation"])
     taps = rng.uniform(-0.1, 0.1, case["n_taps"])
@@ -282,23 +279,21 @@ def test_dfe_kernel_matches_frozen_oracle(backend, case):
     args = (data, taps, case["ui_samples"], case["sample_phase_ui"],
             AMPLITUDE / 2, n_bits, thresholds, levels)
     want = _old_dfe_equalize_batch(*args)
-    got = kernels.get_backend(backend).dfe_equalize_batch(*args)
+    got = kernels.dfe_equalize_batch(*args)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zero_row_batch_returns_empty_arrays(backend):
-    backend = kernels.get_backend(backend)
+def test_zero_row_batch_returns_empty_arrays():
     data = np.zeros((0, 400))
     empty = np.zeros(0)
     cdr_args = (data, 0.0, 8e10, 399 / 8e10, 1e-10, 1e-2, 1e-5,
                 empty, empty, 48)
-    _assert_cdr_equal(backend.cdr_recover_batch(*cdr_args),
+    _assert_cdr_equal(kernels.cdr_recover_batch(*cdr_args),
                       _old_cdr_recover_batch(*cdr_args))
     dfe_args = (data, np.array([0.05, 0.02]), 8.0, 0.5, 0.2, 48)
-    for a, b in zip(backend.dfe_equalize_batch(*dfe_args),
+    for a, b in zip(kernels.dfe_equalize_batch(*dfe_args),
                     _old_dfe_equalize_batch(*dfe_args)):
         assert a.shape == b.shape == (0, 48)
         assert a.dtype == b.dtype
@@ -323,9 +318,8 @@ def test_vote_step_counts_nan_low():
                      np.array([1.0]))[0] == -1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["nrz", "pam4"])
-def test_nan_sample_counts_low_on_every_path(backend, name):
+def test_nan_sample_counts_low_on_every_path(name):
     modulation = {"nrz": Nrz(), "pam4": Pam4()}[name]
     rng = np.random.default_rng(5)
     data = _waveforms(rng, 3, 200, name)
@@ -339,18 +333,17 @@ def test_nan_sample_counts_low_on_every_path(backend, name):
     dfe = DecisionFeedbackEqualizer(taps=(0.05, 0.02), bit_rate=BIT_RATE,
                                     decision_amplitude=AMPLITUDE / 2,
                                     modulation=modulation)
-    with kernels.use_backend(backend):
-        recovered = stage(cdr).recover(batch)
-        decisions, corrected = stage(dfe).equalize(batch)
+    recovered = stage(cdr).recover(batch)
+    decisions, corrected = stage(dfe).equalize(batch)
     for i in range(batch.n_scenarios):
         wave = Waveform(data[i], sample_rate)
-        serial = cdr.recover(wave)
+        serial = SerialCdr(cdr.config).recover(wave)
         row = recovered.row(i)
         np.testing.assert_array_equal(row.decisions, serial.decisions)
         np.testing.assert_array_equal(row.votes, serial.votes)
         np.testing.assert_array_equal(row.phase_track_ui,
                                       serial.phase_track_ui)
         assert row.slips == serial.slips
-        serial_decisions, serial_corrected = dfe.equalize(wave)
+        serial_decisions, serial_corrected = SerialDfe(dfe).equalize(wave)
         np.testing.assert_array_equal(decisions[i], serial_decisions)
         np.testing.assert_array_equal(corrected[i], serial_corrected)

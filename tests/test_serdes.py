@@ -13,9 +13,9 @@ from repro.serdes import (
     align_to_comma,
     decode_bits,
     encode_bytes,
-    run_link,
 )
 from repro.signals import WaveformBatch, add_awgn
+from serial_oracles import run_link
 
 
 def max_run_length(bits):
@@ -177,7 +177,7 @@ def test_serializer_waveform_properties():
 
 
 def test_link_error_free_over_ideal_path():
-    report = run_link(b"0123456789abcdef" * 4, analog_path=lambda w: w)
+    report = run_framed_link(b"0123456789abcdef" * 4, path=lambda w: w)
     assert report.cdr_locked
     assert report.error_free
     assert report.byte_errors == 0
@@ -190,8 +190,8 @@ def test_link_error_free_through_receiver_and_channel():
     rx = build_input_interface(equalizer_control_voltage=0.6)
     channel = BackplaneChannel(0.3)
 
-    report = run_link(bytes(range(100)),
-                      analog_path=lambda w: rx.process(channel.process(w)))
+    report = run_framed_link(bytes(range(100)),
+                             path=lambda w: rx.process(channel.process(w)))
     assert report.cdr_locked
     assert report.error_free
     assert report.recovered_jitter_ui < 0.1
@@ -203,13 +203,13 @@ def test_link_fails_gracefully_when_eye_closed():
     # A destroyed channel: the CDR may lock onto garbage but the
     # decoder's error detection reports the payload as corrupt.
     brutal = BackplaneChannel(1.5)
-    report = run_link(bytes(range(60)), analog_path=brutal.process)
+    report = run_framed_link(bytes(range(60)), path=brutal.process)
     assert not report.error_free
 
 
 def test_link_last_comma_mode_end_to_end():
-    report = run_link(b"last comma framing", analog_path=lambda w: w,
-                      use_last_comma=True)
+    report = run_framed_link(b"last comma framing", path=lambda w: w,
+                             use_last_comma=True)
     assert report.cdr_locked
     assert report.error_free
     assert report.cdr_slips == 0
