@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from conftest import run_once
-from serial_oracles import SerialCdr, run_link
+from serial_oracles import SerialCdr, run_link, serial_sweep
 from repro.cdr import BangBangCdr, CdrConfig
 from repro.reporting import format_table
 from repro.signals import (
@@ -226,16 +226,16 @@ def test_closed_loop_sweep_lock_yield(benchmark, save_report):
                               edge_offsets=jitter.offsets(N_BITS, BIT_RATE))
         return wave * params["amplitude"]
 
-    measure, measure_batch = closed_loop_cdr_measure(
-        CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5),
-        reduce=lambda r, p: r.locked_at_bit,
-    )
-    runner = SweepRunner(grid, stimulus=stimulus, measure=measure,
-                         measure_batch=measure_batch)
+    config = CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5)
+    runner = SweepRunner(grid, stimulus=stimulus,
+                         measure=closed_loop_cdr_measure(
+                             config, reduce=lambda r, p: r.locked_at_bit))
 
     def sweep():
         batched = runner.run()
-        serial = runner.run_serial()
+        serial = serial_sweep(
+            runner, measure_row=lambda wave, _:
+                SerialCdr(config).recover(wave).locked_at_bit)
         assert batched.results == serial.results
         locks = batched.values(float)
         return float(np.mean(locks >= 0)), float(np.median(locks[locks >= 0]))

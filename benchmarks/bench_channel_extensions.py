@@ -85,7 +85,7 @@ def test_crosstalk_budget(benchmark, save_report):
         ])
         result = SweepRunner(
             grid, stimulus=lambda params: victim, build=build,
-            measure_batch=lambda batch, _:
+            measure=lambda batch, _:
                 measure_eye_batch(batch, BIT_RATE, skip_ui=16),
         ).run()
         return [{
@@ -118,8 +118,9 @@ def test_receiver_mask_compliance(benchmark, save_report):
                 prbs7(260), BIT_RATE, amplitude=params["vpp"],
                 samples_per_bit=16),
             build=lambda params: rx,
-            measure=lambda wave, params: check_mask(
-                wave, BIT_RATE, mask, skip_ui=16),
+            measure=lambda batch, _: [
+                check_mask(wave, BIT_RATE, mask, skip_ui=16)
+                for wave in batch.rows()],
         ).run()
         return [{
             "input (Vpp)": params["vpp"],
@@ -150,7 +151,7 @@ def test_channel_length_budget(benchmark, save_report):
             grid,
             stimulus=lambda params: stimulus,
             build=lambda params: BackplaneChannel(params["length_m"]),
-            measure_batch=lambda batch, _:
+            measure=lambda batch, _:
                 measure_eye_batch(batch, BIT_RATE, skip_ui=16),
         ).run()
         return [{

@@ -19,8 +19,9 @@ scale, and every row's decisions and corrected samples match the
 scalar reference loop (``tests/serial_oracles.py``) exactly.
 
 Two further sections exercise the layers above: the sweep subsystem
-driving :func:`~repro.sweep.dfe_measure` (batched vs serial runner
-passes, row-equal), and the batched knob adapters
+driving :func:`~repro.sweep.dfe_measure` (batched runner pass vs the
+scalar DFE one scenario at a time through ``serial_sweep``, row-equal),
+and the batched knob adapters
 (:func:`~repro.core.adapt_equalizer` with ``batched=True`` scoring
 every coarse-grid candidate in one :func:`~repro.core.eye_quality_metric_batch`
 pass, identical result to the per-candidate loop).
@@ -36,7 +37,7 @@ import time
 import numpy as np
 
 from conftest import run_once
-from serial_oracles import SerialDfe
+from serial_oracles import SerialDfe, serial_sweep
 from repro.baselines import DecisionFeedbackEqualizer, dfe_taps_from_channel
 from repro.channel import BackplaneChannel
 from repro.core import adapt_equalizer, adapt_peaking
@@ -151,13 +152,14 @@ def test_dfe_yield_sweep_batched_matches_serial(benchmark, save_report):
         noise = rng.normal(0.0, params["noise_rms"], size=len(received))
         return received.with_data(received.data + noise)
 
-    measure, measure_batch = dfe_measure(make_dfe())
-    runner = SweepRunner(grid, stimulus=stimulus, measure=measure,
-                         measure_batch=measure_batch)
+    dfe = make_dfe()
+    runner = SweepRunner(grid, stimulus=stimulus, measure=dfe_measure(dfe))
 
     def sweep():
         batched = runner.run()
-        serial = runner.run_serial()
+        serial = serial_sweep(
+            runner, measure_row=lambda wave, _:
+                SerialDfe(dfe).inner_eye_height(wave, skip_bits=16))
         assert batched.results == serial.results
         return batched.values(float)
 

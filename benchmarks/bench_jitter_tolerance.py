@@ -68,13 +68,12 @@ def tolerance_grid(frequencies, amplitudes=AMPLITUDES_UI):
         SweepAxis("sj_freq", tuple(frequencies)),
         SweepAxis("sj_amplitude_ui", tuple(amplitudes)),
     ])
-    measure, measure_batch = closed_loop_cdr_measure(
+    measure = closed_loop_cdr_measure(
         CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-4),
         reduce=error_free,
     )
     result = SweepRunner(grid, stimulus=make_stimulus,
-                         measure=measure,
-                         measure_batch=measure_batch).run()
+                         measure=measure).run()
     ok = result.values(float)  # (n_freq, n_amp) of 0/1
     tolerances = []
     for row in ok:

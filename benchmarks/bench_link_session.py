@@ -150,7 +150,7 @@ def test_facade_sweep_matches_hand_built_runner(benchmark, save_report):
 
     hand_runner = SweepRunner(
         grid, stimulus=stimulus, build=hand_build,
-        measure_batch=lambda batch, _:
+        measure=lambda batch, _:
             measure_eye_batch(batch, BIT_RATE, skip_ui=SKIP_UI))
 
     def compare():

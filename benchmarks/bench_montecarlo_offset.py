@@ -74,7 +74,7 @@ def run_experiment():
 
     runner = SweepRunner(
         grid, stimulus=stimulus, build=build,
-        measure=lambda wave, params: abs(float(wave.data[-1])),
+        measure=lambda batch, _: np.abs(batch.data[:, -1]).tolist(),
     )
     result = runner.run()
     out_levels = result.values(lambda v: v)  # shape (2, N_SAMPLES)

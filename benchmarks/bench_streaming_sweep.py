@@ -62,14 +62,14 @@ def stimulus(params):
     return Waveform(np.full(N_SAMPLES, level), FS)
 
 
-def measure_batch(batch, params_list):
+def measure(batch, params_list):
     return [float(value) for value in batch.data[:, 0]]
 
 
 def make_runner(n_scenarios, reducers=None, keep_results=True):
     grid = ScenarioGrid([SweepAxis("trial", tuple(range(n_scenarios)))])
     return SweepRunner(grid, stimulus=stimulus,
-                       measure_batch=measure_batch,
+                       measure=measure,
                        chunk_rows=CHUNK_ROWS,
                        reducers=reducers, keep_results=keep_results)
 

@@ -71,7 +71,7 @@ def make_runner(n_scenarios):
     return SweepRunner(
         grid, stimulus=stimulus,
         build=lambda params: rx,
-        measure_batch=lambda batch, _:
+        measure=lambda batch, _:
             measure_eye_batch(batch, BIT_RATE, skip_ui=8),
         chunk_rows=CHUNK_ROWS,
     )

@@ -85,7 +85,7 @@ def main() -> None:
             prbs7(140), BIT_RATE, amplitude=params["amplitude"],
             samples_per_bit=16),
         build=build,
-        measure_batch=lambda batch, _:
+        measure=lambda batch, _:
             measure_eye_batch(batch, BIT_RATE, skip_ui=16),
     )
     result = runner.run()

@@ -420,14 +420,17 @@ class EyeDiagramBatch:
         cos_sum = np.bincount(rows, np.cos(angles), minlength=n_rows)
         center = np.mod(np.arctan2(sin_sum, cos_sum) / (2.0 * np.pi), 1.0)
         # Where the resultant nearly cancels (crossings spread evenly
-        # round the circle) the centre is set by rounding, and a crossing
-        # within rounding of the seam wraps either way.  Recompute such
-        # rows with the per-row mean, so the wrap does not depend on the
-        # batch's summation order.
+        # round the circle) the centre is set by rounding, a crossing
+        # within rounding of the seam wraps either way, and a centre
+        # within rounding of 0 UI lands on 0 or 1, shifting the row's
+        # crossings by a whole UI.  Recompute such rows with the per-row
+        # mean, so the result does not depend on the batch's summation
+        # order.
         seam = np.abs(np.mod(times - center[rows], 1.0) - 0.5)
         near_seam = np.bincount(rows, seam < 1e-9, minlength=n_rows) > 0
         weak = np.hypot(sin_sum, cos_sum) < 1e-6 * counts
-        for row in np.flatnonzero(near_seam | weak):
+        edge = (counts > 0) & (np.minimum(center, 1.0 - center) < 1e-9)
+        for row in np.flatnonzero(near_seam | weak | edge):
             row_angles = angles[offsets[row]:offsets[row + 1]]
             center[row] = np.mod(np.arctan2(
                 np.mean(np.sin(row_angles)), np.mean(np.cos(row_angles)),

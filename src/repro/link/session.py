@@ -582,7 +582,6 @@ class LinkSession:
                                          Sequence]] = None,
               processes: Optional[int] = None,
               chunk_rows: Optional[int] = None,
-              serial: bool = False,
               checkpoint_dir=None,
               timeout: Optional[float] = None,
               max_attempts: int = 3,
@@ -605,8 +604,6 @@ class LinkSession:
         same way it does for :meth:`run_batch`: each structural point's
         batchable scenarios stream through the chain in row-chunks of
         at most that size, row-exact vs the monolithic pass.
-        ``serial=True`` runs the per-waveform reference loop instead of
-        the batched engine.
 
         The remaining knobs are :class:`SweepRunner`'s reliability
         layer, passed through verbatim: ``checkpoint_dir`` journals
@@ -645,14 +642,12 @@ class LinkSession:
                 return self._analyze(out, modulation=mod).rows()
         runner = SweepRunner(grid, stimulus=stimulus,
                              build=self._builder_for(grid),
-                             measure_batch=measure, processes=processes,
+                             measure=measure, processes=processes,
                              chunk_rows=chunk_rows, timeout=timeout,
                              max_attempts=max_attempts,
                              retry_backoff_s=retry_backoff_s,
                              nan_guard=nan_guard, on_error=on_error,
                              reducers=reducers, keep_results=keep_results)
-        if serial:
-            return runner.run_serial()
         return runner.run(checkpoint_dir=checkpoint_dir)
 
     def _builder_for(self, grid: ScenarioGrid):

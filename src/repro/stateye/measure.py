@@ -8,12 +8,13 @@ transients included).  For chains with limiting stages use
 :meth:`LinkSession.statistical_eye`, which measures stimulus-minus-
 baseline through the full chain at its operating point instead.
 
-The measure pair follows the repo's ``(measure, measure_batch)``
-convention: the serial half analyzes one pulse at a time, the batched
-half runs the engine's vectorized pass.  Pin the engine's
-``v_half_span`` to make the two row-exact (otherwise each call sizes
-its own voltage grid) and to keep grids comparable across structural
-points (e.g. channel lengths) when reducers aggregate the outputs.
+The measure follows the runner's ``measure(batch, params_list)``
+convention: one call runs the engine's vectorized pass over every row
+of a processed batch.  Pin the engine's ``v_half_span`` to make rows
+independent of their batch (otherwise each call sizes its own voltage
+grid, so chunking could change a row) and to keep grids comparable
+across structural points (e.g. channel lengths) when reducers
+aggregate the outputs.
 """
 
 from __future__ import annotations
@@ -63,35 +64,27 @@ def stat_eye_stimulus(bit_rate: float, *, samples_per_bit: int = 32,
 def stat_eye_measure(engine: StatEye, bit_rate: float, *,
                      chunk_scenarios: Optional[int] = None,
                      reduce: Optional[Callable[[Any, Dict], Any]] = None):
-    """Build a ``(measure, measure_batch)`` pair running the
+    """Build a ``measure(batch, params_list)`` running the
     statistical eye engine over every scenario.
 
     Each processed waveform is interpreted as a pulse response
     (:meth:`PulseResponse.from_waveform` — pair with
-    :func:`stat_eye_stimulus`); the batched half feeds all of a
-    structural point's scenarios through
-    :meth:`StatEye.analyze_batch` in one vectorized pass.
+    :func:`stat_eye_stimulus`); all of a structural point's scenarios
+    go through :meth:`StatEye.analyze_batch` in one vectorized pass.
 
     ``reduce(result, params)`` maps each per-scenario
     :class:`~repro.stateye.StatEyeResult` to the value recorded in the
     :class:`~repro.sweep.runner.SweepResult` (default: the result
     itself) — reduce to scalars (e.g. ``lambda r, p: r.ber``) when
-    streaming through reducers.  Pass both returned callables to the
-    runner::
+    streaming through reducers::
 
-        measure, measure_batch = stat_eye_measure(
-            StatEye(noise_rms=5e-3, v_half_span=0.5), bit_rate=10e9,
-            reduce=lambda r, p: r.ber)
         runner = SweepRunner(grid, stimulus=stat_eye_stimulus(10e9),
-                             measure=measure, measure_batch=measure_batch)
+                             measure=stat_eye_measure(
+                                 StatEye(noise_rms=5e-3, v_half_span=0.5),
+                                 bit_rate=10e9, reduce=lambda r, p: r.ber))
     """
 
-    def measure(wave: Waveform, params: Dict) -> Any:
-        result = engine.analyze(PulseResponse.from_waveform(wave, bit_rate))
-        return reduce(result, params) if reduce is not None else result
-
-    def measure_batch(batch: WaveformBatch,
-                      params_list: List[Dict]) -> List[Any]:
+    def measure(batch: WaveformBatch, params_list: List[Dict]) -> List[Any]:
         pulses = [PulseResponse.from_waveform(batch[i], bit_rate)
                   for i in range(batch.n_scenarios)]
         rows = engine.analyze_batch(
@@ -101,4 +94,4 @@ def stat_eye_measure(engine: StatEye, bit_rate: float, *,
                     for row, params in zip(rows, params_list)]
         return rows
 
-    return measure, measure_batch
+    return measure

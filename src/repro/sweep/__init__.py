@@ -18,7 +18,7 @@ rebuilds pipelines only along structural axes.
         grid,
         stimulus=make_noisy_wave,            # params dict -> Waveform
         build=make_link,                     # structural params -> Block
-        measure_batch=lambda batch, _:
+        measure=lambda batch, _:
             measure_eye_batch(batch, bit_rate=10e9),
     )
     result = runner.run()

@@ -7,11 +7,10 @@ per point) and batchable (same pipeline, many stimuli) and executes
         build the pipeline once
         stack every batchable stimulus into one WaveformBatch
         push the batch through the pipeline in one vectorized pass
-        measure every row (batched measurement when available)
+        measure the whole batch with one measure(batch, params_list) call
 
-against which the equivalent serial loop (:meth:`SweepRunner.run_serial`)
-is the reference: identical per-scenario numerics, one Python-level
-simulation per point.
+Every kernel in the library is row-independent, so row ``i`` equals
+the same scenario simulated and measured alone.
 
 Execution is organised in **units** — one (structural point, row-chunk)
 each, ``chunk_rows`` rows per chunk — which are the granularity of
@@ -67,75 +66,53 @@ __all__ = ["SweepRunner", "SweepResult", "SweepFailure",
 def closed_loop_cdr_measure(config, n_bits: Optional[int] = None,
                             reduce: Optional[Callable[[Any, Dict], Any]]
                             = None):
-    """Build a ``(measure, measure_batch)`` pair running the bang-bang
+    """Build a ``measure(batch, params_list)`` running the bang-bang
     CDR closed-loop over every scenario.
 
-    The batched half advances all of a structural point's scenarios
-    through the CDR's batched kernel (the one ``repro.link`` drives) in
-    one pass; the serial half (used by :meth:`SweepRunner.run_serial`)
-    recovers each row as a batch of one through the same kernel.
-
+    All of a structural point's scenarios advance through the CDR's
+    batched kernel (the one ``repro.link`` drives) in one pass.
     ``reduce(result, params)`` maps each per-scenario
     :class:`~repro.cdr.CdrResult` to the value recorded in the
-    :class:`SweepResult` (default: the result itself).  Pass both
-    returned callables to the runner::
+    :class:`SweepResult` (default: the result itself)::
 
-        measure, measure_batch = closed_loop_cdr_measure(
-            CdrConfig(bit_rate=10e9),
-            reduce=lambda r, p: r.is_locked)
         runner = SweepRunner(grid, stimulus=make_wave,
-                             measure=measure, measure_batch=measure_batch)
+                             measure=closed_loop_cdr_measure(
+                                 CdrConfig(bit_rate=10e9),
+                                 reduce=lambda r, p: r.is_locked))
     """
     from ..cdr import BangBangCdr
 
     cdr = BangBangCdr(config)
 
-    def measure(wave: Waveform, params: Dict) -> Any:
-        result = cdr.recover(wave, n_bits=n_bits)
-        return reduce(result, params) if reduce is not None else result
-
-    def measure_batch(batch: WaveformBatch,
-                      params_list: List[Dict]) -> List[Any]:
+    def measure(batch: WaveformBatch, params_list: List[Dict]) -> List[Any]:
         rows = cdr._recover_batch(batch, n_bits=n_bits).rows()
         if reduce is not None:
             return [reduce(row, params)
                     for row, params in zip(rows, params_list)]
         return rows
 
-    return measure, measure_batch
+    return measure
 
 
 def dfe_measure(dfe, skip_bits: int = 16,
                 reduce: Optional[Callable[[Any, Dict], Any]] = None):
-    """Build a ``(measure, measure_batch)`` pair running a
+    """Build a ``measure(batch, params_list)`` running a
     :class:`~repro.baselines.dfe.DecisionFeedbackEqualizer` over every
     scenario.
 
-    The batched half advances all of a structural point's scenarios
-    through the DFE's batched kernel (the one ``repro.link`` drives) in
-    one pass; the serial half (used by :meth:`SweepRunner.run_serial`)
-    equalizes each row as a batch of one through the same kernel.
-
+    All of a structural point's scenarios advance through the DFE's
+    batched kernel (the one ``repro.link`` drives) in one pass.
     ``reduce((decisions, corrected), params)`` maps each scenario's DFE
     output to the value recorded in the :class:`SweepResult`; the
     default records the inner-eye height (worst-case vertical opening
-    of the corrected samples after ``skip_bits``).  Pass both returned
-    callables to the runner::
+    of the corrected samples after ``skip_bits``)::
 
-        measure, measure_batch = dfe_measure(dfe)
         runner = SweepRunner(grid, stimulus=make_wave,
-                             measure=measure, measure_batch=measure_batch)
+                             measure=dfe_measure(dfe))
     """
     from ..baselines.dfe import inner_eye_height_from_corrected
 
-    def measure(wave: Waveform, params: Dict) -> Any:
-        decisions, corrected = dfe.equalize(wave)
-        if reduce is not None:
-            return reduce((decisions, corrected), params)
-        return float(inner_eye_height_from_corrected(corrected, skip_bits))
-
-    def measure_batch(batch: WaveformBatch,
-                      params_list: List[Dict]) -> List[Any]:
+    def measure(batch: WaveformBatch, params_list: List[Dict]) -> List[Any]:
         decisions, corrected = dfe._equalize_batch(batch)
         if reduce is not None:
             return [reduce((decisions[i], corrected[i]), params)
@@ -143,7 +120,7 @@ def dfe_measure(dfe, skip_bits: int = 16,
         heights = inner_eye_height_from_corrected(corrected, skip_bits)
         return [float(height) for height in heights]
 
-    return measure, measure_batch
+    return measure
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,17 +226,6 @@ class SweepResult:
         )
 
 
-def _apply(processor, wave):
-    """Run a pipeline-ish object: a Block, anything with .process, a
-    plain callable, or None (identity)."""
-    if processor is None:
-        return wave
-    process = getattr(processor, "process", None)
-    if process is not None:
-        return process(wave)
-    return processor(wave)
-
-
 # ---------------------------------------------------------------------------
 # Execution units: the granularity of checkpointing, retries, quarantine.
 # ---------------------------------------------------------------------------
@@ -330,23 +296,31 @@ class _UnitOutcome:
     partials: Optional[Dict[str, Any]] = None
 
 
-def _execute_unit(runner: "SweepRunner", unit: _Unit) -> List[Any]:
-    """Worker-side execution of one unit (also the in-process kernel).
+def _execute_unit(runner: "SweepRunner", unit: _Unit,
+                  processors: Optional[Dict[int, Any]] = None) -> List[Any]:
+    """Run one unit — fault hooks, build, stimulus/process/measure — in
+    a pool worker or in-process (the only place a unit executes).
 
-    Module-level so the process pool can pickle it by reference; the
-    fault hooks are no-ops unless ``REPRO_SWEEP_FAULTS`` is set.
+    ``processors`` caches one pipeline per structural point, so the
+    in-process loop builds each point once; a pool worker passes none.
+    Module-level so the pool can pickle it by reference; the fault
+    hooks are no-ops unless ``REPRO_SWEEP_FAULTS`` is set.
     """
     _faults.on_unit_start(unit.key)
-    processor = (runner.build(unit.structural_params)
-                 if runner.build is not None else None)
-    values = runner._measure_chunk(processor, unit.full_params)
+    processors = {} if processors is None else processors
+    if unit.si not in processors:
+        processors[unit.si] = (runner.build(unit.structural_params)
+                               if runner.build is not None else None)
+    values = runner._measure_chunk(processors[unit.si], unit.full_params)
     return _faults.on_unit_values(unit.key, values)
 
 
 def _has_nonfinite(value) -> bool:
     """Best-effort non-finite detection over the value shapes sweeps
-    produce: numbers, ndarrays, waveforms (``.data``), and
-    tuples/lists of those.  Opaque objects are assumed finite."""
+    produce: numbers, ndarrays, waveforms (``.data``), tuples/lists of
+    those, and dataclass instances (every field, recursively — e.g. a
+    :class:`~repro.link.LinkResult`).  Other objects are assumed
+    finite."""
     if value is None:
         return False
     if isinstance(value, (int, float, complex, np.number)):
@@ -360,6 +334,9 @@ def _has_nonfinite(value) -> bool:
         return not bool(np.all(np.isfinite(data)))
     if isinstance(value, (tuple, list)):
         return any(_has_nonfinite(item) for item in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return any(_has_nonfinite(getattr(value, field.name))
+                   for field in dataclasses.fields(value))
     return False
 
 
@@ -389,14 +366,11 @@ class SweepRunner:
         or a plain callable.  ``None`` means the stimuli are measured
         directly (measurement-only sweeps).
     measure:
-        Optional ``measure(wave, params) -> result`` applied to each
-        processed scenario.  ``None`` returns the processed waveforms
+        Optional ``measure(batch, params_list) -> sequence`` measuring
+        a whole processed :class:`WaveformBatch` at once (e.g.
+        :func:`~repro.analysis.eye.measure_eye_batch`), one result per
+        row, in row order.  ``None`` returns the processed waveforms
         themselves.
-    measure_batch:
-        Optional fast path ``measure_batch(batch, params_list) ->
-        sequence`` measuring a whole :class:`WaveformBatch` at once
-        (e.g. :func:`~repro.analysis.eye.measure_eye_batch`); used by
-        :meth:`run` instead of per-row ``measure`` when provided.
     processes:
         When > 1 and the sweep has several execution units, fan the
         units out over a supervised process pool (the callables must
@@ -412,7 +386,7 @@ class SweepRunner:
         that lets 100k+-point Monte Carlo axes run where the
         monolithic batch OOMs.  Every kernel in the library is
         row-independent, so results are row-exact vs the unchunked
-        run (a custom ``measure_batch`` must preserve that row
+        run (a custom ``measure`` must preserve that row
         independence).  Chunks are also the unit of checkpointing,
         retries and quarantine.  Under a pool, ``build`` runs once per
         chunk (workers cannot share a processor).
@@ -433,7 +407,14 @@ class SweepRunner:
         Opt-in guard: after a unit is measured, rows whose values
         contain non-finite floats count as failures (and are
         eventually quarantined row-exactly), instead of silently
-        poisoning downstream aggregation.
+        poisoning downstream aggregation.  Structured results are
+        searched field by field, so a
+        :class:`~repro.link.LinkResult` with a NaN output sample or an
+        infinite eye metric is flagged.  Note that a closed eye
+        reports ``eye_height = -inf`` — a finite DC stimulus (no
+        level transitions) does too — and a spread-free eye reports
+        ``q_factor = inf``; both are flagged, as a scalar measure
+        returning ``-inf`` is.
     on_error:
         ``"raise"`` (default): scenario-level exceptions propagate
         immediately, and infrastructure failures (worker crash,
@@ -448,8 +429,8 @@ class SweepRunner:
         in canonical unit order (so pool completion order, retries and
         checkpoint resume cannot change the result), and the finalized
         values land on :attr:`SweepResult.aggregates`.  Requires a
-        ``measure`` / ``measure_batch`` — reducing over raw processed
-        waveforms is rejected.
+        ``measure`` — reducing over raw processed waveforms is
+        rejected.
     keep_results:
         ``True`` (default): retain the dense per-scenario ``params`` /
         ``results`` lists exactly as before — the bit-exact legacy
@@ -462,9 +443,7 @@ class SweepRunner:
     grid: ScenarioGrid
     stimulus: Callable[[Dict], Waveform]
     build: Optional[Callable[[Dict], Any]] = None
-    measure: Optional[Callable[[Waveform, Dict], Any]] = None
-    measure_batch: Optional[Callable[[WaveformBatch, List[Dict]], Sequence]] \
-        = None
+    measure: Optional[Callable[[WaveformBatch, List[Dict]], Sequence]] = None
     processes: Optional[int] = None
     chunk_rows: Optional[int] = None
     timeout: Optional[float] = None
@@ -506,9 +485,9 @@ class SweepRunner:
                     "reducers must name at least one reducer (pass "
                     "reducers=None for a dense sweep)"
                 )
-            if self.measure is None and self.measure_batch is None:
+            if self.measure is None:
                 raise ValueError(
-                    "reducers need a measure/measure_batch: without one "
+                    "reducers need a measure: without one "
                     "the sweep's per-row results are raw processed "
                     "Waveforms, and streaming reducers aggregate "
                     "numbers, not waveforms — pass measure= (e.g. an eye "
@@ -534,27 +513,36 @@ class SweepRunner:
     # -- batched engine ----------------------------------------------------
     def _measure_chunk(self, processor, full_params: List[Dict]
                        ) -> List[Any]:
-        """Build + process + measure one bounded group of scenarios."""
-        waves = [self.stimulus(p) for p in full_params]
-        batch = WaveformBatch.stack(waves)
-        out = _apply(processor, batch)
+        """Stimulus + process + measure one bounded group of scenarios.
+
+        ``processor`` is a Block, anything with ``process``, a plain
+        callable, or None (identity)."""
+        out = WaveformBatch.stack([self.stimulus(p) for p in full_params])
+        if processor is not None:
+            out = getattr(processor, "process", processor)(out)
         if not isinstance(out, WaveformBatch):
             raise TypeError(
                 f"processor returned {type(out).__name__}; pipelines must "
                 "be batch-transparent"
             )
-        if self.measure_batch is not None:
-            values = list(self.measure_batch(out, full_params))
-            if len(values) != len(full_params):
-                raise ValueError(
-                    f"measure_batch returned {len(values)} results for "
-                    f"{len(full_params)} scenarios"
-                )
-            return values
-        if self.measure is not None:
-            return [self.measure(row, p)
-                    for row, p in zip(out.rows(), full_params)]
-        return out.rows()
+        if self.measure is None:
+            return out.rows()
+        values = self.measure(out, full_params)
+        try:
+            values = list(values)
+        except TypeError:
+            got = f"a {type(values).__name__}, not a sequence"
+        else:
+            if len(values) == len(full_params):
+                return values
+            got = f"{len(values)} results"
+        raise ValueError(
+            f"measure returned {got} for {len(full_params)} scenarios: "
+            "SweepRunner calls measure(batch, params_list) with the "
+            "processed WaveformBatch and needs one result per row (a "
+            "per-row measure(wave, params) must now loop over "
+            "batch.rows() itself)"
+        )
 
     def run(self, *, checkpoint_dir=None) -> SweepResult:
         """Execute the sweep with the batched engine.
@@ -567,38 +555,34 @@ class SweepRunner:
         canonical hash of the grid + runner config, so a mismatched
         runner never reuses stale entries).
         """
-        structural_points = list(self.grid.structural_points())
-        n_batch = self.grid.n_batch_scenarios()
-        units = self._plan_units(structural_points, n_batch)
+        units = self._plan_units()
         journal = (CheckpointJournal.open(checkpoint_dir,
                                           self._fingerprint())
                    if checkpoint_dir is not None else None)
+        present = ({tuple(int(part) for part in key.split("-"))
+                    for key in journal.unit_keys()}
+                   if journal is not None else set())
         outcomes: List[_UnitOutcome] = []
         todo: List[_Unit] = []
-        if journal is not None:
-            present = {tuple(int(part) for part in key.split("-"))
-                       for key in journal.unit_keys()}
-            for unit in units:
-                covered = self._load_covering(unit, journal, present)
-                if covered is None:
-                    todo.append(unit)
-                else:
-                    outcomes.extend(covered)
-        else:
-            todo = units
+        for unit in units:
+            covered = self._load_covering(unit, journal, present)
+            if covered is None:
+                todo.append(unit)
+            else:
+                outcomes.extend(covered)
         if todo:
             if self._use_pool(todo):
                 outcomes.extend(_PoolSupervisor(self, journal).run(todo))
             else:
                 outcomes.extend(self._run_units_inprocess(todo, journal))
-        return self._assemble(structural_points, n_batch, outcomes)
+        return self._assemble(outcomes)
 
     # -- unit planning / merging -------------------------------------------
-    def _plan_units(self, structural_points: List[Dict],
-                    n_batch: int) -> List[_Unit]:
+    def _plan_units(self) -> List[_Unit]:
+        n_batch = self.grid.n_batch_scenarios()
         step = self.chunk_rows or n_batch
         units: List[_Unit] = []
-        for si, sp in enumerate(structural_points):
+        for si, sp in enumerate(self.grid.structural_points()):
             for start in range(0, n_batch, step):
                 stop = min(start + step, n_batch)
                 units.append(_Unit(si, sp, start, stop, self.grid))
@@ -613,14 +597,14 @@ class SweepRunner:
         ``None`` rows under ``on_error="raise"``, and (version 3) the
         streaming-aggregation config (``reducers`` / ``keep_results``),
         so a journal written by a dense run is never consumed by a
-        streaming run or vice versa."""
+        streaming run or vice versa.  Version 4: ``measure`` is the
+        only (batch) measurement, so older journals never replay."""
         return {
-            "version": 3,
+            "version": 4,
             "grid": describe_grid(self.grid),
             "stimulus": describe_callable(self.stimulus),
             "build": describe_callable(self.build),
             "measure": describe_callable(self.measure),
-            "measure_batch": describe_callable(self.measure_batch),
             "chunk_rows": self.chunk_rows,
             "nan_guard": self.nan_guard,
             "on_error": self.on_error,
@@ -630,7 +614,8 @@ class SweepRunner:
             "keep_results": self.keep_results,
         }
 
-    def _load_covering(self, unit: _Unit, journal: CheckpointJournal,
+    def _load_covering(self, unit: _Unit,
+                       journal: Optional[CheckpointJournal],
                        present) -> Optional[List[_UnitOutcome]]:
         """Journaled outcomes covering ``unit``, or None to re-run it.
 
@@ -641,7 +626,7 @@ class SweepRunner:
         (and potentially un-quarantine) them.  ``present`` is a
         snapshot of the journal's ``(si, start, stop)`` keys, so a
         fresh journal costs set lookups, not a file probe per node of
-        the split tree.
+        the split tree (and no journal is an empty snapshot).
         """
         if (unit.si, unit.start, unit.stop) in present:
             record = journal.load(unit.journal_key)
@@ -662,8 +647,7 @@ class SweepRunner:
             return None
         return [outcome for part in parts for outcome in part]
 
-    def _assemble(self, structural_points: List[Dict], n_batch: int,
-                  outcomes: List[_UnitOutcome]) -> SweepResult:
+    def _assemble(self, outcomes: List[_UnitOutcome]) -> SweepResult:
         failures: List[SweepFailure] = []
         for outcome in outcomes:
             failures.extend(outcome.failures)
@@ -677,14 +661,23 @@ class SweepRunner:
         if not self.keep_results:
             return SweepResult(grid=self.grid, params=None, results=None,
                                failures=failures, aggregates=aggregates)
-        per_point: List[List[Any]] = [[None] * n_batch
-                                      for _ in structural_points]
+        # Canonical index of (structural point, batch row): the grid's
+        # row-major index array with its structural axes moved first.
+        # Positional, so axes with repeated values keep every slot.
+        axes = self.grid.axes
+        order = sorted(range(len(axes)), key=lambda i: not axes[i].structural)
+        n = self.grid.n_scenarios
+        index = np.arange(n).reshape(self.grid.shape).transpose(order)
+        index = index.reshape(-1, self.grid.n_batch_scenarios())
+        results: List[Any] = [None] * n
         for outcome in outcomes:
-            row = per_point[outcome.unit.si]
-            for j, value in enumerate(outcome.values):
-                row[outcome.unit.start + j] = value
-        return self._gather(structural_points, per_point, failures,
-                            aggregates)
+            unit = outcome.unit
+            for flat, value in zip(index[unit.si, unit.start:unit.stop],
+                                   outcome.values):
+                results[flat] = value
+        return SweepResult(grid=self.grid, params=list(self.grid.points()),
+                           results=results, failures=failures,
+                           aggregates=aggregates)
 
     # -- streaming reduction -----------------------------------------------
     def _reduce_unit(self, values: List[Any],
@@ -715,8 +708,7 @@ class SweepRunner:
             pickle.dumps(self)
             return True
         except (pickle.PicklingError, TypeError, AttributeError) as error:
-            bad = [name for name in ("stimulus", "build", "measure",
-                                     "measure_batch")
+            bad = [name for name in ("stimulus", "build", "measure")
                    if not _picklable(getattr(self, name))]
             named = ", ".join(bad) if bad else "the runner"
             warnings.warn(
@@ -797,14 +789,11 @@ class SweepRunner:
         unit.attempts += 1
         if unit.attempts < self.max_attempts:
             return [unit]
-        kept = list(values)
-        failures = []
-        for j in bad:
-            failures.append(SweepFailure(
-                params=dict(unit.full_params[j]), kind="non-finite",
-                error=f"non-finite measurement {values[j]!r}",
-                attempts=unit.attempts))
-            kept[j] = None
+        failures = [SweepFailure(
+            params=dict(unit.full_params[j]), kind="non-finite",
+            error=f"non-finite measurement {values[j]!r}",
+            attempts=unit.attempts) for j in bad]
+        kept = [None if j in bad else value for j, value in enumerate(values)]
         self._finish_unit(unit, kept, failures, sink, journal)
         return []
 
@@ -819,17 +808,7 @@ class SweepRunner:
             unit = queue.popleft()
             self._sleep_backoff(unit)
             try:
-                _faults.on_unit_start(unit.key)
-                if unit.si not in processors:
-                    # One build per structural point, as any careful
-                    # hand-written loop would do.
-                    processors[unit.si] = (
-                        self.build(unit.structural_params)
-                        if self.build is not None else None)
-                values = _faults.on_unit_values(
-                    unit.key,
-                    self._measure_chunk(processors[unit.si],
-                                        unit.full_params))
+                values = _execute_unit(self, unit, processors)
             except _faults.SweepAbort:
                 raise
             except Exception as error:
@@ -842,96 +821,6 @@ class SweepRunner:
             queue.extend(self._handle_values(unit, values, outcomes,
                                              journal))
         return outcomes
-
-    # -- serial reference --------------------------------------------------
-    def run_serial(self) -> SweepResult:
-        """The equivalent per-waveform loop (reference implementation).
-
-        Builds each structural point's pipeline once (as any careful
-        hand-written loop would) but simulates and measures every
-        scenario individually.  Row ``i`` of :meth:`run` matches this
-        path to machine precision.  No reliability machinery: faults,
-        retries and checkpoints are :meth:`run`'s business.
-        """
-        structural_points = list(self.grid.structural_points())
-        batch_points = list(self.grid.batch_points())
-        per_point: List[List[Any]] = []
-        point_partials: List[Dict[str, Any]] = []
-        for sp in structural_points:
-            processor = self.build(sp) if self.build is not None else None
-            values: List[Any] = []
-            point_params: List[Dict] = []
-            for bp in batch_points:
-                params = {**sp, **bp}
-                out = _apply(processor, self.stimulus(params))
-                if self.measure is not None:
-                    values.append(self.measure(out, params))
-                elif self.measure_batch is not None:
-                    single = WaveformBatch(out.data[np.newaxis, :],
-                                           out.sample_rate, t0=out.t0)
-                    values.append(self.measure_batch(single, [params])[0])
-                else:
-                    values.append(out)
-                point_params.append(params)
-            if self.reducers is not None:
-                # One partial per structural point (the serial path has
-                # no chunks); canonical-order merge in _finalize.
-                point_partials.append(self._reduce_unit(values,
-                                                        point_params))
-            if self.keep_results:
-                per_point.append(values)
-        aggregates = (self._finalize_aggregates(point_partials)
-                      if self.reducers is not None else None)
-        if not self.keep_results:
-            return SweepResult(grid=self.grid, params=None, results=None,
-                               failures=[], aggregates=aggregates)
-        return self._gather(structural_points, per_point, [], aggregates)
-
-    # -- assembly ----------------------------------------------------------
-    def _gather(self, structural_points: List[Dict],
-                per_point: List[List[Any]],
-                failures: List[SweepFailure],
-                aggregates: Optional[Dict[str, Any]] = None) -> SweepResult:
-        """Scatter per-structural-point results into canonical order.
-
-        Indices are computed positionally (the structural/batch point
-        enumerations are row-major over their axes), so axes with
-        repeated values still map every scenario to its own slot.
-        """
-        grid = self.grid
-        structural_sizes = [len(axis) for axis in grid.structural_axes()]
-        batch_sizes = [len(axis) for axis in grid.batch_axes()]
-        structural_names = {axis.name for axis in grid.structural_axes()}
-
-        def unravel(flat: int, sizes: List[int]) -> Dict[int, int]:
-            indices: List[int] = []
-            for size in reversed(sizes):
-                indices.append(flat % size)
-                flat //= size
-            return list(reversed(indices))
-
-        n = grid.n_scenarios
-        params: List[Optional[Dict]] = [None] * n
-        results: List[Any] = [None] * n
-        batch_points = list(grid.batch_points())
-        for si, (sp, values) in enumerate(zip(structural_points, per_point)):
-            s_indices = iter(unravel(si, structural_sizes))
-            s_by_name = {axis.name: next(s_indices)
-                         for axis in grid.structural_axes()}
-            for bi, (bp, value) in enumerate(zip(batch_points, values)):
-                b_indices = iter(unravel(bi, batch_sizes))
-                b_by_name = {axis.name: next(b_indices)
-                             for axis in grid.batch_axes()}
-                index = 0
-                for axis in grid.axes:
-                    axis_index = (s_by_name[axis.name]
-                                  if axis.name in structural_names
-                                  else b_by_name[axis.name])
-                    index = index * len(axis) + axis_index
-                params[index] = {**sp, **bp}
-                results[index] = value
-        return SweepResult(grid=self.grid, params=params, results=results,
-                           failures=failures, aggregates=aggregates)
 
 
 # ---------------------------------------------------------------------------

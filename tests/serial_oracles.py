@@ -15,7 +15,9 @@ match it bit for bit:
 * :class:`SerialDfe` — the scalar decision-feedback loop for a
   :class:`~repro.baselines.DecisionFeedbackEqualizer`'s geometry;
 * :func:`run_link` — the framed link (8b/10b serialize, analog path,
-  scalar CDR, deserialize) for one waveform.
+  scalar CDR, deserialize) for one waveform;
+* :func:`serial_sweep` — a :class:`~repro.sweep.SweepRunner`'s grid
+  walked one scenario at a time, the loop the batched sweep replaces.
 
 Tests import this module by name (``tests/`` is on ``sys.path`` under
 pytest); benchmarks add ``tests/`` to the path first.
@@ -23,7 +25,7 @@ pytest); benchmarks add ``tests/`` to the path first.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +38,9 @@ from repro.serdes.serializer import (
     _report_from_cdr,
     _serialize_payload,
 )
+from repro.signals.batch import WaveformBatch
 from repro.signals.waveform import Waveform, sample_uniform
+from repro.sweep import SweepResult
 
 
 class SerialCdr:
@@ -278,3 +282,59 @@ def run_link(payload: bytes,
     return _report_from_cdr(payload, result,
                             Deserializer(use_last_comma=use_last_comma),
                             training_bytes)
+
+
+def serial_sweep(runner, measure_row: Optional[Callable[[Waveform, Dict],
+                                                        Any]] = None
+                 ) -> SweepResult:
+    """Walk ``runner``'s grid one scenario at a time, in canonical order.
+
+    Each structural point's pipeline is built once (as any careful
+    hand-written loop would); every scenario then runs alone: its
+    stimulus goes through the pipeline as a one-row batch and is
+    measured by ``runner.measure`` as a one-row batch, or by
+    ``measure_row(wave, params)`` on the processed waveform when given
+    (e.g. a scalar oracle above).  Row ``i`` of ``runner.run()`` must
+    match row ``i`` here.  No chunks, faults, retries or journal.
+    Reducers fold one partial per structural point, merged in
+    structural order.
+    """
+    grid = runner.grid
+    processors: Dict[tuple, Any] = {}
+    groups: Dict[tuple, Tuple[list, list]] = {}
+    params, results = [], []
+    for index in np.ndindex(*grid.shape):
+        point = {axis.name: axis.values[i]
+                 for axis, i in zip(grid.axes, index)}
+        key = tuple(i for axis, i in zip(grid.axes, index)
+                    if axis.structural)
+        if key not in processors:
+            structural = {axis.name: point[axis.name]
+                          for axis in grid.structural_axes()}
+            processors[key] = (runner.build(structural)
+                               if runner.build is not None else None)
+        processor = processors[key]
+        wave = runner.stimulus(point)
+        out = WaveformBatch(wave.data[np.newaxis, :], wave.sample_rate,
+                            t0=wave.t0)
+        if processor is not None:
+            out = getattr(processor, "process", processor)(out)
+        if measure_row is not None:
+            value = measure_row(out[0], point)
+        elif runner.measure is not None:
+            value = runner.measure(out, [point])[0]
+        else:
+            value = out[0]
+        group_values, group_params = groups.setdefault(key, ([], []))
+        group_values.append(value)
+        group_params.append(point)
+        params.append(point)
+        results.append(value)
+    aggregates = None
+    if runner.reducers is not None:
+        aggregates = runner._finalize_aggregates(
+            runner._reduce_unit(*groups[key]) for key in sorted(groups))
+    if not runner.keep_results:
+        params = results = None
+    return SweepResult(grid=grid, params=params, results=results,
+                       aggregates=aggregates)

@@ -399,22 +399,22 @@ def test_dfe_equalize_batch_property_row_exact(n_taps, ui_samples,
 def test_dfe_measure_pair_rows_match():
     from repro.baselines import DecisionFeedbackEqualizer
     from repro.sweep import dfe_measure
+    from serial_oracles import SerialDfe
 
     dfe = DecisionFeedbackEqualizer(taps=[0.04, 0.01], bit_rate=BIT_RATE)
     base = bits_to_nrz(prbs7(60), BIT_RATE, amplitude=0.4,
                        samples_per_bit=16)
     batch = WaveformBatch.stack([add_awgn(base, 5e-3, seed=s)
                                  for s in range(3)])
-    measure, measure_batch = dfe_measure(dfe)
+    oracle = SerialDfe(dfe)
     params = [{"seed": s} for s in range(3)]
-    batched = measure_batch(batch, params)
-    assert batched == [measure(row, p)
-                       for row, p in zip(batch.rows(), params)]
+    batched = dfe_measure(dfe)(batch, params)
+    assert batched == [oracle.inner_eye_height(row, skip_bits=16)
+                       for row in batch.rows()]
 
     reducer = lambda result, p: int(result[0].sum())
-    measure, measure_batch = dfe_measure(dfe, reduce=reducer)
-    batched = measure_batch(batch, params)
-    assert batched == [measure(row, p)
+    batched = dfe_measure(dfe, reduce=reducer)(batch, params)
+    assert batched == [reducer(oracle.equalize(row), p)
                        for row, p in zip(batch.rows(), params)]
 
 

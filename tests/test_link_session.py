@@ -307,10 +307,13 @@ def test_stage_fanout_keeps_batch_form():
 # -- sweep through the facade -------------------------------------------------
 
 def test_session_sweep_batched_matches_serial_reference():
-    session = LinkSession.from_configs(
-        tx=TxConfig(), channel=ChannelConfig(0.3),
-        rx=RxConfig(equalizer_control_voltage=0.6),
-        cdr=CdrConfig(bit_rate=BIT_RATE))
+    def session_at(length_m):
+        return LinkSession.from_configs(
+            tx=TxConfig(), channel=ChannelConfig(length_m),
+            rx=RxConfig(equalizer_control_voltage=0.6),
+            cdr=CdrConfig(bit_rate=BIT_RATE))
+
+    session = session_at(0.3)
     grid = ScenarioGrid([
         SweepAxis("length_m", (0.2, 0.5), structural=True),
         SweepAxis("seed", (1, 2, 3)),
@@ -322,15 +325,49 @@ def test_session_sweep_batched_matches_serial_reference():
         return add_awgn(wave, 3e-3, seed=params["seed"])
 
     batched = session.sweep(grid, stimulus)
-    serial = session.sweep(grid, stimulus, serial=True)
+    # The serial reference: each scenario alone through LinkSession.run
+    # on a session built at that scenario's channel length.
+    serial = [session_at(params["length_m"]).run(stimulus(params))
+              for params in grid.points()]
     heights = batched.values(lambda r: r.eye.eye_height)
     assert heights.shape == grid.shape
     np.testing.assert_array_equal(
-        heights, serial.values(lambda r: r.eye.eye_height))
+        heights.ravel(), [r.eye.eye_height for r in serial])
     locks = batched.values(lambda r: float(r.cdr_locked))
     np.testing.assert_array_equal(
-        locks, serial.values(lambda r: float(r.cdr_locked)))
+        locks.ravel(), [float(r.cdr_locked) for r in serial])
     assert np.all(locks == 1.0)
+
+
+def test_session_sweep_nan_guard_sees_link_results():
+    # The default measure returns LinkResult records: the guard must
+    # look inside them, not treat a record as one opaque finite value.
+    session = LinkSession.from_configs(
+        channel=ChannelConfig(0.3), cdr=CdrConfig(bit_rate=BIT_RATE))
+    grid = ScenarioGrid([SweepAxis("seed", (1, 2, 3))])
+
+    def stimulus(params):
+        wave = add_awgn(bits_to_nrz(prbs7(200), BIT_RATE, amplitude=0.25,
+                                    samples_per_bit=16),
+                        3e-3, seed=params["seed"])
+        if params["seed"] == 2:
+            data = wave.data.copy()
+            data[500:510] = np.nan
+            wave = wave.with_data(data)
+        return wave
+
+    plain = session.sweep(grid, stimulus)
+    guarded = session.sweep(grid, stimulus, nan_guard=True,
+                            on_error="quarantine", retry_backoff_s=0.0)
+    assert [(f.params, f.kind) for f in guarded.failures] \
+        == [({"seed": 2}, "non-finite")]
+    assert guarded.results[1] is None
+    for i in (0, 2):
+        ours, theirs = guarded.results[i], plain.results[i]
+        assert ours.eye == theirs.eye
+        np.testing.assert_array_equal(ours.output.data, theirs.output.data)
+        np.testing.assert_array_equal(ours.cdr.decisions,
+                                      theirs.cdr.decisions)
 
 
 def test_session_sweep_structural_rebuild_changes_the_chain():

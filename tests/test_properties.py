@@ -14,7 +14,12 @@ from repro.analysis import q_to_ber
 from repro.core import node_impedance, ResistiveLoad
 from repro.core.cml_buffer import apply_active_feedback
 from repro.devices import nmos
+from repro.analysis.isi import PulseResponse
 from repro.lti import (
+    DelayBlock,
+    GainBlock,
+    LinearBlock,
+    Pipeline,
     RationalTF,
     bilinear_transform,
     first_order_lowpass,
@@ -22,7 +27,8 @@ from repro.lti import (
     second_order_lowpass,
     simulate_tf,
 )
-from repro.signals import PrbsGenerator, Waveform, bits_to_nrz
+from repro.signals import Nrz, Pam4, PrbsGenerator, Waveform, bits_to_nrz
+from repro.stateye import StatEye
 
 
 # -- strategies ---------------------------------------------------------------
@@ -108,12 +114,6 @@ def test_bilinear_preserves_dc_gain(tf):
     assert np.sum(b) / np.sum(a) == pytest.approx(tf.dc_gain(), rel=1e-6)
 
 
-@given(stable_tfs(), st.floats(min_value=-2.0, max_value=2.0))
-@settings(max_examples=30, deadline=None)
-def test_constant_input_settles_to_dc_gain(tf, level):
-    out = simulate_tf(tf, np.full(256, level), 320e9)
-    assert out[-1] == pytest.approx(tf.dc_gain() * level,
-                                    rel=1e-3, abs=1e-9)
 
 
 @given(st.floats(min_value=1e8, max_value=2e10),
@@ -122,6 +122,106 @@ def test_constant_input_settles_to_dc_gain(tf, level):
 def test_pole_zero_tf_dc_gain_invariant(fp, fz, gain):
     tf = pole_zero_tf([fp], [fz], gain=gain)
     assert tf.dc_gain() == pytest.approx(gain, rel=1e-9)
+
+
+# -- LTI blocks ----------------------------------------------------------------
+
+LTI_FS = 320e9
+
+
+@st.composite
+def linear_blocks(draw):
+    """A random linear ``repro.lti`` block and the transfer function it
+    should realize (a pipeline's is the cascade of its stages')."""
+    stages = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            stages.append(LinearBlock(draw(stable_tfs())))
+        else:
+            stages.append(GainBlock(draw(st.floats(min_value=-50.0,
+                                                   max_value=50.0))))
+    tf = stages[0].transfer_function()
+    for stage in stages[1:]:
+        tf = tf.cascade(stage.transfer_function())
+    block = stages[0] if len(stages) == 1 else Pipeline(stages)
+    return block, tf
+
+
+def _block_path(block):
+    return lambda data: block.process(Waveform(data, LTI_FS)).data
+
+
+#: ``(run, tf)``: a way to filter samples through ``tf`` — bare
+#: ``simulate_tf`` or a (possibly pipelined) block.
+lti_paths = st.one_of(
+    stable_tfs().map(
+        lambda tf: (lambda data: simulate_tf(tf, data, LTI_FS), tf)),
+    linear_blocks().map(lambda pair: (_block_path(pair[0]), pair[1])),
+)
+
+
+@given(lti_paths, st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=50, deadline=None)
+def test_constant_input_settles_to_dc_gain(path, level):
+    run, tf = path
+    out = run(np.full(256, level))
+    assert out[-1] == pytest.approx(tf.dc_gain() * level,
+                                    rel=1e-3, abs=1e-9)
+
+
+signals = st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                   min_size=64, max_size=64).map(np.array)
+scales = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@given(st.one_of(lti_paths.map(lambda path: path[0]),
+                 st.floats(min_value=0.0, max_value=20.0).map(
+                     lambda samples: _block_path(
+                         DelayBlock(samples / LTI_FS)))),
+       signals, signals, scales, scales)
+@settings(max_examples=60, deadline=None)
+def test_lti_blocks_are_linear(run, x, y, a, b):
+    lhs = run(a * x + b * y)
+    rhs = a * run(x) + b * run(y)
+    scale = np.max(np.abs(a * run(x))) + np.max(np.abs(b * run(y)))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
+
+
+# -- statistical-eye ISI distribution -------------------------------------------
+
+ISI_PHASES = 8
+
+
+def staircase_pulse(main, isi, n_precursors):
+    """A pulse whose every UI is flat, so each phase samples the same
+    cursors: ``isi[:n_precursors]`` before the main UI, the rest after.
+    One raised sample in the main UI pins the peak to the UI centre."""
+    spu = ISI_PHASES
+    values = [0.0, *isi[:n_precursors], main, *isi[n_precursors:], 0.0]
+    data = np.repeat(np.array(values), spu)
+    data[(n_precursors + 1) * spu + spu // 2] += 0.01
+    return PulseResponse.from_waveform(Waveform(data, 10e9 * spu), 10e9)
+
+
+@given(st.lists(st.floats(min_value=-0.2, max_value=0.2),
+                min_size=7, max_size=7),
+       st.floats(min_value=0.4, max_value=1.0),
+       st.permutations(range(7)),
+       st.sampled_from([Nrz(), Pam4()]))
+@settings(max_examples=40, deadline=None)
+def test_isi_pdf_conserves_mass_and_ignores_cursor_order(isi, main, order,
+                                                        modulation):
+    engine = StatEye(modulation=modulation, n_phases=ISI_PHASES,
+                     n_voltages=257, n_precursors=2, n_postcursors=5,
+                     noise_rms=1e-3)
+    voltages, pdf = engine.isi_distribution(staircase_pulse(main, isi, 2))
+    np.testing.assert_allclose(pdf.sum(axis=-1), 1.0, atol=1e-12)
+    shuffled = [isi[i] for i in order]
+    voltages_p, pdf_p = engine.isi_distribution(
+        staircase_pulse(main, shuffled, 2))
+    # The grid step comes from a cursor sum, so it may move by an ulp.
+    np.testing.assert_allclose(voltages_p, voltages, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pdf_p, pdf, atol=1e-12)
 
 
 # -- waveform ------------------------------------------------------------------

@@ -302,13 +302,14 @@ def test_session_statistical_eye_engine_overrides():
 
 def test_stat_eye_measure_serial_batch_parity():
     engine = StatEye(noise_rms=8e-3, v_half_span=0.6)
-    measure, measure_batch = stat_eye_measure(engine, BIT_RATE)
+    measure = stat_eye_measure(engine, BIT_RATE)
     stimulus = stat_eye_stimulus(BIT_RATE)
     channel = BackplaneChannel(0.3)
     waves = [channel.process(stimulus({"amplitude": a}))
              for a in (0.2, 0.4, 0.6)]
-    serial = [measure(w, {}) for w in waves]
-    batched = measure_batch(WaveformBatch.stack(waves), [{}] * 3)
+    serial = [engine.analyze(PulseResponse.from_waveform(w, BIT_RATE))
+              for w in waves]
+    batched = measure(WaveformBatch.stack(waves), [{}] * 3)
     for s, b in zip(serial, batched):
         np.testing.assert_array_equal(s.voltages, b.voltages)
         np.testing.assert_allclose(s.surfaces, b.surfaces, atol=1e-12)
@@ -317,14 +318,13 @@ def test_stat_eye_measure_serial_batch_parity():
 def test_stat_eye_measure_in_sweep_runner():
     engine = StatEye(noise_rms=8e-3, v_half_span=0.6, n_phases=16,
                      n_voltages=65)
-    measure, measure_batch = stat_eye_measure(
-        engine, BIT_RATE, reduce=lambda r, p: r.ber)
+    measure = stat_eye_measure(engine, BIT_RATE, reduce=lambda r, p: r.ber)
     grid = ScenarioGrid([SweepAxis("amplitude", [0.2, 0.4, 0.6])])
     channel = BackplaneChannel(0.3)
     result = SweepRunner(
         grid, stimulus=stat_eye_stimulus(BIT_RATE),
         build=lambda p: channel,
-        measure=measure, measure_batch=measure_batch,
+        measure=measure,
     ).run()
     bers = [result.results[i] for i in range(3)]
     # More swing, more margin: BER improves monotonically.

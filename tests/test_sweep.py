@@ -8,6 +8,7 @@ from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
     first_order_lowpass
 from repro.signals import Waveform, bits_to_nrz, prbs7
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner
+from serial_oracles import SerialCdr, SerialDfe, serial_sweep
 
 BIT_RATE = 10e9
 FS = 160e9
@@ -97,14 +98,14 @@ def _build(params):
     ])
 
 
-def test_run_matches_run_serial_exactly():
+def test_run_matches_serial_sweep_exactly():
     grid = ScenarioGrid([
         SweepAxis("pole_hz", (4e9, 8e9), structural=True),
         SweepAxis("amplitude", (0.05, 0.1, 0.3)),
     ])
     runner = SweepRunner(grid, stimulus=_stimulus, build=_build)
     batched = runner.run()
-    serial = runner.run_serial()
+    serial = serial_sweep(runner)
     assert len(batched) == len(serial) == 6
     for p_b, p_s, r_b, r_s in zip(batched.params, serial.params,
                                   batched.results, serial.results):
@@ -119,7 +120,7 @@ def test_run_with_measure_and_values_reshape():
     ])
     runner = SweepRunner(
         grid, stimulus=_stimulus, build=_build,
-        measure=lambda wave, params: float(np.ptp(wave.data)),
+        measure=lambda batch, params: np.ptp(batch.data, axis=1).tolist(),
     )
     result = runner.run()
     swings = result.values(lambda v: v)
@@ -131,24 +132,38 @@ def test_run_with_measure_and_values_reshape():
         result.along("nope")
 
 
-def test_measure_batch_fast_path_matches_per_row_measure():
+def test_batch_measure_matches_per_row_measure_oracle():
     grid = ScenarioGrid([SweepAxis("amplitude", (0.1, 0.2, 0.4))])
     stimulus = lambda p: bits_to_nrz(prbs7(60, seed=1), BIT_RATE,
                                      amplitude=p["amplitude"],
                                      samples_per_bit=16)
     build = lambda p: GainBlock(2.0)
     from repro.analysis import EyeDiagram
-    batched = SweepRunner(
+    runner = SweepRunner(
         grid, stimulus=stimulus, build=build,
-        measure_batch=lambda batch, _:
+        measure=lambda batch, _:
             measure_eye_batch(batch, BIT_RATE, skip_ui=8),
-    ).run()
-    per_row = SweepRunner(
-        grid, stimulus=stimulus, build=build,
-        measure=lambda wave, _:
-            EyeDiagram.measure_waveform(wave, BIT_RATE, skip_ui=8),
-    ).run()
-    assert batched.results == per_row.results
+    )
+    per_row = serial_sweep(
+        runner, measure_row=lambda wave, _:
+            EyeDiagram.measure_waveform(wave, BIT_RATE, skip_ui=8))
+    assert runner.run().results == per_row.results
+
+
+@pytest.mark.parametrize("stale", [
+    lambda wave, params: float(np.ptp(wave.data)),      # a scalar
+    lambda batch, params: [0.0],                        # one result
+])
+def test_measure_with_wrong_result_shape_names_the_signature(stale):
+    runner = SweepRunner(
+        ScenarioGrid([SweepAxis("amplitude", (0.1, 0.5))]),
+        stimulus=lambda p: Waveform(np.full(8, p["amplitude"]), FS),
+        measure=stale,
+    )
+    with pytest.raises(ValueError,
+                       match=r"for 2 scenarios: SweepRunner calls "
+                             r"measure\(batch, params_list\)"):
+        runner.run()
 
 
 def test_measurement_only_sweep_without_build():
@@ -157,22 +172,13 @@ def test_measurement_only_sweep_without_build():
         grid,
         stimulus=lambda p: Waveform(
             np.full(8, p["amplitude"]), FS),
-        measure=lambda wave, p: float(wave.mean()),
+        measure=lambda batch, p: batch.data.mean(axis=1).tolist(),
     ).run()
     assert result.results == [pytest.approx(0.1), pytest.approx(0.5)]
 
 
-def test_serial_uses_measure_batch_when_no_scalar_measure():
-    grid = ScenarioGrid([SweepAxis("amplitude", (0.1, 0.2))])
-    runner = SweepRunner(
-        grid,
-        stimulus=lambda p: bits_to_nrz(prbs7(60, seed=1), BIT_RATE,
-                                       amplitude=p["amplitude"],
-                                       samples_per_bit=16),
-        measure_batch=lambda batch, _:
-            measure_eye_batch(batch, BIT_RATE, skip_ui=8),
-    )
-    assert runner.run().results == runner.run_serial().results
+def first_samples(batch, params):
+    return batch.data[:, 0].tolist()
 
 
 def test_structural_only_grid_runs_one_scenario_per_point():
@@ -183,7 +189,7 @@ def test_structural_only_grid_runs_one_scenario_per_point():
         grid,
         stimulus=lambda p: Waveform(np.ones(8), FS),
         build=lambda p: GainBlock(p["gain"]),
-        measure=lambda wave, p: float(wave.data[0]),
+        measure=first_samples,
     ).run()
     assert result.results == [1.0, 2.0, 3.0]
 
@@ -199,7 +205,7 @@ def test_duplicate_axis_values_keep_every_scenario():
         grid,
         stimulus=lambda p: Waveform(np.full(8, p["level"]), FS),
         build=lambda p: GainBlock(p["gain"]),
-        measure=lambda wave, p: float(wave.data[0]),
+        measure=first_samples,
     ).run()
     assert None not in result.params
     assert result.results == [1.0, 1.0, 2.0, 1.0, 1.0, 2.0]
@@ -216,7 +222,7 @@ def test_process_pool_falls_back_on_unpicklable_callables():
         grid,
         stimulus=lambda p: Waveform(np.ones(8), FS),
         build=lambda p: GainBlock(p["gain"]),
-        measure=lambda wave, p: float(wave.data[0]),
+        measure=lambda batch, p: batch.data[:, 0].tolist(),
         processes=2,
     )
     with pytest.warns(RuntimeWarning, match="stimulus, build, measure"):
@@ -235,38 +241,13 @@ def test_pool_probe_does_not_swallow_non_pickling_errors():
     runner = SweepRunner(
         ScenarioGrid([SweepAxis("gain", (1.0, 2.0), structural=True)]),
         stimulus=ExplodingState(),
-        measure=lambda wave, p: float(wave.data[0]),
+        measure=first_samples,
         processes=2,
     )
     # A __getstate__ that raises a non-pickling error is a bug in the
     # user's object, not an unpicklable callable: it must propagate.
     with pytest.raises(ValueError, match="refused serialization"):
         runner.run()
-
-
-def test_serial_measure_batch_rebuilds_single_row_batches():
-    # run_serial has no batch: it must wrap each processed waveform in
-    # a one-row WaveformBatch preserving sample_rate and t0.
-    from repro.signals.batch import WaveformBatch
-
-    seen = []
-
-    def spy_measure_batch(batch, params_list):
-        assert isinstance(batch, WaveformBatch)
-        assert batch.n_scenarios == 1
-        assert len(params_list) == 1
-        seen.append((batch.sample_rate, batch.t0))
-        return [float(batch.data[0, 0])]
-
-    grid = ScenarioGrid([SweepAxis("level", (0.25, 0.75))])
-    runner = SweepRunner(
-        grid,
-        stimulus=lambda p: Waveform(np.full(8, p["level"]), FS, t0=3e-9),
-        measure_batch=spy_measure_batch,
-    )
-    result = runner.run_serial()
-    assert result.results == [0.25, 0.75]
-    assert seen == [(FS, 3e-9)] * 2
 
 
 # -- closed-loop CDR measure path ---------------------------------------------
@@ -287,13 +268,13 @@ def test_closed_loop_cdr_measure_batched_matches_serial():
             bits, edge_offsets=jitter.offsets(n_bits, BIT_RATE))
 
     grid = ScenarioGrid([SweepAxis("seed", tuple(range(1, 9)))])
-    measure, measure_batch = closed_loop_cdr_measure(
-        CdrConfig(bit_rate=BIT_RATE, kp=8e-3))
-    runner = SweepRunner(grid, stimulus=stimulus, measure=measure,
-                         measure_batch=measure_batch)
+    config = CdrConfig(bit_rate=BIT_RATE, kp=8e-3)
+    runner = SweepRunner(grid, stimulus=stimulus,
+                         measure=closed_loop_cdr_measure(config))
 
     batched = runner.run()
-    serial = runner.run_serial()
+    serial = serial_sweep(
+        runner, measure_row=lambda wave, _: SerialCdr(config).recover(wave))
     assert len(batched.results) == grid.n_scenarios
     for from_batch, reference in zip(batched.results, serial.results):
         assert isinstance(from_batch, CdrResult)
@@ -316,14 +297,13 @@ def test_closed_loop_cdr_measure_reduce_and_n_bits():
                            amplitude=params["amplitude"],
                            samples_per_bit=8)
 
-    measure, measure_batch = closed_loop_cdr_measure(
+    measure = closed_loop_cdr_measure(
         CdrConfig(bit_rate=BIT_RATE, kp=8e-3), n_bits=160,
         reduce=lambda r, p: (p["amplitude"], len(r.decisions),
                              r.is_locked))
-    runner = SweepRunner(grid, stimulus=stimulus, measure=measure,
-                         measure_batch=measure_batch)
+    runner = SweepRunner(grid, stimulus=stimulus, measure=measure)
     batched = runner.run()
-    assert batched.results == runner.run_serial().results
+    assert batched.results == serial_sweep(runner).results
     for (amplitude, n_decisions, locked), params in zip(batched.results,
                                                         batched.params):
         assert amplitude == params["amplitude"]
@@ -352,12 +332,13 @@ def test_dfe_measure_sweep_batched_matches_serial():
         SweepAxis("seed", tuple(range(1, 5))),
     ])
     dfe = DecisionFeedbackEqualizer(taps=[0.05, 0.01], bit_rate=BIT_RATE)
-    measure, measure_batch = dfe_measure(dfe)
     runner = SweepRunner(grid, stimulus=stimulus, build=lambda p: channel,
-                         measure=measure, measure_batch=measure_batch)
+                         measure=dfe_measure(dfe))
 
     batched = runner.run()
-    serial = runner.run_serial()
+    serial = serial_sweep(
+        runner, measure_row=lambda wave, _:
+            SerialDfe(dfe).inner_eye_height(wave, skip_bits=16))
     assert batched.results == serial.results
     assert all(isinstance(height, float) for height in batched.results)
 
@@ -370,11 +351,11 @@ def test_dfe_measure_reduce_hook():
                        samples_per_bit=16)
     grid = ScenarioGrid([SweepAxis("scale", (0.5, 1.0, 1.5))])
     dfe = DecisionFeedbackEqualizer(taps=[0.03], bit_rate=BIT_RATE)
-    measure, measure_batch = dfe_measure(
+    measure = dfe_measure(
         dfe, reduce=lambda result, params: int(result[0].sum()))
     runner = SweepRunner(grid,
                          stimulus=lambda p: base * p["scale"],
-                         measure=measure, measure_batch=measure_batch)
+                         measure=measure)
     batched = runner.run()
-    assert batched.results == runner.run_serial().results
+    assert batched.results == serial_sweep(runner).results
     assert all(isinstance(value, int) for value in batched.results)

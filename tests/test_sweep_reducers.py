@@ -20,6 +20,7 @@ from repro.signals import Waveform
 from repro.sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
                          ScenarioGrid, SweepAxis, SweepRunner, Yield)
 from repro.sweep.reducers import describe_reducers
+from serial_oracles import serial_sweep
 
 FS = 160e9
 
@@ -32,8 +33,8 @@ def build(params):
     return GainBlock(params["gain"])
 
 
-def measure(wave, params):
-    return float(wave.data[0])
+def measure(batch, params_list):
+    return batch.data[:, 0].tolist()
 
 
 def passes(value, params):
@@ -290,13 +291,13 @@ def test_dense_path_is_unchanged_alongside_reducers():
     assert both.aggregates["n"] == len(reference)
 
 
-def test_run_serial_supports_reducers_and_keep_results():
+def test_serial_sweep_supports_reducers_and_keep_results():
     dense = make_runner().run()
-    serial = make_runner(reducers=make_reducers()).run_serial()
+    serial = serial_sweep(make_runner(reducers=make_reducers()))
     assert serial.results == dense.results
     assert serial.aggregates["n"] == len(dense)
-    lean = make_runner(reducers=make_reducers(),
-                       keep_results=False).run_serial()
+    lean = serial_sweep(make_runner(reducers=make_reducers(),
+                                    keep_results=False))
     assert lean.results is None
     assert np.isclose(lean.aggregates["mv"].mean,
                       serial.aggregates["mv"].mean, rtol=1e-9)
@@ -316,7 +317,7 @@ def test_streaming_and_dense_journals_never_mix(tmp_path):
     dense = make_runner(chunk_rows=2)
     streaming = make_runner(chunk_rows=2, reducers=make_reducers(),
                             keep_results=False)
-    assert dense._fingerprint()["version"] == 3
+    assert dense._fingerprint()["version"] == 4
     assert dense._fingerprint() != streaming._fingerprint()
     dense.run(checkpoint_dir=tmp_path)
     streaming.run(checkpoint_dir=tmp_path)

@@ -50,7 +50,7 @@ def make_runner(**kwargs):
         SweepAxis("gain", (2.0, 3.0), structural=True),
         SweepAxis("level", tuple((i + 1) / 8 for i in range(8))),
     ])
-    defaults = dict(stimulus=stimulus, build=build, measure=measure,
+    defaults = dict(stimulus=stimulus, build=build, measure=measure_batch,
                     chunk_rows=2, retry_backoff_s=0.0)
     defaults.update(kwargs)
     return SweepRunner(grid, **defaults)
