@@ -6,9 +6,9 @@ jittered PRBS pattern per scenario, each with its own noise draw — is
 recovered twice:
 
 * **batched**: the CDR stage dispatch (``repro.link.stage(cdr)``)
-  advances all N bang-bang loops together, one bit-step at a time, with
-  vectorized interpolation sampling, vectorized Alexander votes and
-  per-row phase/integral/slip state;
+  solves all N bang-bang loops together, a window of bit-steps per
+  fixed-point sweep, with vectorized interpolation sampling, vectorized
+  Alexander votes and per-row phase/integral/slip state;
 * **serial**: :meth:`~repro.cdr.BangBangCdr.recover` per scenario — each
   waveform run as a batch of one through the same kernel.
 

@@ -47,6 +47,9 @@ from ..signals.waveform import Waveform
 __all__ = ["EyeMeasurement", "EyeDiagram", "EyeDiagramBatch",
            "measure_eye_batch"]
 
+#: Whole UI an eye needs after ``skip_ui``.
+MIN_EYE_UI = 8
+
 
 def _slice_levels(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Level index of every sample: the count of the row's thresholds
@@ -294,7 +297,7 @@ class EyeDiagramBatch:
 
         data = batch.data[:, skip_ui * self.samples_per_ui:]
         n_ui = data.shape[1] // self.samples_per_ui
-        if n_ui < 8:
+        if n_ui < MIN_EYE_UI:
             raise ValueError(
                 f"too short for an eye: {n_ui} UI after skipping"
             )

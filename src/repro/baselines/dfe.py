@@ -137,9 +137,19 @@ class DecisionFeedbackEqualizer:
         """
         n_bits = int(np.floor((n_samples - 1) / ui_samples
                               - self.sample_phase_ui)) + 1
-        if n_bits < len(self.taps) + 4:
+        if n_bits < self._min_bits():
             raise ValueError("waveform too short for the tap count")
         return n_bits
+
+    def _min_bits(self) -> int:
+        return len(self.taps) + 4
+
+    def min_ui(self, samples_per_ui: float) -> float:
+        """Shortest waveform, in UI, that :meth:`equalize` accepts: the
+        last of its minimum decidable bits is sampled
+        ``sample_phase_ui`` into its UI, one sample before the end."""
+        return (self._min_bits() - 1 + self.sample_phase_ui
+                + 1.0 / samples_per_ui)
 
     def equalize(self, wave: Waveform) -> Tuple[np.ndarray, np.ndarray]:
         """Run the DFE over a waveform.

@@ -34,6 +34,11 @@ from ..signals.waveform import Waveform
 
 __all__ = ["CdrConfig", "CdrResult", "CdrBatchResult", "BangBangCdr"]
 
+# A loop needs _MIN_BITS bit-steps and runs _SHORT_UI short of the
+# waveform's span (its last edge instant must stay on the waveform).
+_MIN_BITS = 16
+_SHORT_UI = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class CdrConfig:
@@ -214,14 +219,18 @@ class BangBangCdr:
         self.config = config
 
     def _usable_bits(self, duration: float, n_bits: int | None) -> int:
-        total_bits = int(duration / (1.0 / self.config.bit_rate)) - 2
+        total_bits = int(duration / (1.0 / self.config.bit_rate)) - _SHORT_UI
         if n_bits is not None:
             total_bits = min(total_bits, n_bits)
-        if total_bits < 16:
+        if total_bits < _MIN_BITS:
             raise ValueError(
                 f"waveform too short for CDR: {total_bits} usable bits"
             )
         return total_bits
+
+    def min_ui(self) -> int:
+        """Shortest waveform, in UI, that :meth:`recover` accepts."""
+        return _MIN_BITS + _SHORT_UI
 
     def recover(self, wave: Waveform, n_bits: int | None = None
                 ) -> CdrResult:
@@ -240,7 +249,7 @@ class BangBangCdr:
                        initial_phase_ui: np.ndarray | None = None,
                        initial_frequency_ppm: np.ndarray | None = None
                        ) -> CdrBatchResult:
-        """Run N independent loops over a batch, one bit-step at a time.
+        """Run N independent loops over a batch through the kernel.
 
         All rows share the config; ``initial_phase_ui`` /
         ``initial_frequency_ppm`` optionally override the starting state

@@ -1,24 +1,48 @@
 """Bit-serial kernels: the CDR and DFE recurrences and their sampler.
 
-The batched CDR and DFE engines advance N scenarios one bit-step at a
-time; the per-bit recurrence (interpolation sample → vote/decision →
-state update) is serial along the bit axis.  Each kernel here is the
-one implementation of its algorithm: a single waveform runs as a batch
-of one, so there is no scalar twin to keep in step.
+The CDR and DFE are causal recurrences along the bit axis: what a loop
+does at bit k depends only on its state after bit k - 1.  Each kernel
+here is the one implementation of its algorithm (a single waveform runs
+as a batch of one), and it solves the recurrence a window of bits at a
+time by fixed-point (Jacobi) iteration, the idea of DEER (Lim et al.,
+https://arxiv.org/abs/2309.12252) and of Jacobi decoding (Santilli et
+al., https://arxiv.org/abs/2305.10427).  A sweep
 
-Every bit-step performs one vectorized pass over all rows, so the
-Python interpreter runs ``total_bits`` iterations instead of
-``n_rows * total_bits``.  With few rows the cost is the number of NumPy
-calls per step, not their width, so the loops keep only what truly
-depends on the previous bit:
+* takes a guessed trajectory for the window: the CDR's phase track, at
+  first held flat at the current phase, or the DFE's decisions, at
+  first the raw samples sliced with no feedback;
+* evaluates every bit of the window from that guess in a few vectorized
+  calls: one ``sample_uniform`` gather of all data and edge instants and
+  all Alexander votes at once, or the feedback of every bit, tap by tap;
+* rebuilds the trajectory from those votes or decisions.
 
-* the DFE samples every decision instant in one call before its loop
-  (the instants do not depend on the feedback); each step subtracts the
-  feedback, slices and pushes the decided level onto a ring of taps;
-* the CDR gathers its data and edge samples in one ``(2, n_rows)``
-  call, votes from booleans, slices its data decisions after the loop,
-  and leaves the masked end-of-waveform and phase-wrap handling to
-  steps where a single ``max`` says it is needed.
+The DFE repeats this on a block of bits until the decisions stop
+changing.  The CDR commits, after every sweep, the steps whose guessed
+phase the rebuilt track confirms, and slides its window past them,
+carrying the rest of the rebuilt track as the next guess.
+
+Why the answer is exactly the bit-serial one:
+
+* the arithmetic is the loop's, float for float: ``np.add.accumulate``
+  is a left fold that rounds each partial sum as the loop's
+  ``integral += ki * vote`` and ``phase += kp * vote + integral`` do,
+  the instants keep the loop's operation order
+  (``(k + 0.5 + bit_offset) + phase``, then ``* ui``), and the DFE sums
+  its feedback tap by tap, starting from ``0.0``;
+* the first bit of a window depends only on committed state, and bit m
+  only on the guess for the bits before it.  So where the guess agrees
+  with the rebuilt trajectory on bits 0..m-1, those bits are the serial
+  ones (by induction on m), and every sweep makes at least one more bit
+  exact: a block of B bits converges in at most B + 1 sweeps, and a CDR
+  sweep commits at least one step.
+
+Each CDR row is an independent loop at its own position.  A row's
+commit stops at its first event: the step at which its edge instant
+reaches the end of the waveform (the row ends there), or the step after
+which its phase passes +-1 UI (a cycle slip, applied as a state edit
+before its next window).  The very first step of a row samples the
+first bit but casts no vote and updates nothing, whatever the initial
+integral.
 
 The module is deliberately self-contained (NumPy only, no imports from
 the rest of ``repro``) so it can be imported at any point of package
@@ -31,8 +55,6 @@ Alexander vote counts a sample at or above the middle threshold high.
 """
 
 from __future__ import annotations
-
-import collections
 
 import numpy as np
 
@@ -99,7 +121,11 @@ def sample_uniform(data: np.ndarray, t0: float, sample_rate: float,
         d1 = data[rows, i0 + 1]
     else:
         raise ValueError(f"data must be 1-D or 2-D, got shape {data.shape}")
-    return d0 + frac * (d1 - d0)
+    # d0 + frac * (d1 - d0), in place in the freshly gathered d1.
+    d1 -= d0
+    d1 *= frac
+    d1 += d0
+    return d1
 
 
 def _slice(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -108,11 +134,45 @@ def _slice(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (values[..., np.newaxis] > thresholds).sum(axis=-1)
 
 
+# Fixed-point windows.  A CDR sweep evaluates up to _CDR_BLOCK steps of
+# each live row and about _CDR_BUDGET row-steps in all, but never fewer
+# than _CDR_MIN_BLOCK steps per row: a single row spreads the per-call
+# overhead over a long window, while a wide batch, whose cost is the
+# element work, re-evaluates fewer of the steps a sweep leaves inexact.
+# (Measured: 1 row is fastest at 64 steps, 64 rows at 32 to 64 and
+# 500 rows at 8 to 16; 2 to 4 steps pay more per-sweep overhead than
+# they save.)  A DFE sweep is far cheaper, so its blocks are longer.
+_CDR_BLOCK = 64
+_CDR_MIN_BLOCK = 8
+_CDR_BUDGET = 2048
+_DFE_BLOCK = 256
+
+
+def _window(n_rows: int) -> int:
+    """Steps per CDR sweep for ``n_rows`` live rows."""
+    return min(_CDR_BLOCK, max(_CDR_MIN_BLOCK, _CDR_BUDGET // n_rows))
+
+
+# [data, edge] instant of a bit-step, in UI past the step index.
+_DATA_EDGE = np.array([[0.5], [1.0]])
+
+
+def _instants(steps, bit_offset, phase, ui):
+    """Data and edge instants ``(B, 2, L)`` of the bit-steps ``steps``
+    ``(B, L)`` on the phase track ``phase`` ``(B, L)``, in the serial
+    loop's order: ``(k + 0.5 + bit_offset) + phase``, then ``* ui``."""
+    instants = steps[:, np.newaxis, :] + _DATA_EDGE
+    instants += bit_offset
+    instants += phase[:, np.newaxis, :]
+    instants *= ui
+    return instants
+
+
 def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
                       t_last: float, ui: float, kp: float, ki: float,
                       phase: np.ndarray, integral: np.ndarray,
                       total_bits: int, thresholds=None):
-    """Advance N bang-bang loops together, one bit-step at a time.
+    """Run N bang-bang loops, a window of bit-steps per fixed-point sweep.
 
     Parameters are the loop state of :class:`repro.cdr.BangBangCdr`:
     per-row ``phase`` (UI) and
@@ -125,11 +185,20 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
     timing for a bang-bang loop.  Returns ``(decisions, phases, votes,
     slips, row_bits)`` with rows that ran out of waveform blanked past
     their last valid bit (0 decisions/votes, NaN phases).
+
+    Each bit-step is what the serial loop does: sample the data and
+    edge instants at the current phase; a row whose edge instant
+    reaches ``t_last`` ends there; from the second step on, the
+    Alexander vote updates ``integral += ki * vote`` and
+    ``phase += kp * vote + integral``, and a phase past +-1 UI folds a
+    whole bit into the row's index offset (a counted cycle slip).
     """
     data = np.ascontiguousarray(data, dtype=float)
     thresholds = (np.zeros(1) if thresholds is None
                   else np.asarray(thresholds, dtype=float))
     center = float(thresholds[(len(thresholds) - 1) // 2])
+    # Python floats: ``ki * vote`` is then float64, as in the serial loop.
+    kp, ki, ui = float(kp), float(ki), float(ui)
     n_rows = data.shape[0]
     phase = np.array(phase, dtype=float)
     integral = np.array(integral, dtype=float)
@@ -137,80 +206,138 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
     # exactly as it would with an integer offset.
     bit_offset = np.zeros(n_rows)
     slips = np.zeros(n_rows, dtype=np.int64)
-    active = np.ones(n_rows, dtype=bool)
     row_bits = np.full(n_rows, total_bits, dtype=np.int64)
     row_offsets = np.arange(n_rows) * data.shape[1]
-    # [data, edge] instants of bit k, before the per-row offset/phase.
-    steps = np.arange(total_bits)[:, None, None] + np.array([[0.5], [1.0]])
+    # Bit-major outputs with room for a whole window past the last step:
+    # a sweep writes its whole window, and a later sweep rewrites every
+    # step it had not made exact.
+    data_samples = np.zeros((total_bits + _CDR_BLOCK, n_rows))
+    phases = np.empty((total_bits + _CDR_BLOCK, n_rows))
+    votes = np.zeros((total_bits + _CDR_BLOCK, n_rows), dtype=np.int8)
 
-    # Bit-major: each step writes one contiguous row.  Data samples are
-    # kept and sliced into decisions after the loop.
-    data_samples = np.zeros((total_bits, n_rows))
-    phases = np.empty((total_bits, n_rows))
-    votes = np.zeros((total_bits, n_rows), dtype=np.int8)
-    previous_high = None
+    def outputs():
+        decisions = _slice(data_samples[:total_bits], thresholds)
+        decisions = decisions.astype(np.int8)
+        # Rows that ran out of waveform: blank everything past their
+        # last valid bit.
+        tail = np.arange(total_bits)[:, np.newaxis] >= row_bits
+        decisions[tail] = 0
+        track = phases[:total_bits]
+        track[tail] = np.nan
+        votes_out = votes[:total_bits]
+        votes_out[tail] = 0
+        return (np.ascontiguousarray(decisions.T),
+                np.ascontiguousarray(track.T),
+                np.ascontiguousarray(votes_out.T), slips, row_bits)
 
-    # An empty batch has no edge instant to take the max of: no steps.
-    for k in range(total_bits if n_rows else 0):
-        instants = steps[k] + bit_offset
-        instants += phase
-        instants *= ui
-        if instants[1].max() >= t_last:
-            ending = active & (instants[1] >= t_last)
-            if ending.any():
-                row_bits[ending] = k
-                active &= ~ending
-                if not active.any():
-                    break
+    # Step 0 samples the first bit but casts no vote: the loop state is
+    # untouched, whatever the initial integral.
+    instants = _instants(np.zeros((1, n_rows), dtype=np.int64), bit_offset,
+                         phase[np.newaxis], ui)
+    live = (instants[0, 1] < t_last) & (total_bits > 0)
+    row_bits[~live] = 0
+    if not live.any():
+        return outputs()
+    samples = sample_uniform(data, t0, sample_rate, instants, row_offsets)
+    data_samples[0] = samples[0, 0]
+    phases[0] = phase
+
+    # Per live row: its original index, next step, loop state, the
+    # high/low data and edge slices of its previous step, and the phase
+    # track guessed for the window of steps starting at ``step``.
+    rows = np.flatnonzero(live)
+    cols = np.arange(rows.size)
+    step = np.ones(rows.size, dtype=np.int64)
+    phase, integral = phase[live], integral[live]
+    bit_offset = bit_offset[live]
+    previous = (samples[0][:, live] >= center).view(np.int8)
+    guess = np.repeat(phase[np.newaxis], _window(rows.size), axis=0)
+    block = np.arange(_CDR_BLOCK)[:, np.newaxis]
+    flat = (data_samples.reshape(-1), phases.reshape(-1), votes.reshape(-1))
+
+    while rows.size:
+        width = len(guess)
+        steps = step + block[:width]
+        instants = _instants(steps, bit_offset, guess, ui)
         samples = sample_uniform(data, t0, sample_rate, instants,
-                                 row_offsets)
-        data_samples[k] = samples[0]
-        phases[k] = phase
+                                 row_offsets[rows])
         high = (samples >= center).view(np.int8)
+        # Alexander vote of each step from A (previous data), T
+        # (previous edge) and B (data): (T ^ B) - (T ^ A) is +1 when T
+        # agrees with A across a transition (EARLY), -1 when it agrees
+        # with B (LATE) and 0 without a transition.
+        before = np.concatenate((previous[np.newaxis], high[:-1]))
+        edge = before[:, 1]
+        vote = (edge ^ high[:, 0]) - (edge ^ before[:, 0])
+        # The loop's updates as left folds, in its operation order.
+        integrals = ki * vote
+        integrals[0] += integral
+        np.add.accumulate(integrals, axis=0, out=integrals)
+        track = kp * vote + integrals
+        track[0] += phase
+        np.add.accumulate(track, axis=0, out=track)   # phase after a step
+        # Write the whole window: a later sweep rewrites every step that
+        # this one does not make exact.
+        at = steps * n_rows + rows
+        for out, values in zip(flat, (samples[:, 0], guess, vote)):
+            out[at] = values
 
-        if previous_high is not None:
-            # Alexander vote from A (previous data), T (previous edge)
-            # and B (data): (T ^ B) - (T ^ A) is +1 when T agrees with A
-            # across a transition (EARLY), -1 when it agrees with B
-            # (LATE) and 0 without a transition.
-            edge = previous_high[1]
-            vote = (edge ^ high[0]) - (edge ^ previous_high[0])
-            votes[k] = vote
-            # Rows past their end keep updating too: everything they
-            # produce from here on is blanked below.
-            integral += ki * vote
-            phase += kp * vote + integral
-            if np.abs(phase).max() > 1.0:
-                # A wrap across +-1 UI is a cycle slip: fold the whole
-                # bit into the index offset so the sampling instant (and
-                # the decision sequence) stays continuous, and count it.
-                wrap_up = active & (phase > 1.0)
-                wrap_down = active & (phase < -1.0)
-                phase[wrap_up] -= 1.0
-                bit_offset[wrap_up] += 1.0
-                slips[wrap_up] += 1
-                phase[wrap_down] += 1.0
-                bit_offset[wrap_down] -= 1.0
-                slips[wrap_down] -= 1
-        previous_high = high
+        # The steps before the first one whose guessed phase differs from
+        # the rebuilt track were sampled at the serial instants: exact.
+        changed = guess[1:] != track[:-1]
+        count = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1,
+                         width)
+        # A row's first event, once exact, ends its commit: the row's end
+        # (its edge instant reaches t_last or it runs out of steps), or
+        # else a slip (a step that ends the row does not move its phase).
+        ending = instants[:, 1] >= t_last
+        if (step + width > total_bits).any():
+            ending |= steps >= total_bits
+        slipping = np.abs(track) > 1.0
+        ended = slipped = np.zeros(rows.size, dtype=bool)
+        if ending.any() or slipping.any():
+            event = ending | slipping
+            first = np.where(event.any(axis=0), event.argmax(axis=0), width)
+            hit = first < count
+            ended = hit & ending[np.minimum(first, width - 1), cols]
+            slipped = hit & ~ended
+            count = np.where(hit, first + slipped, count)
+            row_bits[rows[ended]] = steps[first[ended], cols[ended]]
 
-    decisions = _slice(data_samples, thresholds).astype(np.int8)
-    # Rows that ran out of waveform: blank everything past their last
-    # valid bit so the rectangular arrays cannot leak the garbage
-    # computed while other rows were still running.
-    tail = np.arange(total_bits)[:, np.newaxis] >= row_bits
-    decisions[tail] = 0
-    votes[tail] = 0
-    phases[tail] = np.nan
-    return (np.ascontiguousarray(decisions.T), np.ascontiguousarray(phases.T),
-            np.ascontiguousarray(votes.T), slips, row_bits)
+        last = count - 1
+        phase = track[last, cols]
+        integral = integrals[last, cols]
+        previous = high[last, :, cols].T
+        step += count
+        # The rest of the rebuilt track, held flat past its end, is the
+        # next window's guess.
+        ahead = block[:_window(rows.size)]
+        guess = track[np.minimum(last + ahead, width - 1), cols]
+        wrap = np.flatnonzero(slipped)
+        if wrap.size:
+            # A wrap across +-1 UI is a cycle slip: fold the whole bit
+            # into the index offset so the sampling instant (and the
+            # decision sequence) stays continuous, and count it.
+            sign = np.where(phase[wrap] > 0.0, 1.0, -1.0)
+            phase[wrap] -= sign
+            bit_offset[wrap] += sign
+            slips[rows[wrap]] += sign.astype(np.int64)
+            guess[:, wrap] = phase[wrap]
+        if ended.any():
+            keep = ~ended
+            rows, step, phase = rows[keep], step[keep], phase[keep]
+            integral, bit_offset = integral[keep], bit_offset[keep]
+            previous, guess = previous[:, keep], guess[:, keep]
+            cols = np.arange(rows.size)
+
+    return outputs()
 
 
 def dfe_equalize_batch(data: np.ndarray, taps: np.ndarray,
                        ui_samples: float, sample_phase_ui: float,
                        decision_amplitude: float, n_bits: int,
                        thresholds=None, decision_levels=None):
-    """Advance N decision-feedback loops together, one bit per step.
+    """Run N decision-feedback loops, a block of bits per fixed-point solve.
 
     ``thresholds``/``decision_levels`` carry the modulation's sorted
     decision thresholds and the level value fed back for each decided
@@ -230,30 +357,40 @@ def dfe_equalize_batch(data: np.ndarray, taps: np.ndarray,
     else:
         decision_levels = np.asarray(decision_levels, dtype=float)
     n_rows = data.shape[0]
-    binary = len(thresholds) == 1
     threshold0 = float(thresholds[0])
-    # The sampling instants do not depend on the feedback: take every
-    # raw sample up front, bit-major, and correct it in place below.
-    instants = (np.arange(n_bits) + sample_phase_ui) * ui_samples
-    corrected = sample_uniform(data, 0.0, 1.0, instants[:, np.newaxis],
-                               np.arange(n_rows) * data.shape[1])
-    decisions = np.zeros((n_bits, n_rows), dtype=np.int8)
-    # Decided levels, newest first; the ring drops the oldest on push.
-    history = collections.deque([np.zeros(n_rows)] * len(taps),
-                                maxlen=len(taps))
-    weights = taps.tolist()
-    for k in range(n_bits):
-        feedback = 0.0
-        for weight, past in zip(weights, history):
-            feedback = feedback + weight * past
-        values = corrected[k]
-        values -= feedback
-        if binary:
+
+    def decide(values):
+        if len(thresholds) == 1:
             # Fast path, identical to the historical sign slicer.
-            symbols = (values > threshold0).view(np.int8)
-        else:
-            symbols = _slice(values, thresholds)
-        decisions[k] = symbols
-        history.appendleft(decision_levels[symbols])
-    return (np.ascontiguousarray(decisions.T),
-            np.ascontiguousarray(corrected.T))
+            return (values > threshold0).view(np.int8)
+        return _slice(values, thresholds)
+
+    # The sampling instants do not depend on the feedback: take every
+    # raw sample up front, row by row.
+    instants = (np.arange(n_bits) + sample_phase_ui) * ui_samples
+    raw = sample_uniform(data, 0.0, 1.0, instants,
+                         np.arange(n_rows)[:, np.newaxis] * data.shape[1])
+    decisions = np.zeros((n_rows, n_bits), dtype=np.int8)
+    corrected = np.zeros((n_rows, n_bits))
+    weights = taps.tolist()
+    n_taps = len(weights)
+    # Fed-back level of every bit after n_taps columns of zeros: the
+    # empty history before bit 0.
+    fed = np.zeros((n_rows, n_taps + n_bits))
+    for start in range(0, n_bits, _DFE_BLOCK):
+        stop = min(start + _DFE_BLOCK, n_bits)
+        guess = decide(raw[:, start:stop])
+        while True:
+            fed[:, n_taps + start:n_taps + stop] = decision_levels[guess]
+            feedback = 0.0
+            for j, weight in enumerate(weights):
+                past = fed[:, n_taps + start - 1 - j:n_taps + stop - 1 - j]
+                feedback = feedback + weight * past
+            values = raw[:, start:stop] - feedback
+            symbols = decide(values)
+            if np.array_equal(symbols, guess):
+                break
+            guess = symbols
+        decisions[:, start:stop] = symbols
+        corrected[:, start:stop] = values
+    return decisions, corrected

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.eye import EyeMeasurement, measure_eye_batch
+from ..analysis.eye import MIN_EYE_UI, EyeMeasurement, measure_eye_batch
 from ..analysis.isi import pulse_response
 from ..baselines.dfe import (
     DecisionFeedbackEqualizer,
@@ -491,6 +491,30 @@ class LinkSession:
                                dfe_inner_eye_heights=dfe_heights,
                                modulation=mod)
 
+    def _require_length(self, batch: WaveformBatch) -> None:
+        """Reject a waveform too short for the session's measurements
+        before any stage runs, naming the minimum it needs."""
+        samples_per_ui = batch.sample_rate / self.bit_rate
+        needs = []
+        if self.measure_eye:
+            needs.append((self.skip_ui + MIN_EYE_UI,
+                          f"skip_ui={self.skip_ui} + {MIN_EYE_UI} for "
+                          "the eye"))
+        if self._cdr_stage is not None:
+            cdr_ui = self._cdr_stage.cdr.min_ui()
+            needs.append((cdr_ui, f"{cdr_ui:g} for the CDR"))
+        if self.dfe is not None:
+            dfe_ui = self.dfe.min_ui(samples_per_ui)
+            needs.append((dfe_ui, f"{dfe_ui:g} for the DFE"))
+        n_ui = batch.n_samples / samples_per_ui
+        minimum = max((n for n, _ in needs), default=0.0)
+        if n_ui < minimum:
+            raise ValueError(
+                f"waveform too short for this session: {n_ui:g} UI, needs "
+                f"at least {minimum:g} UI ("
+                + "; ".join(reason for _, reason in needs) + ")"
+            )
+
     def _run(self, batch: WaveformBatch,
              modulation: Optional[Modulation] = None) -> LinkBatchResult:
         return self._analyze(_run_stages(self.stages, batch), modulation)
@@ -498,7 +522,8 @@ class LinkSession:
     def run(self, wave: Waveform) -> LinkResult:
         """One scenario end to end (dispatches through the batch path).
 
-        Raises ``ValueError`` on NaN or infinite input samples, as
+        Raises ``ValueError`` on NaN or infinite input samples, and on a
+        waveform too short for the session's eye, CDR and DFE, as
         :meth:`run_batch` does.
         """
         if not isinstance(wave, Waveform):
@@ -508,6 +533,7 @@ class LinkSession:
             )
         batch = _lift(wave)[0]
         _require_finite(batch)
+        self._require_length(batch)
         result = self._run(batch)
         if result.n_scenarios != 1:
             raise ValueError(
@@ -526,7 +552,10 @@ class LinkSession:
         with any NaN or infinite sample raises ``ValueError``, naming
         the count and the first offending row (the kernels on their
         own count NaN low; :meth:`sweep` quarantines non-finite
-        results through ``nan_guard`` instead).
+        results through ``nan_guard`` instead).  So does input shorter
+        than the session needs — ``skip_ui`` plus 8 UI for the eye,
+        18 UI for the CDR, the tap count plus about 4 UI for the DFE —
+        before any stage runs, naming that minimum.
 
         ``chunk_rows`` enables the fused chunked fast path: the batch
         streams tx → channel → rx → CDR/DFE in bounded row-chunks, so
@@ -555,6 +584,7 @@ class LinkSession:
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         _require_finite(batch)
+        self._require_length(batch)
         if chunk_rows is None or chunk_rows >= batch.n_scenarios:
             return self._finish(self._run(batch), keep_output)
         parts = [

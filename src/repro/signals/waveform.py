@@ -15,8 +15,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-# The interpolation kernel lives with the CDR/DFE kernels that call it
-# every bit-step; re-exported here as the public sampling primitive.
+# The interpolation kernel lives with the CDR/DFE kernels that gather
+# through it; re-exported here as the public sampling primitive.
 from ..kernels import sample_uniform
 
 __all__ = ["Waveform", "DifferentialWaveform", "sample_uniform"]

@@ -63,7 +63,13 @@ class FaultInjected(RuntimeError):
 class SweepAbort(RuntimeError):
     """A fatal, never-retried failure (``mode="abort"``): the
     supervisor re-raises it immediately, modelling the whole sweep
-    process dying mid-run with the checkpoint journal left behind."""
+    process dying mid-run with the checkpoint journal left behind.
+
+    Once an abort rule has fired, every later unit started under the
+    same plan raises it again: a dead sweep runs nothing more.  This
+    keeps the abort observable when a pool break loses the worker
+    result that carried the first raise (the requeued unit aborts
+    again instead of running clean)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,7 +83,8 @@ class FaultRule:
         (sleep ``seconds`` before proceeding normally), ``"raise"``
         (raise :class:`FaultInjected`), ``"nan"`` (overwrite measured
         values with ``nan``), or ``"abort"`` (raise
-        :class:`SweepAbort`, which is never retried).
+        :class:`SweepAbort`, which is never retried; from then on
+        every unit started under the plan raises it too).
     si / start:
         Restrict the rule to units of one structural-point index /
         one exact chunk start; ``None`` matches any.
@@ -219,6 +226,9 @@ def on_unit_start(unit_key: Tuple[int, int, int]) -> None:
     if active is None:
         return
     plan_path, rules = active
+    aborted = plan_path.parent / f"{plan_path.stem}-aborted"
+    if aborted.exists():
+        raise SweepAbort(aborted.read_text())
     for index, rule in enumerate(rules):
         if rule.mode == "nan" or not rule.matches(*unit_key):
             continue
@@ -231,7 +241,11 @@ def on_unit_start(unit_key: Tuple[int, int, int]) -> None:
         elif rule.mode == "hang":
             time.sleep(rule.seconds)
         elif rule.mode == "abort":
-            raise SweepAbort(f"injected abort at unit {unit_key}")
+            # Recorded before raising: the raise travels back in a
+            # worker result that a concurrent pool break can lose.
+            message = f"injected abort at unit {unit_key}"
+            aborted.write_text(message)
+            raise SweepAbort(message)
         elif rule.mode == "raise":
             raise FaultInjected(f"injected failure at unit {unit_key}")
 

@@ -6,6 +6,7 @@ full signal paths.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     BackplaneChannel,
@@ -19,6 +20,10 @@ from repro import (
 BIT_RATE = 10e9
 SAMPLES_PER_BIT = 16
 N_BITS = 280
+
+# A deep run of the kernel oracles (CI step "Kernel oracle deep run"):
+#   pytest tests/test_numpy_kernel_oracle.py --hypothesis-profile=kernel-deep
+settings.register_profile("kernel-deep", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

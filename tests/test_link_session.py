@@ -446,6 +446,51 @@ def test_run_batch_rejects_non_finite_input_naming_first_row():
     assert session.run_batch(batch).n_scenarios == 4
 
 
+def test_too_short_waveform_names_the_session_minimum():
+    # Used to fail deep in the eye code: "too short for an eye: 0 UI
+    # after skipping".  Now both entry points reject it up front.
+    wave = bits_to_nrz(prbs7(20), BIT_RATE, amplitude=0.4,
+                       samples_per_bit=16)
+    message = ("^waveform too short for this session: 20 UI, needs at "
+               r"least 24 UI \(skip_ui=16 \+ 8 for the eye; 18 for the CDR; "
+               r"5\.5625 for the DFE\)$")
+    session = _nan_session()
+    with pytest.raises(ValueError, match=message):
+        session.run(wave)
+    with pytest.raises(ValueError, match=message):
+        session.run_batch(WaveformBatch.tiled(wave, 3))
+    with pytest.raises(ValueError, match=message):
+        session.run_batch(WaveformBatch.tiled(wave, 3), chunk_rows=1)
+    # The minimum follows the configured measurements.
+    bare = LinkSession([GainBlock(1.0)], bit_rate=BIT_RATE, skip_ui=4,
+                       cdr=CdrConfig(bit_rate=BIT_RATE))
+    with pytest.raises(ValueError, match=r"needs at least 18 UI \(skip_ui=4 "
+                                         r"\+ 8 for the eye; 18 for the CDR\)$"):
+        bare.run(bits_to_nrz(prbs7(17), BIT_RATE, samples_per_bit=16))
+    # Exactly the minimum runs.
+    long_enough = bits_to_nrz(prbs7(24), BIT_RATE, amplitude=0.4,
+                              samples_per_bit=16)
+    assert session.run(long_enough).cdr is not None
+
+
+def test_too_short_waveform_is_rejected_before_any_stage_runs():
+    calls = []
+
+    def recording(batch):
+        calls.append(batch.n_scenarios)
+        return batch
+
+    session = LinkSession([recording], bit_rate=BIT_RATE)
+    short = bits_to_nrz(prbs7(23), BIT_RATE, samples_per_bit=16)
+    with pytest.raises(ValueError, match="needs at least 24 UI"):
+        session.run(short)
+    with pytest.raises(ValueError, match="needs at least 24 UI"):
+        session.run_batch(WaveformBatch.tiled(short, 2))
+    assert calls == []
+    session.run(bits_to_nrz(prbs7(24), BIT_RATE, samples_per_bit=16))
+    assert calls == [1]
+
+
 # -- deprecations -------------------------------------------------------------
 
 def test_repro_package_never_triggers_its_own_deprecations(recwarn):

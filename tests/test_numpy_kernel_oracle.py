@@ -11,6 +11,15 @@ rows occur), NRZ and PAM4 thresholds, 1 to 9 DFE taps and 1, 2 or 64
 rows.  The inputs are finite: on NaN samples the old votes and
 multi-level decisions disagreed with the scalar reference loops, which
 ``test_nan_sample_counts_low_on_every_path`` pins instead.
+
+The kernels solve the recurrences a window of bits at a time by
+fixed-point iteration, so the properties also draw record lengths on
+either side of the CDR window and the DFE block, and DFE taps large
+enough to need several sweeps; pinned hard cases cover a near-closed
+eye, forced cycle slips, a nonzero initial integral on a one-window
+record and a large-tap PAM4 DFE.  Every property runs a quick sample by
+default and the ``kernel-deep`` profile's count under
+``--hypothesis-profile=kernel-deep`` (see ``conftest.py``).
 """
 
 import numpy as np
@@ -27,6 +36,19 @@ from serial_oracles import SerialCdr, SerialDfe
 
 BIT_RATE = 10e9
 SAMPLES_PER_BIT = 8
+
+
+def examples(quick: int) -> int:
+    """``quick`` examples under the default profile; a loaded profile
+    that asks for more (``kernel-deep``) gets its own count.
+
+    A profile alone cannot do this: a ``max_examples`` given to the
+    ``@settings`` decorator overrides every profile, and leaving it out
+    would run the default profile's 100 examples in tier-1.
+    """
+    loaded = settings.default.max_examples
+    default = settings.get_profile("default").max_examples
+    return loaded if loaded > default else quick
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +256,23 @@ cdr_cases = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=cdr_cases)
-def test_cdr_kernel_matches_frozen_oracle(case):
+def _edges(block):
+    """Record lengths on either side of a block of ``block`` bits."""
+    return [2, block - 1, block, block + 1, 3 * block + 2]
+
+
+# Bit-steps of the CDR records: the historical 118 (a 120-bit
+# waveform), and the window edges of one row and of 64 rows.
+CDR_LENGTHS = sorted({118, *_edges(kernels._CDR_BLOCK),
+                      *_edges(kernels._window(64))})
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(case=cdr_cases, total_bits=st.sampled_from(CDR_LENGTHS))
+def test_cdr_kernel_matches_frozen_oracle(case, total_bits):
     rng = np.random.default_rng(case["seed"])
     n_rows = case["n_rows"]
-    n_bits = 120
+    n_bits = total_bits + 2
     data = _waveforms(rng, n_rows, n_bits, case["modulation"])
     sample_rate = BIT_RATE * SAMPLES_PER_BIT
     t0 = case["t0"]
@@ -263,15 +296,22 @@ dfe_cases = st.fixed_dictionaries({
     "n_taps": st.integers(1, 9),
     "sample_phase_ui": st.floats(0.0, 0.9),
     "ui_samples": st.sampled_from([8.0, 7.3]),
+    # Waveform UI: the historical 100, and the DFE block edges (at 8
+    # samples per UI and a sample phase below 7/8, that many bits).
+    "n_ui": st.sampled_from([100, *_edges(kernels._DFE_BLOCK)]),
+    # Taps up to +-0.5 feed back up to half the decision amplitude, so
+    # the decisions of a block take several sweeps.
+    "tap_scale": st.sampled_from([0.1, 0.5]),
 })
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(case=dfe_cases)
 def test_dfe_kernel_matches_frozen_oracle(case):
     rng = np.random.default_rng(case["seed"])
-    data = _waveforms(rng, case["n_rows"], 100, case["modulation"])
-    taps = rng.uniform(-0.1, 0.1, case["n_taps"])
+    data = _waveforms(rng, case["n_rows"], case["n_ui"], case["modulation"])
+    taps = rng.uniform(-case["tap_scale"], case["tap_scale"],
+                       case["n_taps"])
     thresholds, levels = (AMPLITUDE * v
                           for v in MODULATIONS[case["modulation"]])
     n_bits = int((data.shape[1] - 1) / case["ui_samples"]
@@ -283,6 +323,86 @@ def test_dfe_kernel_matches_frozen_oracle(case):
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point structure: window and block edges, multi-sweep cases.
+# ---------------------------------------------------------------------------
+
+def _cdr_args(data, phase, integral, total_bits, modulation="nrz",
+              kp=2e-2, ki=1e-4, t0=0.0):
+    sample_rate = BIT_RATE * SAMPLES_PER_BIT
+    t_last = t0 + (data.shape[1] - 1) / sample_rate
+    thresholds = MODULATIONS[modulation][0] * AMPLITUDE
+    return (data, t0, sample_rate, t_last, 1.0 / BIT_RATE, kp, ki,
+            np.asarray(phase, dtype=float),
+            np.asarray(integral, dtype=float), total_bits, thresholds)
+
+
+def _dfe_args(data, taps, n_bits, modulation):
+    thresholds, levels = (AMPLITUDE * v for v in MODULATIONS[modulation])
+    return (data, np.asarray(taps, dtype=float), float(SAMPLES_PER_BIT),
+            0.5, AMPLITUDE / 2, n_bits, thresholds, levels)
+
+
+def _assert_dfe_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_cdr_near_closed_eye_matches_frozen_oracle():
+    rng = np.random.default_rng(11)
+    data = _waveforms(rng, 1, 1000, "nrz")
+    # Noise comparable to the signal: the edge votes flip under tiny
+    # phase changes, so most windows need several sweeps.
+    data += rng.normal(0.0, 0.25, data.shape)
+    args = _cdr_args(data, [0.1], [0.0], 998)
+    got = kernels.cdr_recover_batch(*args)
+    _assert_cdr_equal(got, _old_cdr_recover_batch(*args))
+    decisions = got[0][0]
+    assert 0.3 < decisions.mean() < 0.7
+
+
+@pytest.mark.parametrize("modulation", ["nrz", "pam4"])
+def test_cdr_forced_cycle_slips_match_frozen_oracle(modulation):
+    rng = np.random.default_rng(12)
+    data = _waveforms(rng, 3, 1000, modulation)
+    # A 2 % frequency offset outruns the integrator: the phase wraps
+    # past +-1 UI again and again, in both directions across the rows.
+    args = _cdr_args(data, [0.3, -0.4, 0.0], [0.02, -0.02, 0.02], 998,
+                     modulation)
+    got = kernels.cdr_recover_batch(*args)
+    _assert_cdr_equal(got, _old_cdr_recover_batch(*args))
+    slips = got[3]
+    assert slips[0] > 0 and slips[1] < 0
+    assert got[4][0] < 998       # the slipping row runs out of waveform
+
+
+@pytest.mark.parametrize("n_rows", [1, 64])
+def test_cdr_initial_integral_on_one_window_record(n_rows):
+    # The first step casts no vote and updates nothing: with a nonzero
+    # initial integral, applying it at step 0 would shift every phase.
+    rng = np.random.default_rng(13)
+    total_bits = kernels._window(n_rows) - 3
+    data = _waveforms(rng, n_rows, total_bits + 2, "nrz")
+    args = _cdr_args(data, rng.uniform(-0.5, 0.5, n_rows),
+                     np.full(n_rows, 3e-3), total_bits)
+    got = kernels.cdr_recover_batch(*args)
+    _assert_cdr_equal(got, _old_cdr_recover_batch(*args))
+    np.testing.assert_array_equal(got[1][:, 1], args[7])
+
+
+def test_large_tap_pam4_dfe_matches_frozen_oracle():
+    rng = np.random.default_rng(14)
+    data = _waveforms(rng, 2, 1000, "pam4")
+    args = _dfe_args(data, [0.4, 0.3, 0.25, 0.2, 0.15], 998, "pam4")
+    decisions, corrected = kernels.dfe_equalize_batch(*args)
+    _assert_dfe_equal((decisions, corrected), _old_dfe_equalize_batch(*args))
+    # The feedback moves decisions: the no-feedback first guess is wrong,
+    # so the blocks really iterate.
+    no_feedback, _ = kernels.dfe_equalize_batch(data, [], *args[2:])
+    assert not np.array_equal(no_feedback, decisions)
 
 
 def test_zero_row_batch_returns_empty_arrays():

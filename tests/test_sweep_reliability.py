@@ -221,6 +221,21 @@ def test_abort_then_resume_is_bit_exact(tmp_path):
     assert resumed.failures == []
 
 
+def test_abort_stays_observable_when_its_raise_is_lost(tmp_path):
+    """A pool break can lose the worker result that carried an abort,
+    after the one-shot rule is spent: the requeued unit (or any other)
+    must abort again instead of running clean."""
+    with inject_faults([FaultRule(mode="abort", si=1, start=4)],
+                       tmp_path / "faults"):
+        with pytest.raises(faults_mod.SweepAbort):
+            faults_mod.on_unit_start((1, 4, 6))   # the raise a break loses
+        for unit in [(1, 4, 6), (0, 0, 2)]:
+            with pytest.raises(faults_mod.SweepAbort,
+                               match=r"unit \(1, 4, 6\)"):
+                faults_mod.on_unit_start(unit)
+    faults_mod.on_unit_start((1, 4, 6))           # no plan: nothing fires
+
+
 def test_describe_callable_is_stable_and_content_sensitive():
     assert describe_callable(None) == "None"
     assert describe_callable(measure) == describe_callable(measure)
