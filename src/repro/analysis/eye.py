@@ -66,6 +66,29 @@ def _slice_levels(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return level
 
 
+def _fill_cluster_means(means: np.ndarray, flat: np.ndarray,
+                        level: np.ndarray) -> None:
+    """Set ``means[row, i]`` to ``flat[row][level[row] == i].mean()``
+    for every non-empty cluster, bit for bit.
+
+    A masked row sum adds the same samples in another order, and a
+    shallow crossing amplifies the last bits into the threshold.  So
+    each level's samples are gathered row-major (each row's cluster
+    contiguous, in sample order) and the clusters of one size are
+    stacked into the rows of one array: summing along them adds in the
+    same pairwise order as the 1-D ``mean``, one pass per distinct size.
+    """
+    for i in range(means.shape[1]):
+        mask = level == i
+        values = flat[mask]
+        counts = np.count_nonzero(mask, axis=1)
+        starts = np.cumsum(counts) - counts
+        for size in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == size)
+            cluster = values[starts[rows, np.newaxis] + np.arange(size)]
+            means[rows, i] = cluster.sum(axis=1) / size
+
+
 def _estimate_thresholds(traces: np.ndarray,
                          modulation: Modulation) -> np.ndarray:
     """Estimate per-row sub-eye decision thresholds from folded traces.
@@ -84,12 +107,7 @@ def _estimate_thresholds(traces: np.ndarray,
     center = 0.5 * (lo + hi)
     level = _slice_levels(flat, center + modulation.threshold_values(swing))
     means = center + modulation.level_values(swing)
-    for i in range(modulation.n_levels):
-        mask = level == i
-        count = mask.sum(axis=1)
-        seen = count > 0
-        total = np.where(mask, flat, 0.0).sum(axis=1)
-        means[seen, i] = total[seen] / count[seen]
+    _fill_cluster_means(means, flat, level)
     thresholds = (means[:, :-1] + means[:, 1:]) / 2.0
     thresholds[swing[:, 0] <= 0] = 0.0
     return thresholds

@@ -218,8 +218,13 @@ class BangBangCdr:
     def __init__(self, config: CdrConfig):
         self.config = config
 
+    def count_ui(self, duration: float) -> int:
+        """Whole UI in ``duration`` as the loop counts them: the count
+        :meth:`min_ui` is compared with."""
+        return int(duration / (1.0 / self.config.bit_rate))
+
     def _usable_bits(self, duration: float, n_bits: int | None) -> int:
-        total_bits = int(duration / (1.0 / self.config.bit_rate)) - _SHORT_UI
+        total_bits = self.count_ui(duration) - _SHORT_UI
         if n_bits is not None:
             total_bits = min(total_bits, n_bits)
         if total_bits < _MIN_BITS:
@@ -229,7 +234,8 @@ class BangBangCdr:
         return total_bits
 
     def min_ui(self) -> int:
-        """Shortest waveform, in UI, that :meth:`recover` accepts."""
+        """Shortest waveform, in UI as :meth:`count_ui` counts them,
+        that :meth:`recover` accepts."""
         return _MIN_BITS + _SHORT_UI
 
     def recover(self, wave: Waveform, n_bits: int | None = None

@@ -396,6 +396,25 @@ class LinkSession:
         session._configs = (tx, channel, rx)
         return session
 
+    def sweep_fingerprint(self) -> Dict[str, Any]:
+        """What determines this session's results, for the sweep
+        journal's key (:func:`repro.sweep.checkpoint.describe_value`):
+        the configs (or, without them, the stages), the rate and line
+        code, the CDR config, the DFE, and the measurement settings.
+        Never the built chain or a cache, so running the session does
+        not change it."""
+        return {
+            "configs": self._configs,
+            "stages": self.stages if self._configs is None else None,
+            "bit_rate": self.bit_rate,
+            "modulation": self.modulation,
+            "cdr": self.cdr_config,
+            "dfe": self.dfe,
+            "skip_ui": self.skip_ui,
+            "dfe_skip_bits": self.dfe_skip_bits,
+            "measure_eye": self.measure_eye,
+        }
+
     @staticmethod
     def _build_chain(tx: Optional[TxConfig], channel: Optional[ChannelConfig],
                      rx: Optional[RxConfig], bit_rate: float):
@@ -495,22 +514,31 @@ class LinkSession:
         """Reject a waveform too short for the session's measurements
         before any stage runs, naming the minimum it needs."""
         samples_per_ui = batch.sample_rate / self.bit_rate
+        n_ui = batch.n_samples / samples_per_ui
+        shown = f"{n_ui:g} UI"
         needs = []
         if self.measure_eye:
             needs.append((self.skip_ui + MIN_EYE_UI,
                           f"skip_ui={self.skip_ui} + {MIN_EYE_UI} for "
                           "the eye"))
+        short = n_ui < max((n for n, _ in needs), default=0.0)
         if self._cdr_stage is not None:
-            cdr_ui = self._cdr_stage.cdr.min_ui()
+            # The CDR counts whole UI from the duration; ask it, so a
+            # waveform it would reject never gets past this check.
+            cdr = self._cdr_stage.cdr
+            cdr_ui, counted = cdr.min_ui(), cdr.count_ui(batch.duration)
             needs.append((cdr_ui, f"{cdr_ui:g} for the CDR"))
+            if counted < cdr_ui <= n_ui:
+                shown += f" ({counted} as the CDR counts them)"
+            short |= counted < cdr_ui
         if self.dfe is not None:
             dfe_ui = self.dfe.min_ui(samples_per_ui)
             needs.append((dfe_ui, f"{dfe_ui:g} for the DFE"))
-        n_ui = batch.n_samples / samples_per_ui
-        minimum = max((n for n, _ in needs), default=0.0)
-        if n_ui < minimum:
+            short |= n_ui < dfe_ui
+        if short:
+            minimum = max(n for n, _ in needs)
             raise ValueError(
-                f"waveform too short for this session: {n_ui:g} UI, needs "
+                f"waveform too short for this session: {shown}, needs "
                 f"at least {minimum:g} UI ("
                 + "; ".join(reason for _, reason in needs) + ")"
             )

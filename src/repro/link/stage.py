@@ -32,6 +32,7 @@ from ..baselines.dfe import (
 from ..cdr.loop import BangBangCdr, CdrBatchResult, CdrResult
 from ..signals.batch import WaveformBatch
 from ..signals.waveform import Waveform
+from ..sweep.checkpoint import describe_callable
 
 __all__ = ["Stage", "BlockStage", "CdrStage", "DfeStage", "stage"]
 
@@ -107,6 +108,15 @@ class BlockStage(Stage):
         if not isinstance(self.name, str):
             self.name = type(processor).__name__
 
+    def sweep_fingerprint(self):
+        """What this stage computes with, for the sweep journal's key:
+        its name and the processor (a plain callable by its code and
+        closure, see :func:`~repro.sweep.checkpoint.describe_callable`)."""
+        processor = self.processor
+        if not hasattr(processor, "process"):
+            processor = describe_callable(processor)
+        return {"name": self.name, "processor": processor}
+
     def process_batch(self, batch: WaveformBatch) -> WaveformBatch:
         out = self._process(batch)
         if isinstance(out, Waveform):
@@ -135,6 +145,10 @@ class CdrStage(Stage):
     def __init__(self, cdr: BangBangCdr, n_bits: Optional[int] = None):
         self.cdr = cdr
         self.n_bits = n_bits
+
+    def sweep_fingerprint(self):
+        """The CDR config and bit count, for the sweep journal's key."""
+        return {"cdr": self.cdr.config, "n_bits": self.n_bits}
 
     def recover(self, signal: Signal, n_bits: Optional[int] = None,
                 initial_phase_ui: Optional[np.ndarray] = None,
@@ -171,6 +185,10 @@ class DfeStage(Stage):
 
     def __init__(self, dfe: DecisionFeedbackEqualizer):
         self.dfe = dfe
+
+    def sweep_fingerprint(self):
+        """The equalizer, for the sweep journal's key."""
+        return {"dfe": self.dfe}
 
     def equalize(self, signal: Signal) -> Tuple[np.ndarray, np.ndarray]:
         """``(decisions, corrected)``: 1-D for a waveform, 2-D

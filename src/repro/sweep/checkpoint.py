@@ -1,52 +1,67 @@
 """Chunk-level checkpoint journal for resumable sweeps.
 
-A long sweep is a sequence of independent execution units — one
-(structural point, row-chunk) each — so fault tolerance reduces to
-journaling every finished unit's results on disk and skipping the
-journaled ones on the next run.  The journal lives under
+A sweep runs as independent units — one (structural point, row-chunk)
+each — so resuming means journaling every finished unit and skipping
+the journaled ones next time.  Each sweep appends to one log,
+``<checkpoint_dir>/<key>/journal.log``, of records
 
-    <checkpoint_dir>/<key>/units/<si>-<start>-<stop>.pkl
+    <u32 payload length> <u32 CRC32 of the payload> <payload>
 
-where ``key`` is a canonical hash of everything that determines a
-unit's results: the grid's axes (names, structural flags, value
-content), the runner's stimulus / build / measure callables, the chunk
-size (it defines the unit boundaries), and the failure policy
-(NaN guard, ``on_error``, ``max_attempts``, ``timeout`` — quarantine
-decisions are journaled, so they are only reusable under the policy
-that made them).  Two
-runners with the same fingerprint share a journal; anything else lands
-in its own subdirectory, so a stale ``checkpoint_dir`` can never leak
-wrong results into a different sweep.  Results are pickled, and a
-pickle round-trip of floats and ndarrays is exact — a resumed sweep is
-bit-identical to an uninterrupted one.
+(little-endian), the payload a pickled ``(unit_key, record)``.  The
+first record is the sweep's canonical fingerprint (``unit_key`` None),
+each later one a finished unit (``"<si>-<start>-<stop>"``), appended
+by the sweep's supervisor in one ``os.write`` on an ``O_APPEND``
+descriptor.  Pickle round-trips floats and ndarrays exactly, so a
+resumed sweep is bit-identical to an uninterrupted one.
 
-Callable fingerprints are best-effort: module-qualified name plus (when
-available) a bytecode hash, default arguments, and cleaned ``repr``s of
-closure cells — enough to catch the common "edited the measure
-function" footgun.  Opaque callables fall back to their cleaned
-``repr`` (memory addresses stripped so the fingerprint is stable
-across processes); when in doubt, point the sweep at a fresh
-``checkpoint_dir``.
+**Torn tail.**  :meth:`CheckpointJournal.open` reads the log once; a
+record cut short (the sweep died mid-write), failing its CRC or
+unreadable ends it: the file is truncated back to the last good record
+and the units after it re-run.  A log not starting with this sweep's
+fingerprint is emptied.  This is the LevelDB log format
+(https://github.com/google/leveldb/blob/main/doc/log_format.md)
+without its 32 KiB blocks.
 
-Unit files are written atomically (temp file + ``os.replace``), so a
-sweep killed mid-write leaves at worst one corrupt temp file; corrupt
-or truncated unit files are treated as missing and re-run.
+**Fingerprint.**  ``key`` hashes everything that determines a unit's
+results: the grid's axes, the stimulus / build / measure callables,
+the chunk size, the failure policy (quarantine decisions are
+journaled) and the reducers.  Values enter through
+:func:`describe_value`, by content — an ndarray by its dtype, shape
+and a sha256 of its bytes (numpy's ``repr`` elides the middle of large
+arrays), a :class:`~repro.link.LinkSession` by its
+``sweep_fingerprint()`` — and callables by their bytecode, defaults,
+closure cells and bound ``self``.  Caches that fill while a sweep runs
+stay out: the fingerprint must read the same before and after a run,
+or a resume would never find its journal.  Other objects fall back to
+an address-stripped ``repr``.  Old ``units/*.pkl`` journals (version 4
+and older) are never replayed; opening warns once per directory.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
 import pickle
 import re
-from typing import Any, Dict, List, Optional, Sequence
+import struct
+import warnings
+import zlib
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["CheckpointJournal", "describe_callable", "describe_grid"]
+import numpy as np
+
+__all__ = ["CheckpointJournal", "describe_callable", "describe_value"]
 
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
+_SCALARS = (str, bytes, int, float, complex, type(None), np.generic)
+_NUMBERS = (int, float, complex, np.number, np.bool_)
+#: Record frame: payload length, CRC32 of the payload.
+_FRAME = struct.Struct("<II")
+_LOG = "journal.log"
 
 
 def _clean_repr(obj) -> str:
@@ -62,9 +77,76 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _cell_repr(cell) -> str:
+def describe_value(value) -> str:
+    """The canonical, content-based description of a value.
+
+    ndarrays are their dtype, shape and a sha256 of their bytes;
+    dataclasses are their fields and lists, tuples, sets and dicts
+    their items (dict keys and set items sorted), all recursively — a
+    list or tuple of numbers of one type, or of equal-length lists of
+    them, is hashed as one exact ndarray; scalars and strings are their ``repr``; objects defining
+    ``sweep_fingerprint()`` are described by what it returns.  Anything
+    else is its ``repr`` with memory addresses stripped."""
+    if isinstance(value, _SCALARS):
+        return repr(value)
+    if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:
+            return f"ndarray[object]({describe_value(value.tolist())})"
+        digest = hashlib.sha256(np.ascontiguousarray(value)).hexdigest()
+        return f"ndarray[{value.dtype.str}]{value.shape}:{digest}"
+    if isinstance(value, (list, tuple)):
+        numbers = _describe_numbers(value)
+        if numbers is not None:
+            return numbers
+        items = ",".join(describe_value(item) for item in value)
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ",".join(sorted(describe_value(item)
+                                     for item in value)) + "}"
+    if isinstance(value, dict):
+        items = sorted((describe_value(key), describe_value(item))
+                       for key, item in value.items())
+        return "{" + ",".join(f"{key}:{item}" for key, item in items) + "}"
+    fingerprint = getattr(value, "sweep_fingerprint", None)
+    if callable(fingerprint) and not isinstance(value, type):
+        return (f"{type(value).__qualname__}"
+                f"<{describe_value(fingerprint())}>")
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ",".join(
+            f"{field.name}={describe_value(getattr(value, field.name))}"
+            for field in dataclasses.fields(value))
+        return f"{type(value).__qualname__}({fields})"
+    return _clean_repr(value)
+
+
+def _describe_numbers(value) -> Optional[str]:
+    """A list or tuple of numbers of one type, or of equal-length lists
+    (or equal-length tuples) of them, described as one exact ndarray: a
+    long sweep axis costs one hash instead of a ``repr`` per number.
+    ``None`` for anything else."""
+    leaves, inner = set(), set()
+    for item in value:
+        if isinstance(item, (list, tuple)):
+            inner.add(type(item))
+            leaves.update(map(type, item))
+        else:
+            leaves.add(type(item))
+    if len(leaves) != 1 or len(inner) > 1 \
+            or not issubclass(leaves.pop(), _NUMBERS):
+        return None
     try:
-        return _clean_repr(cell.cell_contents)
+        numbers = np.array(value)
+    except (OverflowError, ValueError):  # ragged, or beyond int64
+        return None
+    if numbers.dtype.hasobject:
+        return None
+    nested = "".join(kind.__qualname__ for kind in inner)
+    return f"{type(value).__name__}[{nested}]:{describe_value(numbers)}"
+
+
+def _describe_cell(cell) -> str:
+    try:
+        return describe_value(cell.cell_contents)
     except ValueError:  # yet-unbound cell, e.g. a recursive inner fn
         return "<empty cell>"
 
@@ -73,11 +155,11 @@ def describe_callable(fn) -> str:
     """A stable, content-sensitive fingerprint of a callable."""
     if fn is None:
         return "None"
-    import functools
     if isinstance(fn, functools.partial):
         keywords = sorted((fn.keywords or {}).items())
         return (f"partial({describe_callable(fn.func)}, "
-                f"args={_clean_repr(fn.args)}, kw={_clean_repr(keywords)})")
+                f"args={describe_value(fn.args)}, "
+                f"kw={describe_value(keywords)})")
     parts = [
         f"{getattr(fn, '__module__', '?')}."
         f"{getattr(fn, '__qualname__', type(fn).__qualname__)}"
@@ -88,114 +170,119 @@ def describe_callable(fn) -> str:
                                     + _clean_repr(code.co_consts))[:16])
     defaults = getattr(fn, "__defaults__", None)
     if defaults:
-        parts.append("defaults:" + _clean_repr(defaults))
+        parts.append("defaults:" + describe_value(defaults))
     closure = getattr(fn, "__closure__", None)
     if closure:
-        cells = [_cell_repr(cell) for cell in closure]
+        cells = [_describe_cell(cell) for cell in closure]
         parts.append("closure:" + _sha("|".join(cells))[:16])
     self_obj = getattr(fn, "__self__", None)  # bound methods
     if self_obj is not None:
-        parts.append("self:" + _clean_repr(self_obj))
+        parts.append("self:" + describe_value(self_obj))
     if code is None and self_obj is None:
-        # Callable object: its state is whatever repr exposes.
-        parts.append("obj:" + _clean_repr(fn))
+        # Callable object: described by its state.
+        parts.append("obj:" + describe_value(fn))
     return "|".join(parts)
 
 
-def describe_grid(grid) -> List[Dict[str, Any]]:
-    """Per-axis fingerprint: name, structural flag, size, value hash.
+def _append(log: pathlib.Path, unit_key: Optional[str], record) -> None:
+    """Append one record to ``log`` in a single ``O_APPEND`` write."""
+    payload = pickle.dumps((unit_key, record),
+                           protocol=pickle.HIGHEST_PROTOCOL)
+    frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        written = os.write(fd, frame)
+    finally:
+        os.close(fd)
+    if written != len(frame):
+        raise OSError(f"short write to {log}: {written} of {len(frame)} "
+                      "bytes (disk full?)")
 
-    Grids describe themselves (:meth:`repro.sweep.grid.ScenarioGrid.
-    describe`); grid-shaped ducks without a ``describe`` get the same
-    treatment axis by axis."""
-    if hasattr(grid, "describe"):
-        return grid.describe()
-    return [
-        {
-            "name": axis.name,
-            "structural": bool(axis.structural),
-            "n": len(axis),
-            "values": _sha(_clean_repr(axis.values))[:16],
-        }
-        for axis in grid.axes
-    ]
+
+def _parse(data: bytes) -> Tuple[List[Tuple[Any, Any]], int]:
+    """The records of a log and the offset where the last good one
+    ends: a short, CRC-failing or unreadable record ends the log."""
+    view = memoryview(data)
+    entries: List[Tuple[Any, Any]] = []
+    offset = 0
+    while offset + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, offset)
+        start = offset + _FRAME.size
+        payload = view[start:start + length]
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            break
+        try:
+            entries.append(pickle.loads(payload))
+        except Exception:  # e.g. a class that no longer imports
+            break
+        offset = start + length
+    return entries, offset
+
+
+def _warn_old_journals(root: pathlib.Path) -> None:
+    """Warn about each old ``units/*.pkl`` journal under ``root`` (the
+    default warning filter shows each directory once per call site)."""
+    for units in root.glob("*/units"):
+        if not any(units.glob("*.pkl")):
+            continue
+        warnings.warn(f"{units.parent} is a sweep journal in the old "
+                      "units/*.pkl layout; it is never replayed — delete "
+                      "it to reclaim the space", RuntimeWarning,
+                      stacklevel=4)
 
 
 class CheckpointJournal:
     """On-disk journal of finished sweep units, keyed by sweep
-    fingerprint (see the module docstring for the layout)."""
+    fingerprint (see the module docstring for the format)."""
 
     def __init__(self, path: pathlib.Path):
         self.path = pathlib.Path(path)
-        self._units = self.path / "units"
+        self._log = self.path / _LOG
+        self._records: Dict[str, Dict[str, Any]] = {}
 
     @classmethod
     def open(cls, checkpoint_dir, fingerprint: Dict[str, Any]
              ) -> "CheckpointJournal":
-        """Open (creating if needed) the journal for one sweep config."""
+        """Open (creating if needed) the journal for one sweep config,
+        truncating a torn or corrupt tail back to the last good
+        record."""
         canonical = json.dumps(fingerprint, sort_keys=True)
-        key = _sha(canonical)[:20]
-        path = pathlib.Path(checkpoint_dir) / key
-        journal = cls(path)
-        journal._units.mkdir(parents=True, exist_ok=True)
-        manifest = path / "manifest.json"
-        if not manifest.exists():
-            # The fingerprint itself, for humans debugging a stale dir.
-            tmp = manifest.with_suffix(f".tmp-{os.getpid()}")
-            tmp.write_text(json.dumps({"key": key,
-                                       "fingerprint": fingerprint},
-                                      indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, manifest)
+        root = pathlib.Path(checkpoint_dir)
+        _warn_old_journals(root)
+        journal = cls(root / _sha(canonical)[:20])
+        journal.path.mkdir(parents=True, exist_ok=True)
+        data = journal._log.read_bytes() if journal._log.exists() else b""
+        entries, end = _parse(data)
+        if not entries or entries[0] != (None, canonical):
+            entries, end = [], 0
+        if end < len(data):
+            os.truncate(journal._log, end)
+        if not entries:
+            _append(journal._log, None, canonical)
+        journal._records = dict(entries[1:])
         return journal
 
     # -- unit records --------------------------------------------------------
     def load(self, unit_key: str) -> Optional[Dict[str, Any]]:
         """The journaled record for one unit: ``{"values": [...],
-        "failures": [...], "partials": {...}}``, or ``None`` when
-        absent/corrupt.  ``values`` is ``None`` (not a list) for units
-        journaled by a ``keep_results=False`` streaming run — the
-        fingerprint guarantees such records are only ever read back by
-        an identically streaming runner."""
-        file = self._units / f"{unit_key}.pkl"
-        try:
-            with open(file, "rb") as handle:
-                record = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated/corrupt (e.g. disk full mid-write of a temp
-            # file that still got renamed somehow): re-run the unit.
-            file.unlink(missing_ok=True)
-            return None
-        if not isinstance(record, dict) or "values" not in record:
-            file.unlink(missing_ok=True)
-            return None
-        record.setdefault("failures", [])
-        record.setdefault("partials", None)
-        return record
+        "failures": [...], "partials": {...}}``, or ``None``.
+        ``values`` is ``None`` for a ``keep_results=False`` run."""
+        return self._records.get(unit_key)
 
     def store(self, unit_key: str, values: Optional[Sequence],
               failures: Sequence,
               partials: Optional[Dict[str, Any]] = None) -> None:
-        """Atomically journal one finished unit.
-
-        ``partials`` are the unit's streaming-reducer states (reducer
-        name → mergeable partial); ``values`` is ``None`` under
-        ``keep_results=False``, so the journal of a million-scenario
-        streaming sweep stays as flat in memory and disk as the sweep
-        itself."""
-        file = self._units / f"{unit_key}.pkl"
-        tmp = file.with_name(file.name + f".tmp-{os.getpid()}")
-        with open(tmp, "wb") as handle:
-            pickle.dump({"values": (None if values is None
-                                    else list(values)),
-                         "failures": list(failures),
-                         "partials": partials}, handle)
-        os.replace(tmp, file)
+        """Append one finished unit to the log in a single write.
+        ``partials`` are its reducer states (name → mergeable partial);
+        ``values`` is ``None`` under ``keep_results=False``."""
+        record = {"values": None if values is None else list(values),
+                  "failures": list(failures), "partials": partials}
+        _append(self._log, unit_key, record)
+        self._records[unit_key] = record
 
     def unit_keys(self) -> List[str]:
         """Keys of every journaled unit (sorted, for tests/benches)."""
-        return sorted(p.stem for p in self._units.glob("*.pkl"))
+        return sorted(self._records)
 
     def __len__(self) -> int:
-        return len(list(self._units.glob("*.pkl")))
+        return len(self._records)

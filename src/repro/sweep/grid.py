@@ -24,6 +24,8 @@ import dataclasses
 import itertools
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["SweepAxis", "ScenarioGrid", "modulation_axis"]
 
 
@@ -58,18 +60,6 @@ class SweepAxis:
     def __len__(self) -> int:
         return len(self.values)
 
-    def describe(self) -> Dict:
-        """This axis's checkpoint fingerprint: name, structural flag,
-        size, and a content hash of the values (stable across
-        processes — memory addresses in reprs are stripped)."""
-        from .checkpoint import _clean_repr, _sha
-        return {
-            "name": self.name,
-            "structural": bool(self.structural),
-            "n": len(self),
-            "values": _sha(_clean_repr(self.values))[:16],
-        }
-
 
 def modulation_axis(modulations: Sequence) -> SweepAxis:
     """A structural ``"modulation"`` axis over line codes.
@@ -99,15 +89,6 @@ class ScenarioGrid:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axis names in {names}")
         self.axes: List[SweepAxis] = list(axes)
-
-    def describe(self) -> List[Dict]:
-        """Per-axis checkpoint fingerprint (see
-        :meth:`SweepAxis.describe`): the grid half of the key the
-        sweep journal is filed under — the runner half adds the
-        callables, chunking, failure policy, and (since fingerprint
-        version 3) the streaming-reducer configuration, so dense and
-        streaming journals never mix."""
-        return [axis.describe() for axis in self.axes]
 
     # -- geometry ----------------------------------------------------------
     @property
@@ -174,18 +155,12 @@ class ScenarioGrid:
         stop = max(start, min(int(stop), total))
         if not axes:
             return [{}][start:stop]
-        sizes = [len(axis) for axis in axes]
-        rows: List[Dict] = []
-        for flat in range(start, stop):
-            indices: List[int] = []
-            remainder = flat
-            for size in reversed(sizes):
-                indices.append(remainder % size)
-                remainder //= size
-            indices.reverse()
-            rows.append({axis.name: axis.values[i]
-                         for axis, i in zip(axes, indices)})
-        return rows
+        indices = np.unravel_index(np.arange(start, stop),
+                                   [len(axis) for axis in axes])
+        columns = [[axis.values[i] for i in index.tolist()]
+                   for axis, index in zip(axes, indices)]
+        names = [axis.name for axis in axes]
+        return [dict(zip(names, row)) for row in zip(*columns)]
 
     def n_batch_scenarios(self) -> int:
         """Scenarios per batched pass (product of batchable axis sizes)."""

@@ -48,14 +48,14 @@ import pickle
 import time
 import traceback as _traceback
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..signals.batch import WaveformBatch
 from ..signals.waveform import Waveform
 from . import faults as _faults
-from .checkpoint import CheckpointJournal, describe_callable, describe_grid
+from .checkpoint import CheckpointJournal, describe_callable, describe_value
 from .grid import ScenarioGrid
 from .reducers import Reducer, describe_reducers
 
@@ -297,9 +297,12 @@ class _UnitOutcome:
 
 
 def _execute_unit(runner: "SweepRunner", unit: _Unit,
-                  processors: Optional[Dict[int, Any]] = None) -> List[Any]:
+                  processors: Optional[Dict[int, Any]] = None
+                  ) -> Tuple[List[Any], List[Dict]]:
     """Run one unit — fault hooks, build, stimulus/process/measure — in
     a pool worker or in-process (the only place a unit executes).
+    Returns the values and the unit's parameter dicts, built once here
+    for the measure and handed back for the reducers.
 
     ``processors`` caches one pipeline per structural point, so the
     in-process loop builds each point once; a pool worker passes none.
@@ -311,8 +314,9 @@ def _execute_unit(runner: "SweepRunner", unit: _Unit,
     if unit.si not in processors:
         processors[unit.si] = (runner.build(unit.structural_params)
                                if runner.build is not None else None)
-    values = runner._measure_chunk(processors[unit.si], unit.full_params)
-    return _faults.on_unit_values(unit.key, values)
+    params = unit.full_params
+    values = runner._measure_chunk(processors[unit.si], params)
+    return _faults.on_unit_values(unit.key, values), params
 
 
 def _has_nonfinite(value) -> bool:
@@ -559,13 +563,11 @@ class SweepRunner:
         journal = (CheckpointJournal.open(checkpoint_dir,
                                           self._fingerprint())
                    if checkpoint_dir is not None else None)
-        present = ({tuple(int(part) for part in key.split("-"))
-                    for key in journal.unit_keys()}
-                   if journal is not None else set())
         outcomes: List[_UnitOutcome] = []
         todo: List[_Unit] = []
         for unit in units:
-            covered = self._load_covering(unit, journal, present)
+            covered = (self._load_covering(unit, journal)
+                       if journal is not None and len(journal) else None)
             if covered is None:
                 todo.append(unit)
             else:
@@ -598,10 +600,13 @@ class SweepRunner:
         streaming-aggregation config (``reducers`` / ``keep_results``),
         so a journal written by a dense run is never consumed by a
         streaming run or vice versa.  Version 4: ``measure`` is the
-        only (batch) measurement, so older journals never replay."""
+        only (batch) measurement.  Version 5: values are described by
+        content (:func:`~repro.sweep.checkpoint.describe_value`) and
+        units go to an append-only log, so older journals never
+        replay."""
         return {
-            "version": 4,
-            "grid": describe_grid(self.grid),
+            "version": 5,
+            "grid": describe_value(self.grid.axes),
             "stimulus": describe_callable(self.stimulus),
             "build": describe_callable(self.build),
             "measure": describe_callable(self.measure),
@@ -614,38 +619,31 @@ class SweepRunner:
             "keep_results": self.keep_results,
         }
 
-    def _load_covering(self, unit: _Unit,
-                       journal: Optional[CheckpointJournal],
-                       present) -> Optional[List[_UnitOutcome]]:
+    def _load_covering(self, unit: _Unit, journal: CheckpointJournal
+                       ) -> Optional[List[_UnitOutcome]]:
         """Journaled outcomes covering ``unit``, or None to re-run it.
 
         Quarantine bisection journals *sub*-units (``0-4-5``/``0-5-6``
         instead of ``0-4-6``), so a resume must recurse down the
         deterministic split tree before declaring a unit missing —
         otherwise replaying a sweep with quarantined rows would re-run
-        (and potentially un-quarantine) them.  ``present`` is a
-        snapshot of the journal's ``(si, start, stop)`` keys, so a
-        fresh journal costs set lookups, not a file probe per node of
-        the split tree (and no journal is an empty snapshot).
+        (and potentially un-quarantine) them.  The first uncovered half
+        ends the search, so a missing unit costs ``O(log n_rows)``
+        in-memory lookups.
         """
-        if (unit.si, unit.start, unit.stop) in present:
-            record = journal.load(unit.journal_key)
-            if record is not None:
-                return [_UnitOutcome(unit, record["values"],
-                                     record["failures"],
-                                     record.get("partials"))]
+        record = journal.load(unit.journal_key)
+        if record is not None:
+            return [_UnitOutcome(unit, record["values"], record["failures"],
+                                 record["partials"])]
         if unit.n_rows <= 1:
             return None
-        if not any(si == unit.si and unit.start <= start
-                   and stop <= unit.stop
-                   and (start, stop) != (unit.start, unit.stop)
-                   for si, start, stop in present):
-            return None
-        parts = [self._load_covering(half, journal, present)
-                 for half in unit.split()]
-        if any(part is None for part in parts):
-            return None
-        return [outcome for part in parts for outcome in part]
+        covered: List[_UnitOutcome] = []
+        for half in unit.split():
+            part = self._load_covering(half, journal)
+            if part is None:
+                return None
+            covered.extend(part)
+        return covered
 
     def _assemble(self, outcomes: List[_UnitOutcome]) -> SweepResult:
         failures: List[SweepFailure] = []
@@ -728,8 +726,9 @@ class SweepRunner:
     def _finish_unit(self, unit: _Unit, values: List[Any],
                      failures: List[SweepFailure],
                      sink: List[_UnitOutcome],
-                     journal: Optional[CheckpointJournal]) -> None:
-        partials = (self._reduce_unit(values, unit.full_params)
+                     journal: Optional[CheckpointJournal],
+                     params: List[Dict]) -> None:
+        partials = (self._reduce_unit(values, params)
                     if self.reducers is not None else None)
         # keep_results=False is the whole point of streaming: the rows
         # are dropped here, right after folding into the partials, so
@@ -763,21 +762,22 @@ class SweepRunner:
             )
         if unit.n_rows > 1:
             return unit.split()
-        failure = SweepFailure(params=dict(unit.full_params[0]), kind=kind,
+        params = unit.full_params
+        failure = SweepFailure(params=dict(params[0]), kind=kind,
                                error=error, traceback=tb,
                                attempts=unit.attempts)
-        self._finish_unit(unit, [None], [failure], sink, journal)
+        self._finish_unit(unit, [None], [failure], sink, journal, params)
         return []
 
     def _handle_values(self, unit: _Unit, values: List[Any],
-                       sink: List[_UnitOutcome],
+                       params: List[Dict], sink: List[_UnitOutcome],
                        journal: Optional[CheckpointJournal]
                        ) -> List[_Unit]:
         """Resolve a successfully executed unit (NaN guard included)."""
         bad = ([j for j, value in enumerate(values) if _has_nonfinite(value)]
                if self.nan_guard else [])
         if not bad:
-            self._finish_unit(unit, values, [], sink, journal)
+            self._finish_unit(unit, values, [], sink, journal, params)
             return []
         if self.on_error == "raise":
             raise ValueError(
@@ -790,11 +790,11 @@ class SweepRunner:
         if unit.attempts < self.max_attempts:
             return [unit]
         failures = [SweepFailure(
-            params=dict(unit.full_params[j]), kind="non-finite",
+            params=dict(params[j]), kind="non-finite",
             error=f"non-finite measurement {values[j]!r}",
             attempts=unit.attempts) for j in bad]
         kept = [None if j in bad else value for j, value in enumerate(values)]
-        self._finish_unit(unit, kept, failures, sink, journal)
+        self._finish_unit(unit, kept, failures, sink, journal, params)
         return []
 
     # -- in-process execution ----------------------------------------------
@@ -808,7 +808,7 @@ class SweepRunner:
             unit = queue.popleft()
             self._sleep_backoff(unit)
             try:
-                values = _execute_unit(self, unit, processors)
+                values, params = _execute_unit(self, unit, processors)
             except _faults.SweepAbort:
                 raise
             except Exception as error:
@@ -818,8 +818,8 @@ class SweepRunner:
                     unit, "exception", repr(error),
                     _traceback.format_exc(), outcomes, journal))
                 continue
-            queue.extend(self._handle_values(unit, values, outcomes,
-                                             journal))
+            queue.extend(self._handle_values(unit, values, params,
+                                             outcomes, journal))
         return outcomes
 
 
@@ -956,7 +956,7 @@ class _PoolSupervisor:
                 unit = wave.pop(future)
                 deadlines.pop(future)
                 try:
-                    values = future.result()
+                    values, params = future.result()
                 except _faults.SweepAbort:
                     raise
                 except BrokenProcessPool as error:
@@ -987,7 +987,7 @@ class _PoolSupervisor:
                     continue
                 unit.suspect = False  # proved healthy
                 self._requeue(self.runner._handle_values(
-                    unit, values, self.outcomes, self.journal))
+                    unit, values, params, self.outcomes, self.journal))
             # Deadlines are checked every iteration — not only when the
             # pool went quiet — so a hung worker is charged on schedule
             # even while a steady stream of other units completes.

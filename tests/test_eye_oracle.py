@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import EyeDiagram, EyeDiagramBatch
@@ -263,6 +263,12 @@ eye_cases = st.fixed_dictionaries({
 
 @settings(max_examples=60, deadline=None)
 @given(case=eye_cases)
+# PAM4 thresholds once summed each level cluster over the whole row
+# (zeros elsewhere), not as the oracle's flat[mask].mean(): the last
+# bits differed, and a shallow crossing moved by 1.7e-12.
+@example(case={"seed": 8897, "n_rows": 64, "modulation": "pam4",
+               "n_ui": 18, "samples_per_ui": 4, "seam": False,
+               "quantize": False})
 def test_batched_eye_matches_frozen_scalar_oracle(case):
     modulation = MODULATIONS[case["modulation"]]
     rng = np.random.default_rng(case["seed"])

@@ -491,6 +491,39 @@ def test_too_short_waveform_is_rejected_before_any_stage_runs():
     assert calls == [1]
 
 
+@pytest.mark.parametrize("samples_per_ui", [3, 5, 7, 10, 12])
+def test_cdr_minimum_is_checked_with_the_cdrs_own_ui_count(samples_per_ui):
+    # At 1 Gb/s these sample rates put exactly min_ui() UI of samples
+    # one rounding short of min_ui() whole UI in the CDR's count: the
+    # facade must reject the waveform itself, not let the CDR do it
+    # after the stages ran.
+    calls = []
+
+    def recording(batch):
+        calls.append(batch.n_scenarios)
+        return batch
+
+    bit_rate = 1e9
+    config = CdrConfig(bit_rate=bit_rate)
+    min_ui = BangBangCdr(config).min_ui()
+    session = LinkSession([recording], bit_rate=bit_rate, cdr=config,
+                          measure_eye=False)
+    wave = bits_to_nrz(prbs7(min_ui), bit_rate,
+                       samples_per_bit=samples_per_ui)
+    message = (f"^waveform too short for this session: {min_ui} UI "
+               rf"\({min_ui - 1} as the CDR counts them\), needs at least "
+               rf"{min_ui} UI \({min_ui} for the CDR\)$")
+    with pytest.raises(ValueError, match=message):
+        session.run(wave)
+    with pytest.raises(ValueError, match=message):
+        session.run_batch(WaveformBatch.tiled(wave, 2))
+    assert calls == []
+    longer = bits_to_nrz(prbs7(min_ui + 1), bit_rate,
+                         samples_per_bit=samples_per_ui)
+    assert session.run(longer).cdr is not None
+    assert calls == [1]
+
+
 # -- deprecations -------------------------------------------------------------
 
 def test_repro_package_never_triggers_its_own_deprecations(recwarn):

@@ -1,0 +1,288 @@
+"""The sweep journal: content-keyed fingerprints and the append-only log.
+
+Two stale-replay bugs are pinned here: numpy elides the middle of a
+large array's ``repr``, and a :class:`~repro.link.LinkSession` once
+entered the key only by its address, so two different sweeps could
+share one journal key.  The log tests cut or corrupt ``journal.log``
+and check that exactly the units after the last good record re-run.
+The helpers are module-level so the journal key of a runner is stable.
+"""
+
+import pickle
+import struct
+import warnings
+
+import numpy as np
+import pytest
+
+from repro import LinkSession, RxConfig, bits_to_nrz, prbs7
+from repro.analysis import measure_eye_batch
+from repro.lti import GainBlock, Pipeline
+from repro.signals import Waveform
+from repro.sweep import CheckpointJournal, ScenarioGrid, SweepAxis, \
+    SweepRunner
+from repro.sweep.checkpoint import describe_callable, describe_value
+
+FS = 160e9
+BIT_RATE = 10e9
+CALLS = {"stimulus": 0}
+
+
+def stimulus(params):
+    CALLS["stimulus"] += 1
+    return Waveform(np.full(16, params["level"]), FS)
+
+
+def build(params):
+    return GainBlock(params["gain"])
+
+
+def measure(batch, params_list):
+    return [float(value) for value in batch.data[:, 0]]
+
+
+def make_runner():
+    grid = ScenarioGrid([
+        SweepAxis("gain", (2.0, 3.0), structural=True),
+        SweepAxis("level", tuple((i + 1) / 8 for i in range(8))),
+    ])
+    return SweepRunner(grid, stimulus=stimulus, build=build,
+                       measure=measure, chunk_rows=2, retry_backoff_s=0.0)
+
+
+def record_ends(log):
+    """Byte offset at which each record of ``log`` ends (the first is
+    the fingerprint record)."""
+    data = log.read_bytes()
+    frame = struct.Struct("<II")
+    ends, offset = [], 0
+    while offset < len(data):
+        length, _ = frame.unpack_from(data, offset)
+        offset += frame.size + length
+        ends.append(offset)
+    return ends
+
+
+def unit_order(log):
+    """Unit keys in log order."""
+    data = log.read_bytes()
+    starts = [0] + record_ends(log)[:-1]
+    keys = [pickle.loads(data[start + 8:end])[0]
+            for start, end in zip(starts, record_ends(log))]
+    assert keys[0] is None          # the fingerprint record
+    return keys[1:]
+
+
+# -- fingerprints ---------------------------------------------------------------
+
+def test_fingerprint_sees_the_middle_of_a_large_array():
+    # numpy's repr shows only the corners of an array this size.
+    base = np.zeros((128, 384))
+    other = base.copy()
+    other[64, 192] = 1.0
+    assert repr(base) == repr(other)
+
+    def closure_over(noise):
+        return lambda params: noise[params["draw"]]
+
+    assert describe_callable(closure_over(base)) \
+        != describe_callable(closure_over(other))
+    assert describe_callable(closure_over(base)) \
+        == describe_callable(closure_over(base.copy()))
+    assert describe_value(base) != describe_value(base.astype(np.float32))
+    assert describe_value(base) != describe_value(base.reshape(384, 128))
+
+
+def test_describe_value_recurses_and_sorts():
+    assert describe_value({"b": 1, "a": (2.0, [3])}) \
+        == describe_value({"a": (2.0, [3]), "b": 1})
+    assert describe_value(frozenset({"x", "y"})) \
+        == describe_value(frozenset({"y", "x"}))
+    assert describe_value(RxConfig(equalizer_control_voltage=0.5)) \
+        != describe_value(RxConfig(equalizer_control_voltage=0.7))
+    assert describe_value(object()) == describe_value(object())
+
+
+def session_stimulus(params):
+    CALLS["stimulus"] += 1
+    wave = bits_to_nrz(prbs7(48, seed=3), BIT_RATE, amplitude=0.4,
+                       samples_per_bit=8)
+    return wave.with_data(wave.data * params["scale"])
+
+
+def eye_heights(batch, params_list):
+    return [eye.eye_height
+            for eye in measure_eye_batch(batch, BIT_RATE, skip_ui=8)]
+
+
+def corner_session(voltage):
+    return LinkSession.from_configs(
+        channel=None, rx=RxConfig(equalizer_control_voltage=voltage),
+        skip_ui=8)
+
+
+SESSION_GRID = ScenarioGrid([
+    SweepAxis("peaking_enabled", (True, False), structural=True),
+    SweepAxis("scale", (0.8, 1.0, 1.2)),
+])
+
+
+def sweep_heights(session, **kwargs):
+    result = session.sweep(SESSION_GRID, session_stimulus,
+                           measure=eye_heights, chunk_rows=2, **kwargs)
+    return result.values(lambda height: height)
+
+
+def test_sessions_differing_in_rx_config_never_share_a_journal(tmp_path):
+    low, high = corner_session(0.5), corner_session(0.7)
+    fresh_low, fresh_high = sweep_heights(low), sweep_heights(high)
+    assert not np.array_equal(fresh_low, fresh_high)
+    np.testing.assert_array_equal(
+        sweep_heights(low, checkpoint_dir=tmp_path), fresh_low)
+    np.testing.assert_array_equal(
+        sweep_heights(high, checkpoint_dir=tmp_path), fresh_high)
+    # Resumed from the shared directory, each still gets its own values.
+    np.testing.assert_array_equal(
+        sweep_heights(high, checkpoint_dir=tmp_path), fresh_high)
+    np.testing.assert_array_equal(
+        sweep_heights(low, checkpoint_dir=tmp_path), fresh_low)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_default_measure_keys_on_the_session(tmp_path):
+    low, high = corner_session(0.5), corner_session(0.7)
+    grid = ScenarioGrid([SweepAxis("scale", (0.8, 1.2))])
+    for session in (low, high, low, high):
+        journaled = session.sweep(grid, session_stimulus,
+                                  checkpoint_dir=tmp_path)
+        fresh = session.sweep(grid, session_stimulus)
+        assert [r.eye.eye_height for r in journaled.results] \
+            == [r.eye.eye_height for r in fresh.results]
+
+
+def scaled_by(factor):
+    return lambda batch: batch.with_data(batch.data * factor)
+
+
+@pytest.mark.parametrize("make_stage", [
+    GainBlock,
+    lambda gain: Pipeline([GainBlock(1.5), GainBlock(gain)]),
+    scaled_by,
+], ids=["block", "pipeline", "callable"])
+def test_sessions_built_from_stages_never_share_a_journal(tmp_path,
+                                                          make_stage):
+    grid = ScenarioGrid([SweepAxis("scale", (0.8, 1.0, 1.2))])
+
+    def heights(session, **kwargs):
+        return session.sweep(grid, session_stimulus, measure=eye_heights,
+                             chunk_rows=2, **kwargs).values(lambda h: h)
+
+    low = LinkSession([make_stage(2.0)], bit_rate=BIT_RATE, skip_ui=8)
+    high = LinkSession([make_stage(3.0)], bit_rate=BIT_RATE, skip_ui=8)
+    assert describe_value(low) \
+        == describe_value(LinkSession([make_stage(2.0)], bit_rate=BIT_RATE,
+                                      skip_ui=8))
+    fresh_low, fresh_high = heights(low), heights(high)
+    assert not np.array_equal(fresh_low, fresh_high)
+    for session, fresh in ((low, fresh_low), (high, fresh_high),
+                           (high, fresh_high), (low, fresh_low)):
+        np.testing.assert_array_equal(
+            heights(session, checkpoint_dir=tmp_path), fresh)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_session_fingerprint_is_stable_and_survives_a_run(tmp_path):
+    a, b = corner_session(0.6), corner_session(0.6)
+    assert describe_value(a) == describe_value(b)
+    assert describe_value(a) != describe_value(corner_session(0.5))
+    before = describe_value(a)
+    CALLS["stimulus"] = 0
+    first = sweep_heights(a, checkpoint_dir=tmp_path)
+    assert CALLS["stimulus"] == 6
+    assert describe_value(a) == before
+    # A second run, even through an identically built session, replays
+    # every unit.
+    CALLS["stimulus"] = 0
+    np.testing.assert_array_equal(
+        sweep_heights(b, checkpoint_dir=tmp_path), first)
+    assert CALLS["stimulus"] == 0
+
+
+# -- the log --------------------------------------------------------------------
+
+@pytest.mark.parametrize("cut_record", [1, 4, 8])
+def test_torn_tail_reruns_exactly_the_units_after_the_cut(tmp_path,
+                                                          cut_record):
+    runner = make_runner()
+    reference = runner.run(checkpoint_dir=tmp_path)
+    journal = CheckpointJournal.open(tmp_path, runner._fingerprint())
+    log = journal.path / "journal.log"
+    ends = record_ends(log)
+    order = unit_order(log)
+    assert len(ends) == 9 and len(order) == 8
+    # Cut unit record ``cut_record`` (1-based) in the middle.
+    start, stop = ends[cut_record - 1], ends[cut_record]
+    log.write_bytes(log.read_bytes()[:(start + stop) // 2])
+
+    reopened = CheckpointJournal.open(tmp_path, runner._fingerprint())
+    assert log.stat().st_size == start         # back to the last good one
+    assert reopened.unit_keys() == sorted(order[:cut_record - 1])
+    CALLS["stimulus"] = 0
+    resumed = runner.run(checkpoint_dir=tmp_path)
+    assert CALLS["stimulus"] == 2 * (8 - cut_record + 1)
+    assert resumed.results == reference.results
+    assert resumed.params == reference.params
+    assert len(CheckpointJournal.open(tmp_path, runner._fingerprint())) == 8
+
+
+def test_flipped_byte_in_the_last_record_reruns_only_that_unit(tmp_path):
+    runner = make_runner()
+    reference = runner.run(checkpoint_dir=tmp_path)
+    log = CheckpointJournal.open(tmp_path, runner._fingerprint()).path \
+        / "journal.log"
+    ends = record_ends(log)
+    last = unit_order(log)[-1]
+    data = bytearray(log.read_bytes())
+    data[(ends[-2] + ends[-1]) // 2] ^= 0x01    # fails the CRC
+    log.write_bytes(bytes(data))
+
+    reopened = CheckpointJournal.open(tmp_path, runner._fingerprint())
+    assert log.stat().st_size == ends[-2]
+    assert reopened.load(last) is None
+    assert len(reopened) == 7
+    CALLS["stimulus"] = 0
+    resumed = runner.run(checkpoint_dir=tmp_path)
+    assert CALLS["stimulus"] == 2
+    assert resumed.results == reference.results
+
+
+def test_log_without_this_sweeps_fingerprint_is_reset(tmp_path):
+    runner = make_runner()
+    runner.run(checkpoint_dir=tmp_path)
+    journal = CheckpointJournal.open(tmp_path, runner._fingerprint())
+    log = journal.path / "journal.log"
+    log.write_bytes(b"garbage that is not a record")
+    assert len(CheckpointJournal.open(tmp_path, runner._fingerprint())) == 0
+    assert len(record_ends(log)) == 1           # a fresh fingerprint record
+    CALLS["stimulus"] = 0
+    runner.run(checkpoint_dir=tmp_path)
+    assert CALLS["stimulus"] == 16
+
+
+def test_old_unit_file_journal_warns_once_and_never_replays(tmp_path):
+    old = tmp_path / "0123456789abcdef0123" / "units"
+    old.mkdir(parents=True)
+    (old / "0-0-2.pkl").write_bytes(pickle.dumps(
+        {"values": [99.0, 99.0], "failures": [], "partials": None}))
+    runner = make_runner()
+    reference = runner.run()
+    CALLS["stimulus"] = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            result = runner.run(checkpoint_dir=tmp_path)
+            assert result.results == reference.results
+    assert CALLS["stimulus"] == 16          # never replayed, ran once
+    assert [str(w.message) for w in caught] == [
+        f"{old.parent} is a sweep journal in the old units/*.pkl layout; "
+        "it is never replayed — delete it to reclaim the space"]

@@ -317,7 +317,7 @@ def test_streaming_and_dense_journals_never_mix(tmp_path):
     dense = make_runner(chunk_rows=2)
     streaming = make_runner(chunk_rows=2, reducers=make_reducers(),
                             keep_results=False)
-    assert dense._fingerprint()["version"] == 4
+    assert dense._fingerprint()["version"] == 5
     assert dense._fingerprint() != streaming._fingerprint()
     dense.run(checkpoint_dir=tmp_path)
     streaming.run(checkpoint_dir=tmp_path)

@@ -195,8 +195,13 @@ def test_corrupt_journal_entry_is_rerun(tmp_path):
     journal = CheckpointJournal.open(tmp_path, runner._fingerprint())
     keys = journal.unit_keys()
     assert len(journal) == len(keys) == 8   # 2 points x 4 chunks
-    (journal._units / f"{keys[0]}.pkl").write_bytes(b"not a pickle")
-    assert journal.load(keys[0]) is None    # corrupt -> treated missing
+    log = journal.path / "journal.log"
+    data = bytearray(log.read_bytes())
+    data[-1] ^= 0xFF                        # corrupt the last record
+    log.write_bytes(bytes(data))
+    journal = CheckpointJournal.open(tmp_path, runner._fingerprint())
+    assert journal.load("1-6-8") is None    # corrupt -> treated missing
+    assert len(journal) == 7
     CALLS["stimulus"] = 0
     runner.run(checkpoint_dir=tmp_path)
     assert CALLS["stimulus"] == 2           # only that unit re-ran
