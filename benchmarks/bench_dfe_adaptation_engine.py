@@ -26,9 +26,10 @@ Two further sections exercise the layers above: the sweep subsystem
 driving :func:`~repro.sweep.dfe_measure` (batched runner pass vs the
 scalar DFE one scenario at a time through ``serial_sweep``, row-equal),
 and the batched knob adapters
-(:func:`~repro.core.adapt_equalizer` with ``batched=True`` scoring
-every coarse-grid candidate in one :func:`~repro.core.eye_quality_metric_batch`
-pass, identical result to the per-candidate loop).
+(:func:`~repro.core.adapt_equalizer` scoring every coarse-grid
+candidate in one :func:`~repro.core.eye_quality_metric_batch` pass),
+timed against the per-candidate loops ``adapt_equalizer`` /
+``adapt_peaking`` in ``tests/serial_oracles.py`` and identical to them.
 
 ``BENCH_DFE_SCENARIOS`` shrinks the scenario count for CI smoke runs;
 the speedup floor is only enforced at full scale (row-exactness always
@@ -41,6 +42,7 @@ import time
 import numpy as np
 
 from conftest import run_once
+import serial_oracles
 from serial_oracles import SerialDfe, serial_sweep
 from repro.baselines import DecisionFeedbackEqualizer, dfe_taps_from_channel
 from repro.channel import BackplaneChannel
@@ -198,15 +200,17 @@ def test_batched_adaptation_matches_serial(benchmark, save_report):
 
     def adapt():
         rows = []
-        for label, adapter, channel in (
-                ("equalizer V1 (V)", adapt_equalizer, BackplaneChannel(0.4)),
-                ("peaking current (A)", adapt_peaking, BackplaneChannel(0.5)),
+        for label, adapter, reference, channel in (
+                ("equalizer V1 (V)", adapt_equalizer,
+                 serial_oracles.adapt_equalizer, BackplaneChannel(0.4)),
+                ("peaking current (A)", adapt_peaking,
+                 serial_oracles.adapt_peaking, BackplaneChannel(0.5)),
         ):
             t0 = time.perf_counter()
-            batched = adapter(channel, n_refine=3, batched=True)
+            batched = adapter(channel, n_refine=3)
             t_batched = time.perf_counter() - t0
             t0 = time.perf_counter()
-            serial = adapter(channel, n_refine=3, batched=False)
+            serial = reference(channel, n_refine=3)
             t_serial = time.perf_counter() - t0
             assert batched == serial, f"{label}: batched != serial"
             rows.append({

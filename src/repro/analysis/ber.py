@@ -78,8 +78,9 @@ def ber_from_q_factors(q_factors: Sequence[float],
     the two adjacent levels, each level carrying probability ``1/L``, so
     ``SER = (2/L) * sum_e 0.5*erfc(Q_e/sqrt(2))``; Gray coding then
     divides by ``bits_per_symbol``.  Reduces exactly to
-    :func:`q_to_ber` of the single Q for NRZ.  Non-finite Q-factors
-    (noise-free eyes) contribute zero errors.
+    :func:`q_to_ber` of the single Q for NRZ.  Infinite Q-factors
+    (noise-free eyes) contribute zero errors; a NaN Q-factor makes the
+    BER NaN.
     """
     modulation = Nrz() if modulation is None else modulation
     if len(q_factors) != modulation.n_eyes:
@@ -89,7 +90,7 @@ def ber_from_q_factors(q_factors: Sequence[float],
         )
     total = 0.0
     for q in q_factors:
-        if not math.isfinite(q):
+        if q == math.inf:
             continue
         if q < 0:
             raise ValueError(f"Q must be >= 0, got {q}")
@@ -109,12 +110,10 @@ def ber_from_measurement(measurement: EyeMeasurement,
 
 def ber_from_eye(wave: Waveform, bit_rate: float, skip_ui: int = 8,
                  modulation: Optional[Modulation] = None) -> float:
-    """Estimated BER of a waveform via its eye Q-factor(s)."""
-    measurement = EyeDiagram.measure_waveform(wave, bit_rate, skip_ui=skip_ui,
-                                              modulation=modulation)
-    if not math.isfinite(measurement.q_factor):
-        return 0.0
-    return ber_from_measurement(measurement, modulation)
+    """Estimated BER of a waveform via its eye Q-factor(s) (a one-row
+    :func:`ber_from_eye_batch`)."""
+    return float(ber_from_eye_batch(WaveformBatch.tiled(wave, 1), bit_rate,
+                                    skip_ui=skip_ui, modulation=modulation)[0])
 
 
 def ber_from_eye_batch(batch: WaveformBatch, bit_rate: float,
@@ -123,8 +122,8 @@ def ber_from_eye_batch(batch: WaveformBatch, bit_rate: float,
     """Per-scenario BER estimates of a batch via eye Q-factors.
 
     The eyes are folded and measured in one batched pass; the Q-to-BER
-    map is evaluated vectorized.  Row ``i`` equals
-    ``ber_from_eye(batch[i], ...)``.
+    map is evaluated vectorized.  An infinite Q (a noise-free eye)
+    gives 0.0 and a NaN Q (a NaN sample at the sampling phase) NaN.
     """
     modulation = Nrz() if modulation is None else modulation
     measurements = measure_eye_batch(batch, bit_rate, skip_ui=skip_ui,
@@ -132,13 +131,9 @@ def ber_from_eye_batch(batch: WaveformBatch, bit_rate: float,
     qs = np.array([m.q_factors if m.q_factors is not None
                    else (m.q_factor,) * modulation.n_eyes
                    for m in measurements])
-    # Eye Q-factors are >= 0 and erfc(inf) == 0.0 exactly, matching the
-    # serial path's "infinite Q means zero BER" convention.
+    # Eye Q-factors are >= 0 (or NaN) and erfc(inf) == 0.0 exactly.
     per_eye = 0.5 * erfc(qs / math.sqrt(2.0))
-    if modulation.n_levels == 2:
-        # Binary fast path: (2/L) == 1 and one bit per symbol — keep the
-        # historical expression (and its exact float results).
-        return per_eye[:, 0]
+    # For NRZ the factors below are exactly 1: the binary expression.
     ser = (2.0 / modulation.n_levels) * per_eye.sum(axis=1)
     return ser / modulation.bits_per_symbol
 

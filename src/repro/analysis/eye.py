@@ -18,9 +18,9 @@ refinement of the level clusters), since the received swing is
 generally unknown after a lossy channel.
 
 Every measurement runs as one vectorized pass over a batch of folded
-rows (:class:`EyeDiagramBatch`).  The serial :class:`EyeDiagram` folds
-(and, if needed, resamples) one waveform and measures it as a batch of
-one, so serial and batched results agree exactly.
+rows (:class:`EyeDiagramBatch`); :class:`EyeDiagram` is a batch of one.
+A sample rate that is not a whole multiple of the bit rate is resampled
+row by row to ``max(8, ceil(samples/UI))`` samples per UI before folding.
 
 NaN samples count low, as in the CDR and DFE kernels: the level slicer
 files a NaN in the lowest level and the crossing detector treats it as
@@ -173,9 +173,8 @@ class EyeDiagram:
     Parameters
     ----------
     wave:
-        The waveform to fold.  Its sample rate must be an integer
-        multiple of ``bit_rate`` (the encoder guarantees this); other
-        rates are resampled automatically.
+        The waveform to fold (resampled as :class:`EyeDiagramBatch`
+        does when its rate is not a whole multiple of ``bit_rate``).
     bit_rate:
         The symbol (UI) rate defining the unit interval.
     skip_ui:
@@ -187,15 +186,8 @@ class EyeDiagram:
 
     def __init__(self, wave: Waveform, bit_rate: float, skip_ui: int = 8,
                  modulation: Optional[Modulation] = None):
-        if bit_rate <= 0:
-            raise ValueError(f"bit_rate must be positive, got {bit_rate}")
-        samples_per_ui = wave.sample_rate / bit_rate
-        if abs(samples_per_ui - round(samples_per_ui)) > 1e-6:
-            target = bit_rate * max(8, int(math.ceil(samples_per_ui)))
-            wave = wave.resampled(target)
-        self._batch = EyeDiagramBatch(
-            WaveformBatch(wave.data[None, :], wave.sample_rate, t0=wave.t0),
-            bit_rate, skip_ui=skip_ui, modulation=modulation)
+        self._batch = EyeDiagramBatch(WaveformBatch.tiled(wave, 1), bit_rate,
+                                      skip_ui=skip_ui, modulation=modulation)
         self.samples_per_ui = self._batch.samples_per_ui
         self.bit_rate = bit_rate
         self.unit_interval = self._batch.unit_interval
@@ -286,8 +278,10 @@ class EyeDiagramBatch:
     row from that row's own traces, so a row's results do not depend on
     the other rows in the batch.
 
-    The batch sample rate must be an integer multiple of ``bit_rate``
-    (the encoder guarantees this; batches are never resampled).
+    A sample rate that is not an integer multiple of ``bit_rate`` (the
+    encoder always gives one) is first resampled row by row through
+    :meth:`Waveform.resampled <repro.signals.waveform.Waveform.resampled>`
+    to ``max(8, ceil(samples/UI))`` samples per UI.
     """
 
     def __init__(self, batch: WaveformBatch, bit_rate: float,
@@ -299,10 +293,11 @@ class EyeDiagramBatch:
             raise ValueError(f"skip_ui must be >= 0, got {skip_ui}")
         samples_per_ui = batch.sample_rate / bit_rate
         if abs(samples_per_ui - round(samples_per_ui)) > 1e-6:
-            raise ValueError(
-                "batch sample rate must be an integer multiple of the bit "
-                f"rate, got {samples_per_ui} samples/UI"
-            )
+            samples_per_ui = max(8, math.ceil(samples_per_ui))
+            rows = [row.resampled(bit_rate * samples_per_ui).data
+                    for row in batch]
+            batch = WaveformBatch(np.stack(rows), bit_rate * samples_per_ui,
+                                  t0=batch.t0)
         self.samples_per_ui = int(round(samples_per_ui))
         if self.samples_per_ui < 4:
             raise ValueError(
@@ -524,7 +519,7 @@ class EyeDiagramBatch:
         spread = sigmas[1:] + sigmas[:-1]
         q_factors = np.divide(separation, spread,
                               out=np.full_like(separation, np.inf),
-                              where=spread > 0)
+                              where=spread != 0)
         columns = zip(
             heights.min(axis=0).tolist(), widths.min(axis=0).tolist(),
             (means[-1] - means[0]).tolist(), means[-1].tolist(),

@@ -132,19 +132,12 @@ def pulse_response(system: Block, bit_rate: float,
 
     Sends ``...0001000...`` (a lone one), removes the system's response
     to the all-zero baseline, and samples at the instant maximizing the
-    main cursor.
+    main cursor: a one-amplitude :func:`pulse_response_batch`.
     """
-    if n_lead_bits < 2 or n_lag_bits < 2:
-        raise ValueError("need at least 2 lead and lag bits")
-    bits: List[int] = [0] * n_lead_bits + [1] + [0] * n_lag_bits
-    stimulus = bits_to_nrz(np.array(bits), bit_rate, amplitude=amplitude,
-                           samples_per_bit=samples_per_bit)
-    baseline = bits_to_nrz(np.zeros(len(bits), dtype=int), bit_rate,
-                           amplitude=amplitude,
-                           samples_per_bit=samples_per_bit)
-    response = system.process(stimulus).data - system.process(baseline).data
-    return PulseResponse.from_waveform(
-        Waveform(response, stimulus.sample_rate), bit_rate)
+    return pulse_response_batch(system, bit_rate, [amplitude],
+                                samples_per_bit=samples_per_bit,
+                                n_lead_bits=n_lead_bits,
+                                n_lag_bits=n_lag_bits)[0]
 
 
 def pulse_response_batch(system: Block, bit_rate: float,
@@ -154,8 +147,8 @@ def pulse_response_batch(system: Block, bit_rate: float,
     """Pulse responses at several stimulus amplitudes in one batched pass.
 
     Builds the lone-one stimulus and the all-zero baseline for every
-    amplitude, pushes both batches through ``system`` once each (blocks
-    are batch-transparent), and extracts one :class:`PulseResponse` per
+    amplitude, pushes them through ``system`` as one batch (blocks are
+    batch-transparent), and extracts one :class:`PulseResponse` per
     amplitude — the nonlinear-compression view of ISI across a drive
     range without re-running the pipeline per point.
     """
@@ -164,24 +157,16 @@ def pulse_response_batch(system: Block, bit_rate: float,
         raise ValueError("need at least one amplitude")
     if n_lead_bits < 2 or n_lag_bits < 2:
         raise ValueError("need at least 2 lead and lag bits")
-    bits = np.array([0] * n_lead_bits + [1] + [0] * n_lag_bits)
-    zeros = np.zeros(len(bits), dtype=int)
-    stimuli = WaveformBatch.stack([
+    lone_one = np.array([0] * n_lead_bits + [1] + [0] * n_lag_bits)
+    out = system.process(WaveformBatch.stack([
         bits_to_nrz(bits, bit_rate, amplitude=a,
                     samples_per_bit=samples_per_bit)
-        for a in amplitudes
-    ])
-    baselines = WaveformBatch.stack([
-        bits_to_nrz(zeros, bit_rate, amplitude=a,
-                    samples_per_bit=samples_per_bit)
-        for a in amplitudes
-    ])
-    responses = system.process(stimuli).data - system.process(baselines).data
-    return [
-        PulseResponse.from_waveform(Waveform(row, stimuli.sample_rate),
-                                    bit_rate)
-        for row in responses
-    ]
+        for bits in (lone_one, np.zeros_like(lone_one)) for a in amplitudes
+    ]))
+    responses = out.data[:len(amplitudes)] - out.data[len(amplitudes):]
+    return [PulseResponse.from_waveform(Waveform(row, out.sample_rate),
+                                        bit_rate)
+            for row in responses]
 
 
 def worst_case_eye_opening(system: Block, bit_rate: float,

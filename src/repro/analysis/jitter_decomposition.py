@@ -19,7 +19,7 @@ from scipy.special import erfcinv
 
 from ..signals.batch import WaveformBatch
 from ..signals.waveform import Waveform
-from .eye import EyeDiagram, EyeDiagramBatch
+from .eye import EyeDiagramBatch
 
 __all__ = ["JitterDecomposition", "decompose_jitter",
            "decompose_jitter_batch", "decompose_crossings"]
@@ -96,10 +96,10 @@ def _gaussian_quantile(p: float) -> float:
 
 def decompose_jitter(wave: Waveform, bit_rate: float,
                      skip_ui: int = 8) -> JitterDecomposition:
-    """Decompose the crossing jitter of a waveform's folded eye."""
-    eye = EyeDiagram(wave, bit_rate, skip_ui=skip_ui)
-    crossings_ui = eye.crossing_times_ui()
-    return decompose_crossings(crossings_ui / bit_rate)
+    """Decompose the crossing jitter of a waveform's folded eye (a
+    one-row :func:`decompose_jitter_batch`)."""
+    return decompose_jitter_batch(WaveformBatch.tiled(wave, 1), bit_rate,
+                                  skip_ui=skip_ui)[0]
 
 
 def decompose_jitter_batch(batch: WaveformBatch, bit_rate: float,
@@ -107,16 +107,8 @@ def decompose_jitter_batch(batch: WaveformBatch, bit_rate: float,
     """Per-scenario dual-Dirac decomposition, one batched eye fold.
 
     The crossing extraction runs vectorized across the whole batch
-    (:meth:`~repro.analysis.eye.EyeDiagramBatch.crossing_times_ui`);
-    entry ``i`` equals ``decompose_jitter(batch[i], ...)`` exactly.
+    (:meth:`~repro.analysis.eye.EyeDiagramBatch.crossing_times_ui`).
     """
-    try:
-        eye = EyeDiagramBatch(batch, bit_rate, skip_ui=skip_ui)
-    except ValueError:
-        # Non-integer samples/UI: the batch cannot be folded as one,
-        # but the serial path resamples — fall back per row to keep the
-        # row-exactness contract.
-        return [decompose_jitter(row, bit_rate, skip_ui=skip_ui)
-                for row in batch.rows()]
+    eye = EyeDiagramBatch(batch, bit_rate, skip_ui=skip_ui)
     return [decompose_crossings(crossings_ui / bit_rate)
             for crossings_ui in eye.crossing_times_ui()]

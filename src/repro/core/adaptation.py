@@ -13,13 +13,12 @@ equalizer and the peaking circuit.
 
 Batched evaluation contract
 ---------------------------
-Every candidate-evaluation layer has a serial and a batched form that
-are row-exact against each other:
+Candidates are scored in batches; a single waveform is a batch of one:
 
 * :func:`eye_quality_metric_batch` scores a
-  :class:`~repro.signals.batch.WaveformBatch` in one vectorized pass —
-  entry ``i`` equals ``eye_quality_metric(batch[i], ...)`` exactly
-  (shared fold, vectorized phase search and crossing extraction);
+  :class:`~repro.signals.batch.WaveformBatch` in one vectorized pass
+  (shared fold, vectorized phase search and crossing extraction), and
+  :func:`eye_quality_metric` is its one-row call;
 * :meth:`ScalarKnobSearch.maximize_batch` drives a batched objective
   ``objective_batch(np.ndarray) -> np.ndarray``: the coarse grid is
   evaluated through ONE call (all candidates at once), golden-section
@@ -29,8 +28,7 @@ are row-exact against each other:
   — same candidate sequence, same history, same optimum;
 * :func:`adapt_equalizer` / :func:`adapt_peaking` build every grid
   candidate's pipeline, stack the processed training waves into one
-  batch and score them in a single batched metric pass
-  (``batched=False`` falls back to the per-candidate reference loop).
+  batch and score them in a single batched metric pass.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.eye import EyeDiagram, EyeDiagramBatch
+from ..analysis.eye import EyeDiagramBatch
 from ..channel.backplane import BackplaneChannel
 from ..signals.batch import WaveformBatch
 from ..signals.nrz import NrzEncoder
@@ -170,16 +168,11 @@ def eye_quality_metric(wave: Waveform, bit_rate: float,
 
     Width (UI) dominates; RMS jitter (UI) is subtracted so that among
     equal-width settings the cleaner crossing wins.  Returns a large
-    negative value for waveforms whose eye cannot be measured.
+    negative value for waveforms whose eye cannot be measured.  A
+    one-row :func:`eye_quality_metric_batch`.
     """
-    try:
-        eye = EyeDiagram(wave, bit_rate, skip_ui=skip_ui)
-    except ValueError:
-        return -10.0
-    measurement = eye.measure()
-    if not measurement.is_open:
-        return -1.0
-    return measurement.eye_width_ui - 2.0 * eye.jitter_rms_ui()
+    return float(eye_quality_metric_batch(WaveformBatch.tiled(wave, 1),
+                                          bit_rate, skip_ui)[0])
 
 
 def eye_quality_metric_batch(batch: WaveformBatch, bit_rate: float,
@@ -187,19 +180,14 @@ def eye_quality_metric_batch(batch: WaveformBatch, bit_rate: float,
     """Per-row :func:`eye_quality_metric`, one vectorized pass.
 
     Folds the whole batch once; the vertical phase search and the
-    crossing extraction run vectorized across all scenarios.  Entry
-    ``i`` equals ``eye_quality_metric(batch[i], bit_rate, skip_ui)``
-    exactly.
+    crossing extraction run vectorized across all scenarios.  Rows
+    share one length and rate, so a batch too short (or too coarsely
+    sampled) to fold scores -10 on every row; a closed eye scores -1.
     """
     try:
         eye = EyeDiagramBatch(batch, bit_rate, skip_ui=skip_ui)
     except ValueError:
-        # The batch cannot be folded as one (non-integer samples/UI —
-        # which the serial path resamples through — or too short): fall
-        # back to the per-row metric, which keeps the row-exactness
-        # contract and still returns -10 where a row is unmeasurable.
-        return np.array([eye_quality_metric(row, bit_rate, skip_ui)
-                         for row in batch.rows()])
+        return np.full(batch.n_scenarios, -10.0)
     heights = eye.eye_heights().max(axis=1)
     width = eye.eye_width_ui()
     metric = width - 2.0 * eye.jitter_rms_ui()
@@ -217,16 +205,13 @@ def _training_wave(bit_rate: float, amplitude: float,
 def adapt_equalizer(channel: BackplaneChannel, bit_rate: float = 10e9,
                     amplitude: float = 0.2, samples_per_bit: int = 16,
                     n_bits: int = 260,
-                    n_refine: int = 6,
-                    batched: bool = True) -> AdaptationResult:
+                    n_refine: int = 6) -> AdaptationResult:
     """Adapt the equalizer's V1 against a channel.
 
     Builds the paper's input interface at each candidate V1 and scores
-    the received eye; returns the optimum and the search history.  With
-    ``batched=True`` (the default) every coarse-grid candidate's
-    received wave is scored in one :func:`eye_quality_metric_batch`
-    pass; ``batched=False`` is the per-candidate reference loop, and
-    the two return identical results.
+    the received eye; returns the optimum and the search history.
+    Every coarse-grid candidate's received wave is scored in one
+    :func:`eye_quality_metric_batch` pass.
     """
     from .interface import build_input_interface
 
@@ -238,60 +223,38 @@ def adapt_equalizer(channel: BackplaneChannel, bit_rate: float = 10e9,
     # Stay inside the triode device's useful band.
     v1_hi = min(v1_hi, 1.2)
 
-    def process(v1: float) -> Waveform:
-        rx = build_input_interface(equalizer_control_voltage=v1)
-        return rx.process(received)
-
-    def objective(v1: float) -> float:
-        return eye_quality_metric(process(v1), bit_rate)
-
     def objective_batch(v1s: np.ndarray) -> np.ndarray:
-        outs = WaveformBatch.stack([process(float(v1)) for v1 in v1s])
+        outs = WaveformBatch.stack([
+            build_input_interface(equalizer_control_voltage=float(v1))
+            .process(received) for v1 in v1s])
         return eye_quality_metric_batch(outs, bit_rate)
 
     search = ScalarKnobSearch(lo=v1_lo, hi=v1_hi, n_grid=6,
                               n_refine=n_refine)
-    if batched:
-        return search.maximize_batch(objective_batch)
-    return search.maximize(objective)
+    return search.maximize_batch(objective_batch)
 
 
 def adapt_peaking(channel: BackplaneChannel, bit_rate: float = 10e9,
                   amplitude: float = 0.3, samples_per_bit: int = 16,
                   n_bits: int = 260,
-                  n_refine: int = 6,
-                  batched: bool = True) -> AdaptationResult:
+                  n_refine: int = 6) -> AdaptationResult:
     """Adapt the peaking spike height (differentiator tail current).
 
-    Same batched-evaluation contract as :func:`adapt_equalizer`: the
-    coarse grid's candidate waveforms are scored in one batched pass
-    (eye metric plus the post-channel vertical-opening bonus), and
-    ``batched=False`` reproduces it candidate by candidate.
+    Same batched evaluation as :func:`adapt_equalizer`: the coarse
+    grid's candidate waveforms are scored in one batched pass (eye
+    metric plus the post-channel vertical-opening bonus).
     """
     from .interface import build_output_interface
 
     wave = _training_wave(bit_rate, amplitude, samples_per_bit, n_bits)
 
-    def process(spike_current: float) -> Waveform:
-        tx = build_output_interface(spike_current=spike_current)
-        return channel.process(tx.process(wave))
-
-    def objective(spike_current: float) -> float:
-        received = process(spike_current)
-        metric = eye_quality_metric(received, bit_rate)
-        # Post-channel vertical opening matters for peaking; fold it in.
-        try:
-            measurement = EyeDiagram.measure_waveform(received, bit_rate,
-                                                      skip_ui=16)
-            metric += 2.0 * max(0.0, measurement.eye_height)
-        except ValueError:
-            pass
-        return metric
-
     def objective_batch(currents: np.ndarray) -> np.ndarray:
-        outs = WaveformBatch.stack(
-            [process(float(current)) for current in currents])
+        outs = WaveformBatch.stack([
+            channel.process(build_output_interface(
+                spike_current=float(current)).process(wave))
+            for current in currents])
         metric = eye_quality_metric_batch(outs, bit_rate)
+        # Post-channel vertical opening matters for peaking; fold it in.
         try:
             eye = EyeDiagramBatch(outs, bit_rate, skip_ui=16)
             metric = metric + 2.0 * np.maximum(
@@ -302,6 +265,4 @@ def adapt_peaking(channel: BackplaneChannel, bit_rate: float = 10e9,
 
     search = ScalarKnobSearch(lo=0.2e-3, hi=4e-3, n_grid=5,
                               n_refine=n_refine)
-    if batched:
-        return search.maximize_batch(objective_batch)
-    return search.maximize(objective)
+    return search.maximize_batch(objective_batch)

@@ -5,8 +5,10 @@ grids, amplitude sweeps) historically looped over independent
 :class:`~repro.signals.waveform.Waveform` simulations; the Python
 orchestration dominated the wall clock.  :class:`WaveformBatch` holds
 ``n_scenarios`` waveforms as one ``(n_scenarios, n_samples)`` array with
-a shared sample rate, mirroring the :class:`Waveform` API closely enough
-that every pipeline block processes a batch transparently — the inner
+a shared sample rate.  It shares one implementation of the
+:class:`Waveform` timebase, statistics and arithmetic operations (each
+written over the last axis), so every pipeline block processes a batch
+transparently — the inner
 loops then run as vectorized kernels (``scipy.signal.lfilter`` over the
 last axis) instead of per-scenario Python calls.
 
@@ -19,17 +21,17 @@ nonlinearity perform the same arithmetic per row.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .waveform import Waveform, sample_uniform
+from .waveform import Waveform, _Sampled
 
 __all__ = ["WaveformBatch"]
 
 
 @dataclasses.dataclass(frozen=True)
-class WaveformBatch:
+class WaveformBatch(_Sampled):
     """A stack of uniformly sampled signals sharing one timebase.
 
     Parameters
@@ -42,20 +44,8 @@ class WaveformBatch:
         Time of the first sample in seconds.  Defaults to zero.
     """
 
-    data: np.ndarray
-    sample_rate: float
-    t0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        array = np.asarray(self.data, dtype=float)
-        if array.ndim != 2:
-            raise ValueError(
-                f"batch data must be 2-D (n_scenarios, n_samples), "
-                f"got shape {array.shape}"
-            )
-        object.__setattr__(self, "data", array)
+    _ndim = 2
+    _shape_error = "batch data must be 2-D (n_scenarios, n_samples)"
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -128,60 +118,13 @@ class WaveformBatch:
 
     def __getitem__(self, index) -> "Waveform | WaveformBatch":
         if isinstance(index, slice):
-            return WaveformBatch(self.data[index], self.sample_rate,
-                                 t0=self.t0)
+            return self.with_data(self.data[index])
         return Waveform(self.data[index], self.sample_rate, t0=self.t0)
 
     def rows(self) -> List[Waveform]:
         """The batch unstacked into per-scenario waveforms."""
         return [Waveform(row, self.sample_rate, t0=self.t0)
                 for row in self.data]
-
-    @property
-    def dt(self) -> float:
-        """Sample period in seconds."""
-        return 1.0 / self.sample_rate
-
-    @property
-    def duration(self) -> float:
-        """Total spanned time in seconds (n_samples * dt)."""
-        return self.n_samples * self.dt
-
-    @property
-    def time(self) -> np.ndarray:
-        """Vector of sample times in seconds (shared by every row)."""
-        return self.t0 + np.arange(self.n_samples) * self.dt
-
-    # -- statistics (per-row arrays) ---------------------------------------
-    def peak_to_peak(self) -> np.ndarray:
-        """Per-row peak-to-peak values."""
-        if self.n_samples == 0:
-            return np.zeros(self.n_scenarios)
-        return np.ptp(self.data, axis=-1)
-
-    def rms(self) -> np.ndarray:
-        """Per-row RMS values."""
-        if self.n_samples == 0:
-            return np.zeros(self.n_scenarios)
-        return np.sqrt(np.mean(self.data**2, axis=-1))
-
-    def mean(self) -> np.ndarray:
-        """Per-row mean (DC) values."""
-        if self.n_samples == 0:
-            return np.zeros(self.n_scenarios)
-        return np.mean(self.data, axis=-1)
-
-    def sample_at(self, times) -> np.ndarray:
-        """Per-row linearly interpolated samples at per-row instants.
-
-        ``times`` may be a scalar (same instant for every row), a
-        ``(n_scenarios,)`` vector (one instant per row — the closed-loop
-        CDR's per-bit case, where every scenario tracks its own phase)
-        or ``(n_scenarios, m)``.  Row ``i`` of the result equals
-        ``self[i].sample_at(times[i])`` exactly: both paths share one
-        interpolation kernel.
-        """
-        return sample_uniform(self.data, self.t0, self.sample_rate, times)
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other) -> np.ndarray:
@@ -226,86 +169,3 @@ class WaveformBatch:
         if array.ndim == 0:
             return array
         raise ValueError(f"cannot broadcast shape {array.shape} onto batch")
-
-    def __add__(self, other) -> "WaveformBatch":
-        return self.with_data(self.data + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "WaveformBatch":
-        return self.with_data(self.data - self._coerce(other))
-
-    def __mul__(self, scale) -> "WaveformBatch":
-        return self.with_data(self.data * self._coerce(scale))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "WaveformBatch":
-        return self.with_data(-self.data)
-
-    # -- transformations ---------------------------------------------------
-    def with_data(self, data: np.ndarray) -> "WaveformBatch":
-        """Return a batch with the same timebase and new sample values."""
-        return WaveformBatch(data=np.asarray(data, dtype=float),
-                             sample_rate=self.sample_rate, t0=self.t0)
-
-    def map(self, func: Callable[[np.ndarray], np.ndarray]
-            ) -> "WaveformBatch":
-        """Apply an elementwise function to all samples of all rows."""
-        return self.with_data(func(self.data))
-
-    def clip(self, low: float, high: float) -> "WaveformBatch":
-        """Hard-clip every row between ``low`` and ``high``."""
-        if low > high:
-            raise ValueError(f"clip bounds reversed: {low} > {high}")
-        return self.with_data(np.clip(self.data, low, high))
-
-    def slice_time(self, t_start: float, t_stop: float) -> "WaveformBatch":
-        """Return the sub-batch between two absolute times."""
-        if t_stop < t_start:
-            raise ValueError(f"t_stop {t_stop} precedes t_start {t_start}")
-        i0 = max(0, int(round((t_start - self.t0) * self.sample_rate)))
-        i1 = min(self.n_samples,
-                 int(round((t_stop - self.t0) * self.sample_rate)))
-        return WaveformBatch(self.data[:, i0:i1], self.sample_rate,
-                             t0=self.t0 + i0 * self.dt)
-
-    def skip(self, n_samples: int) -> "WaveformBatch":
-        """Drop the first ``n_samples`` samples of every row."""
-        if n_samples < 0:
-            raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-        n = min(n_samples, self.n_samples)
-        return WaveformBatch(self.data[:, n:], self.sample_rate,
-                             t0=self.t0 + n * self.dt)
-
-    def delayed(self, delay_s: float) -> "WaveformBatch":
-        """Every row delayed by ``delay_s`` seconds.
-
-        The integer-sample part shifts, the fractional part interpolates
-        linearly, and samples from before the start hold the first value
-        (from past the end, the last); :meth:`Waveform.delayed` is a
-        batch of one through this kernel.
-        """
-        if self.n_samples == 0:
-            return self
-        shift = delay_s * self.sample_rate
-        n = int(np.floor(shift))
-        frac = shift - n
-        n_samples = self.n_samples
-        if n >= n_samples or -n >= n_samples:
-            fill = self.data[:, :1] if n > 0 else self.data[:, -1:]
-            return self.with_data(np.broadcast_to(
-                fill, self.data.shape).copy())
-        padded = np.empty_like(self.data)
-        if n >= 0:
-            padded[:, :n] = self.data[:, :1]
-            padded[:, n:] = self.data[:, : n_samples - n]
-        else:
-            padded[:, :n] = self.data[:, -n:]
-            padded[:, n:] = self.data[:, -1:]
-        if frac > 0:
-            shifted_one_more = np.empty_like(padded)
-            shifted_one_more[:, 0] = padded[:, 0]
-            shifted_one_more[:, 1:] = padded[:, :-1]
-            padded = (1.0 - frac) * padded + frac * shifted_one_more
-        return self.with_data(padded)

@@ -146,15 +146,7 @@ def write_plan(path, rules: Sequence[FaultRule]) -> pathlib.Path:
 def read_plan(path) -> List[FaultRule]:
     """Load a plan file back into :class:`FaultRule` objects."""
     payload = json.loads(pathlib.Path(path).read_text())
-    rules = []
-    for raw in payload["rules"]:
-        rows = raw.get("rows")
-        rules.append(FaultRule(
-            mode=raw["mode"], si=raw.get("si"), start=raw.get("start"),
-            rows=tuple(rows) if rows is not None else None,
-            times=raw.get("times"), seconds=raw.get("seconds", 60.0),
-        ))
-    return rules
+    return [FaultRule(**raw) for raw in payload["rules"]]
 
 
 @contextlib.contextmanager

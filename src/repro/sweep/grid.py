@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -99,10 +100,7 @@ class ScenarioGrid:
     @property
     def n_scenarios(self) -> int:
         """Total number of scenario points."""
-        total = 1
-        for axis in self.axes:
-            total *= len(axis)
-        return total
+        return math.prod(len(axis) for axis in self.axes)
 
     @property
     def names(self) -> List[str]:
@@ -120,14 +118,10 @@ class ScenarioGrid:
     # -- iteration ---------------------------------------------------------
     def points(self) -> Iterator[Dict]:
         """Every scenario's parameter dict, in canonical order."""
-        for combo in itertools.product(*(axis.values for axis in self.axes)):
-            yield dict(zip(self.names, combo))
+        return self._subspace_points(self.axes)
 
     @staticmethod
     def _subspace_points(axes: Sequence[SweepAxis]) -> Iterator[Dict]:
-        if not axes:
-            yield {}
-            return
         names = [axis.name for axis in axes]
         for combo in itertools.product(*(axis.values for axis in axes)):
             yield dict(zip(names, combo))
@@ -164,10 +158,7 @@ class ScenarioGrid:
 
     def n_batch_scenarios(self) -> int:
         """Scenarios per batched pass (product of batchable axis sizes)."""
-        total = 1
-        for axis in self.batch_axes():
-            total *= len(axis)
-        return total
+        return math.prod(len(axis) for axis in self.batch_axes())
 
     # -- indexing ----------------------------------------------------------
     def flat_index(self, params: Dict) -> int:

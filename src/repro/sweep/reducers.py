@@ -383,7 +383,7 @@ class Histogram(_ScalarReducer):
 
 
 @dataclasses.dataclass(frozen=True)
-class Quantiles(_ScalarReducer):
+class Quantiles(Histogram):
     """Online quantiles from a constant-memory cumulative sketch.
 
     A P²-style estimator with a crucial difference: instead of the
@@ -396,10 +396,8 @@ class Quantiles(_ScalarReducer):
     the range clamps to the edges.
     """
 
-    qs: Tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.95)
-    lo: float = 0.0
-    hi: float = 1.0
     n_bins: int = 256
+    qs: Tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.95)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qs", tuple(float(q) for q in self.qs))
@@ -407,24 +405,10 @@ class Quantiles(_ScalarReducer):
             raise ValueError("qs must name at least one quantile")
         if any(not 0.0 <= q <= 1.0 for q in self.qs):
             raise ValueError(f"quantiles must be in [0, 1], got {self.qs}")
-        _ = self._sketch  # constructing it validates the range/bins
-
-    @property
-    def _sketch(self) -> Histogram:
-        return Histogram(extract=self.extract, lo=self.lo, hi=self.hi,
-                         n_bins=self.n_bins)
-
-    def init(self):
-        return self._sketch.init()
-
-    def update(self, state, values, params):
-        return self._sketch.update(state, values, params)
-
-    def merge(self, a, b):
-        return self._sketch.merge(a, b)
+        super().__post_init__()
 
     def finalize(self, state) -> QuantilesResult:
-        histogram = self._sketch.finalize(state)
+        histogram = super().finalize(state)
         return QuantilesResult(
             qs=self.qs,
             values=tuple(histogram.quantile(q) for q in self.qs),

@@ -962,13 +962,8 @@ class _PoolSupervisor:
                 except BrokenProcessPool as error:
                     if isolated:
                         # Sole in-flight unit: the crash is its doing.
-                        follow = self.runner._after_failed_attempt(
-                            unit, "crash",
-                            f"worker process died ({error})", "",
-                            self.outcomes, self.journal)
-                        for sub in follow:
-                            sub.suspect = True
-                        self._requeue(follow)
+                        self._charge(unit, "crash",
+                                     f"worker process died ({error})")
                         self._broken(wave, attributed=True)
                     else:
                         self.suspects.append(unit)
@@ -999,6 +994,15 @@ class _PoolSupervisor:
                 return
 
     # -- failure transitions -----------------------------------------------
+    def _charge(self, unit: _Unit, kind: str, error: str) -> None:
+        """Charge a crash or timeout to ``unit``; what it leaves to run
+        (a retry or its split halves) runs in isolation."""
+        follow = self.runner._after_failed_attempt(
+            unit, kind, error, "", self.outcomes, self.journal)
+        for sub in follow:
+            sub.suspect = True
+        self._requeue(follow)
+
     def _broken(self, wave: Dict[Any, _Unit], attributed: bool) -> None:
         """The pool died under ``wave``; requeue survivors as suspects."""
         for unit in wave.values():
@@ -1021,14 +1025,8 @@ class _PoolSupervisor:
         """
         self._discard_pool(kill=True)
         for future in expired:
-            unit = wave.pop(future)
-            follow = self.runner._after_failed_attempt(
-                unit, "timeout",
-                f"unit exceeded timeout={self.runner.timeout}s", "",
-                self.outcomes, self.journal)
-            for sub in follow:
-                sub.suspect = True
-            self._requeue(follow)
+            self._charge(wave.pop(future), "timeout",
+                         f"unit exceeded timeout={self.runner.timeout}s")
         # In-flight innocents are requeued without an attempt charge.
         self._requeue(wave.values())
         wave.clear()

@@ -17,7 +17,18 @@ match it bit for bit:
 * :func:`run_link` — the framed link (8b/10b serialize, analog path,
   scalar CDR, deserialize) for one waveform;
 * :func:`serial_sweep` — a :class:`~repro.sweep.SweepRunner`'s grid
-  walked one scenario at a time, the loop the batched sweep replaces.
+  walked one scenario at a time, the loop the batched sweep replaces;
+* :func:`eye_diagram`, :func:`eye_quality_metric`, :func:`ber_from_eye`,
+  :func:`decompose_jitter` and :func:`pulse_response` — the
+  per-waveform measurement layer above the eye fold: ``eye_diagram``
+  resamples a non-integer samples/UI waveform on its own before
+  folding, ``ber_from_eye`` converts Q to BER in scalar Python and
+  ``pulse_response`` pushes single waveforms, not a batch, through the
+  system.  The fold itself is pinned separately, against a frozen
+  scalar eye in ``test_eye_oracle.py``;
+* :func:`adapt_equalizer` / :func:`adapt_peaking` — the knob searches
+  scored candidate by candidate through :meth:`ScalarKnobSearch.maximize
+  <repro.core.ScalarKnobSearch.maximize>`.
 
 Tests import this module by name (``tests/`` is on ``sys.path`` under
 pytest); benchmarks add ``tests/`` to the path first.
@@ -25,13 +36,27 @@ pytest); benchmarks add ``tests/`` to the path first.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.ber import ber_from_measurement
+from repro.analysis.eye import EyeDiagram
+from repro.analysis.isi import PulseResponse
+from repro.analysis.jitter_decomposition import (
+    JitterDecomposition,
+    decompose_crossings,
+)
 from repro.baselines.dfe import inner_eye_height_from_corrected
 from repro.cdr import CdrConfig, CdrResult
 from repro.cdr.phase_detector import vote_step
+from repro.core.adaptation import (
+    AdaptationResult,
+    ScalarKnobSearch,
+    _training_wave,
+)
+from repro.core.interface import build_input_interface, build_output_interface
 from repro.serdes.serializer import (
     Deserializer,
     LinkReport,
@@ -39,6 +64,8 @@ from repro.serdes.serializer import (
     _serialize_payload,
 )
 from repro.signals.batch import WaveformBatch
+from repro.signals.modulation import Modulation
+from repro.signals.nrz import bits_to_nrz
 from repro.signals.waveform import Waveform, sample_uniform
 from repro.sweep import SweepResult
 
@@ -338,3 +365,100 @@ def serial_sweep(runner, measure_row: Optional[Callable[[Waveform, Dict],
         params = results = None
     return SweepResult(grid=grid, params=params, results=results,
                        aggregates=aggregates)
+
+
+def eye_diagram(wave: Waveform, bit_rate: float, skip_ui: int = 8,
+                modulation: Optional[Modulation] = None) -> EyeDiagram:
+    """Fold one waveform, first resampling a rate that is not a whole
+    multiple of ``bit_rate`` to ``max(8, ceil(samples/UI))`` per UI."""
+    samples_per_ui = wave.sample_rate / bit_rate
+    if abs(samples_per_ui - round(samples_per_ui)) > 1e-6:
+        target = bit_rate * max(8, int(math.ceil(samples_per_ui)))
+        wave = wave.resampled(target)
+    return EyeDiagram(wave, bit_rate, skip_ui=skip_ui, modulation=modulation)
+
+
+def eye_quality_metric(wave: Waveform, bit_rate: float,
+                       skip_ui: int = 16) -> float:
+    """Eye width minus twice the RMS jitter (UI); -1 for a closed eye,
+    -10 for one that cannot be folded."""
+    try:
+        eye = eye_diagram(wave, bit_rate, skip_ui=skip_ui)
+    except ValueError:
+        return -10.0
+    measurement = eye.measure()
+    if not measurement.is_open:
+        return -1.0
+    return measurement.eye_width_ui - 2.0 * eye.jitter_rms_ui()
+
+
+def ber_from_eye(wave: Waveform, bit_rate: float, skip_ui: int = 8,
+                 modulation: Optional[Modulation] = None) -> float:
+    """BER from the eye's Q-factor(s), summed in scalar Python."""
+    measurement = eye_diagram(wave, bit_rate, skip_ui=skip_ui,
+                              modulation=modulation).measure()
+    return ber_from_measurement(measurement, modulation)
+
+
+def decompose_jitter(wave: Waveform, bit_rate: float,
+                     skip_ui: int = 8) -> JitterDecomposition:
+    """Dual-Dirac decomposition of one waveform's crossing jitter."""
+    crossings_ui = eye_diagram(wave, bit_rate,
+                               skip_ui=skip_ui).crossing_times_ui()
+    return decompose_crossings(crossings_ui / bit_rate)
+
+
+def pulse_response(system, bit_rate: float, samples_per_bit: int = 32,
+                   n_lead_bits: int = 8, n_lag_bits: int = 24,
+                   amplitude: float = 1.0) -> PulseResponse:
+    """Lone-one response minus all-zero baseline, each pushed through
+    ``system`` as a single waveform."""
+    bits: List[int] = [0] * n_lead_bits + [1] + [0] * n_lag_bits
+    stimulus = bits_to_nrz(np.array(bits), bit_rate, amplitude=amplitude,
+                           samples_per_bit=samples_per_bit)
+    baseline = bits_to_nrz(np.zeros(len(bits), dtype=int), bit_rate,
+                           amplitude=amplitude,
+                           samples_per_bit=samples_per_bit)
+    response = system.process(stimulus).data - system.process(baseline).data
+    return PulseResponse.from_waveform(
+        Waveform(response, stimulus.sample_rate), bit_rate)
+
+
+def adapt_equalizer(channel, bit_rate: float = 10e9,
+                    amplitude: float = 0.2, samples_per_bit: int = 16,
+                    n_bits: int = 260, n_refine: int = 6
+                    ) -> AdaptationResult:
+    """:func:`repro.core.adapt_equalizer`, one candidate V1 at a time."""
+    received = channel.process(
+        _training_wave(bit_rate, amplitude, samples_per_bit, n_bits))
+    v1_lo, v1_hi = \
+        build_input_interface().equalizer.degeneration.control_range()
+
+    def objective(v1: float) -> float:
+        rx = build_input_interface(equalizer_control_voltage=v1)
+        return eye_quality_metric(rx.process(received), bit_rate)
+
+    return ScalarKnobSearch(lo=v1_lo, hi=min(v1_hi, 1.2), n_grid=6,
+                            n_refine=n_refine).maximize(objective)
+
+
+def adapt_peaking(channel, bit_rate: float = 10e9,
+                  amplitude: float = 0.3, samples_per_bit: int = 16,
+                  n_bits: int = 260, n_refine: int = 6
+                  ) -> AdaptationResult:
+    """:func:`repro.core.adapt_peaking`, one spike current at a time."""
+    wave = _training_wave(bit_rate, amplitude, samples_per_bit, n_bits)
+
+    def objective(spike_current: float) -> float:
+        tx = build_output_interface(spike_current=spike_current)
+        received = channel.process(tx.process(wave))
+        metric = eye_quality_metric(received, bit_rate)
+        try:
+            measurement = eye_diagram(received, bit_rate, skip_ui=16).measure()
+            metric += 2.0 * max(0.0, measurement.eye_height)
+        except ValueError:
+            pass
+        return metric
+
+    return ScalarKnobSearch(lo=0.2e-3, hi=4e-3, n_grid=5,
+                            n_refine=n_refine).maximize(objective)

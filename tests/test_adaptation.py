@@ -12,6 +12,7 @@ from repro.core import (
     eye_quality_metric,
 )
 from repro.signals import bits_to_nrz, prbs7
+import serial_oracles as oracle
 
 BIT_RATE = 10e9
 
@@ -136,28 +137,26 @@ def test_eye_quality_metric_batch_is_exported():
                         samples_per_bit=16)
     batch = WaveformBatch.stack([clean, BackplaneChannel(0.6).process(clean)])
     metrics = eye_quality_metric_batch(batch, BIT_RATE)
-    assert metrics[0] == eye_quality_metric(clean, BIT_RATE)
+    assert metrics[0] == oracle.eye_quality_metric(clean, BIT_RATE)
     assert metrics[0] > metrics[1]
 
 
 def test_adapt_equalizer_batched_matches_serial():
     channel = BackplaneChannel(0.4)
-    batched = adapt_equalizer(channel, n_refine=2, batched=True)
-    serial = adapt_equalizer(channel, n_refine=2, batched=False)
-    assert batched == serial
+    batched = adapt_equalizer(channel, n_refine=2)
+    assert batched == oracle.adapt_equalizer(channel, n_refine=2)
 
 
 def test_adapt_peaking_batched_matches_serial():
     channel = BackplaneChannel(0.5)
-    batched = adapt_peaking(channel, n_refine=2, batched=True)
-    serial = adapt_peaking(channel, n_refine=2, batched=False)
-    assert batched == serial
+    batched = adapt_peaking(channel, n_refine=2)
+    assert batched == oracle.adapt_peaking(channel, n_refine=2)
 
 
-def test_metric_batch_falls_back_on_non_integer_samples_per_ui():
-    # The serial metric resamples non-integer samples/UI; the batched
-    # fold cannot, so it must fall back per row instead of reporting
-    # every row unmeasurable.
+def test_metric_batch_resamples_non_integer_samples_per_ui():
+    # Each row is resampled to 16 samples/UI before the fold, as the
+    # per-waveform oracle does, instead of reporting every row
+    # unmeasurable.
     import numpy as np
     from repro.core import eye_quality_metric_batch
     from repro.signals import WaveformBatch
@@ -167,5 +166,5 @@ def test_metric_batch_falls_back_on_non_integer_samples_per_ui():
     batch = WaveformBatch.stack([wave, wave * 0.5])
     metrics = eye_quality_metric_batch(batch, BIT_RATE)
     for i, row in enumerate(batch.rows()):
-        assert metrics[i] == eye_quality_metric(row, BIT_RATE)
+        assert metrics[i] == oracle.eye_quality_metric(row, BIT_RATE)
     assert np.all(metrics > 0)  # a clean eye, not the -10 sentinel

@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 
 from repro import build_io_interface
 from repro.analysis import (
-    EyeDiagram,
-    ber_from_eye,
     ber_from_eye_batch,
     measure_eye_batch,
-    pulse_response,
     pulse_response_batch,
 )
 from repro.channel import BackplaneChannel
@@ -43,6 +40,7 @@ from repro.signals import (
     bits_to_nrz,
     prbs7,
 )
+import serial_oracles as oracle
 
 FS = 160e9
 BIT_RATE = 10e9
@@ -299,8 +297,22 @@ def test_measure_eye_batch_matches_serial_measurements():
                                  for s in range(5)])
     batched = measure_eye_batch(batch, BIT_RATE, skip_ui=8)
     for row, measurement in zip(batch.rows(), batched):
-        serial = EyeDiagram.measure_waveform(row, BIT_RATE, skip_ui=8)
-        assert serial == measurement
+        assert measurement == oracle.eye_diagram(row, BIT_RATE,
+                                                 skip_ui=8).measure()
+
+
+def test_measure_eye_batch_resamples_non_integer_rows_like_the_oracle():
+    # 15.5 samples/UI: every row is resampled to 16 samples/UI on its
+    # own before the fold, as the per-waveform oracle does.
+    base = bits_to_nrz(prbs7(60), BIT_RATE, amplitude=0.3,
+                       samples_per_bit=16).resampled(15.5 * BIT_RATE)
+    batch = WaveformBatch.stack([add_awgn(base, 5e-3, seed=s)
+                                 for s in range(3)])
+    batched = measure_eye_batch(batch, BIT_RATE, skip_ui=8)
+    for row, measurement in zip(batch.rows(), batched):
+        assert measurement == oracle.eye_diagram(row, BIT_RATE,
+                                                 skip_ui=8).measure()
+    assert all(m.eye_height > 0 for m in batched)
 
 
 def test_ber_from_eye_batch_matches_serial():
@@ -310,7 +322,8 @@ def test_ber_from_eye_batch_matches_serial():
                                  for s in range(3)])
     batched = ber_from_eye_batch(batch, BIT_RATE)
     for row, ber in zip(batch.rows(), batched):
-        assert ber == pytest.approx(ber_from_eye(row, BIT_RATE), rel=1e-12)
+        assert ber == pytest.approx(oracle.ber_from_eye(row, BIT_RATE),
+                                    rel=1e-12)
 
 
 def test_pulse_response_batch_matches_serial():
@@ -320,8 +333,9 @@ def test_pulse_response_batch_matches_serial():
     batched = pulse_response_batch(system, BIT_RATE, amplitudes,
                                    samples_per_bit=16)
     for amplitude, response in zip(amplitudes, batched):
-        serial = pulse_response(system, BIT_RATE, samples_per_bit=16,
-                                amplitude=amplitude)
+        serial = oracle.pulse_response(system, BIT_RATE,
+                                       samples_per_bit=16,
+                                       amplitude=amplitude)
         assert response.cursor_index == serial.cursor_index
         np.testing.assert_array_equal(response.cursors, serial.cursors)
 
@@ -437,7 +451,7 @@ def test_batch_crossing_extraction_rows_match_serial():
     pp = batched.jitter_pp_ui()
     width = batched.eye_width_ui()
     for i, row in enumerate(batch.rows()):
-        serial = EyeDiagram(row, BIT_RATE)
+        serial = oracle.eye_diagram(row, BIT_RATE)
         np.testing.assert_array_equal(per_row[i],
                                       serial.crossing_times_ui())
         assert rms[i] == serial.jitter_rms_ui()
@@ -460,7 +474,7 @@ def test_batch_crossing_extraction_handles_crossing_free_rows():
 
 def test_eye_quality_metric_batch_rows_match_serial():
     from repro.channel import BackplaneChannel
-    from repro.core import eye_quality_metric, eye_quality_metric_batch
+    from repro.core import eye_quality_metric_batch
 
     base = bits_to_nrz(prbs7(120), BIT_RATE, amplitude=0.3,
                        samples_per_bit=16)
@@ -474,11 +488,11 @@ def test_eye_quality_metric_batch_rows_match_serial():
     metrics = eye_quality_metric_batch(batch, BIT_RATE)
     assert metrics.shape == (4,)
     for i, row in enumerate(rows):
-        assert metrics[i] == eye_quality_metric(row, BIT_RATE)
+        assert metrics[i] == oracle.eye_quality_metric(row, BIT_RATE)
 
 
 def test_decompose_jitter_batch_rows_match_serial():
-    from repro.analysis import decompose_jitter, decompose_jitter_batch
+    from repro.analysis import decompose_jitter_batch
 
     encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=16,
                          amplitude=0.4)
@@ -488,11 +502,11 @@ def test_decompose_jitter_batch_rows_match_serial():
     batch = encoder.encode_batch(bits, offsets)
     batched = decompose_jitter_batch(batch, BIT_RATE)
     for row, decomposition in zip(batch.rows(), batched):
-        assert decomposition == decompose_jitter(row, BIT_RATE)
+        assert decomposition == oracle.decompose_jitter(row, BIT_RATE)
 
 
-def test_decompose_jitter_batch_falls_back_on_non_integer_rate():
-    from repro.analysis import decompose_jitter, decompose_jitter_batch
+def test_decompose_jitter_batch_resamples_non_integer_rate():
+    from repro.analysis import decompose_jitter_batch
 
     encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=16,
                          amplitude=0.4)
@@ -504,4 +518,4 @@ def test_decompose_jitter_batch_falls_back_on_non_integer_rate():
     batch = WaveformBatch.stack(rows)
     batched = decompose_jitter_batch(batch, BIT_RATE)
     for row, decomposition in zip(batch.rows(), batched):
-        assert decomposition == decompose_jitter(row, BIT_RATE)
+        assert decomposition == oracle.decompose_jitter(row, BIT_RATE)

@@ -8,8 +8,11 @@ import pytest
 from repro.analysis import (
     AcMeasurement,
     BathtubCurve,
+    EyeDiagram,
     bathtub_from_waveform,
     ber_from_eye,
+    ber_from_eye_batch,
+    ber_from_measurement,
     ber_to_q,
     goertzel_amplitude,
     measure_bandwidth_stimulus,
@@ -19,7 +22,7 @@ from repro.analysis import (
     q_to_ber,
 )
 from repro.lti import GainBlock, LinearBlock, TanhLimiter, first_order_lowpass
-from repro.signals import add_awgn, bits_to_nrz, prbs7
+from repro.signals import WaveformBatch, add_awgn, bits_to_nrz, prbs7
 
 
 # -- q/ber -------------------------------------------------------------------
@@ -58,6 +61,23 @@ def test_ber_from_eye_improves_with_snr():
     low_noise = add_awgn(wave, 0.01, seed=1)
     high_noise = add_awgn(wave, 0.05, seed=1)
     assert ber_from_eye(low_noise, 10e9) < ber_from_eye(high_noise, 10e9)
+
+
+def test_nan_at_the_sampling_phase_gives_nan_q_and_ber():
+    # A NaN level sigma must not read as a noise-free eye (Q = inf,
+    # BER = 0): the NaN propagates to Q and to every BER path.
+    wave = bits_to_nrz(prbs7(100), 10e9, amplitude=0.3, samples_per_bit=16)
+    data = wave.data.copy()
+    data[16 * 40 + 5] = np.nan
+    wave = wave.with_data(data)
+    measurement = EyeDiagram.measure_waveform(wave, 10e9)
+    assert measurement.sampling_phase_ui == (5 + 0.5) / 16
+    assert math.isnan(measurement.q_factor)
+    assert math.isnan(ber_from_measurement(measurement))
+    assert math.isnan(ber_from_eye(wave, 10e9))
+    clean = bits_to_nrz(prbs7(100), 10e9, amplitude=0.3, samples_per_bit=16)
+    bers = ber_from_eye_batch(WaveformBatch.stack([clean, wave]), 10e9)
+    assert bers[0] == 0.0 and math.isnan(bers[1])
 
 
 # -- bathtub -------------------------------------------------------------------

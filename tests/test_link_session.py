@@ -524,6 +524,25 @@ def test_cdr_minimum_is_checked_with_the_cdrs_own_ui_count(samples_per_ui):
     assert calls == [1]
 
 
+def test_run_measures_the_eye_of_a_non_integer_samples_per_ui_wave():
+    # The eye resamples 15.5 samples/UI row by row, as the
+    # per-waveform oracle does, so run() and run_batch() measure it.
+    from serial_oracles import eye_diagram
+
+    session = LinkSession.from_configs(
+        channel=ChannelConfig(0.2),
+        rx=RxConfig(equalizer_control_voltage=0.6))
+    wave = bits_to_nrz(prbs7(120), BIT_RATE, amplitude=0.4,
+                       samples_per_bit=16).resampled(15.5 * BIT_RATE)
+    result = session.run(wave)
+    expected = eye_diagram(session.process(wave), BIT_RATE,
+                           skip_ui=session.skip_ui).measure()
+    assert result.eye == expected
+    assert result.eye.is_open
+    batched = session.run_batch(WaveformBatch.tiled(wave, 2))
+    assert batched.eyes == [expected, expected]
+
+
 # -- deprecations -------------------------------------------------------------
 
 def test_repro_package_never_triggers_its_own_deprecations(recwarn):

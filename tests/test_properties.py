@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import q_to_ber
@@ -180,11 +180,16 @@ scales = st.floats(min_value=-3.0, max_value=3.0)
                          DelayBlock(samples / LTI_FS)))),
        signals, signals, scales, scales)
 @settings(max_examples=60, deadline=None)
+@example(run=_block_path(GainBlock(5e-324)), x=np.ones(64), y=np.ones(64),
+         a=0.5, b=0.5)
 def test_lti_blocks_are_linear(run, x, y, a, b):
     lhs = run(a * x + b * y)
     rhs = a * run(x) + b * run(y)
     scale = np.max(np.abs(a * run(x))) + np.max(np.abs(b * run(y)))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
+    # Subnormal outputs round in absolute steps of 5e-324, which a
+    # relative tolerance cannot cover: floor it at the smallest normal.
+    tolerance = max(1e-9 * scale, np.finfo(float).tiny)
+    assert np.max(np.abs(lhs - rhs)) <= tolerance
 
 
 # -- statistical-eye ISI distribution -------------------------------------------
