@@ -130,7 +130,7 @@ def test_chunked_pass_memory_ceiling(save_report, save_json):
     n_bits = 24
     wave = bits_to_nrz(prbs7(n_bits), BIT_RATE, amplitude=0.4,
                        samples_per_bit=SAMPLES_PER_BIT)
-    batch = WaveformBatch.tiled(wave, n)
+    batch = WaveformBatch.stack([wave] * n)
     # Cheap synthetic analog chain: full-size intermediates without
     # lfilter cost, so the bench isolates memory behavior.
     session = LinkSession(

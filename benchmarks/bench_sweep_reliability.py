@@ -11,6 +11,11 @@ the limiting-amplifier output), run three ways at 10k scenarios:
 * **resumed**: the same call again — every unit replayed from the
   journal, zero simulation.
 
+Protocol: ``N_PAIRS`` plain/journaled pairs, interleaved, with the
+side that runs first alternating from pair to pair (each journaled run
+gets a fresh journal), so host drift lands on both sides alike; the
+overhead is the ratio of the two medians.
+
 Acceptance: journaling costs < 5% over the plain run (gated at full
 scale; ``BENCH_RELIABILITY_SCENARIOS`` shrinks the sweep for CI smoke
 runs where timing noise swamps a 5% margin), the journaled and plain
@@ -20,6 +25,7 @@ the stimulus at all, and the headline numbers land in
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -38,6 +44,7 @@ N_BITS = 48
 SAMPLES_PER_BIT = 16
 CHUNK_ROWS = 512
 OVERHEAD_CEILING = 0.05
+N_PAIRS = 5
 
 STIMULUS_CALLS = {"n": 0}
 
@@ -81,14 +88,20 @@ def test_checkpoint_overhead(save_report, save_json, tmp_path):
     runner = make_runner(N_SCENARIOS)
     make_runner(4).run()   # warm the discretization caches
 
-    t0 = time.perf_counter()
-    plain = runner.run()
-    t_plain = time.perf_counter() - t0
-
-    checkpoint_dir = tmp_path / "journal"
-    t0 = time.perf_counter()
-    journaled = runner.run(checkpoint_dir=checkpoint_dir)
-    t_journaled = time.perf_counter() - t0
+    times = {"plain": [], "journaled": []}
+    results = {}
+    for pair in range(N_PAIRS):
+        checkpoint_dir = tmp_path / f"journal{pair}"
+        sides = ("plain", "journaled")
+        for side in sides if pair % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            results[side] = runner.run(
+                checkpoint_dir=checkpoint_dir if side == "journaled"
+                else None)
+            times[side].append(time.perf_counter() - t0)
+    plain, journaled = results["plain"], results["journaled"]
+    t_plain = statistics.median(times["plain"])
+    t_journaled = statistics.median(times["journaled"])
 
     STIMULUS_CALLS["n"] = 0
     t0 = time.perf_counter()
@@ -100,8 +113,9 @@ def test_checkpoint_overhead(save_report, save_json, tmp_path):
     save_report("sweep_reliability_overhead", format_table([{
         "scenarios": N_SCENARIOS,
         "units": n_units,
-        "plain (s)": t_plain,
-        "journaled (s)": t_journaled,
+        "pairs": N_PAIRS,
+        "plain median (s)": t_plain,
+        "journaled median (s)": t_journaled,
         "overhead (%)": 100 * overhead,
         "resume replay (s)": t_resumed,
     }]))
@@ -109,6 +123,9 @@ def test_checkpoint_overhead(save_report, save_json, tmp_path):
         "n_scenarios": N_SCENARIOS,
         "chunk_rows": CHUNK_ROWS,
         "n_units": n_units,
+        "n_pairs": N_PAIRS,
+        "t_plain_runs_s": times["plain"],
+        "t_journaled_runs_s": times["journaled"],
         "t_plain_s": t_plain,
         "t_journaled_s": t_journaled,
         "checkpoint_overhead_frac": overhead,

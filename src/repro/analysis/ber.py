@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .eye import EyeDiagram, EyeMeasurement, measure_eye_batch
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 
@@ -112,7 +112,7 @@ def ber_from_eye(wave: Waveform, bit_rate: float, skip_ui: int = 8,
                  modulation: Optional[Modulation] = None) -> float:
     """Estimated BER of a waveform via its eye Q-factor(s) (a one-row
     :func:`ber_from_eye_batch`)."""
-    return float(ber_from_eye_batch(WaveformBatch.tiled(wave, 1), bit_rate,
+    return float(ber_from_eye_batch(_lift(wave)[0], bit_rate,
                                     skip_ui=skip_ui, modulation=modulation)[0])
 
 

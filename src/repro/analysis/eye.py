@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 
@@ -186,7 +186,7 @@ class EyeDiagram:
 
     def __init__(self, wave: Waveform, bit_rate: float, skip_ui: int = 8,
                  modulation: Optional[Modulation] = None):
-        self._batch = EyeDiagramBatch(WaveformBatch.tiled(wave, 1), bit_rate,
+        self._batch = EyeDiagramBatch(_lift(wave)[0], bit_rate,
                                       skip_ui=skip_ui, modulation=modulation)
         self.samples_per_ui = self._batch.samples_per_ui
         self.bit_rate = bit_rate

@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 from scipy.special import erfcinv
 
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _lift
 from ..signals.waveform import Waveform
 from .eye import EyeDiagramBatch
 
@@ -98,7 +98,7 @@ def decompose_jitter(wave: Waveform, bit_rate: float,
                      skip_ui: int = 8) -> JitterDecomposition:
     """Decompose the crossing jitter of a waveform's folded eye (a
     one-row :func:`decompose_jitter_batch`)."""
-    return decompose_jitter_batch(WaveformBatch.tiled(wave, 1), bit_rate,
+    return decompose_jitter_batch(_lift(wave)[0], bit_rate,
                                   skip_ui=skip_ui)[0]
 
 

@@ -12,10 +12,10 @@ same channels — the road the field took in the years after the paper.
 
 The decision-feedback loop runs in one batched kernel,
 :func:`repro.kernels.dfe_equalize_batch`, with a per-row decision
-history.  :meth:`DecisionFeedbackEqualizer.equalize` runs a single
-waveform as a batch of one; ``repro.link`` (``stage(dfe).equalize`` or
-:class:`~repro.link.LinkSession`) drives whole batches through the same
-kernel.
+history.  :meth:`DecisionFeedbackEqualizer.equalize` is its one entry
+point (and :meth:`~DecisionFeedbackEqualizer.inner_eye_height` the one
+measurement on it): a :class:`~repro.signals.batch.WaveformBatch` in
+gives per-row arrays, a single waveform runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .. import kernels
 from ..analysis.isi import pulse_response
 from ..lti.blocks import Block
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 
@@ -53,10 +53,6 @@ def inner_eye_height_from_corrected(corrected: np.ndarray,
     thresholds = (np.zeros(1) if thresholds is None
                   else np.asarray(thresholds, dtype=float))
     usable = corrected[..., skip_bits:]
-    if usable.shape[-1] == 0:
-        # Everything skipped: no samples to measure, hence no eye.
-        height = np.full(usable.shape[:-1], -np.inf)
-        return float(height) if corrected.ndim == 1 else height
     counts = np.zeros(usable.shape, dtype=np.int8)
     for threshold in thresholds:
         counts += usable > threshold
@@ -64,8 +60,12 @@ def inner_eye_height_from_corrected(corrected: np.ndarray,
     for e in range(len(thresholds)):
         upper_mask = counts == e + 1
         lower_mask = counts == e
-        upper_min = np.min(np.where(upper_mask, usable, np.inf), axis=-1)
-        lower_max = np.max(np.where(lower_mask, usable, -np.inf), axis=-1)
+        # ``initial`` lets an empty span (everything skipped) reduce;
+        # it then reads as a missing cluster, hence no eye.
+        upper_min = np.min(np.where(upper_mask, usable, np.inf), axis=-1,
+                           initial=np.inf)
+        lower_max = np.max(np.where(lower_mask, usable, -np.inf), axis=-1,
+                           initial=-np.inf)
         valid = upper_mask.any(axis=-1) & lower_mask.any(axis=-1)
         height = np.where(valid, upper_min - lower_max, -np.inf)
         worst = height if worst is None else np.minimum(worst, height)
@@ -151,41 +151,38 @@ class DecisionFeedbackEqualizer:
         return (self._min_bits() - 1 + self.sample_phase_ui
                 + 1.0 / samples_per_ui)
 
-    def equalize(self, wave: Waveform) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the DFE over a waveform.
+    def equalize(self, signal: "Waveform | WaveformBatch"
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Run the DFE over a signal.
 
         Returns ``(decisions, corrected_samples)``: the sliced symbols
         (level indices; 0/1 bits for NRZ) and the ISI-corrected analog
         samples at the decision instants (the quantity whose histogram
-        is the DFE's "inner eye").
+        is the DFE's "inner eye").  A :class:`WaveformBatch` runs N
+        independent DFEs through the kernel and gives
+        ``(n_scenarios, n_bits)`` arrays; a :class:`Waveform` runs as a
+        batch of one and gives its 1-D row.
         """
-        decisions, corrected = self._equalize_batch(
-            WaveformBatch.tiled(wave, 1))
-        return decisions[0], corrected[0]
-
-    def _equalize_batch(self, batch: WaveformBatch
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run N independent DFEs over a batch through the kernel.
-
-        Returns ``(decisions, corrected)`` of shape
-        ``(n_scenarios, n_bits)``.  Rows are independent: row ``i``
-        equals ``equalize(batch[i])``.
-        """
+        batch, was_single = _lift(signal)
         ui_samples = batch.sample_rate / self.bit_rate
         n_bits = self._n_bits(batch.n_samples, ui_samples)
-        return kernels.dfe_equalize_batch(
+        decisions, corrected = kernels.dfe_equalize_batch(
             batch.data, np.asarray(self.taps, dtype=float), ui_samples,
             self.sample_phase_ui, self.decision_amplitude, n_bits,
             self.decision_thresholds, self.decision_levels,
         )
+        if was_single:
+            return decisions[0], corrected[0]
+        return decisions, corrected
 
-    def inner_eye_height(self, wave: Waveform,
-                         skip_bits: int = 16) -> float:
-        """Worst-case vertical opening of the corrected samples
-        (worst sub-eye for multi-level modulations)."""
-        _, corrected = self.equalize(wave)
-        return float(inner_eye_height_from_corrected(
-            corrected, skip_bits, thresholds=self.decision_thresholds))
+    def inner_eye_height(self, signal: "Waveform | WaveformBatch",
+                         skip_bits: int = 16):
+        """Worst-case vertical opening of the corrected samples (worst
+        sub-eye for multi-level modulations): a float for a waveform, a
+        per-row array for a batch."""
+        _, corrected = self.equalize(signal)
+        return inner_eye_height_from_corrected(
+            corrected, skip_bits, thresholds=self.decision_thresholds)
 
 
 def dfe_taps_from_channel(channel: Block, bit_rate: float, n_taps: int = 2,

@@ -5,15 +5,16 @@ for the reliable operation of Clock Data Recovery").
 Bang-bang (Alexander) phase detection and a proportional+integral
 digital loop running directly on simulated analog waveforms, as N
 closed loops advanced together over a
-:class:`~repro.signals.batch.WaveformBatch` (``stage(cdr).recover`` in
-:mod:`repro.link`); :meth:`~repro.cdr.BangBangCdr.recover` runs one
-waveform as a batch of one.
+:class:`~repro.signals.batch.WaveformBatch`.
+:meth:`~repro.cdr.BangBangCdr.recover` is the loop's one entry point:
+a batch gives a :class:`CdrBatchResult`, a single waveform runs as a
+batch of one and gives its :class:`CdrResult` (``stage(cdr).recover``
+in :mod:`repro.link` delegates to it).
 """
 
 from .phase_detector import (
     PdVote,
     alexander_votes,
-    alexander_votes_batch,
     vote_step,
 )
 from .loop import CdrConfig, CdrResult, CdrBatchResult, BangBangCdr
@@ -21,7 +22,6 @@ from .loop import CdrConfig, CdrResult, CdrBatchResult, BangBangCdr
 __all__ = [
     "PdVote",
     "alexander_votes",
-    "alexander_votes_batch",
     "vote_step",
     "CdrConfig",
     "CdrResult",

@@ -11,9 +11,10 @@ CDR) can be simulated closed-loop.
 
 The loop runs in one batched kernel, :func:`repro.kernels.cdr_recover_batch`,
 which advances N loops together with per-row phase/integral/slip state.
-:meth:`BangBangCdr.recover` runs a single waveform as a batch of one;
-``repro.link`` (``stage(cdr).recover`` or :class:`~repro.link.LinkSession`)
-drives whole batches through the same kernel.
+:meth:`BangBangCdr.recover` is its one entry point: a
+:class:`~repro.signals.batch.WaveformBatch` in gives a
+:class:`CdrBatchResult`, a single waveform runs as a batch of one and
+gives its :class:`CdrResult` row.
 
 Cycle slips are first-class: when the steered phase wraps across
 ±1.0 UI the sampling instant stays continuous (the wrap is absorbed
@@ -28,7 +29,7 @@ import dataclasses
 import numpy as np
 
 from .. import kernels
-from ..signals.batch import WaveformBatch
+from ..signals.batch import RowStack, WaveformBatch, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 
@@ -123,7 +124,7 @@ class CdrResult:
 
 
 @dataclasses.dataclass(frozen=True)
-class CdrBatchResult:
+class CdrBatchResult(RowStack):
     """Outcome of N parallel CDR runs on one :class:`WaveformBatch`.
 
     Arrays are rectangular ``(n_scenarios, total_bits)``; rows that ran
@@ -139,14 +140,6 @@ class CdrBatchResult:
     locked_at_bit: np.ndarray
     slips: np.ndarray
     n_bits: np.ndarray
-
-    @property
-    def n_scenarios(self) -> int:
-        """Number of parallel loops."""
-        return self.decisions.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
 
     @property
     def is_locked(self) -> np.ndarray:
@@ -168,47 +161,16 @@ class CdrBatchResult:
             slips=int(self.slips[index]),
         )
 
-    def rows(self) -> list:
-        """Every scenario unpacked (see :meth:`row`)."""
-        return [self.row(i) for i in range(self.n_scenarios)]
-
-    @classmethod
-    def concatenate(cls, parts: "list[CdrBatchResult]") -> "CdrBatchResult":
-        """Stack row-chunks back into one batch result.
-
-        All parts must come from the same loop over same-duration
-        waveforms (equal ``total_bits``), which is exactly what the
-        chunked :meth:`~repro.link.LinkSession.run_batch` fast path
-        produces; per-row values are untouched, so concatenation
-        preserves row-exactness.
-        """
-        if not parts:
-            raise ValueError("cannot concatenate zero CdrBatchResults")
-        if len(parts) == 1:
-            return parts[0]
-        widths = {part.decisions.shape[1] for part in parts}
-        if len(widths) != 1:
-            raise ValueError(
-                f"chunks disagree on total_bits: {sorted(widths)}"
-            )
-        return cls(
-            decisions=np.concatenate([p.decisions for p in parts], axis=0),
-            phase_track_ui=np.concatenate(
-                [p.phase_track_ui for p in parts], axis=0),
-            votes=np.concatenate([p.votes for p in parts], axis=0),
-            locked_at_bit=np.concatenate([p.locked_at_bit for p in parts]),
-            slips=np.concatenate([p.slips for p in parts]),
-            n_bits=np.concatenate([p.n_bits for p in parts]),
-        )
-
     def recovered_jitter_ui(self) -> np.ndarray:
-        """Per-row post-lock RMS phase wander (NaN where unlocked)."""
+        """Per-row post-lock RMS phase wander (NaN where unlocked): one
+        masked ``np.std`` over each row's ``[locked_at_bit, n_bits)``."""
         out = np.full(self.n_scenarios, np.nan)
-        for i in range(self.n_scenarios):
-            lock = int(self.locked_at_bit[i])
-            if lock >= 0:
-                track = self.phase_track_ui[i, lock:int(self.n_bits[i])]
-                out[i] = float(np.std(track))
+        locked = self.is_locked
+        bits = np.arange(self.phase_track_ui.shape[1])
+        after_lock = ((bits >= self.locked_at_bit[locked, np.newaxis])
+                      & (bits < self.n_bits[locked, np.newaxis]))
+        out[locked] = np.std(self.phase_track_ui[locked], axis=1,
+                             where=after_lock)
         return out
 
 
@@ -238,31 +200,24 @@ class BangBangCdr:
         that :meth:`recover` accepts."""
         return _MIN_BITS + _SHORT_UI
 
-    def recover(self, wave: Waveform, n_bits: int | None = None
-                ) -> CdrResult:
-        """Run the loop over a waveform and return decisions + tracking.
+    def recover(self, signal: "Waveform | WaveformBatch",
+                n_bits: int | None = None,
+                initial_phase_ui: np.ndarray | None = None,
+                initial_frequency_ppm: np.ndarray | None = None
+                ) -> "CdrResult | CdrBatchResult":
+        """Run the loop over a signal and return decisions + tracking.
 
         The sampler interpolates the waveform at the recovered instants;
         data and edge samples alternate half a UI apart, Alexander votes
-        update the loop once per bit.  The waveform runs through the
-        batched kernel as a batch of one.
+        update the loop once per bit.  A :class:`WaveformBatch` runs N
+        independent loops through the kernel and returns a
+        :class:`CdrBatchResult`; a :class:`Waveform` runs as a batch of
+        one and returns its :class:`CdrResult`.  All rows share the
+        config; ``initial_phase_ui`` / ``initial_frequency_ppm``
+        optionally override the starting state per row (for lock-time
+        or pull-in yield studies).
         """
-        batch = WaveformBatch.tiled(wave, 1)
-        return self._recover_batch(batch, n_bits=n_bits).row(0)
-
-    def _recover_batch(self, batch: WaveformBatch,
-                       n_bits: int | None = None,
-                       initial_phase_ui: np.ndarray | None = None,
-                       initial_frequency_ppm: np.ndarray | None = None
-                       ) -> CdrBatchResult:
-        """Run N independent loops over a batch through the kernel.
-
-        All rows share the config; ``initial_phase_ui`` /
-        ``initial_frequency_ppm`` optionally override the starting state
-        per row (for lock-time or pull-in yield studies).  Rows are
-        independent: row ``i`` equals ``recover(batch[i])`` with the
-        matching config.
-        """
+        batch, was_single = _lift(signal)
         config = self.config
         ui = 1.0 / config.bit_rate
         total_bits = self._usable_bits(batch.duration, n_bits)
@@ -292,9 +247,10 @@ class BangBangCdr:
             )
 
         locked_at = self._detect_lock_batch(phases, row_bits)
-        return CdrBatchResult(decisions=decisions, phase_track_ui=phases,
-                              votes=votes, locked_at_bit=locked_at,
-                              slips=slips, n_bits=row_bits)
+        result = CdrBatchResult(decisions=decisions, phase_track_ui=phases,
+                                votes=votes, locked_at_bit=locked_at,
+                                slips=slips, n_bits=row_bits)
+        return result.row(0) if was_single else result
 
     @staticmethod
     def _detect_lock_batch(phases: np.ndarray, row_bits: np.ndarray,

@@ -16,7 +16,7 @@ data centre (B) — and votes:
 * ``A != T == B``  → clock is LATE;
 * no transition or contradictory votes → no information (hold).
 
-All three entry points share one sign/compare core, whose slicer
+Both entry points share one sign/compare core, whose slicer
 convention (zero counts high, NaN counts low) is the one the CDR kernel
 in :mod:`repro.kernels` votes with.
 """
@@ -27,8 +27,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["PdVote", "alexander_votes", "alexander_votes_batch",
-           "vote_step"]
+__all__ = ["PdVote", "alexander_votes", "vote_step"]
 
 
 class PdVote(enum.IntEnum):
@@ -70,46 +69,24 @@ def alexander_votes(samples_data: np.ndarray,
     Parameters
     ----------
     samples_data:
-        Sliced analog samples at the data instants (length N).
+        Sliced analog samples at the data instants: length N, or a
+        ``(n_rows, N)`` stack of trains.
     samples_edge:
         Sliced analog samples at the crossing instants *between*
-        consecutive data samples (length N-1): ``samples_edge[k]`` lies
-        between ``samples_data[k]`` and ``samples_data[k+1]``.
+        consecutive data samples (N-1 per train): ``samples_edge[..., k]``
+        lies between ``samples_data[..., k]`` and ``samples_data[..., k+1]``.
 
     Returns
     -------
-    Array of length N-1 with values in {-1, 0, +1} (LATE/HOLD/EARLY).
+    N-1 votes per train in {-1, 0, +1} (LATE/HOLD/EARLY).
     """
     samples_data = np.asarray(samples_data, dtype=float)
     samples_edge = np.asarray(samples_edge, dtype=float)
-    if len(samples_edge) != len(samples_data) - 1:
+    if samples_edge.shape != samples_data.shape[:-1] + (
+            samples_data.shape[-1] - 1,):
         raise ValueError(
-            f"edge samples must number data samples - 1: "
-            f"{len(samples_edge)} vs {len(samples_data)}"
-        )
-    return vote_step(samples_data[:-1], samples_edge, samples_data[1:])
-
-
-def alexander_votes_batch(samples_data: np.ndarray,
-                          samples_edge: np.ndarray) -> np.ndarray:
-    """Alexander votes for a whole batch of sample trains at once.
-
-    ``samples_data`` has shape ``(n_rows, n)`` and ``samples_edge``
-    ``(n_rows, n - 1)``; the result is ``(n_rows, n - 1)`` votes.  Row
-    ``i`` equals ``alexander_votes(samples_data[i], samples_edge[i])``.
-    """
-    samples_data = np.asarray(samples_data, dtype=float)
-    samples_edge = np.asarray(samples_edge, dtype=float)
-    if samples_data.ndim != 2 or samples_edge.ndim != 2:
-        raise ValueError(
-            f"batched votes need 2-D sample stacks, got shapes "
-            f"{samples_data.shape} and {samples_edge.shape}"
-        )
-    if samples_edge.shape != (samples_data.shape[0],
-                              samples_data.shape[1] - 1):
-        raise ValueError(
-            f"edge samples must number data samples - 1 per row: "
+            f"edge samples must number data samples - 1 per train: "
             f"{samples_edge.shape} vs {samples_data.shape}"
         )
-    return vote_step(samples_data[:, :-1], samples_edge,
-                     samples_data[:, 1:])
+    return vote_step(samples_data[..., :-1], samples_edge,
+                     samples_data[..., 1:])

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..analysis.eye import EyeDiagramBatch
 from ..channel.backplane import BackplaneChannel
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _lift
 from ..signals.nrz import NrzEncoder
 from ..signals.prbs import prbs7
 from ..signals.waveform import Waveform
@@ -171,7 +171,7 @@ def eye_quality_metric(wave: Waveform, bit_rate: float,
     negative value for waveforms whose eye cannot be measured.  A
     one-row :func:`eye_quality_metric_batch`.
     """
-    return float(eye_quality_metric_batch(WaveformBatch.tiled(wave, 1),
+    return float(eye_quality_metric_batch(_lift(wave)[0],
                                           bit_rate, skip_ui)[0])
 
 

@@ -26,6 +26,7 @@ through the same batched kernels:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,15 +44,15 @@ from ..serdes.serializer import (
     Deserializer,
     LinkBatchReport,
     LinkReport,
-    _report_from_cdr,
+    _decode_payload,
     _serialize_payload,
 )
-from ..signals.batch import WaveformBatch
+from ..signals.batch import RowStack, WaveformBatch, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 from ..sweep.grid import ScenarioGrid
 from ..sweep.runner import SweepResult, SweepRunner
-from .stage import CdrStage, DfeStage, Stage, _lift, _lower, stage
+from .stage import Stage, _run_stages, stage
 
 __all__ = [
     "TxConfig",
@@ -162,12 +163,13 @@ def _require_finite(batch: WaveformBatch) -> None:
     )
 
 
-def _run_stages(stages: Sequence[Stage],
-                batch: WaveformBatch) -> WaveformBatch:
-    """The one stage-chain loop every session path dispatches through."""
-    for link_stage in stages:
-        batch = link_stage.process_batch(batch)
-    return batch
+def _require_rate(what: str, rate: float, bit_rate: float) -> None:
+    """Reject a CDR or DFE built for another rate than the link's."""
+    if rate != bit_rate:
+        raise ValueError(
+            f"{what} bit_rate {rate:g} differs from the link bit_rate "
+            f"{bit_rate:g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ class LinkResult:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class LinkBatchResult:
+class LinkBatchResult(RowStack):
     """N scenarios' outcomes from one batched pass.
 
     Row ``i`` (:meth:`row`) equals :meth:`LinkSession.run` of the same
@@ -209,85 +211,18 @@ class LinkBatchResult:
     dfe_inner_eye_heights: Optional[np.ndarray] = None
     modulation: Modulation = Nrz()
 
-    @property
-    def n_scenarios(self) -> int:
-        """Number of scenarios in the batch."""
-        return self.output.n_scenarios
-
-    def __len__(self) -> int:
-        return self.n_scenarios
-
     def row(self, index: int) -> LinkResult:
         """Scenario ``index`` unpacked into the single-scenario form."""
-        if index < 0:
-            index += self.n_scenarios
-        if not 0 <= index < self.n_scenarios:
-            raise IndexError(f"scenario {index} out of range")
+        def at(column, unpack=lambda value: value):
+            return None if column is None else unpack(column[index])
+
         return LinkResult(
-            output=self.output[index],
-            eye=self.eyes[index] if self.eyes is not None else None,
-            cdr=self.cdr.row(index) if self.cdr is not None else None,
-            dfe_decisions=(None if self.dfe_decisions is None
-                           else self.dfe_decisions[index]),
-            dfe_corrected=(None if self.dfe_corrected is None
-                           else self.dfe_corrected[index]),
-            dfe_inner_eye_height=(
-                None if self.dfe_inner_eye_heights is None
-                else float(self.dfe_inner_eye_heights[index])),
+            output=self.output[index], eye=at(self.eyes), cdr=at(self.cdr),
+            dfe_decisions=at(self.dfe_decisions),
+            dfe_corrected=at(self.dfe_corrected),
+            dfe_inner_eye_height=at(self.dfe_inner_eye_heights, float),
             modulation=self.modulation,
         )
-
-    def rows(self) -> List[LinkResult]:
-        """Every scenario unpacked (see :meth:`row`)."""
-        return [self.row(i) for i in range(self.n_scenarios)]
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    @classmethod
-    def concatenate(cls, parts: "List[LinkBatchResult]"
-                    ) -> "LinkBatchResult":
-        """Stack row-chunks back into one batch result.
-
-        The chunked :meth:`LinkSession.run_batch` fast path measures
-        bounded row-chunks independently and reassembles them here;
-        per-row values are untouched, so the concatenation is row-exact
-        against the monolithic pass.  All parts must carry the same
-        measurement set (same session configuration).
-        """
-        if not parts:
-            raise ValueError("cannot concatenate zero LinkBatchResults")
-        if len(parts) == 1:
-            return parts[0]
-        first = parts[0]
-        for part in parts[1:]:
-            if ((part.eyes is None) != (first.eyes is None)
-                    or (part.cdr is None) != (first.cdr is None)
-                    or (part.dfe_decisions is None)
-                    != (first.dfe_decisions is None)):
-                raise ValueError(
-                    "chunks carry different measurement sets; they must "
-                    "come from one session configuration"
-                )
-        output = WaveformBatch(
-            np.concatenate([part.output.data for part in parts], axis=0),
-            first.output.sample_rate, t0=first.output.t0)
-        eyes = (None if first.eyes is None
-                else [eye for part in parts for eye in part.eyes])
-        cdr = (None if first.cdr is None
-               else CdrBatchResult.concatenate([part.cdr for part in parts]))
-
-        def cat(field: str):
-            arrays = [getattr(part, field) for part in parts]
-            if arrays[0] is None:
-                return None
-            return np.concatenate(arrays, axis=0)
-
-        return cls(output=output, eyes=eyes, cdr=cdr,
-                   dfe_decisions=cat("dfe_decisions"),
-                   dfe_corrected=cat("dfe_corrected"),
-                   dfe_inner_eye_heights=cat("dfe_inner_eye_heights"),
-                   modulation=first.modulation)
 
     def eye_heights(self) -> np.ndarray:
         """Per-scenario vertical eye openings."""
@@ -334,7 +269,6 @@ class LinkSession:
                  cdr: "CdrConfig | bool | None" = None,
                  dfe: "DfeConfig | DecisionFeedbackEqualizer | None" = None,
                  measure_eye: bool = True, skip_ui: int = 16,
-                 dfe_skip_bits: Optional[int] = None,
                  modulation: Optional[Modulation] = None):
         if bit_rate <= 0:
             raise ValueError(f"bit_rate must be positive, got {bit_rate}")
@@ -345,18 +279,19 @@ class LinkSession:
         if cdr is True:
             cdr = CdrConfig(bit_rate=bit_rate, modulation=self.modulation)
         self.cdr_config: Optional[CdrConfig] = cdr or None
-        self._cdr_stage = (CdrStage(BangBangCdr(self.cdr_config))
-                           if self.cdr_config is not None else None)
+        if self.cdr_config is not None:
+            _require_rate("CDR", self.cdr_config.bit_rate, bit_rate)
+        #: DFE decisions dropped before the inner-eye height: the
+        #: config's ``skip_bits``, 16 for a ready equalizer.
+        self.dfe_skip_bits = 16
         if isinstance(dfe, DfeConfig):
-            # An explicit dfe_skip_bits argument wins over the config's.
-            if dfe_skip_bits is None:
-                dfe_skip_bits = dfe.skip_bits
+            self.dfe_skip_bits = dfe.skip_bits
             dfe = dfe.build(bit_rate, modulation=self.modulation)
+        elif dfe is not None:
+            _require_rate("DFE", dfe.bit_rate, bit_rate)
         self.dfe: Optional[DecisionFeedbackEqualizer] = dfe
-        self._dfe_stage = DfeStage(dfe) if dfe is not None else None
         self.measure_eye = measure_eye
         self.skip_ui = skip_ui
-        self.dfe_skip_bits = 16 if dfe_skip_bits is None else dfe_skip_bits
         #: Built components, populated by :meth:`from_configs` so
         #: metric accessors (budget, DC gain, output swing) stay reachable.
         self.transmitter = None
@@ -374,7 +309,6 @@ class LinkSession:
                      dfe: "DfeConfig | DecisionFeedbackEqualizer | None"
                      = None,
                      measure_eye: bool = True, skip_ui: int = 16,
-                     dfe_skip_bits: Optional[int] = None,
                      modulation: Optional[Modulation] = None
                      ) -> "LinkSession":
         """Build the paper's tx → channel → rx chain from configs.
@@ -391,7 +325,7 @@ class LinkSession:
         stages, built = cls._build_chain(tx, channel, rx, bit_rate)
         session = cls(stages, bit_rate=bit_rate, cdr=cdr, dfe=dfe,
                       measure_eye=measure_eye, skip_ui=skip_ui,
-                      dfe_skip_bits=dfe_skip_bits, modulation=modulation)
+                      modulation=modulation)
         session.transmitter, session.channel, session.receiver = built
         session._configs = (tx, channel, rx)
         return session
@@ -432,8 +366,7 @@ class LinkSession:
         One dispatch path: ``Waveform`` in → ``Waveform`` out,
         ``WaveformBatch`` in → ``WaveformBatch`` out.
         """
-        batch, was_single = _lift(signal)
-        return _lower(_run_stages(self.stages, batch), was_single)
+        return _run_stages(self.stages, signal)
 
     def statistical_eye(self, engine: "Optional[Any]" = None, *,
                         amplitude: float = 1.0, samples_per_bit: int = 32,
@@ -480,27 +413,23 @@ class LinkSession:
 
         ``modulation`` overrides the session's line code for this batch
         (a structural ``modulation`` sweep axis lands here): the eye
-        folds per-sub-eye statistics and the CDR/DFE stages are rebuilt
-        with the matching slicer alphabet.
+        folds per-sub-eye statistics and the CDR and DFE slice with the
+        matching alphabet.
         """
         mod = self.modulation if modulation is None else modulation
         eyes = (measure_eye_batch(out, self.bit_rate, skip_ui=self.skip_ui,
                                   modulation=mod)
                 if self.measure_eye else None)
-        cdr_stage = self._cdr_stage
-        if cdr_stage is not None and mod != self.cdr_config.modulation:
-            cdr_stage = CdrStage(BangBangCdr(
-                dataclasses.replace(self.cdr_config, modulation=mod)))
-        cdr_result = (cdr_stage.recover(out)
-                      if cdr_stage is not None else None)
+        cdr_result = None
+        if self.cdr_config is not None:
+            cdr_result = BangBangCdr(dataclasses.replace(
+                self.cdr_config, modulation=mod)).recover(out)
         dfe = self.dfe
-        dfe_stage = self._dfe_stage
-        if dfe_stage is not None and mod != dfe.modulation:
-            dfe = dataclasses.replace(dfe, modulation=mod)
-            dfe_stage = DfeStage(dfe)
         dfe_decisions = dfe_corrected = dfe_heights = None
-        if dfe_stage is not None:
-            dfe_decisions, dfe_corrected = dfe_stage.equalize(out)
+        if dfe is not None:
+            if mod != dfe.modulation:
+                dfe = dataclasses.replace(dfe, modulation=mod)
+            dfe_decisions, dfe_corrected = dfe.equalize(out)
             dfe_heights = inner_eye_height_from_corrected(
                 dfe_corrected, self.dfe_skip_bits,
                 thresholds=dfe.decision_thresholds)
@@ -522,10 +451,10 @@ class LinkSession:
                           f"skip_ui={self.skip_ui} + {MIN_EYE_UI} for "
                           "the eye"))
         short = n_ui < max((n for n, _ in needs), default=0.0)
-        if self._cdr_stage is not None:
+        if self.cdr_config is not None:
             # The CDR counts whole UI from the duration; ask it, so a
             # waveform it would reject never gets past this check.
-            cdr = self._cdr_stage.cdr
+            cdr = BangBangCdr(self.cdr_config)
             cdr_ui, counted = cdr.min_ui(), cdr.count_ui(batch.duration)
             needs.append((cdr_ui, f"{cdr_ui:g} for the CDR"))
             if counted < cdr_ui <= n_ui:
@@ -559,10 +488,7 @@ class LinkSession:
                 f"run() takes a Waveform, got {type(wave).__name__}; "
                 "use run_batch() for batches"
             )
-        batch = _lift(wave)[0]
-        _require_finite(batch)
-        self._require_length(batch)
-        result = self._run(batch)
+        result = self.run_batch(wave)
         if result.n_scenarios != 1:
             raise ValueError(
                 f"a stage fanned the waveform out to "
@@ -601,7 +527,7 @@ class LinkSession:
         zero samples per row), keeping only the configured measurements
         — for large sweeps the received waveforms dominate the result's
         footprint and are rarely wanted.  See
-        ``benchmarks/bench_compiled_kernels.py`` for the measured
+        ``benchmarks/bench_fused_chunked_pass.py`` for the measured
         crossover: chunking costs a few percent below ~1k scenarios
         and is the only way to complete ≥100k.
         """
@@ -745,13 +671,8 @@ class LinkSession:
                 f"structural parameters {sorted(unknown)} match no field "
                 "of the session's tx/channel/rx configs"
             )
-        stages = tuple(stage(block) for block in blocks)
-
-        def processor(signal):
-            batch, was_single = _lift(signal)
-            return _lower(_run_stages(stages, batch), was_single)
-
-        return processor
+        return functools.partial(_run_stages,
+                                 tuple(stage(block) for block in blocks))
 
     # -- framed link -------------------------------------------------------
     def run_framed(self, payload: bytes, *,
@@ -783,7 +704,7 @@ class LinkSession:
 def run_framed_link(payload: bytes,
                     path: Optional[Callable[[Waveform], Any]] = None, *,
                     bit_rate: float = 10e9, samples_per_bit: int = 16,
-                    amplitude: float = 0.25, cdr_kp: float = 4e-3,
+                    amplitude: float = 0.25,
                     cdr: Optional[CdrConfig] = None,
                     training_commas: int = 40, training_bytes: int = 8,
                     use_last_comma: bool = False
@@ -797,27 +718,26 @@ def run_framed_link(payload: bytes,
     returning a single :class:`Waveform` yields a
     :class:`~repro.serdes.LinkReport`; a batch yields a
     :class:`~repro.serdes.LinkBatchReport` whose row ``i`` equals the
-    single-scenario run of that row.
+    single-scenario run of that row.  ``cdr`` defaults to
+    ``CdrConfig(bit_rate=bit_rate)``; a config for another rate raises
+    ``ValueError``.
     """
     wave = _serialize_payload(payload, bit_rate, samples_per_bit, amplitude,
                               training_commas, training_bytes)
-    received = path(wave) if path is not None else wave
-    was_single = isinstance(received, Waveform)
-    if was_single:
-        received = _lift(received)[0]
-    if not isinstance(received, WaveformBatch):
-        raise TypeError(
-            f"path must return a Waveform or WaveformBatch, got "
-            f"{type(received).__name__}"
-        )
-    config = cdr if cdr is not None else CdrConfig(bit_rate=bit_rate,
-                                                   kp=cdr_kp)
-    result = BangBangCdr(config)._recover_batch(received)
+    received, was_single = _lift(path(wave) if path is not None else wave)
+    if cdr is None:
+        cdr = CdrConfig(bit_rate=bit_rate)
+    _require_rate("CDR", cdr.bit_rate, bit_rate)
+    result = BangBangCdr(cdr).recover(received)
     deserializer = Deserializer(use_last_comma=use_last_comma)
-    reports = [
-        _report_from_cdr(payload, result.row(i), deserializer,
-                         training_bytes)
-        for i in range(result.n_scenarios)
-    ]
-    batch_report = LinkBatchReport(reports=reports)
-    return batch_report[0] if was_single else batch_report
+    report = LinkBatchReport(
+        payloads_received=[
+            _decode_payload(deserializer, bits[:n], training_bytes)
+            for bits, n in zip(result.decisions, result.n_bits)],
+        bits_recovered=result.n_bits,
+        cdr_locked=result.is_locked,
+        post_lock_jitter_ui=result.recovered_jitter_ui(),
+        cdr_slips=result.slips,
+        payload_sent=payload,
+    )
+    return report.row(0) if was_single else report

@@ -15,7 +15,11 @@ blocks and :class:`~repro.lti.blocks.Pipeline`, channels, the core
 interfaces, the baseline CTLE/DFE/pre-emphasis, the bang-bang CDR, and
 plain batch-transparent callables.  Row ``i`` of a batch driven through
 a stage is numerically identical to driving ``batch[i]`` on its own:
-there is only one kernel, so there is nothing to diverge.
+there is only one kernel, so there is nothing to diverge.  The CDR and
+DFE each keep one entry point of their own —
+:meth:`~repro.cdr.BangBangCdr.recover` and
+:meth:`~repro.baselines.dfe.DecisionFeedbackEqualizer.equalize` — which
+:class:`CdrStage` and :class:`DfeStage` delegate to.
 """
 
 from __future__ import annotations
@@ -25,12 +29,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..baselines.dfe import (
-    DecisionFeedbackEqualizer,
-    inner_eye_height_from_corrected,
-)
+from ..baselines.dfe import DecisionFeedbackEqualizer
 from ..cdr.loop import BangBangCdr, CdrBatchResult, CdrResult
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _lift
 from ..signals.waveform import Waveform
 from ..sweep.checkpoint import describe_callable
 
@@ -39,30 +40,15 @@ __all__ = ["Stage", "BlockStage", "CdrStage", "DfeStage", "stage"]
 Signal = Union[Waveform, WaveformBatch]
 
 
-def _lift(signal: Signal) -> Tuple[WaveformBatch, bool]:
-    """Normalize a signal onto the batch form.
-
-    Returns ``(batch, was_single)``: a :class:`Waveform` becomes a
-    one-row batch with ``was_single=True``; a batch passes through.
-    """
-    if isinstance(signal, WaveformBatch):
-        return signal, False
-    if isinstance(signal, Waveform):
-        return WaveformBatch(signal.data[np.newaxis, :], signal.sample_rate,
-                             t0=signal.t0), True
-    raise TypeError(
-        f"expected Waveform or WaveformBatch, got {type(signal).__name__}"
-    )
-
-
-def _lower(batch: WaveformBatch, was_single: bool) -> Signal:
-    """Undo :func:`_lift`: hand a single row back as a waveform.
-
-    A stage may legitimately fan one row out to many (noise fan-out);
-    in that case the batch stays a batch.
-    """
-    if was_single and isinstance(batch, WaveformBatch) \
-            and batch.n_scenarios == 1:
+def _run_stages(stages, signal: Signal) -> Signal:
+    """The one stage-chain loop every dispatch path runs through:
+    ``Waveform`` in → ``Waveform`` out, ``WaveformBatch`` in →
+    ``WaveformBatch`` out.  A stage may fan one row out to many (noise
+    fan-out); the batch then stays a batch."""
+    batch, was_single = _lift(signal)
+    for link_stage in stages:
+        batch = link_stage.process_batch(batch)
+    if was_single and batch.n_scenarios == 1:
         return batch[0]
     return batch
 
@@ -84,8 +70,7 @@ class Stage(abc.ABC):
         """The one kernel: transform all scenarios of a batch at once."""
 
     def __call__(self, signal: Signal) -> Signal:
-        batch, was_single = _lift(signal)
-        return _lower(self.process_batch(batch), was_single)
+        return _run_stages((self,), signal)
 
 
 class BlockStage(Stage):
@@ -134,10 +119,8 @@ class CdrStage(Stage):
 
     :meth:`process_batch` exposes the recovered decision streams as a
     bit-rate waveform batch (0/1 levels) so a CDR can sit inside a stage
-    chain; :meth:`recover` is the full-result form, returning the
-    :class:`~repro.cdr.CdrResult` family through the same single
-    batched kernel (a waveform is recovered as a one-row batch and row
-    0 is returned).
+    chain; :meth:`recover` delegates to the CDR's one entry point,
+    :meth:`~repro.cdr.BangBangCdr.recover`, with the stage's bit count.
     """
 
     name = "cdr"
@@ -154,19 +137,14 @@ class CdrStage(Stage):
                 initial_phase_ui: Optional[np.ndarray] = None,
                 initial_frequency_ppm: Optional[np.ndarray] = None
                 ) -> "CdrResult | CdrBatchResult":
-        """Run the loop(s): ``Waveform -> CdrResult``,
-        ``WaveformBatch -> CdrBatchResult``, one kernel for both."""
-        batch, was_single = _lift(signal)
-        result = self.cdr._recover_batch(
-            batch,
-            n_bits=self.n_bits if n_bits is None else n_bits,
-            initial_phase_ui=initial_phase_ui,
-            initial_frequency_ppm=initial_frequency_ppm,
-        )
-        return result.row(0) if was_single else result
+        """``Waveform -> CdrResult``, ``WaveformBatch -> CdrBatchResult``
+        (see :meth:`~repro.cdr.BangBangCdr.recover`)."""
+        return self.cdr.recover(
+            signal, self.n_bits if n_bits is None else n_bits,
+            initial_phase_ui, initial_frequency_ppm)
 
     def process_batch(self, batch: WaveformBatch) -> WaveformBatch:
-        result = self.cdr._recover_batch(batch, n_bits=self.n_bits)
+        result = self.cdr.recover(batch, n_bits=self.n_bits)
         return WaveformBatch(result.decisions.astype(float),
                              self.cdr.config.bit_rate, t0=batch.t0)
 
@@ -176,9 +154,8 @@ class DfeStage(Stage):
 
     :meth:`process_batch` exposes the ISI-corrected decision-instant
     samples as a baud-rate waveform batch (the signal whose histogram
-    is the DFE's inner eye); :meth:`equalize` is the full
-    ``(decisions, corrected)`` form.  Both run the one batched kernel;
-    a waveform in yields the 1-D row-0 arrays out.
+    is the DFE's inner eye); :meth:`equalize` and
+    :meth:`inner_eye_height` delegate to the DFE's own entry points.
     """
 
     name = "dfe"
@@ -191,24 +168,17 @@ class DfeStage(Stage):
         return {"dfe": self.dfe}
 
     def equalize(self, signal: Signal) -> Tuple[np.ndarray, np.ndarray]:
-        """``(decisions, corrected)``: 1-D for a waveform, 2-D
-        ``(n_scenarios, n_bits)`` for a batch — one kernel for both."""
-        batch, was_single = _lift(signal)
-        decisions, corrected = self.dfe._equalize_batch(batch)
-        if was_single:
-            return decisions[0], corrected[0]
-        return decisions, corrected
+        """``(decisions, corrected)`` (see
+        :meth:`~repro.baselines.dfe.DecisionFeedbackEqualizer.equalize`)."""
+        return self.dfe.equalize(signal)
 
     def inner_eye_height(self, signal: Signal, skip_bits: int = 16):
-        """Worst-case vertical opening of the corrected samples (worst
-        sub-eye for multi-level modulations): a float for a waveform, a
-        per-row array for a batch."""
-        _, corrected = self.equalize(signal)
-        return inner_eye_height_from_corrected(
-            corrected, skip_bits, thresholds=self.dfe.decision_thresholds)
+        """A float for a waveform, a per-row array for a batch (see
+        ``DecisionFeedbackEqualizer.inner_eye_height``)."""
+        return self.dfe.inner_eye_height(signal, skip_bits)
 
     def process_batch(self, batch: WaveformBatch) -> WaveformBatch:
-        _, corrected = self.dfe._equalize_batch(batch)
+        _, corrected = self.dfe.equalize(batch)
         t0 = batch.t0 + self.dfe.sample_phase_ui / self.dfe.bit_rate
         return WaveformBatch(corrected, self.dfe.bit_rate, t0=t0)
 

@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..signals.batch import RowStack
 from ..signals.nrz import NrzEncoder
 from ..signals.waveform import Waveform
 from .encoding import Decoder8b10b, Encoder8b10b, CodingError
@@ -180,25 +181,14 @@ class LinkReport:
                                           self.payload_received[:n]))
 
 
-def _report_from_cdr(payload: bytes, result,
-                     deserializer: Deserializer,
-                     training_bytes: int) -> LinkReport:
-    """Deserialize one CDR result (a batch row) into a report."""
+def _decode_payload(deserializer: Deserializer, bits: np.ndarray,
+                    training_bytes: int) -> bytes:
+    """One recovered bit stream's payload, settle pad stripped (empty
+    when it cannot be aligned or decoded)."""
     try:
-        decoded = deserializer.deserialize(result.decisions)
-        decoded = decoded[training_bytes:]  # strip the settle pad
+        return deserializer.deserialize(bits)[training_bytes:]
     except CodingError:
-        decoded = b""
-    jitter = (result.recovered_jitter_ui() if result.is_locked else
-              float("nan"))
-    return LinkReport(
-        payload_sent=payload,
-        payload_received=decoded,
-        bits_recovered=len(result.decisions),
-        cdr_locked=result.is_locked,
-        recovered_jitter_ui=jitter,
-        cdr_slips=result.slips,
-    )
+        return b""
 
 
 def _serialize_payload(payload, bit_rate, samples_per_bit,
@@ -212,38 +202,46 @@ def _serialize_payload(payload, bit_rate, samples_per_bit,
 
 
 @dataclasses.dataclass(frozen=True)
-class LinkBatchReport:
-    """Outcome of N framed-link scenarios recovered as one batch."""
+class LinkBatchReport(RowStack):
+    """Outcome of N framed-link scenarios recovered as one batch.
 
-    reports: List[LinkReport]
+    One column per :class:`LinkReport` field: the received payloads,
+    and per-row arrays of recovered bit counts, lock flags, post-lock
+    jitter (NaN where unlocked) and net cycle slips.  Row ``i``
+    (:meth:`row`, or ``report[i]``) is scenario ``i``'s
+    :class:`LinkReport`.
+    """
 
-    @property
-    def n_scenarios(self) -> int:
-        """Number of link scenarios in the batch."""
-        return len(self.reports)
+    payloads_received: List[bytes]
+    bits_recovered: np.ndarray
+    cdr_locked: np.ndarray
+    post_lock_jitter_ui: np.ndarray
+    cdr_slips: np.ndarray
+    payload_sent: bytes
 
-    def __len__(self) -> int:
-        return self.n_scenarios
-
-    def __getitem__(self, index: int) -> LinkReport:
-        return self.reports[index]
-
-    def __iter__(self):
-        return iter(self.reports)
+    def row(self, index: int) -> LinkReport:
+        """Scenario ``index`` as a :class:`LinkReport`."""
+        return LinkReport(
+            payload_sent=self.payload_sent,
+            payload_received=self.payloads_received[index],
+            bits_recovered=int(self.bits_recovered[index]),
+            cdr_locked=bool(self.cdr_locked[index]),
+            recovered_jitter_ui=float(self.post_lock_jitter_ui[index]),
+            cdr_slips=int(self.cdr_slips[index]),
+        )
 
     def lock_yield(self) -> float:
         """Fraction of scenarios whose CDR locked."""
-        return float(np.mean([r.cdr_locked for r in self.reports]))
+        return float(np.mean(self.cdr_locked))
 
     def frame_error_rate(self) -> float:
         """Fraction of scenarios whose payload did not survive."""
-        return float(np.mean([not r.error_free for r in self.reports]))
+        return float(np.mean([not report.error_free for report in self]))
 
     def slips(self) -> np.ndarray:
         """Per-scenario net CDR cycle-slip counts."""
-        return np.array([r.cdr_slips for r in self.reports],
-                        dtype=np.int64)
+        return self.cdr_slips
 
     def recovered_jitter_ui(self) -> np.ndarray:
         """Per-scenario post-lock jitter (NaN where unlocked)."""
-        return np.array([r.recovered_jitter_ui for r in self.reports])
+        return self.post_lock_jitter_ui

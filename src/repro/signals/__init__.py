@@ -41,7 +41,6 @@ from .noise import (
     WhiteNoise,
     thermal_noise_rms,
     add_awgn,
-    add_awgn_batch,
     snr_db,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "WhiteNoise",
     "thermal_noise_rms",
     "add_awgn",
-    "add_awgn_batch",
     "snr_db",
 ]

@@ -15,23 +15,90 @@ last axis) instead of per-scenario Python calls.
 Row ``i`` of a batch pushed through a pipeline is numerically identical
 to pushing ``batch[i]`` through the same pipeline on its own: the
 direct-form filter recursion, the delay interpolation and every static
-nonlinearity perform the same arithmetic per row.
+nonlinearity perform the same arithmetic per row.  :class:`RowStack`
+gives the batch and every batch result the same row access.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .waveform import Waveform, _Sampled
 
-__all__ = ["WaveformBatch"]
+__all__ = ["RowStack", "WaveformBatch"]
+
+
+class RowStack:
+    """Rows of a dataclass whose fields stack scenarios on axis 0.
+
+    Each field is a column (an array, a list, or a nested
+    :class:`RowStack`; ``None`` for a measurement not taken) or a value
+    every row shares (a sample rate, a line code).  The first field
+    sets the row count; a subclass defines only ``row(index)``, the
+    single-scenario form (also ``stack[index]``).
+    """
+
+    def __getitem__(self, index: int):
+        return self.row(index)
+
+    @property
+    def n_scenarios(self) -> int:
+        """Number of rows (scenarios)."""
+        return len(getattr(self, next(iter(self.__dataclass_fields__))))
+
+    def __len__(self) -> int:
+        return self.n_scenarios
+
+    def rows(self) -> list:
+        """Every scenario unpacked (see :meth:`row`)."""
+        return [self.row(i) for i in range(self.n_scenarios)]
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["RowStack"]):
+        """Stack row-chunks back into one result, field by field.
+
+        Columns concatenate on axis 0; shared fields must agree.  Every
+        row keeps its values, so concatenating the chunks of a
+        row-independent computation equals the monolithic pass.
+        """
+        if not parts:
+            raise ValueError(f"cannot concatenate zero {cls.__name__}s")
+        if len(parts) == 1:
+            return parts[0]
+        return cls(**{
+            field.name: _stack_column(
+                field.name, [getattr(part, field.name) for part in parts])
+            for field in dataclasses.fields(cls)
+        })
+
+
+def _stack_column(name: str, values: list):
+    """One field of :meth:`RowStack.concatenate` across the chunks."""
+    first = values[0]
+    if any((value is None) != (first is None) for value in values):
+        raise ValueError(
+            f"chunks disagree on whether {name!r} was measured; they must "
+            "come from one configuration"
+        )
+    if isinstance(first, RowStack):
+        return type(first).concatenate(values)
+    if isinstance(first, np.ndarray):
+        return np.concatenate(values, axis=0)
+    if isinstance(first, list):
+        return [item for value in values for item in value]
+    if any(value != first for value in values[1:]):
+        raise ValueError(f"chunks disagree on {name!r}")
+    return first
 
 
 @dataclasses.dataclass(frozen=True)
-class WaveformBatch(_Sampled):
+class WaveformBatch(_Sampled, RowStack):
     """A stack of uniformly sampled signals sharing one timebase.
 
     Parameters
@@ -72,14 +139,6 @@ class WaveformBatch(_Sampled):
         return cls(np.stack(rows), first.sample_rate, t0=first.t0)
 
     @classmethod
-    def tiled(cls, wave: Waveform, n_scenarios: int) -> "WaveformBatch":
-        """``n_scenarios`` identical copies of one waveform."""
-        if n_scenarios < 1:
-            raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
-        return cls(np.tile(wave.data, (n_scenarios, 1)),
-                   wave.sample_rate, t0=wave.t0)
-
-    @classmethod
     def with_noise_seeds(cls, wave: Waveform, rms_volts: float,
                          seeds: Sequence[int]) -> "WaveformBatch":
         """One row per seed: ``wave`` plus an independent AWGN draw.
@@ -101,30 +160,18 @@ class WaveformBatch(_Sampled):
 
     # -- basic properties --------------------------------------------------
     @property
-    def n_scenarios(self) -> int:
-        """Number of rows (scenarios) in the batch."""
-        return self.data.shape[0]
-
-    @property
     def n_samples(self) -> int:
         """Samples per scenario."""
         return self.data.shape[1]
 
-    def __len__(self) -> int:
-        return self.n_scenarios
-
-    def __iter__(self) -> Iterator[Waveform]:
-        return iter(self.rows())
+    def row(self, index: int) -> Waveform:
+        """Scenario ``index`` as a :class:`Waveform`."""
+        return Waveform(self.data[index], self.sample_rate, t0=self.t0)
 
     def __getitem__(self, index) -> "Waveform | WaveformBatch":
         if isinstance(index, slice):
             return self.with_data(self.data[index])
-        return Waveform(self.data[index], self.sample_rate, t0=self.t0)
-
-    def rows(self) -> List[Waveform]:
-        """The batch unstacked into per-scenario waveforms."""
-        return [Waveform(row, self.sample_rate, t0=self.t0)
-                for row in self.data]
+        return self.row(index)
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other) -> np.ndarray:
@@ -169,3 +216,21 @@ class WaveformBatch(_Sampled):
         if array.ndim == 0:
             return array
         raise ValueError(f"cannot broadcast shape {array.shape} onto batch")
+
+
+def _lift(signal: "Waveform | WaveformBatch") -> Tuple[WaveformBatch, bool]:
+    """Normalize a signal onto the batch form.
+
+    Returns ``(batch, was_single)``: a :class:`Waveform` becomes a
+    one-row batch (a view of its samples) with ``was_single=True``; a
+    batch passes through.  Every single-waveform entry point runs its
+    batched kernel on this one row.
+    """
+    if isinstance(signal, WaveformBatch):
+        return signal, False
+    if isinstance(signal, Waveform):
+        return WaveformBatch(signal.data[np.newaxis, :], signal.sample_rate,
+                             t0=signal.t0), True
+    raise TypeError(
+        f"expected Waveform or WaveformBatch, got {type(signal).__name__}"
+    )

@@ -51,21 +51,6 @@ class RandomJitter:
         del bit_rate  # RJ is rate-independent; kept for interface symmetry
         return rng.normal(0.0, self.rms_seconds, size=n_bits)
 
-    def offsets_batch(self, n_bits: int, bit_rate: float,
-                      seeds) -> np.ndarray:
-        """One independent offset realization per seed, shape
-        ``(len(seeds), n_bits)``.
-
-        Row ``i`` equals ``RandomJitter(rms, seed=seeds[i]).offsets(...)``
-        exactly, for batch-vs-serial reproducibility.
-        """
-        del bit_rate
-        rows = np.empty((len(seeds), n_bits))
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            rows[i] = rng.normal(0.0, self.rms_seconds, size=n_bits)
-        return rows
-
 
 @dataclasses.dataclass
 class SinusoidalJitter:

@@ -37,7 +37,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .batch import WaveformBatch
 from .waveform import Waveform
 
 __all__ = ["Modulation", "Nrz", "Pam4", "SymbolEncoder", "bits_to_pam4"]
@@ -315,23 +314,6 @@ class SymbolEncoder:
         per *symbol*, matching :meth:`encode`)."""
         return self.encode(self.modulation.bits_to_symbols(bits),
                            edge_offsets)
-
-    def encode_batch(self, symbols: np.ndarray,
-                     edge_offsets_rows: np.ndarray) -> WaveformBatch:
-        """One scenario per row of ``edge_offsets_rows``.
-
-        Encodes the same symbol pattern once per jitter realization and
-        stacks the results; row ``i`` equals
-        ``encode(symbols, edge_offsets_rows[i])`` exactly.
-        """
-        edge_offsets_rows = np.asarray(edge_offsets_rows, dtype=float)
-        if edge_offsets_rows.ndim != 2:
-            raise ValueError(
-                f"edge_offsets_rows must be 2-D, got shape "
-                f"{edge_offsets_rows.shape}"
-            )
-        return WaveformBatch.stack([self.encode(symbols, offsets)
-                                    for offsets in edge_offsets_rows])
 
 
 def bits_to_pam4(bits: np.ndarray, symbol_rate: float,

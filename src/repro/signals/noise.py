@@ -14,14 +14,11 @@ import dataclasses
 import math
 from typing import Optional
 
-import numpy as np
-
 from .._units import BOLTZMANN, ROOM_TEMPERATURE
 from .batch import WaveformBatch
 from .waveform import Waveform
 
-__all__ = ["WhiteNoise", "thermal_noise_rms", "add_awgn", "add_awgn_batch",
-           "snr_db"]
+__all__ = ["WhiteNoise", "thermal_noise_rms", "add_awgn", "snr_db"]
 
 
 @dataclasses.dataclass
@@ -65,9 +62,8 @@ class WhiteNoise:
         """Return ``wave`` plus one realization of the noise."""
         if self.rms_volts == 0:
             return wave
-        rng = np.random.default_rng(self.seed)
-        noise = rng.normal(0.0, self.rms_volts, size=len(wave))
-        return wave.with_data(wave.data + noise)
+        return WaveformBatch.with_noise_seeds(wave, self.rms_volts,
+                                              [self.seed])[0]
 
 
 def thermal_noise_rms(resistance_ohm: float, bandwidth_hz: float,
@@ -91,16 +87,6 @@ def add_awgn(wave: Waveform, rms_volts: float,
              seed: Optional[int] = None) -> Waveform:
     """Convenience: add white Gaussian noise of the given RMS to a wave."""
     return WhiteNoise(rms_volts=rms_volts, seed=seed).apply(wave)
-
-
-def add_awgn_batch(wave: Waveform, rms_volts: float,
-                   seeds) -> WaveformBatch:
-    """One noisy scenario per seed, stacked into a batch.
-
-    Row ``i`` equals ``add_awgn(wave, rms_volts, seed=seeds[i])`` exactly,
-    so batched noise sweeps reproduce their serial counterparts.
-    """
-    return WaveformBatch.with_noise_seeds(wave, rms_volts, seeds)
 
 
 def snr_db(signal: Waveform, noise_rms: float) -> float:

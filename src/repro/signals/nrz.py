@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import WaveformBatch
 from .modulation import Nrz, SymbolEncoder
 from .waveform import Waveform
 
@@ -113,24 +112,6 @@ class NrzEncoder:
             )
         return self._symbol_encoder().encode(bits.astype(np.intp),
                                              edge_offsets)
-
-    def encode_batch(self, bits: np.ndarray,
-                     edge_offsets_rows: np.ndarray) -> WaveformBatch:
-        """One scenario per row of ``edge_offsets_rows``.
-
-        Encodes the same bit pattern once per jitter realization (e.g.
-        per-row :class:`~repro.signals.jitter.RandomJitter` seeds) and
-        stacks the results; row ``i`` equals
-        ``encode(bits, edge_offsets_rows[i])`` exactly.
-        """
-        edge_offsets_rows = np.asarray(edge_offsets_rows, dtype=float)
-        if edge_offsets_rows.ndim != 2:
-            raise ValueError(
-                f"edge_offsets_rows must be 2-D, got shape "
-                f"{edge_offsets_rows.shape}"
-            )
-        return WaveformBatch.stack([self.encode(bits, offsets)
-                                    for offsets in edge_offsets_rows])
 
 
 def bits_to_nrz(bits: np.ndarray, bit_rate: float,

@@ -85,7 +85,7 @@ def closed_loop_cdr_measure(config, n_bits: Optional[int] = None,
     cdr = BangBangCdr(config)
 
     def measure(batch: WaveformBatch, params_list: List[Dict]) -> List[Any]:
-        rows = cdr._recover_batch(batch, n_bits=n_bits).rows()
+        rows = cdr.recover(batch, n_bits=n_bits).rows()
         if reduce is not None:
             return [reduce(row, params)
                     for row, params in zip(rows, params_list)]
@@ -105,20 +105,21 @@ def dfe_measure(dfe, skip_bits: int = 16,
     ``reduce((decisions, corrected), params)`` maps each scenario's DFE
     output to the value recorded in the :class:`SweepResult`; the
     default records the inner-eye height (worst-case vertical opening
-    of the corrected samples after ``skip_bits``)::
+    of the corrected samples after ``skip_bits``, worst sub-eye for a
+    multi-level DFE), as
+    :meth:`~repro.baselines.dfe.DecisionFeedbackEqualizer.inner_eye_height`
+    measures it::
 
         runner = SweepRunner(grid, stimulus=make_wave,
                              measure=dfe_measure(dfe))
     """
-    from ..baselines.dfe import inner_eye_height_from_corrected
-
     def measure(batch: WaveformBatch, params_list: List[Dict]) -> List[Any]:
-        decisions, corrected = dfe._equalize_batch(batch)
-        if reduce is not None:
-            return [reduce((decisions[i], corrected[i]), params)
-                    for i, params in enumerate(params_list)]
-        heights = inner_eye_height_from_corrected(corrected, skip_bits)
-        return [float(height) for height in heights]
+        if reduce is None:
+            return [float(height)
+                    for height in dfe.inner_eye_height(batch, skip_bits)]
+        decisions, corrected = dfe.equalize(batch)
+        return [reduce((decisions[i], corrected[i]), params)
+                for i, params in enumerate(params_list)]
 
     return measure
 

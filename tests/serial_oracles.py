@@ -57,10 +57,10 @@ from repro.core.adaptation import (
     _training_wave,
 )
 from repro.core.interface import build_input_interface, build_output_interface
+from repro.serdes.encoding import CodingError
 from repro.serdes.serializer import (
     Deserializer,
     LinkReport,
-    _report_from_cdr,
     _serialize_payload,
 )
 from repro.signals.batch import WaveformBatch
@@ -306,9 +306,22 @@ def run_link(payload: bytes,
 
     cdr = SerialCdr(CdrConfig(bit_rate=bit_rate, kp=cdr_kp))
     result = cdr.recover(received)
-    return _report_from_cdr(payload, result,
-                            Deserializer(use_last_comma=use_last_comma),
-                            training_bytes)
+    deserializer = Deserializer(use_last_comma=use_last_comma)
+    try:
+        decoded = deserializer.deserialize(result.decisions)
+        decoded = decoded[training_bytes:]  # strip the settle pad
+    except CodingError:
+        decoded = b""
+    jitter = (result.recovered_jitter_ui() if result.is_locked else
+              float("nan"))
+    return LinkReport(
+        payload_sent=payload,
+        payload_received=decoded,
+        bits_recovered=len(result.decisions),
+        cdr_locked=result.is_locked,
+        recovered_jitter_ui=jitter,
+        cdr_slips=result.slips,
+    )
 
 
 def serial_sweep(runner, measure_row: Optional[Callable[[Waveform, Dict],

@@ -36,7 +36,6 @@ from repro.signals import (
     Waveform,
     WaveformBatch,
     add_awgn,
-    add_awgn_batch,
     bits_to_nrz,
     prbs7,
 )
@@ -97,34 +96,25 @@ def test_batch_rejects_1d_data():
         WaveformBatch(np.zeros(8), FS)
 
 
-def test_tiled_copies_one_waveform():
-    wave = Waveform(np.arange(6.0), FS)
-    batch = WaveformBatch.tiled(wave, 3)
-    assert batch.data.shape == (3, 6)
-    np.testing.assert_array_equal(batch.data[2], wave.data)
-
-
 def test_noise_seed_rows_match_serial_awgn():
+    # add_awgn draws through with_noise_seeds; the oracle is the plain
+    # per-seed generator call, not the library.
     wave = bits_to_nrz(prbs7(16), BIT_RATE, amplitude=0.2,
                        samples_per_bit=8)
     seeds = [11, 12, 13]
-    batch = add_awgn_batch(wave, 1e-3, seeds)
+    batch = WaveformBatch.with_noise_seeds(wave, 1e-3, seeds)
     for seed, row in zip(seeds, batch.rows()):
+        expected = wave.data + np.random.default_rng(seed).normal(
+            0.0, 1e-3, size=len(wave))
+        np.testing.assert_array_equal(row.data, expected)
         np.testing.assert_array_equal(
-            add_awgn(wave, 1e-3, seed=seed).data, row.data
-        )
+            add_awgn(wave, 1e-3, seed=seed).data, expected)
 
 
-def test_jittered_encode_batch_matches_serial():
-    encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=8,
-                         amplitude=0.4)
-    bits = prbs7(20)
-    jitter = RandomJitter(rms_seconds=2e-12)
-    offsets = jitter.offsets_batch(len(bits), BIT_RATE, seeds=[1, 2])
-    batch = encoder.encode_batch(bits, offsets)
-    for row, offs in zip(batch.rows(), offsets):
-        np.testing.assert_array_equal(encoder.encode(bits, offs).data,
-                                      row.data)
+def _jittered_rows(encoder, bits, seeds):
+    """One 2 ps RJ encoding of ``bits`` per seed."""
+    return [encoder.encode(bits, RandomJitter(2e-12, seed=seed).offsets(
+        len(bits), BIT_RATE)) for seed in seeds]
 
 
 # -- API mirror ---------------------------------------------------------------
@@ -496,10 +486,8 @@ def test_decompose_jitter_batch_rows_match_serial():
 
     encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=16,
                          amplitude=0.4)
-    bits = prbs7(120)
-    jitter = RandomJitter(rms_seconds=2e-12)
-    offsets = jitter.offsets_batch(len(bits), BIT_RATE, seeds=[3, 4, 5])
-    batch = encoder.encode_batch(bits, offsets)
+    batch = WaveformBatch.stack(_jittered_rows(encoder, prbs7(120),
+                                               seeds=[3, 4, 5]))
     batched = decompose_jitter_batch(batch, BIT_RATE)
     for row, decomposition in zip(batch.rows(), batched):
         assert decomposition == oracle.decompose_jitter(row, BIT_RATE)
@@ -510,11 +498,8 @@ def test_decompose_jitter_batch_resamples_non_integer_rate():
 
     encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=16,
                          amplitude=0.4)
-    bits = prbs7(120)
-    jitter = RandomJitter(rms_seconds=2e-12)
-    offsets = jitter.offsets_batch(len(bits), BIT_RATE, seeds=[3, 4])
-    rows = [encoder.encode(bits, offs).resampled(15.5 * BIT_RATE)
-            for offs in offsets]
+    rows = [wave.resampled(15.5 * BIT_RATE) for wave in
+            _jittered_rows(encoder, prbs7(120), seeds=[3, 4])]
     batch = WaveformBatch.stack(rows)
     batched = decompose_jitter_batch(batch, BIT_RATE)
     for row, decomposition in zip(batch.rows(), batched):

@@ -11,7 +11,6 @@ from repro.cdr import (
     CdrConfig,
     PdVote,
     alexander_votes,
-    alexander_votes_batch,
 )
 from repro.link import stage
 from repro.signals import (
@@ -62,20 +61,30 @@ def test_votes_length_validation():
 
 
 def test_votes_batch_matches_rows():
+    # A 2-D stack votes per row; the oracle is the rule spelled out
+    # one sample triple at a time.
     rng = np.random.default_rng(5)
     data = rng.normal(size=(6, 40))
     edge = rng.normal(size=(6, 39))
-    batched = alexander_votes_batch(data, edge)
+    data[0, 3] = 0.0                 # zero slices high
+    batched = alexander_votes(data, edge)
+    assert batched.shape == (6, 39)
     for i in range(len(data)):
-        np.testing.assert_array_equal(batched[i],
-                                      alexander_votes(data[i], edge[i]))
+        for k in range(39):
+            a, t, b = (data[i, k] >= 0, edge[i, k] >= 0,
+                       data[i, k + 1] >= 0)
+            expected = (PdVote.HOLD if a == b
+                        else PdVote.EARLY if t == a else PdVote.LATE)
+            assert batched[i, k] == expected
 
 
 def test_votes_batch_validation():
     with pytest.raises(ValueError):
-        alexander_votes_batch(np.ones((2, 5)), np.ones((2, 5)))
+        alexander_votes(np.ones((2, 5)), np.ones((2, 5)))
     with pytest.raises(ValueError):
-        alexander_votes_batch(np.ones(5), np.ones(4))
+        alexander_votes(np.ones((2, 5)), np.ones(4))
+    with pytest.raises(ValueError):
+        alexander_votes(np.ones(5), np.ones((2, 4)))
 
 
 # -- loop ---------------------------------------------------------------
@@ -377,7 +386,7 @@ def test_recover_batch_validation():
     cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE))
     with pytest.raises(ValueError):
         stage(cdr).recover(batch, initial_phase_ui=np.zeros(5))
-    short = WaveformBatch.tiled(
-        bits_to_nrz(prbs7(10), BIT_RATE, samples_per_bit=16), 3)
+    short = WaveformBatch.stack(
+        [bits_to_nrz(prbs7(10), BIT_RATE, samples_per_bit=16)] * 3)
     with pytest.raises(ValueError):
         stage(cdr).recover(short)

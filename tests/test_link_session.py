@@ -458,9 +458,9 @@ def test_too_short_waveform_names_the_session_minimum():
     with pytest.raises(ValueError, match=message):
         session.run(wave)
     with pytest.raises(ValueError, match=message):
-        session.run_batch(WaveformBatch.tiled(wave, 3))
+        session.run_batch(WaveformBatch.stack([wave] * 3))
     with pytest.raises(ValueError, match=message):
-        session.run_batch(WaveformBatch.tiled(wave, 3), chunk_rows=1)
+        session.run_batch(WaveformBatch.stack([wave] * 3), chunk_rows=1)
     # The minimum follows the configured measurements.
     bare = LinkSession([GainBlock(1.0)], bit_rate=BIT_RATE, skip_ui=4,
                        cdr=CdrConfig(bit_rate=BIT_RATE))
@@ -485,7 +485,7 @@ def test_too_short_waveform_is_rejected_before_any_stage_runs():
     with pytest.raises(ValueError, match="needs at least 24 UI"):
         session.run(short)
     with pytest.raises(ValueError, match="needs at least 24 UI"):
-        session.run_batch(WaveformBatch.tiled(short, 2))
+        session.run_batch(WaveformBatch.stack([short] * 2))
     assert calls == []
     session.run(bits_to_nrz(prbs7(24), BIT_RATE, samples_per_bit=16))
     assert calls == [1]
@@ -516,7 +516,7 @@ def test_cdr_minimum_is_checked_with_the_cdrs_own_ui_count(samples_per_ui):
     with pytest.raises(ValueError, match=message):
         session.run(wave)
     with pytest.raises(ValueError, match=message):
-        session.run_batch(WaveformBatch.tiled(wave, 2))
+        session.run_batch(WaveformBatch.stack([wave] * 2))
     assert calls == []
     longer = bits_to_nrz(prbs7(min_ui + 1), bit_rate,
                          samples_per_bit=samples_per_ui)
@@ -539,7 +539,7 @@ def test_run_measures_the_eye_of_a_non_integer_samples_per_ui_wave():
                            skip_ui=session.skip_ui).measure()
     assert result.eye == expected
     assert result.eye.is_open
-    batched = session.run_batch(WaveformBatch.tiled(wave, 2))
+    batched = session.run_batch(WaveformBatch.stack([wave] * 2))
     assert batched.eyes == [expected, expected]
 
 
@@ -572,3 +572,42 @@ def test_public_exports_cover_the_facade_and_kernel():
     # The kernel really is the shared interpolator.
     out = sample_uniform(np.array([0.0, 1.0]), 0.0, 1.0, 0.5)
     assert float(out) == 0.5
+
+
+# -- rates and knobs checked at the facade -----------------------------------
+
+def test_session_rejects_a_cdr_config_at_another_rate():
+    with pytest.raises(ValueError, match="5e[+]09.*1e[+]10"):
+        LinkSession.from_configs(cdr=CdrConfig(bit_rate=5e9),
+                                 bit_rate=10e9)
+    with pytest.raises(ValueError, match="5e[+]09.*1e[+]10"):
+        LinkSession([], cdr=CdrConfig(bit_rate=5e9), bit_rate=10e9)
+
+
+def test_session_rejects_a_ready_dfe_at_another_rate():
+    dfe = DecisionFeedbackEqualizer(taps=(0.05,), bit_rate=5e9)
+    with pytest.raises(ValueError, match="DFE.*5e[+]09.*1e[+]10"):
+        LinkSession.from_configs(dfe=dfe, bit_rate=10e9)
+
+
+def test_framed_link_rejects_a_cdr_config_at_another_rate():
+    with pytest.raises(ValueError, match="5e[+]09.*1e[+]10"):
+        run_framed_link(b"rate", path=lambda w: w, bit_rate=10e9,
+                        cdr=CdrConfig(bit_rate=5e9))
+
+
+def test_dfe_skip_bits_comes_from_the_config_only():
+    wave = bits_to_nrz(prbs7(200), BIT_RATE, amplitude=0.4,
+                       samples_per_bit=16)
+    session = LinkSession.from_configs(
+        tx=None, channel=None, rx=None, measure_eye=False,
+        dfe=DfeConfig(taps=(0.05,), skip_bits=40))
+    assert session.dfe_skip_bits == 40
+    height = session.run(wave).dfe_inner_eye_height
+    assert height == SerialDfe(session.dfe).inner_eye_height(wave, 40)
+    ready = DecisionFeedbackEqualizer(taps=(0.05,), bit_rate=BIT_RATE)
+    assert LinkSession([], dfe=ready).dfe_skip_bits == 16
+    with pytest.raises(TypeError):
+        LinkSession([], dfe=ready, dfe_skip_bits=40)
+    with pytest.raises(TypeError):
+        run_framed_link(b"knob", path=lambda w: w, cdr_kp=4e-3)

@@ -200,7 +200,7 @@ def test_dfe_batch_bit_exact_per_backend():
     batch = make_batch()
     dfe = DecisionFeedbackEqualizer(taps=(0.08, 0.03), bit_rate=BIT_RATE,
                                     decision_amplitude=0.2)
-    decisions, corrected = dfe._equalize_batch(batch)
+    decisions, corrected = dfe.equalize(batch)
     for i in range(batch.n_scenarios):
         old_dec, old_corr = _old_dfe_equalize(
             batch[i], dfe.taps, BIT_RATE, 0.2, dfe.sample_phase_ui)
@@ -229,7 +229,7 @@ def test_cdr_serial_bit_exact_vs_sign_slicer():
 def test_cdr_batch_bit_exact_per_backend():
     batch = make_batch()
     config = CdrConfig(bit_rate=BIT_RATE, initial_phase_ui=0.25)
-    result = BangBangCdr(config)._recover_batch(batch)
+    result = BangBangCdr(config).recover(batch)
     for i in range(batch.n_scenarios):
         old_dec, old_phases, old_votes, old_slips = _old_cdr_recover(
             batch[i], config)

@@ -120,7 +120,7 @@ def test_dfe_batch_matches_serial_pam4():
                                     bit_rate=SYMBOL_RATE,
                                     decision_amplitude=0.2,
                                     modulation=Pam4())
-    decisions, corrected = dfe._equalize_batch(batch)
+    decisions, corrected = dfe.equalize(batch)
     assert decisions.max() == 3
     for i in range(batch.n_scenarios):
         serial_dec, serial_corr = SerialDfe(dfe).equalize(batch[i])
@@ -133,7 +133,7 @@ def test_cdr_batch_matches_serial_pam4():
     config = CdrConfig(bit_rate=SYMBOL_RATE, initial_phase_ui=0.2,
                        modulation=Pam4(), amplitude=0.4)
     cdr = BangBangCdr(config)
-    result = cdr._recover_batch(batch)
+    result = cdr.recover(batch)
     assert result.decisions.max() == 3
     for i in range(batch.n_scenarios):
         serial = SerialCdr(config).recover(batch[i])
@@ -268,3 +268,17 @@ def test_checkpointed_mixed_sweep_resumes(tmp_path):
     for a, b in zip(first.results, resumed.results):
         assert a.eye.eye_heights == b.eye.eye_heights
         assert a.modulation == b.modulation
+
+
+def test_dfe_measure_reports_the_worst_pam4_sub_eye():
+    # dfe_measure's default height is the DFE's own inner-eye height:
+    # on PAM4 the worst of three sub-eyes, not the binary middle eye.
+    from repro.sweep import dfe_measure
+
+    batch, _, _ = make_pam4_batch(n_scenarios=2, noise=0.01)
+    dfe = DecisionFeedbackEqualizer(taps=(0.05,), bit_rate=SYMBOL_RATE,
+                                    decision_amplitude=0.2,
+                                    modulation=Pam4())
+    heights = dfe_measure(dfe, skip_bits=16)(batch, [{}, {}])
+    for wave, height in zip(batch, heights):
+        assert height == SerialDfe(dfe).inner_eye_height(wave, 16)

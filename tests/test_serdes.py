@@ -249,7 +249,7 @@ def test_link_batch_through_batch_transparent_receiver():
     report = run_framed_link(
         bytes(range(40)),
         path=lambda w: rx.process(
-            WaveformBatch.tiled(w * 0.04, 3)),
+            WaveformBatch.stack([w * 0.04] * 3)),
         training_commas=24, training_bytes=4,
     )
     assert report.n_scenarios == 3
