@@ -394,7 +394,8 @@ class LinkSession:
         from ..stateye import StatEye
 
         if engine is None:
-            engine = StatEye(modulation=self.modulation, **engine_fields)
+            engine = StatEye(**{"modulation": self.modulation,
+                                **engine_fields})
         elif engine_fields:
             engine = dataclasses.replace(engine, **engine_fields)
         if n_lead_bits is None:

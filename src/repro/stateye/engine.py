@@ -26,7 +26,11 @@ Each cursor's ``L``-spike distribution is deposited on the voltage grid
 with sum-preserving linear splitting and the convolutions are evaluated
 in the ``rfft`` domain (circular convolution == exact discrete
 convolution while the support fits the grid — the grid is sized, or
-validated against ``v_half_span``, so it always does).  Everything is
+validated against ``v_half_span``, so it always does).  Most cursors of
+a real pulse are *sub-bin* (every level spike lands within one grid
+step of zero): per (scenario, phase) row those 3-tap kernels are
+convolved directly and transformed once, and only a cursor wider than a
+bin on a row pays its own ``rfft`` there.  Everything is
 vectorized over ``(scenario, phase)`` rows, giving a full
 ``(n_scenarios, n_eyes, n_phases, n_voltages)`` BER surface stack in
 milliseconds per scenario; ``chunk_scenarios`` bounds the working-set
@@ -38,10 +42,13 @@ FFT/cumsum pipeline carries ~1e-15 of absolute noise in CDF terms, and
 the linear-split spike deposits smear each ISI spike by up to one grid
 step ``dv`` — harmless while ``dv`` is small against the noise sigma,
 but a coarse grid (``dv >~ 0.5 * noise_rms``) biases the extreme tails
-visibly.  The default ``n_voltages=513`` keeps compliance-grade
-(1e-12..1e-15) surfaces honest for the repo's typical swing/noise
-ratios; raise it (or shrink ``v_half_span``) when probing 1e-15
-contours with very small noise on a wide grid.
+visibly.  What is checked: the reported BER agrees with time-domain
+error counting within half a decade at BER ~2.5e-3
+(``benchmarks/bench_stateye.py``) and above 1e-4 in the tests.  The
+deep tails (1e-12..1e-15) are not verified: against an exact pattern
+enumeration, the default ``n_voltages=513`` read up to ~0.85 decades
+off at ``dv / noise_rms ~ 0.32``.  Raise ``n_voltages`` (or shrink
+``v_half_span``) when probing deep contours with small noise.
 """
 
 from __future__ import annotations
@@ -152,7 +159,10 @@ class StatEye:
                 f"analyze() takes a PulseResponse, got "
                 f"{type(pulse).__name__}; use analyze_batch() for batches"
             )
-        return self.analyze_batch([pulse]).row(0)
+        cursors, phases = self._cursor_tensor([pulse])
+        dv, origin, voltages = self._grid(cursors)
+        return self._result(phases, voltages,
+                            self._surfaces(cursors, dv, origin)[0])
 
     def analyze_batch(self, pulses: Sequence[PulseResponse], *,
                       chunk_scenarios: Optional[int] = None,
@@ -175,8 +185,7 @@ class StatEye:
                 f"chunk_scenarios must be >= 1, got {chunk_scenarios}"
             )
         cursors, phases = self._cursor_tensor(pulses)
-        dv, origin = self._grid_step(cursors)
-        voltages = (np.arange(self.n_voltages) - origin) * dv
+        dv, origin, voltages = self._grid(cursors)
 
         n = len(pulses)
         n_eyes = self.modulation.n_eyes
@@ -193,12 +202,7 @@ class StatEye:
             if keep_surfaces:
                 kept.append(surfaces)
             for i in range(surfaces.shape[0]):
-                row = StatEyeResult(
-                    modulation=self.modulation, phases_ui=phases,
-                    voltages=voltages, surfaces=surfaces[i],
-                    noise_rms=self.noise_rms, rj_rms_ui=self.rj_rms_ui,
-                    dj_pp_ui=self.dj_pp_ui, target_ber=self.target_ber,
-                    ber_floor=self.ber_floor)
+                row = self._result(phases, voltages, surfaces[i])
                 j = start + i
                 min_bers[j] = row.ber
                 best_phases[j] = row.best_phase_ui
@@ -228,12 +232,19 @@ class StatEye:
         1 up to FFT round-off.
         """
         cursors, _ = self._cursor_tensor([pulse])
-        dv, origin = self._grid_step(cursors)
-        voltages = (np.arange(self.n_voltages) - origin) * dv
+        dv, origin, voltages = self._grid(cursors)
         spectrum = self._isi_spectrum(cursors, dv)
         pdf = np.roll(np.fft.irfft(spectrum, n=self.n_voltages, axis=-1),
                       origin, axis=-1)[0]
         return voltages, pdf
+
+    def _result(self, phases: np.ndarray, voltages: np.ndarray,
+                surfaces: np.ndarray) -> StatEyeResult:
+        return StatEyeResult(
+            modulation=self.modulation, phases_ui=phases, voltages=voltages,
+            surfaces=surfaces, noise_rms=self.noise_rms,
+            rj_rms_ui=self.rj_rms_ui, dj_pp_ui=self.dj_pp_ui,
+            target_ber=self.target_ber, ber_floor=self.ber_floor)
 
     # -- cursor extraction -------------------------------------------------
     def _cursor_tensor(self, pulses: Sequence[PulseResponse]
@@ -268,8 +279,9 @@ class StatEye:
         return cursors, phases
 
     # -- voltage grid ------------------------------------------------------
-    def _grid_step(self, cursors: np.ndarray) -> Tuple[float, int]:
-        """Voltage-grid step and zero-origin index for a cursor tensor.
+    def _grid(self, cursors: np.ndarray) -> Tuple[float, int, np.ndarray]:
+        """Voltage-grid step, zero-origin index and grid voltages for a
+        cursor tensor.
 
         The grid must contain the full superposition support plus the
         10-sigma noise tails, or the circular convolution would wrap
@@ -296,40 +308,75 @@ class StatEye:
                     "is 0: the statistical eye is undefined"
                 )
             half = 1.05 * need
-        return half / side_bins, origin
+        dv = half / side_bins
+        return dv, origin, (np.arange(self.n_voltages) - origin) * dv
 
     # -- the convolution core ----------------------------------------------
+    def _spikes(self, amplitude: np.ndarray, dv: float,
+                width: int) -> np.ndarray:
+        """Each amplitude's ``L``-spike kernel (one spike per modulation
+        level, weight ``1/L``, sum-preserving linear splitting) on a
+        wrapped grid of ``width`` bins, value 0 at bin 0:
+        ``(amplitude.size, width)``."""
+        levels = np.asarray(self.modulation.levels, dtype=float)
+        weight = 1.0 / levels.size
+        amplitude = amplitude.ravel()
+        rows = np.arange(amplitude.size)
+        kernel = np.zeros((amplitude.size, width))
+        for level in levels:
+            position = level * amplitude / dv
+            low = np.floor(position).astype(np.int64)
+            frac = position - low
+            kernel[rows, low % width] += weight * (1.0 - frac)
+            kernel[rows, (low + 1) % width] += weight * frac
+        return kernel
+
     def _isi_spectrum(self, cursors: np.ndarray, dv: float) -> np.ndarray:
         """rfft of the exact ISI PDF per (scenario, phase) row.
 
-        Each non-main cursor contributes an ``L``-spike kernel (one
-        spike per modulation level, weight ``1/L``, deposited with
-        sum-preserving linear splitting, value 0 at bin 0 with negative
-        values wrapped); the product of their spectra is the spectrum
-        of the exact discrete convolution.  Zero cursors are identity
-        factors and are skipped, which also makes the product trivially
-        invariant to cursor order and chunking.
+        Each non-main cursor contributes an ``L``-spike kernel
+        (:meth:`_spikes`); the product of their spectra is the spectrum
+        of the exact discrete convolution.  Per row, a cursor with
+        ``max|level| * |c_k| / dv < 1`` is *sub-bin*: its kernel is 3
+        taps at offsets -1, 0, +1.  A row's sub-bin kernels are
+        convolved directly into one ``2G + 1`` tap array, folded onto
+        the grid modulo ``n_voltages`` (accumulating) and transformed
+        once; a cursor wider than a bin is deposited and transformed on
+        the rows where it is wide.  Rows skip the factors they do not
+        own instead of multiplying in the transform of a delta, so a
+        row's spectrum never depends on the rest of its batch.
         """
         n_scen, n_phases, n_cursors = cursors.shape
         m = self.n_voltages
-        levels = np.asarray(self.modulation.levels, dtype=float)
-        weight = 1.0 / levels.size
-        rows = np.arange(n_scen * n_phases)
-        spectrum = np.ones((rows.size, m // 2 + 1), dtype=complex)
-        for k in range(n_cursors):
-            if k == self.n_precursors:
-                continue
-            amplitude = cursors[:, :, k].ravel()
-            if not np.any(amplitude):
-                continue
+        level_max = float(np.max(np.abs(self.modulation.levels)))
+        isi = np.delete(cursors, self.n_precursors, axis=-1).reshape(
+            n_scen * n_phases, n_cursors - 1)
+        narrow = level_max * np.abs(isi) / dv < 1.0
+        spectrum = np.ones((isi.shape[0], m // 2 + 1), dtype=complex)
+        grouped = narrow & (isi != 0.0)
+        rows = np.flatnonzero(grouped.any(axis=1))
+        cols = np.flatnonzero(grouped.any(axis=0))
+        if rows.size:
+            # Zero amplitude is the exact identity kernel (0, 1, 0).
+            amplitude = np.where(grouped, isi, 0.0)[np.ix_(rows, cols)]
+            three = self._spikes(amplitude, dv, 3).reshape(
+                rows.size, cols.size, 3)
+            taps = np.zeros((rows.size, 2 * cols.size + 1))
+            taps[:, cols.size] = 1.0
+            for g in range(cols.size):
+                prev, (center, up, down) = taps, three[:, g].T[..., None]
+                taps = center * prev
+                taps[:, 1:] += up * prev[:, :-1]
+                taps[:, :-1] += down * prev[:, 1:]
             kernel = np.zeros((rows.size, m))
-            for level in levels:
-                position = level * amplitude / dv
-                low = np.floor(position).astype(np.int64)
-                frac = position - low
-                kernel[rows, low % m] += weight * (1.0 - frac)
-                kernel[rows, (low + 1) % m] += weight * frac
-            spectrum *= np.fft.rfft(kernel, axis=-1)
+            offsets = (np.arange(taps.shape[1]) - cols.size) % m
+            np.add.at(kernel, (slice(None), offsets), taps)
+            spectrum[rows] = np.fft.rfft(kernel, axis=-1)
+        wide = ~narrow
+        for k in np.flatnonzero(wide.any(axis=0)):
+            hit = np.flatnonzero(wide[:, k])
+            spectrum[hit] *= np.fft.rfft(self._spikes(isi[hit, k], dv, m),
+                                         axis=-1)
         return spectrum.reshape(n_scen, n_phases, m // 2 + 1)
 
     def _jitter_kernel(self) -> Optional[np.ndarray]:

@@ -332,13 +332,18 @@ class StatEyeBatchResult:
             return parts[0]
         first = parts[0]
         for part in parts[1:]:
-            if (part.modulation != first.modulation
-                    or not np.array_equal(part.phases_ui, first.phases_ui)
+            for name in ("modulation", "noise_rms", "rj_rms_ui", "dj_pp_ui",
+                         "target_ber", "ber_floor"):
+                if getattr(part, name) != getattr(first, name):
+                    raise ValueError(
+                        f"chunks disagree on {name}; they must come from "
+                        f"one engine configuration")
+            if (not np.array_equal(part.phases_ui, first.phases_ui)
                     or not np.array_equal(part.voltages, first.voltages)
                     or (part.surfaces is None) != (first.surfaces is None)):
                 raise ValueError(
-                    "chunks disagree on modulation/grid/surfaces; they "
-                    "must come from one engine configuration"
+                    "chunks disagree on grid/surfaces; they must come "
+                    "from one engine configuration"
                 )
         surfaces = (None if first.surfaces is None else
                     np.concatenate([part.surfaces for part in parts], axis=0))

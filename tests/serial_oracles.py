@@ -28,7 +28,11 @@ match it bit for bit:
   scalar eye in ``test_eye_oracle.py``;
 * :func:`adapt_equalizer` / :func:`adapt_peaking` — the knob searches
   scored candidate by candidate through :meth:`ScalarKnobSearch.maximize
-  <repro.core.ScalarKnobSearch.maximize>`.
+  <repro.core.ScalarKnobSearch.maximize>`;
+* :func:`isi_spectrum` / :func:`isi_pdf` — the statistical eye's ISI
+  spectrum as one full-grid deposit and ``rfft`` per cursor, multiplied
+  up, with no sub-bin grouping.  The engine matches it to FFT
+  round-off, not bit for bit.
 
 Tests import this module by name (``tests/`` is on ``sys.path`` under
 pytest); benchmarks add ``tests/`` to the path first.
@@ -475,3 +479,40 @@ def adapt_peaking(channel, bit_rate: float = 10e9,
 
     return ScalarKnobSearch(lo=0.2e-3, hi=4e-3, n_grid=5,
                             n_refine=n_refine).maximize(objective)
+
+
+def isi_spectrum(engine, cursors: np.ndarray, dv: float) -> np.ndarray:
+    """:meth:`repro.stateye.StatEye._isi_spectrum`, one full-grid
+    ``L``-spike deposit and ``rfft`` per non-main cursor (all rows at
+    once), multiplied up in cursor order.  All-zero cursors are
+    skipped."""
+    n_scen, n_phases, n_cursors = cursors.shape
+    m = engine.n_voltages
+    levels = np.asarray(engine.modulation.levels, dtype=float)
+    weight = 1.0 / levels.size
+    rows = np.arange(n_scen * n_phases)
+    spectrum = np.ones((rows.size, m // 2 + 1), dtype=complex)
+    for k in range(n_cursors):
+        if k == engine.n_precursors:
+            continue
+        amplitude = cursors[:, :, k].ravel()
+        if not np.any(amplitude):
+            continue
+        kernel = np.zeros((rows.size, m))
+        for level in levels:
+            position = level * amplitude / dv
+            low = np.floor(position).astype(np.int64)
+            frac = position - low
+            kernel[rows, low % m] += weight * (1.0 - frac)
+            kernel[rows, (low + 1) % m] += weight * frac
+        spectrum *= np.fft.rfft(kernel, axis=-1)
+    return spectrum.reshape(n_scen, n_phases, m // 2 + 1)
+
+
+def isi_pdf(engine, cursors: np.ndarray, dv: float,
+            origin: int) -> np.ndarray:
+    """The ISI voltage PDF per (scenario, phase) row from
+    :func:`isi_spectrum`, zero volts at grid index ``origin``."""
+    spectrum = isi_spectrum(engine, cursors, dv)
+    return np.roll(np.fft.irfft(spectrum, n=engine.n_voltages, axis=-1),
+                   origin, axis=-1)

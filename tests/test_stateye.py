@@ -8,10 +8,15 @@ BER against the independent time-domain path in the regime both can
 reach (BER >= 1e-4), for NRZ and PAM4 over several channels.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+import serial_oracles as oracle
 from repro import (
     LinkSession,
     ScenarioGrid,
@@ -190,6 +195,145 @@ def test_batch_concatenate_round_trip():
         merged.min_bers, pinned.analyze_batch(pulses).min_bers, atol=1e-15)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_rms", 1e-2), ("rj_rms_ui", 0.01), ("dj_pp_ui", 0.02),
+    ("target_ber", 1e-6), ("ber_floor", 1e-16)])
+def test_batch_concatenate_rejects_mixed_engine_settings(field, value):
+    # Same pinned grid, one differing engine field: the merged result
+    # could only report one of the two settings, so it must refuse.
+    pulse = _pulse(0.3)
+    base = StatEye(noise_rms=4e-3, v_half_span=0.6)
+    parts = [base.analyze_batch([pulse]),
+             dataclasses.replace(base, **{field: value}).analyze_batch(
+                 [pulse])]
+    with pytest.raises(ValueError, match=field):
+        StatEyeBatchResult.concatenate(parts)
+
+
+# -- sub-bin cursor grouping against the per-cursor oracle --------------------
+
+def _engine_pdf(engine, cursors, dv):
+    spectrum = engine._isi_spectrum(cursors, dv)
+    return np.roll(np.fft.irfft(spectrum, n=engine.n_voltages, axis=-1),
+                   engine.n_voltages // 2, axis=-1)
+
+
+def _reach_bins(engine, cursors, dv):
+    """max|level| * |c_k| / dv of every non-main cursor."""
+    isi = np.delete(cursors, engine.n_precursors, axis=-1)
+    return np.max(np.abs(engine.modulation.levels)) * np.abs(isi) / dv
+
+
+def _cursor_case(case, n_voltages=129):
+    """(engine kwargs, cursor tensor, dv) of one grouping case."""
+    rng = np.random.default_rng(["all", "none", "mixed", "wrap"].index(case))
+    dv = 1e-3
+    shape = (2, 8, 7)
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    if case == "all":
+        bins = rng.uniform(0.0, 1.9, size=shape)
+    elif case == "none":
+        bins = rng.uniform(2.5, 12.0, size=shape)
+    elif case == "mixed":
+        bins = rng.uniform(0.0, 1.9, size=shape)
+        # Column 4 crosses the one-bin line along the phase axis.
+        bins[:, :, 4] = np.linspace(0.2, 8.0, shape[0] * shape[1]).reshape(
+            shape[:2])
+    else:
+        # 14 sub-bin cursors: the 29-tap array folds onto 17 bins.
+        shape = (1, 8, 15)
+        signs = rng.choice([-1.0, 1.0], size=shape)
+        bins = rng.uniform(0.5, 1.9, size=shape)
+        n_voltages = 17
+    cursors = signs * bins * dv
+    cursors[:, :, 2] = 0.3  # main column
+    kwargs = dict(n_precursors=2, n_postcursors=shape[-1] - 3,
+                  n_voltages=n_voltages)
+    return kwargs, cursors, dv
+
+
+@pytest.mark.parametrize("modulation", [Nrz(), Pam4()], ids=["nrz", "pam4"])
+@pytest.mark.parametrize("case", ["all", "none", "mixed", "wrap"])
+def test_isi_spectrum_matches_per_cursor_oracle(case, modulation):
+    kwargs, cursors, dv = _cursor_case(case)
+    engine = StatEye(modulation=modulation, **kwargs)
+    narrow = _reach_bins(engine, cursors, dv) < 1.0
+    if case == "all":
+        assert narrow.all()
+    elif case == "none":
+        assert not narrow.any()
+    elif case == "mixed":
+        assert narrow[..., 3].any() and not narrow[..., 3].all()
+    else:
+        assert 2 * narrow.all(axis=(0, 1)).sum() + 1 > engine.n_voltages
+    pdf = _engine_pdf(engine, cursors, dv)
+    want = oracle.isi_pdf(engine, cursors, dv, engine.n_voltages // 2)
+    np.testing.assert_allclose(pdf, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pdf.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("modulation", [Nrz(), Pam4()], ids=["nrz", "pam4"])
+def test_isi_distribution_matches_per_cursor_oracle(modulation):
+    engine = StatEye(modulation=modulation, noise_rms=5e-3)
+    pulse = _pulse(0.6)
+    voltages, pdf = engine.isi_distribution(pulse)
+    cursors, _ = engine._cursor_tensor([pulse])
+    dv, origin, grid = engine._grid(cursors)
+    np.testing.assert_array_equal(voltages, grid)
+    reach = _reach_bins(engine, cursors, dv)
+    assert (reach < 1.0).any() and (reach >= 1.0).any()
+    np.testing.assert_allclose(
+        pdf, oracle.isi_pdf(engine, cursors, dv, origin)[0], rtol=0,
+        atol=1e-15)
+
+
+@pytest.mark.parametrize("modulation", [Nrz(), Pam4()], ids=["nrz", "pam4"])
+def test_mixed_batch_rows_bit_identical_to_single_calls(modulation):
+    # Each scenario has cursors that are sub-bin on its rows but wide
+    # on another scenario's: the grouping is per row, so a batch row is
+    # bit for bit the single-pulse analysis on the same pinned grid.
+    pulses = [_pulse(d) for d in (0.1, 0.3, 0.6, 1.0)]
+    engine = StatEye(modulation=modulation, noise_rms=6e-3, rj_rms_ui=0.01,
+                     v_half_span=0.8)
+    cursors, _ = engine._cursor_tensor(pulses)
+    dv, _, _ = engine._grid(cursors)
+    narrow = _reach_bins(engine, cursors, dv) < 1.0
+    assert any(narrow[:, :, k].any() and not narrow[:, :, k].all()
+               for k in range(narrow.shape[-1]))
+    batch = engine.analyze_batch(pulses)
+    for i, pulse in enumerate(pulses):
+        single = engine.analyze(pulse)
+        np.testing.assert_array_equal(batch.surfaces[i], single.surfaces)
+        np.testing.assert_array_equal(batch.voltages, single.voltages)
+        assert batch.min_bers[i] == single.ber
+        assert batch.eye_widths_ui[i] == single.eye_width_ui_at()
+
+
+@settings(max_examples=40, deadline=None)
+@given(pam4=st.booleans(),
+       n_pre=st.integers(0, 3), n_post=st.integers(0, 6),
+       n_voltages=st.sampled_from([16, 33, 64, 129]),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.3, 1.5, 4.0]))
+def test_isi_spectrum_property(pam4, n_pre, n_post, n_voltages, seed,
+                               scale):
+    # Random cursor tensors with exact zeros and spikes on both sides
+    # of the one-bin line: the PDF keeps unit mass and matches the
+    # per-cursor oracle.
+    engine = StatEye(modulation=Pam4() if pam4 else Nrz(),
+                     n_precursors=n_pre, n_postcursors=n_post,
+                     n_voltages=n_voltages)
+    rng = np.random.default_rng(seed)
+    dv = 1e-3
+    shape = (2, 4, n_pre + n_post + 1)
+    cursors = rng.normal(scale=scale * dv, size=shape)
+    cursors[rng.random(shape) < 0.2] = 0.0
+    pdf = _engine_pdf(engine, cursors, dv)
+    want = oracle.isi_pdf(engine, cursors, dv, n_voltages // 2)
+    np.testing.assert_allclose(pdf.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pdf, want, rtol=0, atol=1e-15)
+
+
 # -- contours, bathtubs, optimum ----------------------------------------------
 
 def test_contour_and_heights():
@@ -296,6 +440,19 @@ def test_session_statistical_eye_engine_overrides():
     result = session.statistical_eye(base, amplitude=0.4, noise_rms=20e-3)
     assert result.noise_rms == 20e-3
     assert result.n_phases == 32
+
+
+def test_session_statistical_eye_modulation_override():
+    # An explicit modulation= wins over the session's, like any field.
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.2),
+                                       RxConfig())
+    result = session.statistical_eye(modulation=Pam4(), noise_rms=5e-3,
+                                     amplitude=0.4)
+    assert result.modulation == Pam4()
+    assert result.n_eyes == 3
+    via_engine = session.statistical_eye(
+        StatEye(modulation=Pam4(), noise_rms=5e-3), amplitude=0.4)
+    np.testing.assert_array_equal(result.surfaces, via_engine.surfaces)
 
 
 # -- sweep measure pair -------------------------------------------------------
