@@ -145,10 +145,15 @@ class Differentiator(Block):
         def saturate(v: np.ndarray) -> np.ndarray:
             # Sharp current steering: settled levels (+-logic_amplitude/2)
             # land at tanh(4) ~ 0.9993 of full steering.
-            return np.tanh(v / (self.logic_amplitude / 8.0))
+            steered = np.divide(v, self.logic_amplitude / 8.0)
+            return np.tanh(steered, out=steered)
 
-        spikes = 0.5 * (saturate(wave.data) - saturate(delayed.data))
-        return wave.with_data(self.spike_height * spikes)
+        # 0.5 * (S(x) - S(x_delayed)) * height, in place.
+        spikes = saturate(wave.data)
+        spikes -= saturate(delayed.data)
+        spikes *= 0.5
+        spikes *= self.spike_height
+        return wave.with_data(spikes)
 
     def with_tail_current(self, tail_current: float) -> "Differentiator":
         """Spike-height knob: change the differentiator tail current."""

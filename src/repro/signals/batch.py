@@ -22,6 +22,7 @@ gives the batch and every batch result the same row access.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -97,6 +98,14 @@ def _stack_column(name: str, values: list):
     return first
 
 
+def _close(a: float, b: float) -> bool:
+    """``np.isclose(a, b)`` at its default tolerances (``rtol=1e-5``,
+    ``atol=1e-8``) in plain float arithmetic, without its array set-up:
+    equal, or within ``atol + rtol * |b|`` of a finite ``b``."""
+    return a == b or (abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+                      and math.isfinite(b))
+
+
 @dataclasses.dataclass(frozen=True)
 class WaveformBatch(_Sampled, RowStack):
     """A stack of uniformly sampled signals sharing one timebase.
@@ -125,13 +134,13 @@ class WaveformBatch(_Sampled, RowStack):
             raise ValueError("cannot stack an empty waveform sequence")
         first = waves[0]
         rows = [wave.data for wave in waves]
-        timebase = np.array([(wave.sample_rate, wave.t0) for wave in waves])
         if (len({len(row) for row in rows}) > 1
-                or not np.isclose(timebase, timebase[0]).all()):
+                or not all(_close(wave.sample_rate, first.sample_rate)
+                           and _close(wave.t0, first.t0) for wave in waves)):
             # Walk the rows only to name the first mismatch.
             for wave in waves[1:]:
                 first._check_compatible(wave)
-                if not np.isclose(wave.t0, first.t0):
+                if not _close(wave.t0, first.t0):
                     raise ValueError(
                         f"waveform start times differ: {first.t0} vs "
                         f"{wave.t0}"

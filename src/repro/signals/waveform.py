@@ -174,10 +174,12 @@ class _Sampled:
             padded[..., :n] = self.data[..., -n:]
             padded[..., n:] = self.data[..., -1:]
         if frac > 0:
-            shifted_one_more = np.empty_like(padded)
-            shifted_one_more[..., 0] = padded[..., 0]
-            shifted_one_more[..., 1:] = padded[..., :-1]
-            padded = (1.0 - frac) * padded + frac * shifted_one_more
+            # (1 - frac) * x[i] + frac * x[i - 1], x[-1] held at x[0],
+            # in place: only the frac-weighted term is a temporary.
+            earlier = frac * padded
+            padded *= 1.0 - frac
+            padded[..., 1:] += earlier[..., :-1]
+            padded[..., :1] += earlier[..., :1]
         return self.with_data(padded)
 
 

@@ -20,7 +20,20 @@ pulse response*:
   sets on a fixed voltage grid.
 * Gaussian noise multiplies in as its characteristic function; RJ/DJ
   jitter folds in along the (periodic) phase axis as a circular
-  convolution with the dual-Dirac + Gaussian timing kernel.
+  convolution with the dual-Dirac + Gaussian timing kernel, evaluated
+  as one ``n_phases x n_phases`` circulant matrix product per
+  (scenario, sub-eye) surface.
+* Conditioning on the transmitted level ``l`` shifts the ISI+noise PDF
+  by ``l * c_0`` — a phase factor ``exp(-i*omega*l*c_0)`` in the
+  ``rfft`` domain, built as a coarse times a fine exponential because
+  ``omega`` is a uniform grid.  On a symmetric alphabet
+  (``levels == -levels[::-1]``, e.g. NRZ and PAM4) the ISI and noise
+  PDFs are even, so the PDF given ``-l`` is the one given ``+l``
+  mirrored through the grid origin (bin ``j`` to
+  ``(2*origin - j) mod n_voltages``, a plain reversal on odd grids).
+  Each ``+-l`` pair then costs one shift factor, one ``irfft`` and one
+  set of cumulative sums, whose mirror images are the partner's tails.
+  An asymmetric alphabet has no pairs and computes each level alone.
 
 Each cursor's ``L``-spike distribution is deposited on the voltage grid
 with sum-preserving linear splitting and the convolutions are evaluated
@@ -63,6 +76,12 @@ from ..signals.modulation import Modulation, Nrz
 from .result import StatEyeBatchResult, StatEyeResult
 
 __all__ = ["StatEye"]
+
+# OpenBLAS keeps a matrix product with M * N * K <= 4 * 65536 on the
+# calling thread; a larger one may be split across helper threads.  At
+# the jitter fold's sizes that hand-off saves nothing, and it stalls a
+# call for milliseconds when the other cores are busy.
+_SERIAL_PRODUCT_SIZE = 4 * 65536
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,17 +380,32 @@ class StatEye:
             amplitude = np.where(grouped, isi, 0.0)[np.ix_(rows, cols)]
             three = self._spikes(amplitude, dv, 3).reshape(
                 rows.size, cols.size, 3)
-            taps = np.zeros((rows.size, 2 * cols.size + 1))
+            n_taps = 2 * cols.size + 1
+            taps = np.zeros((rows.size, n_taps))
             taps[:, cols.size] = 1.0
+            out = np.zeros_like(taps)
+            term = np.empty_like(taps)
             for g in range(cols.size):
-                prev, (center, up, down) = taps, three[:, g].T[..., None]
-                taps = center * prev
-                taps[:, 1:] += up * prev[:, :-1]
-                taps[:, :-1] += down * prev[:, 1:]
-            kernel = np.zeros((rows.size, m))
-            offsets = (np.arange(taps.shape[1]) - cols.size) % m
-            np.add.at(kernel, (slice(None), offsets), taps)
-            spectrum[rows] = np.fft.rfft(kernel, axis=-1)
+                # After g factors only the 2g + 1 centre taps can be
+                # nonzero, so each step works on its new window and
+                # alternates between two buffers.
+                center, up, down = three[:, g].T[..., None]
+                lo, hi = cols.size - g - 1, cols.size + g + 2
+                new, step = out[:, lo:hi], term[:, :hi - lo - 1]
+                np.multiply(center, taps[:, lo:hi], out=new)
+                new[:, 1:] += np.multiply(up, taps[:, lo:hi - 1], out=step)
+                new[:, :-1] += np.multiply(down, taps[:, lo + 1:hi],
+                                           out=step)
+                taps, out = out, taps
+            # Tap j sits at offset j - G: fold it onto bin (j - G) mod m
+            # by laying the taps out from bin -G mod m and summing the
+            # m-bin blocks (several taps per bin when 2G + 1 > m).
+            start = -cols.size % m
+            n_blocks = -(-(start + n_taps) // m)
+            kernel = np.zeros((rows.size, n_blocks * m))
+            kernel[:, start:start + n_taps] = taps
+            spectrum[rows] = np.fft.rfft(
+                kernel.reshape(rows.size, n_blocks, m).sum(axis=1), axis=-1)
         wide = ~narrow
         for k in np.flatnonzero(wide.any(axis=0)):
             hit = np.flatnonzero(wide[:, k])
@@ -404,23 +438,40 @@ class StatEye:
     def _surfaces(self, cursors: np.ndarray, dv: float,
                   origin: int) -> np.ndarray:
         """BER(t, v) surfaces for one cursor-tensor chunk:
-        ``(n_scenarios, n_eyes, n_phases, n_voltages)``."""
+        ``(n_scenarios, n_eyes, n_phases, n_voltages)``.
+
+        Eye ``e`` is bounded by the upper tail of level ``e`` and the
+        lower tail of level ``e + 1``.  On a symmetric alphabet level
+        ``n_levels - 1 - li`` is level ``li`` mirrored through the grid
+        origin, so one shift factor, ``irfft`` and set of tail sums
+        serve both; an asymmetric alphabet computes every level.
+        """
         m = self.n_voltages
         levels = np.asarray(self.modulation.levels, dtype=float)
+        top = levels.size - 1
         n_scen, n_phases, _ = cursors.shape
         spectrum = self._isi_spectrum(cursors, dv)
         omega = 2.0 * np.pi * np.fft.rfftfreq(m, d=dv)
         if self.noise_rms > 0.0:
-            spectrum = spectrum * np.exp(-0.5 * (self.noise_rms * omega) ** 2)
+            spectrum *= np.exp(-0.5 * (self.noise_rms * omega) ** 2)
         main = cursors[:, :, self.n_precursors]
-        surfaces = np.zeros((n_scen, levels.size - 1, n_phases, m))
+        # On a symmetric alphabet the ISI and noise PDFs are even, so
+        # conditioning on -l gives the PDF of +l mirrored through the
+        # grid origin: bin j <-> (2 * origin - j) mod m.  That is a
+        # plain reversal on an odd grid; on an even grid bin 0 has no
+        # partner and mirrors onto itself (``wrap``).
+        paired = bool(np.array_equal(levels, -levels[::-1]))
+        wrap = 2 * origin - m + 1
+        surfaces = np.zeros((n_scen, top, n_phases, m))
         for li, level in enumerate(levels):
+            mate = top - li
+            if paired and mate < li:
+                continue  # served by its mirror image
             # Conditioning on the transmitted level shifts the ISI+noise
             # distribution by level * main_cursor — a phase factor.
-            shifted = spectrum * np.exp(-1j * omega * (level
-                                                      * main)[..., None])
-            pdf = np.roll(np.fft.irfft(shifted, n=m, axis=-1), origin,
-                          axis=-1)
+            pdf = np.roll(np.fft.irfft(
+                spectrum * _phase_ramp(omega, level * main), n=m, axis=-1),
+                origin, axis=-1)
             # The irfft leaves ~1e-17 of zero-mean noise per bin; it is
             # deliberately NOT rectified here — clipping would bias
             # every tail bin positive and the bias would accumulate
@@ -431,23 +482,72 @@ class StatEye:
             # upper tail as a reverse cumsum, never as 1 - CDF): the
             # round-off then scales with the tail mass itself instead
             # of the distribution bulk, keeping 1e-15..1e-18 BERs real.
+            # below[j] = P(X < v_j) and above[j] = P(X >= v_j), padded
+            # to m + 1 entries so the mirror can read them backwards.
+            mirrored = paired and mate > li
             if li > 0:
                 # This level bounds eye li-1 from above: its lower tail
                 # P(X <= v) is the probability of slicing below it.
-                surfaces[:, li - 1] += 0.5 * np.cumsum(pdf, axis=-1)
-            if li < levels.size - 1:
+                below = np.empty(pdf.shape[:-1] + (m + 1,))
+                below[..., 0] = 0.0
+                np.cumsum(pdf, axis=-1, out=below[..., 1:])
+                surfaces[:, li - 1] += below[..., 1:]
+                if mirrored:
+                    # ...and its mirror's upper tail P(-X > v) bounds
+                    # eye mate from below.
+                    surfaces[:, mate] += below[..., wrap:wrap + m][..., ::-1]
+                    if wrap:
+                        surfaces[:, mate] -= pdf[..., :wrap]
+            if li < top:
                 # ...and bounds eye li from below: its upper tail
                 # P(X > v), exclusive of the threshold bin.
-                upper = np.cumsum(pdf[..., ::-1], axis=-1)[..., ::-1]
-                surfaces[:, li] += 0.5 * (upper - pdf)
+                above = np.empty(pdf.shape[:-1] + (m + 1,))
+                above[..., m] = 0.0
+                np.cumsum(pdf[..., ::-1], axis=-1, out=above[..., m - 1::-1])
+                surfaces[:, li] += above[..., :m] - pdf
+                if mirrored:
+                    # ...its mirror's lower tail P(-X <= v) bounds eye
+                    # mate-1 from above.
+                    surfaces[:, mate - 1] += \
+                        above[..., wrap:wrap + m][..., ::-1]
+                    if wrap:
+                        surfaces[:, mate - 1] += pdf[..., :wrap]
+        surfaces *= 0.5
         np.clip(surfaces, 0.0, 0.5, out=surfaces)
         kernel = self._jitter_kernel()
         if kernel is not None:
             # The symbol stream is stationary, so the sampled-voltage
             # distribution is periodic in phase: jitter folds in as a
-            # circular convolution along the phase axis.
-            shaped = np.fft.rfft(surfaces, axis=2) \
-                * np.fft.rfft(kernel)[None, None, :, None]
-            surfaces = np.fft.irfft(shaped, n=n_phases, axis=2)
+            # circular convolution along the phase axis, one circulant
+            # product per (scenario, eye) surface, taken in voltage
+            # blocks that BLAS runs on the calling thread.
+            index = np.arange(n_phases)
+            circulant = kernel[(index[:, None] - index) % n_phases]
+            block = max(1, _SERIAL_PRODUCT_SIZE // n_phases ** 2)
+            folded = np.empty_like(surfaces)
+            for start in range(0, m, block):
+                columns = slice(start, start + block)
+                np.matmul(circulant, surfaces[..., columns],
+                          out=folded[..., columns])
+            surfaces = folded
             np.clip(surfaces, 0.0, 0.5, out=surfaces)
         return surfaces
+
+
+def _phase_ramp(omega: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """``exp(-1j * omega * offset[..., None])`` on the uniform frequency
+    grid ``omega[k] = k * omega[1]``.
+
+    With ``k = a * B + b`` the factor splits into a coarse
+    ``exp(-1j * omega[a * B] * offset)`` times a fine
+    ``exp(-1j * omega[b] * offset)``, so a row costs about
+    ``2 * sqrt(len(omega))`` complex exponentials instead of
+    ``len(omega)``.
+    """
+    n = omega.size
+    fine = int(np.ceil(np.sqrt(n)))
+    x = offset[..., None]
+    ramp = (np.exp(-1j * omega[::fine] * x)[..., :, None]
+            * np.exp(-1j * omega[:fine] * x)[..., None, :])
+    return ramp.reshape(offset.shape + (-1,))[..., :n]
+

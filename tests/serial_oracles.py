@@ -32,7 +32,10 @@ match it bit for bit:
 * :func:`isi_spectrum` / :func:`isi_pdf` — the statistical eye's ISI
   spectrum as one full-grid deposit and ``rfft`` per cursor, multiplied
   up, with no sub-bin grouping.  The engine matches it to FFT
-  round-off, not bit for bit.
+  round-off, not bit for bit;
+* :func:`stateye_surfaces` — the statistical eye's BER surfaces with
+  one shift, ``irfft`` and tail pair per modulation level (no mirrored
+  level pairs) and jitter folded through an ``rfft``/``irfft`` pair.
 
 Tests import this module by name (``tests/`` is on ``sys.path`` under
 pytest); benchmarks add ``tests/`` to the path first.
@@ -516,3 +519,40 @@ def isi_pdf(engine, cursors: np.ndarray, dv: float,
     spectrum = isi_spectrum(engine, cursors, dv)
     return np.roll(np.fft.irfft(spectrum, n=engine.n_voltages, axis=-1),
                    origin, axis=-1)
+
+
+def stateye_surfaces(engine, cursors: np.ndarray, dv: float,
+                     origin: int) -> np.ndarray:
+    """:meth:`repro.stateye.StatEye._surfaces`, one conditional PDF per
+    modulation level: its own shift factor from one complex exponential
+    per frequency bin, its own ``irfft`` and both tails by ``cumsum``,
+    then jitter folded by an ``rfft``/``irfft`` pair along the phase
+    axis.  The ISI spectrum and the jitter kernel come from the engine.
+    The engine matches it to round-off, not bit for bit."""
+    m = engine.n_voltages
+    levels = np.asarray(engine.modulation.levels, dtype=float)
+    n_scen, n_phases, _ = cursors.shape
+    spectrum = engine._isi_spectrum(cursors, dv)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(m, d=dv)
+    if engine.noise_rms > 0.0:
+        spectrum = spectrum * np.exp(-0.5 * (engine.noise_rms * omega) ** 2)
+    main = cursors[:, :, engine.n_precursors]
+    surfaces = np.zeros((n_scen, levels.size - 1, n_phases, m))
+    for li, level in enumerate(levels):
+        shifted = spectrum * np.exp(-1j * omega * (level
+                                                  * main)[..., None])
+        pdf = np.roll(np.fft.irfft(shifted, n=m, axis=-1), origin,
+                      axis=-1)
+        if li > 0:
+            surfaces[:, li - 1] += 0.5 * np.cumsum(pdf, axis=-1)
+        if li < levels.size - 1:
+            upper = np.cumsum(pdf[..., ::-1], axis=-1)[..., ::-1]
+            surfaces[:, li] += 0.5 * (upper - pdf)
+    np.clip(surfaces, 0.0, 0.5, out=surfaces)
+    kernel = engine._jitter_kernel()
+    if kernel is not None:
+        shaped = np.fft.rfft(surfaces, axis=2) \
+            * np.fft.rfft(kernel)[None, None, :, None]
+        surfaces = np.fft.irfft(shaped, n=n_phases, axis=2)
+        np.clip(surfaces, 0.0, 0.5, out=surfaces)
+    return surfaces

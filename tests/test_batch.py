@@ -7,6 +7,8 @@ pin that contract down, including the degenerate ``lfilter_zi`` fallback
 branch (pure gains and s=0 poles).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,57 @@ def test_stack_names_the_first_mismatch():
     near = Waveform(np.ones(8), FS * (1 + 1e-9), t0=1e-12)
     batch = WaveformBatch.stack([a, near])
     assert batch.sample_rate == FS and batch.t0 == 0.0
+
+
+def _at_tolerance(reference, sign):
+    """The float one step inside (``sign=-1``) or outside (``+1``) of
+    ``np.isclose``'s default tolerance above ``reference``."""
+    edge = reference + (1e-8 + 1e-5 * abs(reference))
+    while not np.isclose(edge, reference):
+        edge = np.nextafter(edge, -np.inf)
+    while np.isclose(np.nextafter(edge, np.inf), reference):
+        edge = np.nextafter(edge, np.inf)
+    return float(edge if sign < 0 else np.nextafter(edge, np.inf))
+
+
+@pytest.mark.parametrize("field", ["sample_rate", "t0"])
+def test_stack_tolerance_edge_matches_isclose(field):
+    # The timebase check accepts exactly what np.isclose accepts: the
+    # last float inside the tolerance stacks, the first outside raises.
+    a = Waveform(np.zeros(8), FS, t0=2e-9)
+    reference = getattr(a, field)
+    inside = dataclasses.replace(a, **{field: _at_tolerance(reference, -1)})
+    outside = dataclasses.replace(a, **{field: _at_tolerance(reference, +1)})
+    assert np.isclose(getattr(inside, field), reference)
+    assert not np.isclose(getattr(outside, field), reference)
+    batch = WaveformBatch.stack([a, inside])
+    assert (batch.sample_rate, batch.t0) == (a.sample_rate, a.t0)
+    with pytest.raises(ValueError, match="differ"):
+        WaveformBatch.stack([a, outside])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["sample_rate", "t0"]),
+       st.sampled_from([FS, 1.0, 2e-9, np.inf]),
+       st.one_of(st.floats(-1.1, 1.1),
+                 st.sampled_from([-np.inf, np.inf, np.nan])),
+       st.sampled_from([None, 1.0, np.inf, np.nan]))
+def test_stack_accepts_what_isclose_accepts(field, reference, scale, raw):
+    # Offsets of up to 1.1 tolerances either way, infinities and NaN:
+    # stack accepts a second timebase exactly when np.isclose does.
+    value = reference + scale * (1e-8 + 1e-5 * abs(reference))
+    if raw is not None:
+        value = raw
+    if field == "sample_rate" and not value > 0:
+        return  # not a valid sample rate
+    first = dataclasses.replace(Waveform(np.zeros(4), FS),
+                                **{field: reference})
+    other = dataclasses.replace(first, **{field: value})
+    if np.isclose(value, reference):
+        WaveformBatch.stack([first, other])
+    else:
+        with pytest.raises(ValueError, match="differ"):
+            WaveformBatch.stack([first, other])
 
 
 def test_stack_and_rows_round_trip():

@@ -34,11 +34,12 @@ from repro.channel.backplane import BackplaneChannel
 from repro.link.session import ChannelConfig, RxConfig, TxConfig
 from repro.reporting import render_bathtub, render_stateye
 from repro.signals.batch import WaveformBatch
-from repro.signals.modulation import Nrz, Pam4, SymbolEncoder
+from repro.signals.modulation import Modulation, Nrz, Pam4, SymbolEncoder
 from repro.signals.noise import add_awgn
 from repro.signals.nrz import bits_to_nrz
 from repro.signals.prbs import prbs7, prbs15
 from repro.signals.waveform import Waveform
+from repro.stateye import engine as engine_module
 
 BIT_RATE = 10e9
 
@@ -332,6 +333,95 @@ def test_isi_spectrum_property(pam4, n_pre, n_post, n_voltages, seed,
     want = oracle.isi_pdf(engine, cursors, dv, n_voltages // 2)
     np.testing.assert_allclose(pdf.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pdf, want, rtol=0, atol=1e-15)
+
+
+# -- mirrored level pairs against the per-level oracle -------------------------
+
+# A 4-level alphabet with no +-level pairs: every level gets its own PDF.
+SKEWED = Modulation(name="skewed", levels=(-0.5, -0.2, 0.1, 0.5))
+MODULATIONS = [Nrz(), Pam4(), SKEWED]
+JITTER = {"none": {}, "rj": {"rj_rms_ui": 0.02}, "dj": {"dj_pp_ui": 0.1}}
+
+
+def _surface_case(grid, modulation, jitter):
+    """(engine, cursors, dv, origin): the sub-bin/wide cursor mix of
+    :func:`_cursor_case` with a main cursor that sweeps across the grid
+    along the phase axis, and noise of a few bins."""
+    kwargs, cursors, dv = (_cursor_case("wrap") if grid == "wrap"
+                           else _cursor_case("mixed", grid))
+    m = kwargs["n_voltages"]
+    cursors[:, :, 2] = np.linspace(0.1, 0.6, cursors.shape[1]) * m * dv
+    engine = StatEye(modulation=modulation, n_phases=cursors.shape[1],
+                     noise_rms=2.5 * dv, **kwargs, **JITTER[jitter])
+    return engine, cursors, dv, m // 2
+
+
+@pytest.mark.parametrize("jitter", sorted(JITTER))
+@pytest.mark.parametrize("grid", [129, 128, "wrap"])
+@pytest.mark.parametrize("modulation", MODULATIONS,
+                         ids=[mod.name for mod in MODULATIONS])
+def test_surfaces_match_per_level_oracle(modulation, grid, jitter,
+                                         monkeypatch):
+    engine, cursors, dv, origin = _surface_case(grid, modulation, jitter)
+    if grid == "wrap":
+        assert engine.n_voltages == 17
+    ramps = []
+    ramp = engine_module._phase_ramp
+
+    def counted_ramp(omega, offset):
+        ramps.append(offset)
+        return ramp(omega, offset)
+
+    monkeypatch.setattr(engine_module, "_phase_ramp", counted_ramp)
+    got = engine._surfaces(cursors, dv, origin)
+    # One conditional PDF per +-level pair; the skewed alphabet has no
+    # pairs and computes each level on its own.
+    n_levels = modulation.n_levels
+    assert len(ramps) == (n_levels if modulation is SKEWED
+                          else n_levels // 2)
+    want = oracle.stateye_surfaces(engine, cursors, dv, origin)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_mirror_pairs_rows_independent_of_batch():
+    # The circulant jitter fold and the mirrored tails work per
+    # (scenario, eye) surface: a row is bit for bit the same alone.
+    engine, cursors, dv, origin = _surface_case(128, Pam4(), "rj")
+    whole = engine._surfaces(cursors, dv, origin)
+    for i in range(cursors.shape[0]):
+        np.testing.assert_array_equal(
+            engine._surfaces(cursors[i:i + 1], dv, origin)[0], whole[i])
+
+
+@settings(deadline=None)
+@given(modulation=st.sampled_from(MODULATIONS),
+       n_pre=st.integers(0, 3), n_post=st.integers(0, 6),
+       n_voltages=st.sampled_from([16, 17, 64, 65, 128, 129]),
+       jitter=st.sampled_from(sorted(JITTER)),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.3, 1.5, 4.0]))
+def test_surfaces_property(modulation, n_pre, n_post, n_voltages, jitter,
+                           seed, scale):
+    # Random cursor tensors, grids of both parities and every jitter
+    # kind: the paired surfaces match the per-level oracle.  The
+    # example count comes from the active hypothesis profile.
+    engine = StatEye(modulation=modulation, n_phases=8,
+                     n_precursors=n_pre, n_postcursors=n_post,
+                     n_voltages=n_voltages, noise_rms=1.5e-3,
+                     **JITTER[jitter])
+    rng = np.random.default_rng(seed)
+    dv = 1e-3
+    shape = (2, engine.n_phases, n_pre + n_post + 1)
+    cursors = rng.normal(scale=scale * dv, size=shape)
+    cursors[rng.random(shape) < 0.2] = 0.0
+    cursors[:, :, n_pre] = rng.uniform(0.0, 0.5, size=shape[:2]) \
+        * n_voltages * dv
+    origin = n_voltages // 2
+    np.testing.assert_allclose(
+        engine._surfaces(cursors, dv, origin),
+        oracle.stateye_surfaces(engine, cursors, dv, origin),
+        rtol=0, atol=1e-15)
 
 
 # -- contours, bathtubs, optimum ----------------------------------------------

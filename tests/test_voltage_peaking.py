@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CmlDelayBuffer, Differentiator, VoltagePeakingCircuit
-from repro.signals import Waveform, bits_to_nrz, prbs7
+from repro.signals import Waveform, WaveformBatch, bits_to_nrz, prbs7
 
 
 def make_peaking(width_ui=0.35, height_current=1.5e-3, amplitude=0.2):
@@ -105,6 +105,21 @@ def test_spike_width_tracks_delay():
     spb = 32
     expected = 0.5 * spb  # 0.5 UI in samples
     assert np.median(widths) == pytest.approx(expected, rel=0.3)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["wave", "batch"])
+def test_differentiator_matches_out_of_place_expression(batch):
+    # The in-place spike arithmetic is bit-identical to the expression
+    # it replaced, which allocated a temporary per operation.
+    diff = make_peaking(width_ui=0.37).differentiator
+    wave = square_wave()
+    if batch:
+        wave = WaveformBatch.stack([wave, wave * -0.5, wave * 1.5])
+    steering = diff.logic_amplitude / 8.0
+    delayed = diff.delay.process(wave).data
+    want = diff.spike_height * (0.5 * (np.tanh(wave.data / steering)
+                                       - np.tanh(delayed / steering)))
+    assert diff.process(wave).data.tobytes() == want.tobytes()
 
 
 def test_differentiator_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.signals import DifferentialWaveform, Waveform
+from repro.signals import DifferentialWaveform, Waveform, WaveformBatch
 
 
 def make(data, fs=1e9, t0=0.0):
@@ -155,6 +155,50 @@ def test_delay_matches_frozen_scalar_delay(samples, delay_samples, fs):
     want = _frozen_delayed(wave.data, delay_s, fs)
     assert got.data.tobytes() == want.tobytes()
     assert (got.sample_rate, got.t0) == (wave.sample_rate, wave.t0)
+
+
+def _frozen_batch_delayed(data, delay_s, sample_rate):
+    """The fractional-delay expression over the last axis as it was
+    before it lost its shifted copies: two full-size shifted arrays."""
+    n_samples = data.shape[-1]
+    shift = delay_s * sample_rate
+    n = int(np.floor(shift))
+    frac = shift - n
+    if n >= n_samples or -n >= n_samples:
+        fill = data[..., :1] if n > 0 else data[..., -1:]
+        return np.broadcast_to(fill, data.shape).copy()
+    padded = np.empty_like(data)
+    if n >= 0:
+        padded[..., :n] = data[..., :1]
+        padded[..., n:] = data[..., : n_samples - n]
+    else:
+        padded[..., :n] = data[..., -n:]
+        padded[..., n:] = data[..., -1:]
+    if frac > 0:
+        shifted_one_more = np.empty_like(padded)
+        shifted_one_more[..., 0] = padded[..., 0]
+        shifted_one_more[..., 1:] = padded[..., :-1]
+        padded = (1.0 - frac) * padded + frac * shifted_one_more
+    return padded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40),
+       st.one_of(st.integers(-60, 60).map(float),
+                 st.floats(-60.0, 60.0),
+                 st.sampled_from([0.5, -0.5, 1e-12, -1e-12, 0.999999])),
+       st.integers(0, 2**32 - 1))
+def test_batch_delay_matches_shifted_copy_expression(n_rows, n_samples,
+                                                    delay_samples, seed):
+    """The in-place fractional mix is bit-identical to the expression
+    with two shifted copies, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(scale=10.0, size=(n_rows, n_samples))
+    data[rng.random(data.shape) < 0.2] = -0.0
+    fs = 3.0
+    got = WaveformBatch(data, fs).delayed(delay_samples / fs)
+    want = _frozen_batch_delayed(data, delay_samples / fs, fs)
+    assert got.data.tobytes() == want.tobytes()
 
 
 def test_resample_preserves_duration_and_values():
