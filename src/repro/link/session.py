@@ -381,8 +381,9 @@ class LinkSession:
         :func:`~repro.analysis.isi.pulse_response`) and runs the
         convolution-based engine on it: exact ISI PDFs, Gaussian noise
         and RJ/DJ jitter folded into per-sub-eye BER(t, v) surfaces —
-        contours, bathtubs and BER down to the 1e-15 compliance tails
-        that pattern simulation cannot reach.
+        contours, bathtubs and BER in tails pattern simulation cannot
+        reach, though checked against it only at BER ~2.5e-3 (see
+        :mod:`repro.stateye.engine`).
 
         ``engine`` is a ready :class:`~repro.stateye.StatEye`; keyword
         ``engine_fields`` (e.g. ``noise_rms=5e-3``, ``rj_rms_ui=0.01``)

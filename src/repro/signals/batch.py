@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -32,14 +33,21 @@ from .waveform import Waveform, _Sampled
 __all__ = ["RowStack", "WaveformBatch"]
 
 
+#: Field metadata of an array every row shares (a grid), declared as
+#: ``dataclasses.field(metadata=SHARED)``: :meth:`RowStack.concatenate`
+#: keeps one copy and checks that the chunks agree on it.
+SHARED = {"shared": True}
+
+
 class RowStack:
     """Rows of a dataclass whose fields stack scenarios on axis 0.
 
     Each field is a column (an array, a list, or a nested
     :class:`RowStack`; ``None`` for a measurement not taken) or a value
-    every row shares (a sample rate, a line code).  The first field
-    sets the row count; a subclass defines only ``row(index)``, the
-    single-scenario form (also ``stack[index]``).
+    every row shares (a sample rate, a line code, or an array marked
+    :data:`SHARED`).  The first field sets the row count; a subclass
+    defines only ``row(index)``, the single-scenario form (also
+    ``stack[index]``).
     """
 
     def __getitem__(self, index: int):
@@ -74,12 +82,13 @@ class RowStack:
             return parts[0]
         return cls(**{
             field.name: _stack_column(
-                field.name, [getattr(part, field.name) for part in parts])
+                field.name, [getattr(part, field.name) for part in parts],
+                shared=field.metadata.get("shared", False))
             for field in dataclasses.fields(cls)
         })
 
 
-def _stack_column(name: str, values: list):
+def _stack_column(name: str, values: list, shared: bool):
     """One field of :meth:`RowStack.concatenate` across the chunks."""
     first = values[0]
     if any((value is None) != (first is None) for value in values):
@@ -89,11 +98,12 @@ def _stack_column(name: str, values: list):
         )
     if isinstance(first, RowStack):
         return type(first).concatenate(values)
-    if isinstance(first, np.ndarray):
+    if isinstance(first, np.ndarray) and not shared:
         return np.concatenate(values, axis=0)
     if isinstance(first, list):
         return [item for value in values for item in value]
-    if any(value != first for value in values[1:]):
+    equal = np.array_equal if shared else operator.eq
+    if not all(equal(value, first) for value in values[1:]):
         raise ValueError(f"chunks disagree on {name!r}")
     return first
 

@@ -7,8 +7,9 @@ amplitude distribution from the single-symbol pulse response instead:
 per-cursor ISI level-set PDFs convolved on a fixed voltage grid,
 Gaussian noise and dual-Dirac + Gaussian jitter folded in, yielding
 full per-sub-eye BER(t, v) surfaces, statistical eye contours, bathtub
-curves and BERs down to the 1e-15 compliance tails — in milliseconds
-per scenario, vectorized over batches.
+curves and BERs in milliseconds per scenario, vectorized over batches.
+The reported BER is checked against error counting at BER ~2.5e-3;
+the deep tails are not verified (see :mod:`repro.stateye.engine`).
 
 Entry points:
 

@@ -67,13 +67,13 @@ off at ``dv / noise_rms ~ 0.32``.  Raise ``n_voltages`` (or shrink
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.isi import PulseResponse
 from ..signals.modulation import Modulation, Nrz
-from .result import StatEyeBatchResult, StatEyeResult
+from .result import StatEyeBatchResult, StatEyeResult, _summaries
 
 __all__ = ["StatEye"]
 
@@ -180,8 +180,8 @@ class StatEye:
             )
         cursors, phases = self._cursor_tensor([pulse])
         dv, origin, voltages = self._grid(cursors)
-        return self._result(phases, voltages,
-                            self._surfaces(cursors, dv, origin)[0])
+        return StatEyeResult(surfaces=self._surfaces(cursors, dv, origin)[0],
+                             **self._settings(phases, voltages))
 
     def analyze_batch(self, pulses: Sequence[PulseResponse], *,
                       chunk_scenarios: Optional[int] = None,
@@ -206,39 +206,16 @@ class StatEye:
         cursors, phases = self._cursor_tensor(pulses)
         dv, origin, voltages = self._grid(cursors)
 
-        n = len(pulses)
-        n_eyes = self.modulation.n_eyes
-        min_bers = np.empty(n)
-        best_phases = np.empty(n)
-        best_thresholds = np.empty((n, n_eyes))
-        heights = np.empty(n)
-        widths = np.empty(n)
-        bathtubs = np.empty((n, self.n_phases))
-        kept: List[np.ndarray] = []
-        step = n if chunk_scenarios is None else chunk_scenarios
-        for start in range(0, n, step):
+        step = len(pulses) if chunk_scenarios is None else chunk_scenarios
+        parts = []
+        for start in range(0, len(pulses), step):
             surfaces = self._surfaces(cursors[start:start + step], dv, origin)
-            if keep_surfaces:
-                kept.append(surfaces)
-            for i in range(surfaces.shape[0]):
-                row = self._result(phases, voltages, surfaces[i])
-                j = start + i
-                min_bers[j] = row.ber
-                best_phases[j] = row.best_phase_ui
-                best_thresholds[j] = row.best_thresholds
-                heights[j] = row.eye_height_at()
-                widths[j] = row.eye_width_ui_at()
-                bathtubs[j] = row.bathtub().ber
-        return StatEyeBatchResult(
-            modulation=self.modulation, phases_ui=phases,
-            voltages=voltages, min_bers=min_bers,
-            best_phases_ui=best_phases, best_thresholds=best_thresholds,
-            eye_heights=heights, eye_widths_ui=widths, bathtubs=bathtubs,
-            surfaces=np.concatenate(kept, axis=0) if keep_surfaces else None,
-            noise_rms=self.noise_rms, rj_rms_ui=self.rj_rms_ui,
-            dj_pp_ui=self.dj_pp_ui, target_ber=self.target_ber,
-            ber_floor=self.ber_floor,
-        )
+            parts.append(StatEyeBatchResult(
+                **_summaries(surfaces, self.modulation, phases, voltages,
+                             self.target_ber, self.ber_floor),
+                surfaces=surfaces if keep_surfaces else None,
+                **self._settings(phases, voltages)))
+        return StatEyeBatchResult.concatenate(parts)
 
     def isi_distribution(self, pulse: PulseResponse
                          ) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,13 +234,13 @@ class StatEye:
                       origin, axis=-1)[0]
         return voltages, pdf
 
-    def _result(self, phases: np.ndarray, voltages: np.ndarray,
-                surfaces: np.ndarray) -> StatEyeResult:
-        return StatEyeResult(
+    def _settings(self, phases: np.ndarray, voltages: np.ndarray) -> dict:
+        """The grid and engine fields every result carries."""
+        return dict(
             modulation=self.modulation, phases_ui=phases, voltages=voltages,
-            surfaces=surfaces, noise_rms=self.noise_rms,
-            rj_rms_ui=self.rj_rms_ui, dj_pp_ui=self.dj_pp_ui,
-            target_ber=self.target_ber, ber_floor=self.ber_floor)
+            noise_rms=self.noise_rms, rj_rms_ui=self.rj_rms_ui,
+            dj_pp_ui=self.dj_pp_ui, target_ber=self.target_ber,
+            ber_floor=self.ber_floor)
 
     # -- cursor extraction -------------------------------------------------
     def _cursor_tensor(self, pulses: Sequence[PulseResponse]

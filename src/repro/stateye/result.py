@@ -1,12 +1,14 @@
 """Typed results of the statistical eye engine.
 
-A :class:`StatEyeResult` carries the full per-sub-eye BER(t, v) surfaces
-of one scenario on the engine's phase × voltage grid, plus the derived
-compliance views: bathtub curves, eye contours at a target BER, optimum
-sampling point and the combined BER.  :class:`StatEyeBatchResult` is the
-vectorized form — per-scenario summary arrays always, the stacked
-surfaces optionally (``keep_surfaces=False`` drops them for flat-memory
-mega-sweeps).
+Every compliance summary — the combined BER, the optimum sampling point,
+fixed-threshold bathtub curves, eye contours at a target BER and the eye
+height and width they give — has one implementation here, written over a
+surface stack ``S[r, e, p, v]`` (rows, sub-eyes, phases, voltages).
+:class:`StatEyeBatchResult` holds the per-row summary columns of a stack
+(and, optionally, the stack itself; ``keep_surfaces=False`` drops it for
+flat-memory mega-sweeps).  :class:`StatEyeResult` is one row: it keeps
+that row's surfaces, and each accessor is a one-row call of the same
+functions, so it can ask for any target BER or sub-eye.
 
 Conventions
 -----------
@@ -29,50 +31,133 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.ber import BathtubCurve
+from ..signals.batch import SHARED, RowStack
 from ..signals.modulation import Modulation
 
 __all__ = ["StatEyeResult", "StatEyeBatchResult"]
 
 
-def _flat_center_argmin(values: np.ndarray) -> int:
-    """Centre index of the (possibly flat) minimum region.
+# -- summaries over a surface stack S[r, e, p, v] -----------------------------
+
+def _flat_center_argmin(values: np.ndarray) -> np.ndarray:
+    """Centre index of the (possibly flat) minimum region along the last
+    axis.
 
     Probability floors produce plateaus; the centre is the robust pick
-    (as a CDR would make), matching
-    :meth:`~repro.analysis.ber.BathtubCurve.best_phase_ui`.  Values
-    within 1e-15 absolute are tied — the engine's FFT path carries
-    ~1e-16 of round-off, so finer distinctions are numerical noise and
-    tie-breaking on them would make the pick depend on batch shape.
+    (as a CDR would make).  Values within ``1e-12`` relative *or*
+    ``1e-15`` absolute of the minimum are tied — the engine's FFT path
+    carries ~1e-16 of round-off, so finer distinctions are numerical
+    noise and tie-breaking on them would make the pick depend on batch
+    shape.  :meth:`~repro.analysis.ber.BathtubCurve.best_phase_ui` ties
+    on the relative term only, so on a curve whose minimum is below
+    ~1e-3 it can see a narrower plateau and pick another phase.  The
+    ties need not be contiguous: the pick is the middle one of them.
     """
-    minimum = float(np.min(values))
-    flat = np.flatnonzero(values <= minimum * (1.0 + 1e-12) + 1e-15)
-    return int(flat[len(flat) // 2])
+    flat = values <= values.min(axis=-1, keepdims=True) * (1.0 + 1e-12) \
+        + 1e-15
+    rank = np.cumsum(flat, axis=-1)
+    return np.argmax(rank > rank[..., -1:] // 2, axis=-1)
 
 
-def _combine_per_eye(per_eye: np.ndarray,
-                     modulation: Modulation) -> np.ndarray:
-    """Per-sub-eye conditional error probabilities (leading axis ``e``)
+def _combine(per_eye: np.ndarray, modulation: Modulation) -> np.ndarray:
+    """Per-sub-eye conditional error probabilities (sub-eyes on axis 1)
     -> combined BER, the :func:`ber_from_q_factors` convention."""
-    ser = (2.0 / modulation.n_levels) * per_eye.sum(axis=0)
+    ser = (2.0 / modulation.n_levels) * per_eye.sum(axis=1)
     return ser / modulation.bits_per_symbol
 
 
-def _open_run(mask: np.ndarray, start: int) -> Optional[Tuple[int, int]]:
-    """The contiguous True run of ``mask`` containing ``start``."""
-    if not mask[start]:
-        return None
-    lo = start
-    while lo > 0 and mask[lo - 1]:
-        lo -= 1
-    hi = start
-    while hi < mask.size - 1 and mask[hi + 1]:
-        hi += 1
-    return lo, hi
+def _optimum(surfaces: np.ndarray, modulation: Modulation
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The combined BER per phase with per-eye *per-phase-optimal*
+    thresholds ``(r, p)``, the phase index minimizing it ``(r,)`` and
+    the per-eye best threshold indices at that phase ``(r, e)``."""
+    phase_ber = _combine(surfaces.min(axis=-1), modulation)
+    best = _flat_center_argmin(phase_ber)
+    rows = np.arange(len(surfaces))
+    return phase_ber, best, _flat_center_argmin(surfaces[rows, :, best])
+
+
+def _fixed_bathtubs(surfaces: np.ndarray,
+                    thresholds: np.ndarray) -> np.ndarray:
+    """Per-eye BER versus phase at the fixed threshold indices
+    ``(r, e)``: ``(r, e, p)``."""
+    return np.take_along_axis(surfaces, thresholds[:, :, None, None],
+                              axis=-1)[..., 0]
+
+
+def _worst_eye(surfaces: np.ndarray) -> np.ndarray:
+    """Per row, the sub-eye with the highest best-case BER (the
+    compliance limiter), ``(r,)``."""
+    return surfaces.min(axis=(2, 3)).argmax(axis=1)
+
+
+def _contours(surfaces: np.ndarray, anchor: np.ndarray,
+              voltages: np.ndarray, target: float
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` voltage bounds of the contiguous run of
+    ``surfaces[..., v] <= target`` around threshold index ``anchor``
+    (broadcast over ``surfaces.shape[:-1]``); NaN where closed.
+
+    Where the anchor bin itself misses the target (its value can hover
+    at the engine's float noise floor for targets near 1e-15), the run
+    is anchored at that row's own best threshold instead.  The run is
+    bounded by the last miss at or before the anchor and the first miss
+    after it.
+    """
+    good = surfaces <= target
+    anchor = np.array(np.broadcast_to(anchor, good.shape[:-1]))
+    miss = ~np.take_along_axis(good, anchor[..., None], axis=-1)[..., 0]
+    anchor[miss] = _flat_center_argmin(surfaces[miss])
+    index = np.arange(good.shape[-1])
+    lo = np.where(~good & (index <= anchor[..., None]), index,
+                  -1).max(axis=-1) + 1
+    hi = np.where(~good & (index > anchor[..., None]), index,
+                  good.shape[-1]).min(axis=-1) - 1
+    shut = lo > anchor
+    return (np.where(shut, np.nan, voltages[np.where(shut, 0, lo)]),
+            np.where(shut, np.nan, voltages[hi]))
+
+
+def _eye_heights(surfaces: np.ndarray, anchor: np.ndarray,
+                 voltages: np.ndarray, target: float) -> np.ndarray:
+    """Height of each :func:`_contours` run; zero where closed."""
+    lower, upper = _contours(surfaces, anchor, voltages, target)
+    return np.where(np.isfinite(lower), upper - lower, 0.0)
+
+
+def _eye_widths(bathtubs: np.ndarray, target: float) -> np.ndarray:
+    """Fraction of the UI where each (floored) bathtub stays below
+    ``target``, the :meth:`BathtubCurve.eye_opening_at` rule."""
+    return np.sum(bathtubs < target, axis=-1) / bathtubs.shape[-1]
+
+
+def _summaries(surfaces: np.ndarray, modulation: Modulation,
+               phases_ui: np.ndarray, voltages: np.ndarray,
+               target_ber: float, ber_floor: float) -> Dict[str, np.ndarray]:
+    """The summary columns of :class:`StatEyeBatchResult` for a stack:
+    combined BER and fixed-threshold bathtub, optimum point, and the
+    worst sub-eye's height (at the best phase) and width at
+    ``target_ber``."""
+    phase_ber, best, thresholds = _optimum(surfaces, modulation)
+    fixed = _fixed_bathtubs(surfaces, thresholds)
+    rows = np.arange(len(surfaces))
+    worst = _worst_eye(surfaces)
+    return dict(
+        min_bers=phase_ber.min(axis=-1),
+        best_phases_ui=phases_ui[best],
+        best_thresholds=voltages[thresholds],
+        eye_heights=_eye_heights(surfaces[rows, worst, best],
+                                 thresholds[rows, worst], voltages,
+                                 target_ber),
+        eye_widths_ui=_eye_widths(
+            np.clip(fixed[rows, worst], ber_floor, 0.5), target_ber),
+        bathtubs=np.clip(_combine(fixed, modulation), ber_floor, 0.5),
+    )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -138,29 +223,36 @@ class StatEyeResult:
             )
         return int(eye)
 
+    def _target(self, target_ber: Optional[float]) -> float:
+        target = self.target_ber if target_ber is None else target_ber
+        if not 0.0 < target < 0.5:
+            raise ValueError(f"target_ber must be in (0, 0.5), got {target}")
+        return target
+
+    def _optimum(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_optimum` of this row, as a one-row stack."""
+        return _optimum(self.surfaces[np.newaxis], self.modulation)
+
     def worst_eye_index(self) -> int:
         """Sub-eye with the highest best-case BER (the compliance
         limiter)."""
-        return int(np.argmax(self.surfaces.min(axis=(1, 2))))
+        return int(_worst_eye(self.surfaces[np.newaxis])[0])
 
     # -- optimum sampling point --------------------------------------------
     def combined_phase_ber(self) -> np.ndarray:
         """Combined BER per phase with per-eye *per-phase-optimal*
         thresholds, ``(n_phases,)``."""
-        return _combine_per_eye(self.surfaces.min(axis=-1), self.modulation)
+        return self._optimum()[0][0]
 
     @property
     def best_phase_ui(self) -> float:
         """Sampling phase minimizing the combined BER."""
-        return float(self.phases_ui[_flat_center_argmin(
-            self.combined_phase_ber())])
+        return float(self.phases_ui[self._optimum()[1][0]])
 
     def best_threshold_indices(self) -> np.ndarray:
         """Per-sub-eye optimal threshold grid indices at the best
         phase, ``(n_eyes,)``."""
-        p = _flat_center_argmin(self.combined_phase_ber())
-        return np.array([_flat_center_argmin(self.surfaces[e, p])
-                         for e in range(self.n_eyes)])
+        return self._optimum()[2][0]
 
     @property
     def best_thresholds(self) -> np.ndarray:
@@ -192,13 +284,12 @@ class StatEyeResult:
         sub-eye's conditional curve.  The BER is floored at
         :attr:`ber_floor` so log-domain consumers never see zero.
         """
-        vi = self.best_threshold_indices()
-        fixed = np.stack([self.surfaces[e, :, vi[e]]
-                          for e in range(self.n_eyes)])
+        fixed = _fixed_bathtubs(self.surfaces[np.newaxis],
+                                self._optimum()[2])
         if eye is None:
-            ber = _combine_per_eye(fixed, self.modulation)
+            ber = _combine(fixed, self.modulation)[0]
         else:
-            ber = fixed[self._eye_index(eye)]
+            ber = fixed[0, self._eye_index(eye)]
         return BathtubCurve(phases_ui=np.array(self.phases_ui),
                             ber=np.clip(ber, self.ber_floor, 0.5))
 
@@ -215,48 +306,32 @@ class StatEyeResult:
         the engine's float noise floor for targets near 1e-15), the
         run is anchored at that phase's own best threshold instead.
         """
-        target = self.target_ber if target_ber is None else target_ber
-        if not 0.0 < target < 0.5:
-            raise ValueError(
-                f"target_ber must be in (0, 0.5), got {target}"
-            )
+        target = self._target(target_ber)
         e = self._eye_index(eye)
-        vi = int(self.best_threshold_indices()[e])
-        surf = self.surfaces[e]
-        lower = np.full(self.n_phases, np.nan)
-        upper = np.full(self.n_phases, np.nan)
-        for p in range(self.n_phases):
-            mask = surf[p] <= target
-            run = _open_run(mask, vi)
-            if run is None:
-                anchor = _flat_center_argmin(surf[p])
-                run = _open_run(mask, anchor)
-            if run is not None:
-                lower[p] = self.voltages[run[0]]
-                upper[p] = self.voltages[run[1]]
-        return lower, upper
+        return _contours(self.surfaces[e], self.best_threshold_indices()[e],
+                         self.voltages, target)
 
     def eye_height_at(self, target_ber: Optional[float] = None,
                       eye: Optional[int] = None) -> float:
         """Vertical eye opening (V) at ``target_ber``, measured at the
         best phase.  Zero when closed."""
-        lower, upper = self.contour(target_ber, eye)
-        p = _flat_center_argmin(self.combined_phase_ber())
-        if not np.isfinite(lower[p]):
-            return 0.0
-        return float(upper[p] - lower[p])
+        target = self._target(target_ber)
+        e = self._eye_index(eye)
+        _, best, thresholds = self._optimum()
+        return float(_eye_heights(self.surfaces[e, best], thresholds[:, e],
+                                  self.voltages, target)[0])
 
     def eye_width_ui_at(self, target_ber: Optional[float] = None,
                         eye: Optional[int] = None) -> float:
         """Horizontal eye opening (UI) at ``target_ber`` with the fixed
         optimal threshold.  Zero when closed."""
-        target = self.target_ber if target_ber is None else target_ber
-        curve = self.bathtub(eye=self._eye_index(eye))
-        return curve.eye_opening_at(target)
+        target = self._target(target_ber)
+        return float(_eye_widths(self.bathtub(self._eye_index(eye)).ber,
+                                 target))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class StatEyeBatchResult:
+class StatEyeBatchResult(RowStack):
     """N scenarios' statistical eyes from one vectorized pass.
 
     Per-scenario summaries are always present; the stacked surfaces are
@@ -264,18 +339,20 @@ class StatEyeBatchResult:
     flat-memory mode).  Row ``i`` (:meth:`row`) equals
     :meth:`StatEye.analyze` of the same pulse *when the voltage grid is
     pinned* (``v_half_span=...``); without pinning the batch shares one
-    grid sized to all scenarios.
+    grid sized to all scenarios.  Every row shares ``phases_ui`` and
+    ``voltages``, so :meth:`concatenate` keeps one copy of each and
+    refuses chunks whose grids differ.
     """
 
-    modulation: Modulation
-    phases_ui: np.ndarray
-    voltages: np.ndarray
     min_bers: np.ndarray
     best_phases_ui: np.ndarray
     best_thresholds: np.ndarray
     eye_heights: np.ndarray
     eye_widths_ui: np.ndarray
     bathtubs: np.ndarray
+    modulation: Modulation
+    phases_ui: np.ndarray = dataclasses.field(metadata=SHARED)
+    voltages: np.ndarray = dataclasses.field(metadata=SHARED)
     surfaces: Optional[np.ndarray] = None
     noise_rms: float = 0.0
     rj_rms_ui: float = 0.0
@@ -283,94 +360,20 @@ class StatEyeBatchResult:
     target_ber: float = 1e-12
     ber_floor: float = 1e-18
 
-    @property
-    def n_scenarios(self) -> int:
-        """Number of scenarios in the batch."""
-        return len(self.min_bers)
-
-    def __len__(self) -> int:
-        return self.n_scenarios
-
     def row(self, index: int) -> StatEyeResult:
         """Scenario ``index`` unpacked into the single-scenario form
         (requires the surfaces: run with ``keep_surfaces=True``)."""
-        if index < 0:
-            index += self.n_scenarios
-        if not 0 <= index < self.n_scenarios:
-            raise IndexError(f"scenario {index} out of range")
         if self.surfaces is None:
             raise ValueError(
                 "surfaces were dropped (keep_surfaces=False); re-run "
                 "with keep_surfaces=True to unpack per-scenario results"
             )
-        return StatEyeResult(
-            modulation=self.modulation, phases_ui=self.phases_ui,
-            voltages=self.voltages, surfaces=self.surfaces[index],
-            noise_rms=self.noise_rms, rj_rms_ui=self.rj_rms_ui,
-            dj_pp_ui=self.dj_pp_ui, target_ber=self.target_ber,
-            ber_floor=self.ber_floor,
-        )
-
-    def rows(self) -> List[StatEyeResult]:
-        """Every scenario unpacked (see :meth:`row`)."""
-        return [self.row(i) for i in range(self.n_scenarios)]
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    @classmethod
-    def concatenate(cls, parts: "List[StatEyeBatchResult]"
-                    ) -> "StatEyeBatchResult":
-        """Stack scenario-chunks back into one batch result.
-
-        All parts must share the engine configuration and therefore the
-        phase/voltage grids (the engine guarantees this by sizing the
-        grid once across every chunk)."""
-        if not parts:
-            raise ValueError("cannot concatenate zero StatEyeBatchResults")
-        if len(parts) == 1:
-            return parts[0]
-        first = parts[0]
-        for part in parts[1:]:
-            for name in ("modulation", "noise_rms", "rj_rms_ui", "dj_pp_ui",
-                         "target_ber", "ber_floor"):
-                if getattr(part, name) != getattr(first, name):
-                    raise ValueError(
-                        f"chunks disagree on {name}; they must come from "
-                        f"one engine configuration")
-            if (not np.array_equal(part.phases_ui, first.phases_ui)
-                    or not np.array_equal(part.voltages, first.voltages)
-                    or (part.surfaces is None) != (first.surfaces is None)):
-                raise ValueError(
-                    "chunks disagree on grid/surfaces; they must come "
-                    "from one engine configuration"
-                )
-        surfaces = (None if first.surfaces is None else
-                    np.concatenate([part.surfaces for part in parts], axis=0))
-        return cls(
-            modulation=first.modulation, phases_ui=first.phases_ui,
-            voltages=first.voltages,
-            min_bers=np.concatenate([p.min_bers for p in parts]),
-            best_phases_ui=np.concatenate(
-                [p.best_phases_ui for p in parts]),
-            best_thresholds=np.concatenate(
-                [p.best_thresholds for p in parts], axis=0),
-            eye_heights=np.concatenate([p.eye_heights for p in parts]),
-            eye_widths_ui=np.concatenate(
-                [p.eye_widths_ui for p in parts]),
-            bathtubs=np.concatenate([p.bathtubs for p in parts], axis=0),
-            surfaces=surfaces, noise_rms=first.noise_rms,
-            rj_rms_ui=first.rj_rms_ui, dj_pp_ui=first.dj_pp_ui,
-            target_ber=first.target_ber, ber_floor=first.ber_floor,
-        )
+        shared = {field.name: getattr(self, field.name)
+                  for field in dataclasses.fields(StatEyeResult)}
+        return StatEyeResult(**{**shared, "surfaces": self.surfaces[index]})
 
     def bathtub(self, index: int) -> BathtubCurve:
         """Scenario ``index``'s combined fixed-threshold bathtub curve
         (available even when the surfaces were dropped)."""
-        if index < 0:
-            index += self.n_scenarios
-        if not 0 <= index < self.n_scenarios:
-            raise IndexError(f"scenario {index} out of range")
-        return BathtubCurve(
-            phases_ui=np.array(self.phases_ui),
-            ber=np.clip(self.bathtubs[index], self.ber_floor, 0.5))
+        return BathtubCurve(phases_ui=np.array(self.phases_ui),
+                            ber=np.array(self.bathtubs[index]))

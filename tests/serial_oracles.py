@@ -35,7 +35,13 @@ match it bit for bit:
   round-off, not bit for bit;
 * :func:`stateye_surfaces` — the statistical eye's BER surfaces with
   one shift, ``irfft`` and tail pair per modulation level (no mirrored
-  level pairs) and jitter folded through an ``rfft``/``irfft`` pair.
+  level pairs) and jitter folded through an ``rfft``/``irfft`` pair;
+* :class:`SerialStatEye` — the statistical eye's summaries (optimum,
+  bathtubs, contours, heights, widths) of one
+  :class:`~repro.stateye.StatEyeResult`, phase by phase, with the
+  scalar run walk :func:`open_run` and the scalar tie rule
+  :func:`flat_center_argmin`.  The stack functions must match it bit
+  for bit.
 
 Tests import this module by name (``tests/`` is on ``sys.path`` under
 pytest); benchmarks add ``tests/`` to the path first.
@@ -556,3 +562,111 @@ def stateye_surfaces(engine, cursors: np.ndarray, dv: float,
         surfaces = np.fft.irfft(shaped, n=n_phases, axis=2)
         np.clip(surfaces, 0.0, 0.5, out=surfaces)
     return surfaces
+
+
+def flat_center_argmin(values: np.ndarray) -> int:
+    """Centre index of the (possibly flat) minimum region of a 1-D
+    array: values within 1e-12 relative or 1e-15 absolute of the
+    minimum are tied, and the middle tie wins."""
+    minimum = float(np.min(values))
+    flat = np.flatnonzero(values <= minimum * (1.0 + 1e-12) + 1e-15)
+    return int(flat[len(flat) // 2])
+
+
+def open_run(mask: np.ndarray, start: int) -> Optional[Tuple[int, int]]:
+    """The contiguous True run of ``mask`` containing ``start``."""
+    if not mask[start]:
+        return None
+    lo = start
+    while lo > 0 and mask[lo - 1]:
+        lo -= 1
+    hi = start
+    while hi < mask.size - 1 and mask[hi + 1]:
+        hi += 1
+    return lo, hi
+
+
+class SerialStatEye:
+    """:class:`repro.stateye.StatEyeResult`'s summaries of one result,
+    computed eye by eye and phase by phase."""
+
+    def __init__(self, result) -> None:
+        self.result = result
+        self.surfaces = result.surfaces
+        self.voltages = result.voltages
+
+    def _eye_index(self, eye: Optional[int]) -> int:
+        return self.worst_eye_index() if eye is None else int(eye)
+
+    def _combine(self, per_eye: np.ndarray) -> np.ndarray:
+        modulation = self.result.modulation
+        ser = (2.0 / modulation.n_levels) * per_eye.sum(axis=0)
+        return ser / modulation.bits_per_symbol
+
+    def worst_eye_index(self) -> int:
+        return int(np.argmax(self.surfaces.min(axis=(1, 2))))
+
+    def combined_phase_ber(self) -> np.ndarray:
+        return self._combine(self.surfaces.min(axis=-1))
+
+    def best_phase_index(self) -> int:
+        return flat_center_argmin(self.combined_phase_ber())
+
+    def best_phase_ui(self) -> float:
+        return float(self.result.phases_ui[self.best_phase_index()])
+
+    def best_threshold_indices(self) -> np.ndarray:
+        p = self.best_phase_index()
+        return np.array([flat_center_argmin(self.surfaces[e, p])
+                         for e in range(len(self.surfaces))])
+
+    def best_thresholds(self) -> np.ndarray:
+        return self.voltages[self.best_threshold_indices()]
+
+    def ber(self) -> float:
+        return float(np.min(self.combined_phase_ber()))
+
+    def min_ber(self, eye: Optional[int] = None) -> float:
+        if eye is None:
+            return self.ber()
+        return float(np.min(self.surfaces[eye]))
+
+    def bathtub(self, eye: Optional[int] = None) -> np.ndarray:
+        vi = self.best_threshold_indices()
+        fixed = np.stack([self.surfaces[e, :, vi[e]]
+                          for e in range(len(self.surfaces))])
+        ber = self._combine(fixed) if eye is None else fixed[eye]
+        return np.clip(ber, self.result.ber_floor, 0.5)
+
+    def contour(self, target: float, eye: Optional[int] = None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        e = self._eye_index(eye)
+        vi = int(self.best_threshold_indices()[e])
+        surf = self.surfaces[e]
+        lower = np.full(surf.shape[0], np.nan)
+        upper = np.full(surf.shape[0], np.nan)
+        for p in range(surf.shape[0]):
+            mask = surf[p] <= target
+            run = open_run(mask, vi)
+            if run is None:
+                run = open_run(mask, flat_center_argmin(surf[p]))
+            if run is not None:
+                lower[p] = self.voltages[run[0]]
+                upper[p] = self.voltages[run[1]]
+        return lower, upper
+
+    def eye_height_at(self, target: float,
+                      eye: Optional[int] = None) -> float:
+        lower, upper = self.contour(target, eye)
+        p = self.best_phase_index()
+        if not np.isfinite(lower[p]):
+            return 0.0
+        return float(upper[p] - lower[p])
+
+    def eye_width_ui_at(self, target: float,
+                        eye: Optional[int] = None) -> float:
+        ber = self.bathtub(self._eye_index(eye))
+        good = ber < target
+        if not np.any(good):
+            return 0.0
+        return float(np.sum(good) / len(ber))

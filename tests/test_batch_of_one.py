@@ -3,7 +3,8 @@
 ``BangBangCdr.recover`` and ``DecisionFeedbackEqualizer.equalize`` /
 ``inner_eye_height`` take a ``Waveform`` or a ``WaveformBatch``; the
 batch results (``CdrBatchResult``, ``LinkBatchResult``,
-``LinkBatchReport``) share ``RowStack``'s ``rows``/``concatenate``.
+``LinkBatchReport``, ``StatEyeBatchResult``) share ``RowStack``'s
+``rows``/``concatenate``.
 Every parity check here is against the scalar oracles in
 ``serial_oracles.py`` or a per-row NumPy oracle, never against a
 one-row call of the same code.
@@ -14,8 +15,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.isi import pulse_response
 from repro.baselines import DecisionFeedbackEqualizer
 from repro.cdr import BangBangCdr, CdrBatchResult, CdrConfig
+from repro.channel.backplane import BackplaneChannel
 from repro.link import LinkBatchResult, run_framed_link
 from repro.serdes import LinkBatchReport
 from repro.signals import (
@@ -27,6 +30,7 @@ from repro.signals import (
     add_awgn,
     prbs7,
 )
+from repro.stateye import StatEye, StatEyeBatchResult
 from serial_oracles import SerialCdr, SerialDfe, run_link
 
 BIT_RATE = 10e9
@@ -226,3 +230,39 @@ def test_concatenate_rejects_chunks_that_disagree():
             run_framed_link(b"one", path=lambda w: WaveformBatch.stack([w])),
             run_framed_link(b"two", path=lambda w: WaveformBatch.stack([w])),
         ])
+
+
+def test_concatenate_keeps_one_copy_of_shared_grids():
+    # phases_ui and voltages are marked shared: the merged result holds
+    # one grid of the parts' shape, and its rows are the parts' rows.
+    pulses = [pulse_response(BackplaneChannel(d), BIT_RATE, amplitude=0.4)
+              for d in (0.1, 0.3, 0.5)]
+    pinned = StatEye(noise_rms=8e-3, v_half_span=0.6)
+    parts = [pinned.analyze_batch(pulses[:2]),
+             pinned.analyze_batch(pulses[2:])]
+    merged = StatEyeBatchResult.concatenate(parts)
+    assert len(merged) == 3
+    for name in ("phases_ui", "voltages"):
+        grid = getattr(parts[0], name)
+        assert getattr(merged, name).shape == grid.shape
+        np.testing.assert_array_equal(getattr(merged, name), grid)
+    whole = pinned.analyze_batch(pulses)
+    for name in ("min_bers", "best_phases_ui", "best_thresholds",
+                 "eye_heights", "eye_widths_ui", "bathtubs", "surfaces"):
+        np.testing.assert_array_equal(getattr(merged, name),
+                                      getattr(whole, name))
+    np.testing.assert_array_equal(merged[2].surfaces,
+                                  pinned.analyze(pulses[2]).surfaces)
+
+
+def test_concatenate_names_the_shared_grid_that_differs():
+    pulses = [pulse_response(BackplaneChannel(d), BIT_RATE, amplitude=0.4)
+              for d in (0.1, 0.5)]
+    unpinned = StatEye(noise_rms=8e-3)   # each call sizes its own grid
+    parts = [unpinned.analyze_batch([pulse]) for pulse in pulses]
+    with pytest.raises(ValueError, match="'voltages'"):
+        StatEyeBatchResult.concatenate(parts)
+    shifted = dataclasses.replace(parts[0],
+                                  phases_ui=parts[0].phases_ui + 0.01)
+    with pytest.raises(ValueError, match="'phases_ui'"):
+        StatEyeBatchResult.concatenate([parts[0], shifted])

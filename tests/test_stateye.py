@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -40,6 +40,7 @@ from repro.signals.nrz import bits_to_nrz
 from repro.signals.prbs import prbs7, prbs15
 from repro.signals.waveform import Waveform
 from repro.stateye import engine as engine_module
+from repro.stateye import result as result_module
 
 BIT_RATE = 10e9
 
@@ -469,6 +470,114 @@ def test_pam4_has_three_sub_eyes_and_worst_is_reported():
     # Combined BER uses all sub-eyes and can only exceed the per-eye
     # floor contribution of the worst one.
     assert result.ber > 0.0
+
+
+# -- summaries over the surface stack against the per-row oracle -------------
+
+SUMMARY_TARGETS = (1e-6, 1e-12, 1e-15)
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want,
+                                                      equal_nan=True)
+
+
+@pytest.mark.parametrize("modulation", [Nrz(), Pam4()], ids=["nrz", "pam4"])
+def test_summaries_match_serial_oracle(modulation):
+    # Four channels from a wide-open eye to a closed one, on a coarse
+    # grid where the fixed threshold misses 1e-15 at some phases that
+    # are open elsewhere (the fallback anchor).  Every accessor and
+    # every batch column equals the phase-by-phase oracle bit for bit.
+    pulses = [_pulse(d) for d in (0.1, 0.3, 0.6, 1.0)]
+    engine = StatEye(modulation=modulation, n_voltages=129, noise_rms=4e-3,
+                     rj_rms_ui=0.01)
+    batch = engine.analyze_batch(pulses)
+    chunked = engine.analyze_batch(pulses, chunk_scenarios=3,
+                                   keep_surfaces=False)
+    eyes = [None] + list(range(modulation.n_eyes))
+    fallback = closed = 0
+    for i, row in enumerate(batch.rows()):
+        serial = oracle.SerialStatEye(row)
+        vi = serial.best_threshold_indices()
+        assert _same(row.best_threshold_indices(), vi)
+        assert _same(row.best_thresholds, serial.best_thresholds())
+        assert row.best_phase_ui == serial.best_phase_ui()
+        assert row.ber == serial.ber()
+        assert _same(row.combined_phase_ber(), serial.combined_phase_ber())
+        assert row.worst_eye_index() == serial.worst_eye_index()
+        default = engine.target_ber
+        for column, want in (
+                ("min_bers", serial.ber()),
+                ("best_phases_ui", serial.best_phase_ui()),
+                ("best_thresholds", serial.best_thresholds()),
+                ("eye_heights", serial.eye_height_at(default)),
+                ("eye_widths_ui", serial.eye_width_ui_at(default)),
+                ("bathtubs", serial.bathtub())):
+            assert _same(getattr(batch, column)[i], want), column
+            assert _same(getattr(chunked, column)[i], want), column
+        for eye in eyes:
+            assert row.min_ber(eye) == serial.min_ber(eye)
+            assert _same(row.bathtub(eye).ber, serial.bathtub(eye))
+            for target in SUMMARY_TARGETS:
+                lower, upper = row.contour(target, eye)
+                want_lower, want_upper = serial.contour(target, eye)
+                assert _same(lower, want_lower) and _same(upper, want_upper)
+                height = row.eye_height_at(target, eye)
+                assert height == serial.eye_height_at(target, eye)
+                assert row.eye_width_ui_at(target, eye) == \
+                    serial.eye_width_ui_at(target, eye)
+                if eye is None:
+                    continue
+                missed = row.surfaces[eye][:, vi[eye]] > target
+                fallback += int(np.sum(missed & np.isfinite(lower)))
+                if np.isnan(lower).all():
+                    closed += 1
+                    assert height == 0.0 and np.isnan(upper).all()
+    assert fallback > 0 and closed > 0
+
+
+@st.composite
+def _plateau_rows(draw):
+    """(rows, anchors, target): rows on a few levels (plateaus, ties by
+    the 1e-15 absolute rule, ties apart from each other) and one anchor
+    per row, the edge bins drawn often."""
+    n = draw(st.integers(1, 24))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 4e-16, 1e-15, 3e-15, 1e-12, 0.2,
+                                  0.3]), min_size=n, max_size=n),
+        min_size=1, max_size=6))
+    edge = st.sampled_from([0, n - 1])
+    anchors = draw(st.lists(edge | st.integers(0, n - 1),
+                            min_size=len(rows), max_size=len(rows)))
+    return rows, anchors, draw(st.sampled_from([5e-16, 2e-15, 1e-12, 0.25]))
+
+
+@settings(deadline=None)
+@given(case=_plateau_rows())
+@example(case=([[0.0, 0.0, 0.0]], [0], 0.25))                 # all open
+@example(case=([[0.3, 0.3, 0.3, 0.3]], [3], 1e-12))           # all shut
+@example(case=([[0.0, 1e-12, 4e-16, 0.3, 0.0, 1e-15]], [5], 5e-16))
+@example(case=([[0.3, 0.0, 0.3, 1e-15, 0.0, 0.3, 0.0]], [0], 2e-15))
+def test_run_finder_and_flat_center_property(case):
+    # The stack's tie rule and contour runs equal the scalar argmin and
+    # run walk, fallback anchor included.  The example count comes from
+    # the active hypothesis profile.
+    rows, anchors, target = case
+    values = np.array(rows)
+    voltages = np.arange(values.shape[1], dtype=float)
+    np.testing.assert_array_equal(
+        result_module._flat_center_argmin(values),
+        [oracle.flat_center_argmin(row) for row in values])
+    lower, upper = result_module._contours(values, np.array(anchors),
+                                           voltages, target)
+    for row, anchor, lo, hi in zip(values, anchors, lower, upper):
+        mask = row <= target
+        run = oracle.open_run(mask, anchor)
+        if run is None:
+            run = oracle.open_run(mask, oracle.flat_center_argmin(row))
+        want = (np.nan, np.nan) if run is None else run
+        assert _same([lo, hi], want)
 
 
 # -- cross-validation against the time-domain path ----------------------------
