@@ -27,11 +27,6 @@ class CodingError(ValueError):
     """Raised on invalid code points or disparity violations."""
 
 
-def _bits(value: int, width: int) -> Tuple[int, ...]:
-    """LSB-first bit tuple of ``value``."""
-    return tuple((value >> i) & 1 for i in range(width))
-
-
 def _disparity(bits: Tuple[int, ...]) -> int:
     """Ones minus zeros."""
     ones = sum(bits)

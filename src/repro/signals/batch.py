@@ -72,20 +72,29 @@ class RowStack:
     def concatenate(cls, parts: Sequence["RowStack"]):
         """Stack row-chunks back into one result, field by field.
 
-        Columns concatenate on axis 0; shared fields must agree.  Every
-        row keeps its values, so concatenating the chunks of a
-        row-independent computation equals the monolithic pass.
+        Columns concatenate on axis 0; shared fields must agree, and
+        are checked before any column stacks, so chunks on different
+        grids are refused by name rather than by a shape error from
+        a column sized by that grid.  Every row keeps its values, so
+        concatenating the chunks of a row-independent computation
+        equals the monolithic pass.
         """
         if not parts:
             raise ValueError(f"cannot concatenate zero {cls.__name__}s")
         if len(parts) == 1:
             return parts[0]
-        return cls(**{
-            field.name: _stack_column(
-                field.name, [getattr(part, field.name) for part in parts],
-                shared=field.metadata.get("shared", False))
-            for field in dataclasses.fields(cls)
-        })
+        fields = [(field.name, [getattr(part, field.name) for part in parts],
+                   field.metadata.get("shared", False))
+                  for field in dataclasses.fields(cls)]
+        fields.sort(key=lambda field: _is_column(field[1][0], field[2]))
+        return cls(**{name: _stack_column(name, values, shared)
+                      for name, values, shared in fields})
+
+
+def _is_column(value, shared: bool) -> bool:
+    """Does a field holding ``value`` stack per row (not shared)?"""
+    return (isinstance(value, (RowStack, list))
+            or (isinstance(value, np.ndarray) and not shared))
 
 
 def _stack_column(name: str, values: list, shared: bool):

@@ -265,6 +265,9 @@ class StatEye:
             data = np.asarray(pulse.wave.data, dtype=float)
             if data.size < 2:
                 raise ValueError("pulse response waveform is too short")
+            if not np.isfinite(data).all():
+                raise ValueError(
+                    "pulse response waveform has non-finite samples")
             spb = pulse.wave.sample_rate / pulse.bit_rate
             peak = int(np.argmax(np.abs(data)))
             positions = peak + (phases[:, None] - 0.5

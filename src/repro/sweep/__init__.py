@@ -30,9 +30,11 @@ bit-exact resume (:mod:`repro.sweep.checkpoint`), pool execution
 retries crashed/hung/raising units with backoff, and
 ``on_error="quarantine"`` narrows persistent failures to the offending
 rows, recorded as :class:`SweepFailure` entries on
-``SweepResult.failures`` while healthy rows complete.  The
-deterministic fault-injection harness (:mod:`repro.sweep.faults`,
-env-gated via ``REPRO_SWEEP_FAULTS``) exercises all of it in CI.
+``SweepResult.failures`` while healthy rows complete.  Only
+``Exception`` is retried or quarantined: ``KeyboardInterrupt`` and
+every other ``BaseException`` propagate on their first raise, leaving
+the journal to resume from.  The test suite's deterministic
+fault-injection harness exercises all of it in CI.
 
 Million-scenario studies stream instead of retaining: pass
 ``reducers={...}`` (:mod:`repro.sweep.reducers` — count/extrema,
@@ -45,7 +47,6 @@ streaming sweep resumes to identical aggregates.
 """
 
 from .checkpoint import CheckpointJournal
-from .faults import FaultInjected, FaultRule, SweepAbort, inject_faults
 from .grid import ScenarioGrid, SweepAxis, modulation_axis
 from .reducers import (Count, Histogram, HistogramResult, MeanVar,
                        MeanVarResult, MinMax, MinMaxResult, Quantiles,
@@ -55,8 +56,7 @@ from .runner import SweepFailure, SweepResult, SweepRunner, \
 
 __all__ = ["ScenarioGrid", "SweepAxis", "modulation_axis",
            "SweepRunner", "SweepResult",
-           "SweepFailure", "CheckpointJournal", "FaultRule", "FaultInjected",
-           "SweepAbort", "inject_faults",
+           "SweepFailure", "CheckpointJournal",
            "closed_loop_cdr_measure", "dfe_measure",
            "Reducer", "Count", "MinMax", "MeanVar", "Histogram",
            "Quantiles", "Yield",

@@ -35,9 +35,11 @@ everything reliability-related:
   :attr:`SweepResult.failures` while every healthy row still
   completes.
 
-The deterministic fault-injection harness in :mod:`repro.sweep.faults`
-(env-gated via ``REPRO_SWEEP_FAULTS``) exercises all of the above in
-CI.
+Only ``Exception`` is retried or quarantined: ``KeyboardInterrupt`` and
+every other ``BaseException`` propagate on their first raise (killing
+any pool workers), leaving the journal to resume from.  The test
+suite's deterministic fault-injection harness exercises all of the
+above in CI by wrapping :func:`_execute_unit`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import numpy as np
 
 from ..signals.batch import WaveformBatch
 from ..signals.waveform import Waveform
-from . import faults as _faults
 from .checkpoint import CheckpointJournal, describe_callable, describe_value
 from .grid import ScenarioGrid
 from .reducers import Reducer, describe_reducers
@@ -300,24 +301,22 @@ class _UnitOutcome:
 def _execute_unit(runner: "SweepRunner", unit: _Unit,
                   processors: Optional[Dict[int, Any]] = None
                   ) -> Tuple[List[Any], List[Dict]]:
-    """Run one unit — fault hooks, build, stimulus/process/measure — in
-    a pool worker or in-process (the only place a unit executes).
+    """Run one unit — build, stimulus/process/measure — in a pool
+    worker or in-process (the only place a unit executes).
     Returns the values and the unit's parameter dicts, built once here
     for the measure and handed back for the reducers.
 
     ``processors`` caches one pipeline per structural point, so the
     in-process loop builds each point once; a pool worker passes none.
-    Module-level so the pool can pickle it by reference; the fault
-    hooks are no-ops unless ``REPRO_SWEEP_FAULTS`` is set.
+    Module-level so the pool can pickle it by reference.
     """
-    _faults.on_unit_start(unit.key)
     processors = {} if processors is None else processors
     if unit.si not in processors:
         processors[unit.si] = (runner.build(unit.structural_params)
                                if runner.build is not None else None)
     params = unit.full_params
     values = runner._measure_chunk(processors[unit.si], params)
-    return _faults.on_unit_values(unit.key, values), params
+    return values, params
 
 
 def _has_nonfinite(value) -> bool:
@@ -810,8 +809,6 @@ class SweepRunner:
             self._sleep_backoff(unit)
             try:
                 values, params = _execute_unit(self, unit, processors)
-            except _faults.SweepAbort:
-                raise
             except Exception as error:
                 if self.on_error == "raise":
                     raise
@@ -958,8 +955,6 @@ class _PoolSupervisor:
                 deadlines.pop(future)
                 try:
                     values, params = future.result()
-                except _faults.SweepAbort:
-                    raise
                 except BrokenProcessPool as error:
                     if isolated:
                         # Sole in-flight unit: the crash is its doing.

@@ -2,18 +2,24 @@
 
 The retry / quarantine / checkpoint machinery in
 :mod:`repro.sweep.runner` is only trustworthy if it is exercised, so
-this module can make chosen execution units misbehave on demand —
-crash their worker process, hang, raise, emit NaNs, or abort the whole
-sweep — deterministically enough to test end to end in CI.
+this test harness can make chosen execution units misbehave on demand
+— crash their worker process, hang, raise, emit NaNs, or abort the
+whole sweep — deterministically enough to test end to end in CI.
 
-Activation is env-gated: ``REPRO_SWEEP_FAULTS`` names a JSON plan
-file (usually written by :func:`inject_faults`) and injection is a
-no-op when the variable is unset, so production sweeps never pay more
-than one ``os.environ`` lookup per unit.  The plan travels to pool
-workers through the inherited environment, and per-rule attempt
-counters are kept as ``O_EXCL`` marker files next to the plan, so
-"fail the first N attempts, then succeed" stays exact across worker
-death and pool respawns.
+The library carries no hook for it.  While :func:`inject_faults` is
+active it swaps :func:`repro.sweep.runner._execute_unit` — the one
+place a unit runs, in-process and in pool workers — for
+:func:`_execute_unit_with_faults`, which fires :func:`on_unit_start`,
+runs the original executor and passes the values through
+:func:`on_unit_values`.  The pool pickles the wrapper by reference, so
+workers import this module and run it under fork and spawn alike (the
+wrapper calls the executor captured at import, never the patched
+attribute).  The plan itself travels to workers through the
+``REPRO_SWEEP_FAULTS`` environment variable, which names a JSON plan
+file; per-rule attempt counters are kept as ``O_EXCL`` marker files
+next to the plan, so "fail the first N attempts, then succeed" stays
+exact across worker death and pool respawns.  The hooks are no-ops
+when the variable is unset.
 
 An execution unit is one (structural point, row-chunk) of a sweep,
 identified by ``(si, start, stop)``: structural-point index plus the
@@ -22,6 +28,9 @@ units by structural index, exact chunk start, and/or absolute row
 indices — row targeting keeps matching the sub-units the runner's
 quarantine bisection produces, which is how a fault is narrowed down
 to its offending row.
+
+Tests import this module by name (``tests/`` is on ``sys.path`` under
+pytest).
 
 .. warning::
    ``mode="crash"`` calls ``os._exit`` in whatever process executes
@@ -39,6 +48,8 @@ import os
 import pathlib
 import time
 from typing import List, Optional, Sequence, Tuple
+
+from repro.sweep import runner as _runner
 
 __all__ = [
     "ENV_VAR",
@@ -60,10 +71,12 @@ class FaultInjected(RuntimeError):
     any transient per-unit failure)."""
 
 
-class SweepAbort(RuntimeError):
-    """A fatal, never-retried failure (``mode="abort"``): the
-    supervisor re-raises it immediately, modelling the whole sweep
-    process dying mid-run with the checkpoint journal left behind.
+class SweepAbort(BaseException):
+    """A fatal, never-retried failure (``mode="abort"``), modelling the
+    whole sweep process dying mid-run with the checkpoint journal left
+    behind.  Like ``KeyboardInterrupt`` it is a ``BaseException``, so
+    the runner, which retries and quarantines only ``Exception``,
+    propagates it on its first raise (killing any pool workers).
 
     Once an abort rule has fired, every later unit started under the
     same plan raises it again: a dead sweep runs nothing more.  This
@@ -156,17 +169,21 @@ def inject_faults(rules: Sequence[FaultRule], directory):
     Writes the plan under ``directory`` (created if needed; attempt
     counters live alongside it) and points :data:`ENV_VAR` at it, so
     in-process execution and every pool worker spawned inside the
-    block see the same plan.  The previous environment is restored on
-    exit.
+    block see the same plan, and installs :func:`_execute_unit_with_faults`
+    as the runner's unit executor.  The previous environment and
+    executor are restored on exit.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     plan_path = write_plan(directory / "faults.json", rules)
     previous = os.environ.get(ENV_VAR)
+    previous_executor = _runner._execute_unit
     os.environ[ENV_VAR] = str(plan_path)
+    _runner._execute_unit = _execute_unit_with_faults
     try:
         yield plan_path
     finally:
+        _runner._execute_unit = previous_executor
         if previous is None:
             os.environ.pop(ENV_VAR, None)
         else:
@@ -209,8 +226,14 @@ def _active_plan():
 
 
 # ---------------------------------------------------------------------------
-# Runner hooks (called per unit; no-ops when the env var is unset).
+# Unit hooks (no-ops when the env var is unset) and the executor wrapper.
 # ---------------------------------------------------------------------------
+
+#: The runner's own executor, captured at import: the wrapper calls it
+#: directly, so a forked worker that inherits the patched
+#: ``_runner._execute_unit`` does not recurse into the wrapper.
+_EXECUTE_UNIT = _runner._execute_unit
+
 
 def on_unit_start(unit_key: Tuple[int, int, int]) -> None:
     """Crash / hang / raise / abort hooks, fired before a unit runs."""
@@ -263,3 +286,11 @@ def on_unit_values(unit_key: Tuple[int, int, int], values: list) -> list:
         for relative in targets:
             out[relative] = float("nan")
     return out
+
+
+def _execute_unit_with_faults(runner, unit, processors=None):
+    """:func:`repro.sweep.runner._execute_unit` with the fault hooks
+    around it; :func:`inject_faults` installs it in the runner."""
+    on_unit_start(unit.key)
+    values, params = _EXECUTE_UNIT(runner, unit, processors)
+    return on_unit_values(unit.key, values), params

@@ -212,6 +212,17 @@ def test_batch_concatenate_rejects_mixed_engine_settings(field, value):
         StatEyeBatchResult.concatenate(parts)
 
 
+def test_batch_concatenate_rejects_mixed_phase_grids():
+    # Shared grids are checked before any column stacks: chunks with 64
+    # and 32 phases are refused by name, not by a shape error from the
+    # bathtubs sized by those phases.
+    pulse = _pulse(0.3)
+    parts = [StatEye(noise_rms=4e-3, v_half_span=0.6, n_phases=n)
+             .analyze_batch([pulse]) for n in (64, 32)]
+    with pytest.raises(ValueError, match="chunks disagree on 'phases_ui'"):
+        StatEyeBatchResult.concatenate(parts)
+
+
 # -- sub-bin cursor grouping against the per-cursor oracle --------------------
 
 def _engine_pdf(engine, cursors, dv):
@@ -721,6 +732,20 @@ def test_engine_rejects_bad_inputs():
     with pytest.raises(ValueError, match="identically zero"):
         StatEye().analyze(PulseResponse.from_waveform(
             Waveform(np.zeros(64), BIT_RATE * 8), BIT_RATE))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_engine_rejects_non_finite_pulses(bad):
+    good = _pulse()
+    data = np.array(good.wave.data)
+    data[data.size // 3] = bad
+    pulse = PulseResponse.from_waveform(
+        Waveform(data, good.wave.sample_rate), BIT_RATE)
+    engine = StatEye(noise_rms=5e-3)
+    with pytest.raises(ValueError, match="non-finite"):
+        engine.analyze(pulse)
+    with pytest.raises(ValueError, match="non-finite"):
+        engine.analyze_batch([good, pulse])
 
 
 def test_top_level_exports():

@@ -1,4 +1,8 @@
-"""Sweep subsystem: grid geometry, axis partitioning, runner equivalence."""
+"""Sweep subsystem: grid geometry, axis partitioning, runner equivalence,
+and the runner's exception policy."""
+
+import functools
+import os
 
 import numpy as np
 import pytest
@@ -248,6 +252,51 @@ def test_pool_probe_does_not_swallow_non_pickling_errors():
     # user's object, not an unpicklable callable: it must propagate.
     with pytest.raises(ValueError, match="refused serialization"):
         runner.run()
+
+
+# -- exception policy ---------------------------------------------------------
+
+def interrupt_once(log, batch, params_list):
+    """Batch measure that raises ``KeyboardInterrupt`` the first time it
+    meets the scenario (8 GHz, 0.1 V).  Every call on that scenario
+    appends the calling process id to ``log`` (one ``O_APPEND`` line,
+    so attempts are counted across pool workers)."""
+    if {"pole_hz": 8e9, "amplitude": 0.1} in params_list:
+        with open(log, "a+") as handle:
+            handle.write(f"{os.getpid()}\n")
+            handle.seek(0)
+            first = len(handle.read().split()) == 1
+        if first:
+            raise KeyboardInterrupt
+    return batch.data[:, 0].tolist()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_base_exception_propagates_without_retry(tmp_path, processes):
+    # Only Exception is retried or quarantined: a KeyboardInterrupt
+    # propagates on its first raise, even under quarantine with retries
+    # to spare, and the journal it leaves resumes bit for bit.
+    grid = ScenarioGrid([
+        SweepAxis("pole_hz", (4e9, 8e9), structural=True),
+        SweepAxis("amplitude", (0.05, 0.1, 0.3)),
+    ])
+    log = tmp_path / "calls"
+    runner = SweepRunner(
+        grid, stimulus=_stimulus, build=_build,
+        measure=functools.partial(interrupt_once, str(log)),
+        chunk_rows=1, on_error="quarantine", max_attempts=3,
+        retry_backoff_s=0.0, processes=processes)
+    with pytest.raises(KeyboardInterrupt):
+        runner.run(checkpoint_dir=tmp_path / "ckpt")
+    calls = log.read_text().split()
+    assert len(calls) == 1                  # ran once, never retried
+    assert (calls[0] == str(os.getpid())) == (processes == 1)
+    resumed = runner.run(checkpoint_dir=tmp_path / "ckpt")
+    reference = SweepRunner(grid, stimulus=_stimulus, build=_build,
+                            measure=first_samples).run()
+    assert resumed.params == reference.params
+    assert resumed.results == reference.results
+    assert resumed.failures == []
 
 
 # -- closed-loop CDR measure path ---------------------------------------------

@@ -15,11 +15,11 @@ import pytest
 
 from repro.lti import GainBlock
 from repro.signals import Waveform
-from repro.sweep import (CheckpointJournal, Count, FaultInjected, FaultRule,
-                         Histogram, MeanVar, MinMax, Quantiles, ScenarioGrid,
-                         SweepAxis, SweepFailure, SweepRunner, Yield,
-                         inject_faults)
-from repro.sweep import faults as faults_mod
+from repro.sweep import (CheckpointJournal, Count, Histogram, MeanVar,
+                         MinMax, Quantiles, ScenarioGrid, SweepAxis,
+                         SweepFailure, SweepRunner, Yield)
+import sweep_faults as faults_mod
+from sweep_faults import FaultInjected, FaultRule, inject_faults
 from repro.sweep.checkpoint import describe_callable
 from repro.sweep.runner import _has_nonfinite
 
