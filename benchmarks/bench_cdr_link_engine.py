@@ -5,10 +5,11 @@ contract for the last serial layers.  A ≥500-scenario study — one
 jittered PRBS pattern per scenario, each with its own noise draw — is
 recovered twice:
 
-* **batched**: the CDR stage dispatch (``repro.link.stage(cdr)``)
-  solves all N bang-bang loops together, a window of bit-steps per
-  fixed-point sweep, with vectorized interpolation sampling, vectorized
-  Alexander votes and per-row phase/integral/slip state;
+* **batched**: one :meth:`~repro.cdr.BangBangCdr.recover` call on the
+  whole batch solves all N bang-bang loops together, a window of
+  bit-steps per fixed-point sweep, with vectorized interpolation
+  sampling, vectorized Alexander votes and per-row
+  phase/integral/slip state;
 * **serial**: :meth:`~repro.cdr.BangBangCdr.recover` per scenario — each
   waveform run as a batch of one through the same kernel.
 
@@ -43,7 +44,7 @@ from repro.signals import (
     add_awgn,
     prbs7,
 )
-from repro.link import run_framed_link, stage
+from repro.link import run_framed_link
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner, \
     closed_loop_cdr_measure
 
@@ -72,14 +73,12 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
     batch = make_batch(N_SCENARIOS)
     cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5))
 
-    link_cdr = stage(cdr)
-
     # Warm both paths on a slice so first-call overheads cancel.
-    link_cdr.recover(batch[:2])
+    cdr.recover(batch[:2])
     cdr.recover(batch[0])
 
     t0 = time.perf_counter()
-    batched = link_cdr.recover(batch)
+    batched = cdr.recover(batch)
     t_batched = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -6,10 +6,11 @@ knob adaptation.  A ≥500-scenario yield study (one channel-filtered
 PRBS waveform per scenario, each with its own noise draw) is equalized
 twice:
 
-* **batched**: the DFE stage dispatch (``repro.link.stage(dfe)``)
-  solves all N decision-feedback loops together, a block of bits per
-  fixed-point solve, with vectorized interpolation sampling and per-row
-  decision history;
+* **batched**: one
+  :meth:`~repro.baselines.dfe.DecisionFeedbackEqualizer.equalize` call
+  on the whole batch solves all N decision-feedback loops together, a
+  block of bits per fixed-point solve, with vectorized interpolation
+  sampling and per-row decision history;
 * **serial**: the scalar reference loop (``SerialDfe`` in
   ``tests/serial_oracles.py``) per scenario, one bit at a time — the
   row-check reference, timed.
@@ -47,7 +48,6 @@ from serial_oracles import SerialDfe, serial_sweep
 from repro.baselines import DecisionFeedbackEqualizer, dfe_taps_from_channel
 from repro.channel import BackplaneChannel
 from repro.core import adapt_equalizer, adapt_peaking
-from repro.link import stage
 from repro.reporting import format_table
 from repro.signals import WaveformBatch, bits_to_nrz, prbs7
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner, dfe_measure
@@ -81,16 +81,14 @@ def test_batched_dfe_speedup_and_row_exactness(save_report, save_json):
     batch = make_batch(N_SCENARIOS)
     dfe = make_dfe()
 
-    link_dfe = stage(dfe)
-
     serial_dfe = SerialDfe(dfe)
     # Warm every path on a slice so first-call overheads cancel.
-    link_dfe.equalize(batch[:2])
+    dfe.equalize(batch[:2])
     dfe.equalize(batch[0])
     serial_dfe.equalize(batch[0])
 
     t0 = time.perf_counter()
-    decisions, corrected = link_dfe.equalize(batch)
+    decisions, corrected = dfe.equalize(batch)
     t_batched = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -103,7 +101,7 @@ def test_batched_dfe_speedup_and_row_exactness(save_report, save_json):
     t_per_row = time.perf_counter() - t0
 
     speedup = t_serial / t_batched
-    heights = link_dfe.inner_eye_height(batch)
+    heights = dfe.inner_eye_height(batch)
     save_report("dfe_adaptation_engine_speedup", format_table([{
         "scenarios": N_SCENARIOS,
         "bits/scenario": N_BITS,

@@ -106,8 +106,6 @@ from .sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
                     ScenarioGrid, SweepAxis, SweepFailure, SweepResult,
                     SweepRunner, Yield, modulation_axis)
 from .link import (
-    Stage,
-    stage,
     LinkSession,
     TxConfig,
     ChannelConfig,
@@ -211,8 +209,6 @@ __all__ = [
     "Quantiles",
     "Yield",
     "SweepResult",
-    "Stage",
-    "stage",
     "LinkSession",
     "TxConfig",
     "ChannelConfig",

@@ -1,6 +1,9 @@
 """Baselines: the designs and published results the paper compares
-against — the spiral-inductor variant (area claim) and the Table I
-record columns.
+against — the spiral-inductor variant (area claim), the Table I
+record columns, and the FIR pre-emphasis, generic CTLE and N-tap DFE
+equalizers.  Each takes a waveform or a batch; the DFE's one entry
+point is ``equalize()``, and :class:`~repro.link.DfeStage` puts it in
+a :class:`~repro.link.LinkSession` chain.
 """
 
 from .spiral_inductor import (

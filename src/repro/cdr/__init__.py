@@ -8,8 +8,10 @@ closed loops advanced together over a
 :class:`~repro.signals.batch.WaveformBatch`.
 :meth:`~repro.cdr.BangBangCdr.recover` is the loop's one entry point:
 a batch gives a :class:`CdrBatchResult`, a single waveform runs as a
-batch of one and gives its :class:`CdrResult` (``stage(cdr).recover``
-in :mod:`repro.link` delegates to it).
+batch of one and gives its :class:`CdrResult`.  A
+:class:`~repro.link.CdrStage` puts the loop in a
+:class:`~repro.link.LinkSession` chain as a block; its ``recover``
+delegates to this entry point.
 """
 
 from .phase_detector import (

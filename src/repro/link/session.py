@@ -5,8 +5,8 @@ CDR/DFE → eye/BER — and this module is its single public entry point.
 A session is built either from config dataclasses
 (:class:`TxConfig`/:class:`ChannelConfig`/:class:`RxConfig` plus
 optional :class:`~repro.cdr.CdrConfig`/:class:`DfeConfig`) or from any
-sequence of stage-able objects, and every execution path dispatches
-through the same batched kernels:
+sequence of batch-transparent processors, and every execution path
+runs the same chain loop over the same batched kernels:
 
 * :meth:`LinkSession.run` — one waveform in, one :class:`LinkResult`;
 * :meth:`LinkSession.run_batch` — N scenarios in one pass, a
@@ -47,12 +47,11 @@ from ..serdes.serializer import (
     _decode_payload,
     _serialize_payload,
 )
-from ..signals.batch import RowStack, WaveformBatch, _lift
+from ..signals.batch import RowStack, WaveformBatch, _apply_processor, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 from ..sweep.grid import ScenarioGrid
 from ..sweep.runner import SweepResult, SweepRunner
-from .stage import Stage, _run_stages, stage
 
 __all__ = [
     "TxConfig",
@@ -163,6 +162,31 @@ def _require_finite(batch: WaveformBatch) -> None:
     )
 
 
+def _chain_entry(processor):
+    """One entry of a session's chain as it runs: an object with
+    ``to_block()`` but no ``process`` (the Cherry-Hooper equalizer, the
+    baseline CTLE) lowered once to its block; anything with ``process``
+    or a plain batch callable as given."""
+    if hasattr(processor, "to_block") and not hasattr(processor, "process"):
+        processor = processor.to_block()
+    if not (hasattr(processor, "process") or callable(processor)):
+        raise TypeError(f"{type(processor).__name__} has no .process and "
+                        "is not callable")
+    return processor
+
+
+def _run_chain(processors, signal):
+    """The one chain loop: lift the input to a batch, apply each
+    processor, lower the result.  ``Waveform`` in → ``Waveform`` out,
+    ``WaveformBatch`` in → ``WaveformBatch`` out; a processor may fan
+    one row out to many (noise fan-out), and the batch then stays a
+    batch."""
+    batch, was_single = _lift(signal)
+    for processor in processors:
+        batch = _apply_processor(processor, batch)
+    return batch[0] if was_single and batch.n_scenarios == 1 else batch
+
+
 def _require_rate(what: str, rate: float, bit_rate: float) -> None:
     """Reject a CDR or DFE built for another rate than the link's."""
     if rate != bit_rate:
@@ -247,9 +271,10 @@ class LinkSession:
     Parameters
     ----------
     stages:
-        The analog chain, in order; each entry is adapted through
-        :func:`~repro.link.stage` (blocks, pipelines, channels,
-        interfaces, callables, or ready-made stages).
+        The analog chain, in order: anything with ``process`` (blocks,
+        pipelines, channels, interfaces, :class:`~repro.link.CdrStage`),
+        anything with ``to_block()`` (lowered once, here), or plain
+        batch callables; each must be batch-transparent.
     bit_rate:
         Line rate shared by measurement, CDR and DFE.
     cdr:
@@ -275,7 +300,7 @@ class LinkSession:
         self.bit_rate = bit_rate
         self.modulation: Modulation = (Nrz() if modulation is None
                                        else modulation)
-        self.stages: Tuple[Stage, ...] = tuple(stage(s) for s in stages)
+        self.stages: Tuple = tuple(_chain_entry(s) for s in stages)
         if cdr is True:
             cdr = CdrConfig(bit_rate=bit_rate, modulation=self.modulation)
         self.cdr_config: Optional[CdrConfig] = cdr or None
@@ -363,10 +388,12 @@ class LinkSession:
     def process(self, signal):
         """Push a signal through the analog stages (no measurement).
 
-        One dispatch path: ``Waveform`` in → ``Waveform`` out,
-        ``WaveformBatch`` in → ``WaveformBatch`` out.
+        One chain loop: ``Waveform`` in → ``Waveform`` out,
+        ``WaveformBatch`` in → ``WaveformBatch`` out.  A stage that
+        returns anything but a :class:`WaveformBatch` for a batch (a
+        lone :class:`Waveform` included) raises ``TypeError``.
         """
-        return _run_stages(self.stages, signal)
+        return _run_chain(self.stages, signal)
 
     def statistical_eye(self, engine: "Optional[Any]" = None, *,
                         amplitude: float = 1.0, samples_per_bit: int = 32,
@@ -476,7 +503,7 @@ class LinkSession:
 
     def _run(self, batch: WaveformBatch,
              modulation: Optional[Modulation] = None) -> LinkBatchResult:
-        return self._analyze(_run_stages(self.stages, batch), modulation)
+        return self._analyze(_run_chain(self.stages, batch), modulation)
 
     def run(self, wave: Waveform) -> LinkResult:
         """One scenario end to end (dispatches through the batch path).
@@ -673,8 +700,7 @@ class LinkSession:
                 f"structural parameters {sorted(unknown)} match no field "
                 "of the session's tx/channel/rx configs"
             )
-        return functools.partial(_run_stages,
-                                 tuple(stage(block) for block in blocks))
+        return functools.partial(_run_chain, tuple(blocks))
 
     # -- framed link -------------------------------------------------------
     def run_framed(self, payload: bytes, *,

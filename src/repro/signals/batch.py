@@ -262,3 +262,21 @@ def _lift(signal: "Waveform | WaveformBatch") -> Tuple[WaveformBatch, bool]:
     raise TypeError(
         f"expected Waveform or WaveformBatch, got {type(signal).__name__}"
     )
+
+
+def _apply_processor(processor, batch: WaveformBatch) -> WaveformBatch:
+    """Apply one batch-transparent processor to a batch: its
+    ``process`` if it has one, else the processor itself as a callable.
+
+    The result must be a :class:`WaveformBatch`.  A lone
+    :class:`Waveform` back is refused rather than lifted: from a batch
+    of many rows it would silently keep one.
+    """
+    out = getattr(processor, "process", processor)(batch)
+    if not isinstance(out, WaveformBatch):
+        name = getattr(processor, "__name__", type(processor).__name__)
+        raise TypeError(
+            f"processor {name!r} returned {type(out).__name__} for a "
+            "WaveformBatch; processors must be batch-transparent"
+        )
+    return out

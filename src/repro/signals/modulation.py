@@ -37,6 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..kernels import _slice
 from .waveform import Waveform
 
 __all__ = ["Modulation", "Nrz", "Pam4", "SymbolEncoder", "bits_to_pam4"]
@@ -161,11 +162,11 @@ class Modulation:
 
         A value maps to the count of thresholds strictly below it,
         which for NRZ reproduces the historical sign slicer
-        (``1 if v > 0 else 0``) exactly.
+        (``1 if v > 0 else 0``) exactly.  NaN counts low (level 0), as
+        in the CDR and DFE kernels, which share this slicer.
         """
-        thresholds = self.threshold_values(swing)
-        return np.searchsorted(thresholds, np.asarray(values, dtype=float),
-                               side="left")
+        return _slice(np.asarray(values, dtype=float),
+                      self.threshold_values(swing))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -48,6 +48,8 @@ import pathlib
 import pickle
 import re
 import struct
+import threading
+import types
 import warnings
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -59,6 +61,13 @@ __all__ = ["CheckpointJournal", "describe_callable", "describe_value"]
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 _SCALARS = (str, bytes, int, float, complex, type(None), np.generic)
 _NUMBERS = (int, float, complex, np.number, np.bool_)
+#: Described by :func:`describe_callable`, wherever they sit: their
+#: ``repr`` names no content.  Other callable objects are described by
+#: their state.
+_FUNCTIONS = (types.FunctionType, types.MethodType, functools.partial)
+#: Ids of the callables being described on this thread, so a function
+#: reachable from its own closure (a recursive inner function) ends.
+_DESCRIBING = threading.local()
 #: Record frame: payload length, CRC32 of the payload.
 _FRAME = struct.Struct("<II")
 _LOG = "journal.log"
@@ -84,11 +93,15 @@ def describe_value(value) -> str:
     dataclasses are their fields and lists, tuples, sets and dicts
     their items (dict keys and set items sorted), all recursively — a
     list or tuple of numbers of one type, or of equal-length lists of
-    them, is hashed as one exact ndarray; scalars and strings are their ``repr``; objects defining
-    ``sweep_fingerprint()`` are described by what it returns.  Anything
-    else is its ``repr`` with memory addresses stripped."""
+    them, is hashed as one exact ndarray; scalars and strings are their
+    ``repr``; functions, lambdas, partials and bound methods are
+    :func:`describe_callable`; objects defining ``sweep_fingerprint()``
+    are described by what it returns.  Anything else is its ``repr``
+    with memory addresses stripped."""
     if isinstance(value, _SCALARS):
         return repr(value)
+    if isinstance(value, _FUNCTIONS):
+        return describe_callable(value)
     if isinstance(value, np.ndarray):
         if value.dtype.hasobject:
             return f"ndarray[object]({describe_value(value.tolist())})"
@@ -155,15 +168,28 @@ def describe_callable(fn) -> str:
     """A stable, content-sensitive fingerprint of a callable."""
     if fn is None:
         return "None"
+    active = _DESCRIBING.__dict__.setdefault("ids", set())
+    if id(fn) in active:
+        return f"<recursive {_qualified_name(fn)}>"
+    active.add(id(fn))
+    try:
+        return _describe_callable(fn)
+    finally:
+        active.discard(id(fn))
+
+
+def _qualified_name(fn) -> str:
+    return (f"{getattr(fn, '__module__', '?')}."
+            f"{getattr(fn, '__qualname__', type(fn).__qualname__)}")
+
+
+def _describe_callable(fn) -> str:
     if isinstance(fn, functools.partial):
         keywords = sorted((fn.keywords or {}).items())
         return (f"partial({describe_callable(fn.func)}, "
                 f"args={describe_value(fn.args)}, "
                 f"kw={describe_value(keywords)})")
-    parts = [
-        f"{getattr(fn, '__module__', '?')}."
-        f"{getattr(fn, '__qualname__', type(fn).__qualname__)}"
-    ]
+    parts = [_qualified_name(fn)]
     code = getattr(fn, "__code__", None)
     if code is not None:
         parts.append("code:" + _sha(code.co_code.hex()

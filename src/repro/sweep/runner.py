@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _apply_processor
 from ..signals.waveform import Waveform
 from .checkpoint import CheckpointJournal, describe_callable, describe_value
 from .grid import ScenarioGrid
@@ -319,6 +319,25 @@ def _execute_unit(runner: "SweepRunner", unit: _Unit,
     return values, params
 
 
+#: A pool worker's start-up barrier (see ``_PoolSupervisor._ensure_pool``).
+_START_BARRIER = None
+#: Seconds a fresh pool's workers get to start before the pool counts
+#: as broken, so a worker that hangs starting up cannot wedge a sweep.
+_START_UP_TIMEOUT_S = 120.0
+
+
+def _set_start_barrier(barrier) -> None:
+    """Pool initializer: keep the barrier the warm-up tasks meet at."""
+    global _START_BARRIER
+    _START_BARRIER = barrier
+
+
+def _warm_up() -> None:
+    """A no-op task that returns once every worker of its pool runs one,
+    so each worker takes exactly one."""
+    _START_BARRIER.wait()
+
+
 def _has_nonfinite(value) -> bool:
     """Best-effort non-finite detection over the value shapes sweeps
     produce: numbers, ndarrays, waveforms (``.data``), tuples/lists of
@@ -523,12 +542,7 @@ class SweepRunner:
         callable, or None (identity)."""
         out = WaveformBatch.stack([self.stimulus(p) for p in full_params])
         if processor is not None:
-            out = getattr(processor, "process", processor)(out)
-        if not isinstance(out, WaveformBatch):
-            raise TypeError(
-                f"processor returned {type(out).__name__}; pipelines must "
-                "be batch-transparent"
-            )
+            out = _apply_processor(processor, out)
         if self.measure is None:
             return out.rows()
         values = self.measure(out, full_params)
@@ -832,7 +846,8 @@ class _PoolSupervisor:
     re-raised and discarded every completed structural point) with:
 
     * a sliding in-flight window of ``processes`` units, each with its
-      own deadline when ``timeout`` is set;
+      own deadline when ``timeout`` is set, counted once every worker
+      of the pool has started (so start-up is never unit time);
     * ``BrokenProcessPool`` recovery — the pool is respawned and every
       in-flight unit requeued.  A wave-mode crash is unattributable
       (all pending futures break at once), so the requeued units are
@@ -886,10 +901,35 @@ class _PoolSupervisor:
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self):
+        """The pool, started and warm.
+
+        A fresh pool runs one warm-up task per worker, all meeting at a
+        barrier, before any unit is submitted: a worker's start-up (its
+        interpreter and ``import repro`` under the spawn start method)
+        is then over before a unit's deadline starts.  Raises
+        ``BrokenProcessPool`` when a worker dies starting up or the
+        workers are not all up within ``_START_UP_TIMEOUT_S``.
+        """
         if self.pool is None:
             import concurrent.futures
+            import multiprocessing
+            from concurrent.futures.process import BrokenProcessPool
+
+            context = multiprocessing.get_context()
+            workers = self.runner.processes
             self.pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.runner.processes)
+                max_workers=workers, mp_context=context,
+                initializer=_set_start_barrier,
+                initargs=(context.Barrier(workers),))
+            warm_up = [self.pool.submit(_warm_up) for _ in range(workers)]
+            done, late = concurrent.futures.wait(
+                warm_up, timeout=_START_UP_TIMEOUT_S)
+            for task in done:
+                task.result()
+            if late:
+                raise BrokenProcessPool(
+                    f"{len(late)} of {workers} pool workers did not start "
+                    f"within {_START_UP_TIMEOUT_S:g} s")
         return self.pool
 
     def _discard_pool(self, kill: bool) -> None:
@@ -922,14 +962,19 @@ class _PoolSupervisor:
         isolated = window == 1
         wave: Dict[Any, _Unit] = {}
         deadlines: Dict[Any, Optional[float]] = {}
+        try:
+            pool = self._ensure_pool()
+        except BrokenProcessPool:
+            # The workers did not all start: no unit ran, none is charged.
+            self._broken(wave, attributed=False)
+            return
 
         while queue or wave:
             while queue and len(wave) < window:
                 unit = queue.popleft()
                 self.runner._sleep_backoff(unit)
                 try:
-                    future = self._ensure_pool().submit(
-                        _execute_unit, self.runner, unit)
+                    future = pool.submit(_execute_unit, self.runner, unit)
                 except BrokenProcessPool:
                     # The pool died between passes; requeue and respawn.
                     queue.appendleft(unit)

@@ -430,7 +430,6 @@ def test_dfe_equalize_batch_property_row_exact(n_taps, ui_samples,
     reference loop across tap counts, non-integer samples-per-UI and
     mixed scenario lengths."""
     from repro.baselines import DecisionFeedbackEqualizer
-    from repro.link import stage
     from serial_oracles import SerialDfe
 
     rng = np.random.default_rng(seed)
@@ -443,8 +442,8 @@ def test_dfe_equalize_batch_property_row_exact(n_taps, ui_samples,
         bit_rate=BIT_RATE,
         sample_phase_ui=float(rng.uniform(0.2, 0.8)),
     )
-    decisions, corrected = stage(dfe).equalize(batch)
-    heights = stage(dfe).inner_eye_height(batch, skip_bits=4)
+    decisions, corrected = dfe.equalize(batch)
+    heights = dfe.inner_eye_height(batch, skip_bits=4)
     for i, row in enumerate(batch.rows()):
         ref_decisions, ref_corrected = SerialDfe(dfe).equalize(row)
         np.testing.assert_array_equal(decisions[i], ref_decisions)

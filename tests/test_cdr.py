@@ -12,7 +12,6 @@ from repro.cdr import (
     PdVote,
     alexander_votes,
 )
-from repro.link import stage
 from repro.signals import (
     RandomJitter,
     NrzEncoder,
@@ -330,7 +329,7 @@ def jittered_batch(n_rows=6, n_bits=600, amplitude=0.4):
 def test_recover_batch_rows_match_serial_on_jittered_waveforms():
     batch = jittered_batch()
     cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE))
-    batched = stage(cdr).recover(batch)
+    batched = cdr.recover(batch)
     assert batched.n_scenarios == len(batch)
     for i in range(len(batch)):
         serial = SerialCdr(cdr.config).recover(batch[i])
@@ -351,7 +350,7 @@ def test_recover_batch_rows_match_serial_with_slips():
     config = CdrConfig(bit_rate=BIT_RATE, ki=0.0,
                        initial_frequency_ppm=4000.0)
     cdr = BangBangCdr(config)
-    batched = stage(cdr).recover(batch)
+    batched = cdr.recover(batch)
     for i in range(len(batch)):
         serial = SerialCdr(cdr.config).recover(batch[i])
         row = batched.row(i)
@@ -368,7 +367,7 @@ def test_recover_batch_initial_state_overrides():
     base = CdrConfig(bit_rate=BIT_RATE)
     phases0 = np.array([-0.3, 0.0, 0.4])
     ppm = np.array([0.0, 100.0, -100.0])
-    batched = stage(BangBangCdr(base)).recover(
+    batched = BangBangCdr(base).recover(
         batch, initial_phase_ui=phases0, initial_frequency_ppm=ppm)
     for i in range(3):
         config = dataclasses.replace(base,
@@ -385,8 +384,8 @@ def test_recover_batch_validation():
     batch = jittered_batch(n_rows=2)
     cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE))
     with pytest.raises(ValueError):
-        stage(cdr).recover(batch, initial_phase_ui=np.zeros(5))
+        cdr.recover(batch, initial_phase_ui=np.zeros(5))
     short = WaveformBatch.stack(
         [bits_to_nrz(prbs7(10), BIT_RATE, samples_per_bit=16)] * 3)
     with pytest.raises(ValueError):
-        stage(cdr).recover(short)
+        cdr.recover(short)

@@ -22,7 +22,6 @@ from repro.devices import (
     corner_technology,
     nmos,
 )
-from repro.link import stage
 from repro.lti import AcCoupling, worst_case_wander_fraction
 from repro.signals import Waveform, WaveformBatch, add_awgn, bits_to_nrz, \
     prbs7
@@ -184,7 +183,7 @@ def test_dfe_equalize_batch_rows_match_serial_on_channel():
         taps = dfe_taps_from_channel(channel, BIT_RATE, n_taps=n_taps,
                                      amplitude=1.0)
         dfe = DecisionFeedbackEqualizer(taps=taps, bit_rate=BIT_RATE)
-        decisions, corrected = stage(dfe).equalize(batch)
+        decisions, corrected = dfe.equalize(batch)
         assert decisions.shape == corrected.shape \
             == (batch.n_scenarios, 120)
         for i, row in enumerate(batch.rows()):
@@ -203,7 +202,7 @@ def test_dfe_inner_eye_height_batch_matches_serial():
     dfe = DecisionFeedbackEqualizer(taps=taps, bit_rate=BIT_RATE)
     batch = WaveformBatch.stack([add_awgn(received, 0.01, seed=s)
                                  for s in range(1, 5)])
-    heights = stage(dfe).inner_eye_height(batch)
+    heights = dfe.inner_eye_height(batch)
     for i, row in enumerate(batch.rows()):
         assert heights[i] == SerialDfe(dfe).inner_eye_height(row)
 
@@ -333,5 +332,5 @@ def test_inner_eye_height_all_bits_skipped_reports_no_eye():
     assert dfe.inner_eye_height(wave, skip_bits=16) == -float("inf")
     batch = WaveformBatch.stack([wave, wave])
     np.testing.assert_array_equal(
-        stage(dfe).inner_eye_height(batch, skip_bits=16),
+        dfe.inner_eye_height(batch, skip_bits=16),
         [-float("inf")] * 2)

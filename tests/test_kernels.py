@@ -27,7 +27,7 @@ from repro.baselines import DecisionFeedbackEqualizer, dfe_taps_from_channel
 from repro.cdr import BangBangCdr, CdrConfig
 from repro.channel import BackplaneChannel
 from repro.link import ChannelConfig, DfeConfig, LinkSession, RxConfig, \
-    TxConfig, stage
+    TxConfig
 from repro.signals import (
     NrzEncoder,
     RandomJitter,
@@ -89,7 +89,7 @@ def test_cdr_ragged_rows_match_serial_oracle():
     # Large per-row frequency offsets force cycle slips and make some
     # rows run out of waveform early — the ragged-tail code paths.
     ppm = np.linspace(-4e4, 4e4, batch.n_scenarios)
-    result = stage(BangBangCdr(config)).recover(
+    result = BangBangCdr(config).recover(
         batch, initial_frequency_ppm=ppm)
     # The offsets above must actually produce ragged rows and slips for
     # this test to mean anything.
@@ -118,7 +118,7 @@ def test_dfe_rows_match_serial_oracle():
         taps=dfe_taps_from_channel(channel, BIT_RATE, n_taps=3,
                                    amplitude=1.0),
         bit_rate=BIT_RATE)
-    decisions, corrected = stage(dfe).equalize(batch)
+    decisions, corrected = dfe.equalize(batch)
     for i, wave in enumerate(batch.rows()):
         ref_decisions, ref_corrected = SerialDfe(dfe).equalize(wave)
         np.testing.assert_array_equal(decisions[i], ref_decisions)
@@ -162,7 +162,7 @@ def test_detect_lock_batch_matches_serial_rows():
     batch = make_batch(n_scenarios=10)
     ppm = np.linspace(-4e4, 4e4, batch.n_scenarios)
     cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE, kp=8e-3, ki=2e-5))
-    result = stage(cdr).recover(batch, initial_frequency_ppm=ppm)
+    result = cdr.recover(batch, initial_frequency_ppm=ppm)
     locked = BangBangCdr._detect_lock_batch(result.phase_track_ui,
                                             result.n_bits)
     for i in range(batch.n_scenarios):

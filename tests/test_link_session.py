@@ -1,15 +1,16 @@
-"""The batch-first ``LinkSession`` facade and the ``Stage`` dispatch.
+"""The batch-first ``LinkSession`` facade and its one chain loop.
 
 Pins the api-redesign contract:
 
 * ``LinkSession.run`` and ``run_batch`` are row-exact across
   jitter/noise/channel-length scenarios (one dispatching code path);
 * every block family — LTI blocks/pipelines, channels, core
-  interfaces, baseline CTLE/DFE/pre-emphasis, CDR, the framed serdes
-  runner — is drivable through ``stage()`` with Waveform in →
-  Waveform out and WaveformBatch in → WaveformBatch out, matching the
-  family's serial reference per row (for the CDR, DFE and framed link,
-  the scalar loops in ``serial_oracles``).
+  interfaces, baseline CTLE/pre-emphasis — runs in a session chain
+  (``LinkSession([...]).process``) with Waveform in → Waveform out and
+  WaveformBatch in → WaveformBatch out, and the CDR, the DFE and the
+  framed serdes runner through their own entry points, each matching
+  the family's serial reference per row (for the CDR, DFE and framed
+  link, the scalar loops in ``serial_oracles``).
 """
 
 import dataclasses
@@ -26,15 +27,14 @@ from repro import (
     LinkSession,
     RxConfig,
     ScenarioGrid,
-    Stage,
     SweepAxis,
+    SweepRunner,
     TxConfig,
     WaveformBatch,
     bits_to_nrz,
     prbs7,
     run_framed_link,
     sample_uniform,
-    stage,
 )
 from repro.baselines import (
     DecisionFeedbackEqualizer,
@@ -45,7 +45,7 @@ from repro.baselines import (
 from repro.cdr import BangBangCdr
 from repro.channel import BackplaneChannel
 from repro.core import build_input_interface
-from repro.link import BlockStage, CdrStage, DfeStage
+from repro.link import CdrStage, DfeStage
 from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
     first_order_lowpass
 from repro.signals import NrzEncoder, RandomJitter, add_awgn
@@ -130,7 +130,7 @@ def test_run_rejects_batches_and_run_batch_accepts_waveform():
     assert single.n_scenarios == 1
 
 
-# -- stage() dispatch per block family ----------------------------------------
+# -- the chain loop per block family ------------------------------------------
 
 def _dispatch_check(wrapped, serial_process, batch, exact=True):
     """Waveform in → Waveform out; batch in → batch out; rows match the
@@ -151,32 +151,33 @@ def _dispatch_check(wrapped, serial_process, batch, exact=True):
 def test_stage_dispatch_lti_blocks_and_pipeline():
     batch = scenario_batch(3)
     limiter = TanhLimiter(gain=4.0, limit=0.125)
-    _dispatch_check(stage(limiter), limiter.process, batch)
+    _dispatch_check(LinkSession([limiter]).process, limiter.process, batch)
     pipe = Pipeline([GainBlock(2.0),
                      LinearBlock(first_order_lowpass(8e9)),
                      limiter])
-    _dispatch_check(stage(pipe), pipe.process, batch)
+    _dispatch_check(LinkSession([pipe]).process, pipe.process, batch)
 
 
 def test_stage_dispatch_channel():
     batch = scenario_batch(3)
     channel = BackplaneChannel(0.4)
-    _dispatch_check(stage(channel), channel.process, batch)
+    _dispatch_check(LinkSession([channel]).process, channel.process, batch)
 
 
 def test_stage_dispatch_core_interface():
     batch = scenario_batch(2)
     rx = build_input_interface()
-    _dispatch_check(stage(rx), rx.process, batch)
+    _dispatch_check(LinkSession([rx]).process, rx.process, batch)
 
 
 def test_stage_dispatch_baseline_ctle_and_preemphasis():
     batch = scenario_batch(2)
     ctle = GenericCtle(dc_gain=1.0, zero_hz=2e9, pole1_hz=6e9,
                        pole2_hz=12e9)
-    _dispatch_check(stage(ctle), ctle.to_block().process, batch)
+    _dispatch_check(LinkSession([ctle]).process, ctle.to_block().process,
+                    batch)
     fir = FirPreEmphasis(taps=(1.2, -0.2), bit_rate=BIT_RATE)
-    _dispatch_check(stage(fir), fir.process, batch)
+    _dispatch_check(LinkSession([fir]).process, fir.process, batch)
 
 
 def test_stage_dispatch_dfe_matches_serial():
@@ -188,31 +189,35 @@ def test_stage_dispatch_dfe_matches_serial():
                                  for s in range(1, 5)])
     taps = dfe_taps_from_channel(channel, BIT_RATE, n_taps=2, amplitude=1.0)
     dfe = DecisionFeedbackEqualizer(taps=taps, bit_rate=BIT_RATE)
-    wrapped = stage(dfe)
-    assert isinstance(wrapped, DfeStage)
-    decisions, corrected = wrapped.equalize(batch)
-    heights = wrapped.inner_eye_height(batch)
+    decisions, corrected = dfe.equalize(batch)
+    heights = dfe.inner_eye_height(batch)
     for i, row in enumerate(batch.rows()):
         ref_decisions, ref_corrected = SerialDfe(dfe).equalize(row)
         np.testing.assert_array_equal(decisions[i], ref_decisions)
         np.testing.assert_array_equal(corrected[i], ref_corrected)
         assert heights[i] == SerialDfe(dfe).inner_eye_height(row)
-        one_decisions, one_corrected = wrapped.equalize(row)
+        one_decisions, one_corrected = dfe.equalize(row)
         np.testing.assert_array_equal(one_decisions, ref_decisions)
         np.testing.assert_array_equal(one_corrected, ref_corrected)
     # The waveform-domain form: corrected samples on the baud timebase.
-    as_batch = wrapped(batch)
+    chain = LinkSession([DfeStage(dfe)], bit_rate=BIT_RATE)
+    as_batch = chain.process(batch)
     assert isinstance(as_batch, WaveformBatch)
     assert as_batch.sample_rate == BIT_RATE
     np.testing.assert_array_equal(as_batch.data, corrected)
+    one = chain.process(batch[0])
+    assert not isinstance(one, WaveformBatch)
+    np.testing.assert_array_equal(one.data, corrected[0])
+    # The block form delegates to the DFE's own entry points.
+    np.testing.assert_array_equal(DfeStage(dfe).equalize(batch)[1], corrected)
+    np.testing.assert_array_equal(DfeStage(dfe).inner_eye_height(batch),
+                                  heights)
 
 
 def test_stage_dispatch_cdr_matches_serial():
     batch = scenario_batch(3, amplitude=0.4)
     cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE))
-    wrapped = stage(cdr)
-    assert isinstance(wrapped, CdrStage)
-    batched = wrapped.recover(batch)
+    batched = cdr.recover(batch)
     for i in range(len(batch)):
         serial = SerialCdr(cdr.config).recover(batch[i])
         row = batched.row(i)
@@ -222,14 +227,17 @@ def test_stage_dispatch_cdr_matches_serial():
         np.testing.assert_array_equal(row.votes, serial.votes)
         assert row.locked_at_bit == serial.locked_at_bit
         assert row.slips == serial.slips
-        single = wrapped.recover(batch[i])
+        single = cdr.recover(batch[i])
         np.testing.assert_array_equal(single.decisions, serial.decisions)
     # Waveform-domain form: the decision streams at the bit rate.
-    decisions_wave = wrapped(batch)
+    decisions_wave = LinkSession([CdrStage(cdr)],
+                                 bit_rate=BIT_RATE).process(batch)
     assert isinstance(decisions_wave, WaveformBatch)
     assert decisions_wave.sample_rate == BIT_RATE
     np.testing.assert_array_equal(decisions_wave.data,
                                   batched.decisions.astype(float))
+    np.testing.assert_array_equal(CdrStage(cdr).recover(batch).decisions,
+                                  batched.decisions)
 
 
 def test_stage_dispatch_cdr_initial_state_overrides():
@@ -237,7 +245,7 @@ def test_stage_dispatch_cdr_initial_state_overrides():
     base = CdrConfig(bit_rate=BIT_RATE)
     phases0 = np.array([-0.3, 0.0, 0.4])
     ppm = np.array([0.0, 100.0, -100.0])
-    batched = stage(BangBangCdr(base)).recover(
+    batched = BangBangCdr(base).recover(
         batch, initial_phase_ui=phases0, initial_frequency_ppm=ppm)
     for i in range(3):
         config = dataclasses.replace(base,
@@ -278,26 +286,42 @@ def test_stage_dispatch_framed_serdes():
 
 
 def test_stage_adapter_rules():
-    limiter = TanhLimiter(gain=2.0, limit=0.1)
-    wrapped = stage(limiter)
-    assert isinstance(wrapped, BlockStage)
-    assert stage(wrapped) is wrapped           # Stage passes through
-    assert isinstance(wrapped, Stage)
-    named = stage(lambda b: b * 2.0, name="doubler")
-    assert named.name == "doubler"
+    def doubler(batch):
+        return batch * 2.0
+
     batch = scenario_batch(2)
-    np.testing.assert_array_equal(named(batch).data, 2.0 * batch.data)
+    for named in (doubler, lambda b: b * 2.0):   # callables run as given
+        session = LinkSession([named], bit_rate=BIT_RATE)
+        np.testing.assert_array_equal(session.process(batch).data,
+                                      2.0 * batch.data)
     with pytest.raises(TypeError):
-        wrapped(np.zeros(8))                   # not a signal
+        session.process(np.zeros(8))           # not a signal
     with pytest.raises(TypeError):
-        stage(object())
+        LinkSession([object()])                # no process, not callable
+
+
+def test_a_stage_returning_a_waveform_for_a_batch_is_refused():
+    # One rule for the session and the sweep runner: a processor must
+    # return a WaveformBatch for a batch.  A lone Waveform is refused,
+    # not lifted, since from many rows it would silently keep one.
+    batch = scenario_batch(3)
+    first_row = LinkSession([lambda b: b[0]], bit_rate=BIT_RATE)
+    with pytest.raises(TypeError, match="batch-transparent"):
+        first_row.process(batch)
+    with pytest.raises(TypeError, match="batch-transparent"):
+        first_row.process(batch[0])
+    runner = SweepRunner(ScenarioGrid([SweepAxis("seed", (1, 2))]),
+                         stimulus=lambda p: batch[p["seed"]],
+                         build=lambda p: (lambda b: b[0]))
+    with pytest.raises(TypeError, match="batch-transparent"):
+        runner.run()
 
 
 def test_stage_fanout_keeps_batch_form():
     # A stage kernel may expand scenarios (noise fan-out); the result
     # then stays a batch even when the input was a single waveform.
-    fan = stage(lambda b: b.with_data(np.repeat(b.data, 4, axis=0)),
-                name="fanout")
+    fan = LinkSession(
+        [lambda b: b.with_data(np.repeat(b.data, 4, axis=0))]).process
     wave = scenario_batch(1)[0]
     out = fan(wave)
     assert isinstance(out, WaveformBatch)      # 1 -> 4 rows stays a batch
@@ -562,11 +586,17 @@ def test_public_exports_cover_the_facade_and_kernel():
     import repro
     import repro.signals
 
-    for name in ("sample_uniform", "Stage", "stage", "LinkSession",
+    for name in ("sample_uniform", "LinkSession",
                  "TxConfig", "ChannelConfig", "RxConfig", "DfeConfig",
                  "LinkResult", "LinkBatchResult", "run_framed_link"):
         assert name in repro.__all__, name
         assert hasattr(repro, name), name
+    # One chain protocol: the Stage adapter layer is gone.
+    import repro.link
+    for name in ("Stage", "BlockStage", "stage"):
+        assert name not in repro.__all__, name
+        assert name not in repro.link.__all__, name
+        assert not hasattr(repro, name), name
     assert repro.sample_uniform is sample_uniform
     assert repro.signals.sample_uniform is sample_uniform
     # The kernel really is the shared interpolator.

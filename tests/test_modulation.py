@@ -148,6 +148,11 @@ def test_slice_symbols_nearest_level():
     # Scaled swing moves the thresholds with it.
     np.testing.assert_array_equal(
         pam4.slice_symbols(values * 0.25, swing=0.25), [0, 1, 2, 3])
+    # NaN counts low, as in the CDR and DFE kernels.
+    np.testing.assert_array_equal(
+        pam4.slice_symbols([np.nan, 0.44, np.nan]), [0, 3, 0])
+    np.testing.assert_array_equal(
+        Nrz().slice_symbols([np.nan, 0.3]), [0, 1])
 
 
 def test_nrz_slice_matches_sign_slicer():

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.baselines import DecisionFeedbackEqualizer
 from repro.cdr import BangBangCdr, CdrConfig, vote_step
-from repro.link import stage
 from repro.signals import Nrz, Pam4, Waveform, WaveformBatch
 from serial_oracles import SerialCdr, SerialDfe
 
@@ -453,8 +452,8 @@ def test_nan_sample_counts_low_on_every_path(name):
     dfe = DecisionFeedbackEqualizer(taps=(0.05, 0.02), bit_rate=BIT_RATE,
                                     decision_amplitude=AMPLITUDE / 2,
                                     modulation=modulation)
-    recovered = stage(cdr).recover(batch)
-    decisions, corrected = stage(dfe).equalize(batch)
+    recovered = cdr.recover(batch)
+    decisions, corrected = dfe.equalize(batch)
     for i in range(batch.n_scenarios):
         wave = Waveform(data[i], sample_rate)
         serial = SerialCdr(cdr.config).recover(wave)

@@ -17,7 +17,7 @@ import pytest
 
 from repro import LinkSession, RxConfig, bits_to_nrz, prbs7
 from repro.analysis import measure_eye_batch
-from repro.lti import GainBlock, Pipeline
+from repro.lti import GainBlock, Pipeline, StaticNonlinearity
 from repro.signals import Waveform
 from repro.sweep import CheckpointJournal, ScenarioGrid, SweepAxis, \
     SweepRunner
@@ -189,6 +189,27 @@ def test_sessions_built_from_stages_never_share_a_journal(tmp_path,
         np.testing.assert_array_equal(
             heights(session, checkpoint_dir=tmp_path), fresh)
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_functions_inside_values_are_described_by_content():
+    # A function's repr names no content: these two pipelines (and the
+    # sessions on them) once described the same, so a resumed sweep of
+    # one replayed the other's rows.
+    doubling = Pipeline([StaticNonlinearity(lambda x: 2 * x)])
+    tripling = Pipeline([StaticNonlinearity(lambda x: 3 * x)])
+    assert describe_value(doubling) != describe_value(tripling)
+    assert describe_value(doubling) \
+        == describe_value(Pipeline([StaticNonlinearity(lambda x: 2 * x)]))
+    assert describe_value(LinkSession([doubling])) \
+        != describe_value(LinkSession([tripling]))
+
+    def countdown():
+        def step(n):
+            return step(n - 1) if n else 0
+        return step
+
+    # A function reachable from its own closure still ends.
+    assert describe_value(countdown()) == describe_value(countdown())
 
 
 def test_session_fingerprint_is_stable_and_survives_a_run(tmp_path):

@@ -6,8 +6,11 @@ picklable callables.  ``CALLS`` counts stimulus invocations in-process
 (resume tests assert journaled units are genuinely skipped).
 """
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -466,6 +469,77 @@ def test_pool_exception_quarantine_captures_traceback(tmp_path):
     # The worker-side traceback travels through the _RemoteTraceback
     # cause, not the (empty) local frames.
     assert "FaultInjected" in result.failures[0].traceback
+
+
+def test_pool_whose_workers_never_start_falls_back_in_process(monkeypatch):
+    # Workers that are not all up within the start-up allowance break
+    # the pool without charging any unit; past the break budget the
+    # sweep finishes in-process instead of waiting on them for ever.
+    import repro.sweep.runner as runner_module
+
+    monkeypatch.setattr(runner_module, "_START_UP_TIMEOUT_S", 0.0)
+    with pytest.warns(RuntimeWarning, match="in-process"):
+        result = make_runner(processes=2, timeout=1.0,
+                             on_error="quarantine").run()
+    assert result.failures == []
+    assert result.results == make_runner().run().results
+
+
+SPAWN_SWEEP = """
+import json
+import multiprocessing
+
+import numpy as np
+
+from repro.lti import GainBlock
+from repro.signals import Waveform
+from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner
+
+
+def stimulus(params):
+    return Waveform(np.full(16, params["level"]), 160e9)
+
+
+def build(params):
+    return GainBlock(params["gain"])
+
+
+def measure(batch, params_list):
+    return [float(value) for value in batch.data[:, 0]]
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    grid = ScenarioGrid([SweepAxis("gain", (2.0, 3.0), structural=True),
+                         SweepAxis("level", (0.25, 0.5, 0.75, 1.0))])
+    result = SweepRunner(grid, stimulus=stimulus, build=build,
+                         measure=measure, chunk_rows=2, processes=2,
+                         timeout=0.5, max_attempts=2, retry_backoff_s=0.0,
+                         on_error="quarantine").run()
+    print(json.dumps({"failures": [f.kind for f in result.failures],
+                      "values": result.values(lambda r: r).tolist()}))
+"""
+
+
+def test_spawned_pool_does_not_charge_worker_start_up(tmp_path):
+    # Under the spawn start method (the default on macOS and Windows) a
+    # worker imports repro before it can take a unit, which takes
+    # longer than this sweep's 0.5 s unit timeout.  That start-up is
+    # not unit time: no healthy unit may be charged as hung.
+    script = tmp_path / "spawn_sweep.py"
+    script.write_text(SPAWN_SWEEP)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["failures"] == []
+    assert report["values"] == [[2.0 * level for level in (0.25, 0.5, 0.75,
+                                                           1.0)],
+                                [3.0 * level for level in (0.25, 0.5, 0.75,
+                                                           1.0)]]
 
 
 # -- end-to-end acceptance ----------------------------------------------------
