@@ -14,8 +14,10 @@ makes this quantitative without simulating long patterns:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from typing import List, Optional
+import threading
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from ..signals.batch import WaveformBatch
 from ..signals.modulation import Modulation
 from ..signals.nrz import bits_to_nrz
 from ..signals.waveform import Waveform
+from ..sweep.checkpoint import content_digest
 
 __all__ = ["PulseResponse", "pulse_response", "pulse_response_batch",
            "worst_case_eye_opening"]
@@ -132,7 +135,8 @@ def pulse_response(system: Block, bit_rate: float,
 
     Sends ``...0001000...`` (a lone one), removes the system's response
     to the all-zero baseline, and samples at the instant maximizing the
-    main cursor: a one-amplitude :func:`pulse_response_batch`.
+    main cursor: a one-amplitude :func:`pulse_response_batch`, so it
+    shares that function's memo (same key, same limits).
     """
     return pulse_response_batch(system, bit_rate, [amplitude],
                                 samples_per_bit=samples_per_bit,
@@ -151,12 +155,60 @@ def pulse_response_batch(system: Block, bit_rate: float,
     batch-transparent), and extracts one :class:`PulseResponse` per
     amplitude — the nonlinear-compression view of ISI across a drive
     range without re-running the pipeline per point.
+
+    **Memo.**  The responses of the last 16 distinct calls are kept, so
+    repeated queries on an unchanged link (a statistical eye swept over
+    noise and jitter) simulate it once.  The key is a digest of the
+    system's *content* and of every argument
+    (:func:`~repro.sweep.checkpoint.content_digest`): one pickle pass
+    over ``system`` with functions, lambdas, partials and bound methods
+    reduced to their code, defaults, closure constants and bound
+    ``self``.  A field mutated in place, however deeply nested, or a
+    closure holding another constant therefore misses.  A class is
+    keyed by its identity in this process, not by its source: a
+    redefined class (same name, new ``process``) misses.  The limit is
+    that what a class or function reaches through module globals is
+    not in the key.  A system that cannot be pickled is simulated on
+    every call.  Each call returns fresh arrays, so a caller writing
+    into one cannot change a later result, and the memo holds no
+    reference to ``system``.
     """
     amplitudes = list(amplitudes)
     if not amplitudes:
         raise ValueError("need at least one amplitude")
     if n_lead_bits < 2 or n_lag_bits < 2:
         raise ValueError("need at least 2 lead and lag bits")
+    key = content_digest((system, bit_rate, amplitudes, samples_per_bit,
+                           n_lead_bits, n_lag_bits))
+    with _PULSE_LOCK:
+        entry = _PULSES.get(key)
+        if entry is not None:
+            _PULSES.move_to_end(key)
+    if entry is None:
+        entry = _simulate_pulses(system, bit_rate, amplitudes,
+                                 samples_per_bit, n_lead_bits, n_lag_bits)
+        if key is not None:
+            with _PULSE_LOCK:
+                _PULSES[key] = entry
+                while len(_PULSES) > _PULSE_ENTRIES:
+                    _PULSES.popitem(last=False)
+    responses, sample_rate = entry
+    return [PulseResponse.from_waveform(Waveform(row, sample_rate), bit_rate)
+            for row in responses.copy()]
+
+
+#: Memo of :func:`pulse_response_batch`: content digest → (read-only
+#: ``(n_amplitudes, n_samples)`` responses, sample rate), least
+#: recently used first.
+_PULSES: "collections.OrderedDict[bytes, Tuple[np.ndarray, float]]" = \
+    collections.OrderedDict()
+_PULSE_ENTRIES = 16
+_PULSE_LOCK = threading.Lock()
+
+
+def _simulate_pulses(system, bit_rate, amplitudes, samples_per_bit,
+                     n_lead_bits, n_lag_bits) -> Tuple[np.ndarray, float]:
+    """The lone-one minus all-zero responses, one row per amplitude."""
     lone_one = np.array([0] * n_lead_bits + [1] + [0] * n_lag_bits)
     out = system.process(WaveformBatch.stack([
         bits_to_nrz(bits, bit_rate, amplitude=a,
@@ -164,9 +216,8 @@ def pulse_response_batch(system: Block, bit_rate: float,
         for bits in (lone_one, np.zeros_like(lone_one)) for a in amplitudes
     ]))
     responses = out.data[:len(amplitudes)] - out.data[len(amplitudes):]
-    return [PulseResponse.from_waveform(Waveform(row, out.sample_rate),
-                                        bit_rate)
-            for row in responses]
+    responses.flags.writeable = False
+    return responses, out.sample_rate
 
 
 def worst_case_eye_opening(system: Block, bit_rate: float,

@@ -274,9 +274,7 @@ class BangBangCdr:
         locked = np.full(n_rows, -1, dtype=np.int64)
         if total_bits < 2 * window:
             return locked
-        windows = np.lib.stride_tricks.sliding_window_view(
-            phases, window, axis=-1)
-        window_ptp = np.ptp(windows, axis=-1)
+        window_ptp = _sliding_ptp(phases, window)
         # Suffix peak-to-peak via NaN-ignoring right-to-left cumulative
         # extrema: positions past a row's valid span stay NaN and fail
         # every comparison, as if each row were truncated to its span.
@@ -292,3 +290,31 @@ class BangBangCdr:
         any_hit = hits.any(axis=1)
         locked[any_hit] = np.argmax(hits[any_hit], axis=1)
         return locked
+
+
+def _sliding_ptp(values: np.ndarray, window: int) -> np.ndarray:
+    """Peak-to-peak of every ``window``-long run along the last axis,
+    ``(n_rows, n - window + 1)``, in O(n) rather than O(n * window).
+
+    The van Herk / Gil-Werman scheme: cut each row into blocks of
+    ``window`` samples (NaN-padded to a whole block) and take running
+    extrema from each block's start (prefix) and from its end
+    (suffix).  The window starting at ``i`` is the suffix from ``i`` to
+    its block's end joined with the prefix of the next block up to
+    ``i + window - 1``.  ``np.maximum``/``np.minimum`` propagate NaN as
+    ``np.ptp`` does, so a window touching a NaN is NaN here too.
+    """
+    n_rows, n = values.shape
+    n_blocks = -(-n // window)
+    padded = np.full((n_rows, n_blocks * window), np.nan)
+    padded[:, :n] = values
+    blocks = padded.reshape(n_rows, n_blocks, window)
+    n_windows = n - window + 1
+
+    def extreme(ufunc):
+        prefix = ufunc.accumulate(blocks, axis=-1).reshape(n_rows, -1)
+        suffix = ufunc.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
+        return ufunc(suffix.reshape(n_rows, -1)[:, :n_windows],
+                     prefix[:, window - 1:n])
+
+    return extreme(np.maximum) - extreme(np.minimum)

@@ -417,7 +417,10 @@ class LinkSession:
         build one around the session's modulation, or override fields
         of a given engine.  ``amplitude`` must match the peak-to-peak
         stimulus swing of the time-domain runs being modeled.  Returns
-        a :class:`~repro.stateye.StatEyeResult`.
+        a :class:`~repro.stateye.StatEyeResult`.  The pulse is memoized
+        on the chain's content (see
+        :func:`~repro.analysis.isi.pulse_response_batch`), so queries
+        that vary only the engine simulate an unchanged chain once.
         """
         from ..stateye import StatEye
 

@@ -32,9 +32,13 @@ arrays), a :class:`~repro.link.LinkSession` by its
 ``sweep_fingerprint()`` — and callables by their bytecode, defaults,
 closure cells and bound ``self``.  Caches that fill while a sweep runs
 stay out: the fingerprint must read the same before and after a run,
-or a resume would never find its journal.  Other objects fall back to
-an address-stripped ``repr``.  Old ``units/*.pkl`` journals (version 4
-and older) are never replayed; opening warns once per directory.
+or a resume would never find its journal.  Other objects are their
+type plus their attributes; only objects with neither a ``__dict__``
+nor ``__slots__`` fall back to an address-stripped ``repr``.
+:func:`content_digest` is the in-process counterpart: faster, but
+keyed on class identity, so it keys memos, never journals.  Old
+``units/*.pkl`` journals (version 4 and older) are never replayed;
+opening warns once per directory.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
+import itertools
 import json
 import os
 import pathlib
@@ -51,12 +57,14 @@ import struct
 import threading
 import types
 import warnings
+import weakref
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CheckpointJournal", "describe_callable", "describe_value"]
+__all__ = ["CheckpointJournal", "content_digest", "describe_callable",
+           "describe_value"]
 
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 _SCALARS = (str, bytes, int, float, complex, type(None), np.generic)
@@ -65,8 +73,8 @@ _NUMBERS = (int, float, complex, np.number, np.bool_)
 #: ``repr`` names no content.  Other callable objects are described by
 #: their state.
 _FUNCTIONS = (types.FunctionType, types.MethodType, functools.partial)
-#: Ids of the callables being described on this thread, so a function
-#: reachable from its own closure (a recursive inner function) ends.
+#: Ids of the callables and objects being described on this thread
+#: (see :func:`_once`).
 _DESCRIBING = threading.local()
 #: Record frame: payload length, CRC32 of the payload.
 _FRAME = struct.Struct("<II")
@@ -96,8 +104,12 @@ def describe_value(value) -> str:
     them, is hashed as one exact ndarray; scalars and strings are their
     ``repr``; functions, lambdas, partials and bound methods are
     :func:`describe_callable`; objects defining ``sweep_fingerprint()``
-    are described by what it returns.  Anything else is its ``repr``
-    with memory addresses stripped."""
+    are described by what it returns.  Any other object with a
+    ``__dict__`` or ``__slots__`` is its type's module and qualname
+    plus its attributes, so two instances of a plain class that differ
+    in a stored constant differ here.  Anything else (a class, a
+    module, a builtin object) is its ``repr`` with memory addresses
+    stripped."""
     if isinstance(value, _SCALARS):
         return repr(value)
     if isinstance(value, _FUNCTIONS):
@@ -129,7 +141,45 @@ def describe_value(value) -> str:
             f"{field.name}={describe_value(getattr(value, field.name))}"
             for field in dataclasses.fields(value))
         return f"{type(value).__qualname__}({fields})"
-    return _clean_repr(value)
+    state = _object_state(value)
+    if state is None:
+        return _clean_repr(value)
+    name = f"{type(value).__module__}.{type(value).__qualname__}"
+    return _once(value, name, lambda obj: name + describe_value(state))
+
+
+def _object_state(value) -> Optional[Dict[str, Any]]:
+    """An instance's attributes, its ``__dict__`` and set ``__slots__``;
+    ``None`` for a class, a module or an object with neither."""
+    if isinstance(value, (type, types.ModuleType)):
+        return None
+    has_state = hasattr(value, "__dict__")
+    state = dict(getattr(value, "__dict__", {}))
+    for cls in type(value).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for slot in [slots] if isinstance(slots, str) else slots:
+            if slot in ("__dict__", "__weakref__"):
+                continue
+            has_state = True
+            if slot.startswith("__") and not slot.endswith("__"):
+                slot = f"_{cls.__name__.lstrip('_')}{slot}"  # mangled
+            if hasattr(value, slot):
+                state[slot] = getattr(value, slot)
+    return state if has_state else None
+
+
+def _once(obj, name: str, describe) -> str:
+    """``describe(obj)``, or a ``<recursive name>`` marker when ``obj``
+    is already being described on this thread, so a cycle (a function
+    reachable from its own closure, an object from its own state) ends."""
+    active = _DESCRIBING.__dict__.setdefault("ids", set())
+    if id(obj) in active:
+        return f"<recursive {name}>"
+    active.add(id(obj))
+    try:
+        return describe(obj)
+    finally:
+        active.discard(id(obj))
 
 
 def _describe_numbers(value) -> Optional[str]:
@@ -168,14 +218,7 @@ def describe_callable(fn) -> str:
     """A stable, content-sensitive fingerprint of a callable."""
     if fn is None:
         return "None"
-    active = _DESCRIBING.__dict__.setdefault("ids", set())
-    if id(fn) in active:
-        return f"<recursive {_qualified_name(fn)}>"
-    active.add(id(fn))
-    try:
-        return _describe_callable(fn)
-    finally:
-        active.discard(id(fn))
+    return _once(fn, _qualified_name(fn), _describe_callable)
 
 
 def _qualified_name(fn) -> str:
@@ -208,6 +251,48 @@ def _describe_callable(fn) -> str:
         # Callable object: described by its state.
         parts.append("obj:" + describe_value(fn))
     return "|".join(parts)
+
+
+#: A never-reused token per class, so a class redefined under the same
+#: name (or a new class at a freed class's address) digests differently.
+_CLASS_TOKENS: "weakref.WeakKeyDictionary[type, int]" = \
+    weakref.WeakKeyDictionary()
+_NEXT_TOKEN = itertools.count()
+
+
+class _ContentPickler(pickle.Pickler):
+    """Pickles callables as their :func:`describe_callable` and classes
+    as their token; everything else as pickle does, by value."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, _FUNCTIONS):
+            return str, ("callable:" + describe_callable(obj),)
+        if isinstance(obj, type) and obj.__module__ != "builtins":
+            token = _CLASS_TOKENS.get(obj)
+            if token is None:
+                token = _CLASS_TOKENS.setdefault(obj, next(_NEXT_TOKEN))
+            return str, (f"class:{token}",)
+        return NotImplemented
+
+
+def content_digest(value) -> Optional[bytes]:
+    """A sha256 of ``value``'s content in this process, or ``None`` when
+    it cannot be pickled.
+
+    One pickle pass, with functions, lambdas, partials and bound
+    methods reduced to :func:`describe_callable` and each class to a
+    token unique in this process (never its name: a class redefined
+    under the same name digests differently).  Faster than
+    :func:`describe_value` because numbers, arrays and object state go
+    through pickle's C code, but not stable across processes, so it
+    keys in-process memos, never journals.
+    """
+    buffer = io.BytesIO()
+    try:
+        _ContentPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+    except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
+        return None         # an unpicklable field: a lock, a generator
+    return hashlib.sha256(buffer.getbuffer()).digest()
 
 
 def _append(log: pathlib.Path, unit_key: Optional[str], record) -> None:

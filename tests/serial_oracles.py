@@ -12,6 +12,10 @@ match it bit for bit:
 * :class:`SerialCdr` — the scalar bang-bang loop (Alexander votes
   through :func:`repro.cdr.vote_step`, proportional + integral update,
   cycle-slip wrap) and its scalar lock detector;
+* :func:`detect_lock_batch` — the batched lock detector with its
+  window peak-to-peak taken over every window in full (``np.ptp`` of a
+  sliding-window view, O(n * window)), which the library's O(n)
+  running-extrema form must match index for index;
 * :class:`SerialDfe` — the scalar decision-feedback loop for a
   :class:`~repro.baselines.DecisionFeedbackEqualizer`'s geometry;
 * :func:`run_link` — the framed link (8b/10b serialize, analog path,
@@ -288,6 +292,34 @@ class SerialDfe:
         _, corrected = self.equalize(wave)
         return float(inner_eye_height_from_corrected(
             corrected, skip_bits, thresholds=self.decision_thresholds))
+
+
+def detect_lock_batch(phases: np.ndarray, row_bits: np.ndarray,
+                      window: int = 64,
+                      tolerance_ui: float = 0.05) -> np.ndarray:
+    """First bit index after which each row's phase stays in a band,
+    every window's peak-to-peak taken in full; the contract is
+    :meth:`repro.cdr.BangBangCdr._detect_lock_batch`'s."""
+    n_rows, total_bits = phases.shape
+    row_bits = np.asarray(row_bits, dtype=np.int64)
+    locked = np.full(n_rows, -1, dtype=np.int64)
+    if total_bits < 2 * window:
+        return locked
+    windows = np.lib.stride_tricks.sliding_window_view(
+        phases, window, axis=-1)
+    window_ptp = np.ptp(windows, axis=-1)
+    suffix_max = np.fmax.accumulate(phases[:, ::-1], axis=-1)[:, ::-1]
+    suffix_min = np.fmin.accumulate(phases[:, ::-1], axis=-1)[:, ::-1]
+    n_windows = window_ptp.shape[1]
+    suffix_ptp = (suffix_max - suffix_min)[:, :n_windows]
+    columns = np.arange(n_windows)[np.newaxis, :]
+    valid = (columns < (row_bits - window)[:, np.newaxis]) \
+        & (row_bits >= 2 * window)[:, np.newaxis]
+    hits = (window_ptp < tolerance_ui) \
+        & (suffix_ptp < 2 * tolerance_ui) & valid
+    any_hit = hits.any(axis=1)
+    locked[any_hit] = np.argmax(hits[any_hit], axis=1)
+    return locked
 
 
 def run_link(payload: bytes,

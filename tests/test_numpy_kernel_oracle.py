@@ -32,6 +32,7 @@ from repro.baselines import DecisionFeedbackEqualizer
 from repro.cdr import BangBangCdr, CdrConfig, vote_step
 from repro.signals import Nrz, Pam4, Waveform, WaveformBatch
 from serial_oracles import SerialCdr, SerialDfe
+from serial_oracles import detect_lock_batch as oracle_detect_lock
 
 BIT_RATE = 10e9
 SAMPLES_PER_BIT = 8
@@ -402,6 +403,47 @@ def test_large_tap_pam4_dfe_matches_frozen_oracle():
     # so the blocks really iterate.
     no_feedback, _ = kernels.dfe_equalize_batch(data, [], *args[2:])
     assert not np.array_equal(no_feedback, decisions)
+
+
+lock_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n_rows": st.sampled_from([1, 2, 64]),
+    "window": st.sampled_from([3, 16, 64]),
+    # Below, at and above 2 * window, and off any multiple of it.
+    "length_windows": st.sampled_from([0.5, 1.9, 2.0, 2.1, 3.0, 5.3, 9.7]),
+    "ragged": st.booleans(),
+    "holes": st.booleans(),
+})
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(case=lock_cases)
+def test_lock_detector_matches_full_window_oracle(case):
+    """The O(n) running-extrema lock detector against every window's
+    peak-to-peak taken in full: pull-in ramps into limit cycles of
+    random width (some lock, some do not, some wander off again), with
+    ragged rows whose NaN tails start anywhere and scattered NaN
+    samples inside the rows."""
+    rng = np.random.default_rng(case["seed"])
+    n_rows, window = case["n_rows"], case["window"]
+    total_bits = max(1, int(case["length_windows"] * window))
+    t = np.arange(total_bits)
+    pull_in = rng.uniform(0, total_bits, (n_rows, 1))
+    phases = (rng.uniform(-0.5, 0.5, (n_rows, 1))
+              * np.clip(1 - t / np.maximum(pull_in, 1), 0, None)
+              + rng.uniform(0.0, 0.04, (n_rows, 1))
+              * rng.standard_normal((n_rows, total_bits)))
+    drift_from = rng.uniform(0, 2 * total_bits, (n_rows, 1))
+    phases += 0.01 * np.clip(t - drift_from, 0, None)
+    if case["holes"]:       # a NaN inside a window keeps it from locking
+        phases[rng.random((n_rows, total_bits)) < 0.01] = np.nan
+    row_bits = np.full(n_rows, total_bits)
+    if case["ragged"]:
+        row_bits = rng.integers(0, total_bits + 1, n_rows)
+        phases[t >= row_bits[:, np.newaxis]] = np.nan
+    want = oracle_detect_lock(phases, row_bits, window=window)
+    got = BangBangCdr._detect_lock_batch(phases, row_bits, window=window)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_zero_row_batch_returns_empty_arrays():

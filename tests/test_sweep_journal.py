@@ -212,6 +212,36 @@ def test_functions_inside_values_are_described_by_content():
     assert describe_value(countdown()) == describe_value(countdown())
 
 
+class Scale:
+    """A plain class: no ``__repr__``, not a dataclass."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def apply(self, batch, params_list):
+        return [self.k * float(value) for value in batch.data[:, 0]]
+
+
+def test_bound_methods_of_plain_objects_are_described_by_state(tmp_path):
+    # Both once described as ``...Scale.apply|...|self:<...Scale object
+    # at 0x>``, so a resumed sweep of one replayed the other's rows.
+    assert describe_value(Scale(2.0).apply) \
+        != describe_value(Scale(3.0).apply)
+    assert describe_value(Scale(2.0).apply) \
+        == describe_value(Scale(2.0).apply)
+
+    def run(scale):
+        grid = ScenarioGrid([SweepAxis("level", (0.25, 0.5, 0.75))])
+        return SweepRunner(grid, stimulus=stimulus, measure=scale.apply,
+                           chunk_rows=2).run(checkpoint_dir=tmp_path).results
+
+    assert run(Scale(2.0)) == [0.5, 1.0, 1.5]
+    CALLS["stimulus"] = 0
+    assert run(Scale(3.0)) == [0.75, 1.5, 2.25]
+    assert CALLS["stimulus"] == 3               # simulated, not replayed
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_session_fingerprint_is_stable_and_survives_a_run(tmp_path):
     a, b = corner_session(0.6), corner_session(0.6)
     assert describe_value(a) == describe_value(b)
