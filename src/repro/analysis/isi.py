@@ -161,15 +161,18 @@ def pulse_response_batch(system: Block, bit_rate: float,
     noise and jitter) simulate it once.  The key is a digest of the
     system's *content* and of every argument
     (:func:`~repro.sweep.checkpoint.content_digest`): one pickle pass
-    over ``system`` with functions, lambdas, partials and bound methods
-    reduced to their code, defaults, closure constants and bound
-    ``self``.  A field mutated in place, however deeply nested, or a
-    closure holding another constant therefore misses.  A class is
-    keyed by its identity in this process, not by its source: a
-    redefined class (same name, new ``process``) misses.  The limit is
-    that what a class or function reaches through module globals is
-    not in the key.  A system that cannot be pickled is simulated on
-    every call.  Each call returns fresh arrays, so a caller writing
+    over ``system`` with functions and lambdas reduced to their code
+    (bytecode, the names it loads, constants), defaults and closure
+    contents, and bound methods to their function and ``self``, all
+    pickled by content in turn.  A field mutated in place, however
+    deeply nested (behind a ``session.process`` stage too), a lambda
+    calling another function or a closure holding another constant
+    therefore misses.  A class is keyed by its identity in this
+    process, not by its source: a redefined class (same name, new
+    ``process``) misses.  The limit is that what a class or function
+    reaches through module globals is not in the key.  A system that
+    cannot be pickled (or whose pickling raises anything else) is
+    simulated on every call.  Each call returns fresh arrays, so a caller writing
     into one cannot change a later result, and the memo holds no
     reference to ``system``.
     """

@@ -29,10 +29,11 @@ journaled) and the reducers.  Values enter through
 :func:`describe_value`, by content — an ndarray by its dtype, shape
 and a sha256 of its bytes (numpy's ``repr`` elides the middle of large
 arrays), a :class:`~repro.link.LinkSession` by its
-``sweep_fingerprint()`` — and callables by their bytecode, defaults,
-closure cells and bound ``self``.  Caches that fill while a sweep runs
-stay out: the fingerprint must read the same before and after a run,
-or a resume would never find its journal.  Other objects are their
+``sweep_fingerprint()`` — and callables by their bytecode (with the
+names it loads, nested code included), defaults, closure cells and
+bound ``self``.  Caches that fill while a sweep runs stay out: the
+fingerprint must read the same before and after a run, or a resume
+would never find its journal.  Other objects are their
 type plus their attributes; only objects with neither a ``__dict__``
 nor ``__slots__`` fall back to an address-stripped ``repr``.
 :func:`content_digest` is the in-process counterpart: faster, but
@@ -235,8 +236,7 @@ def _describe_callable(fn) -> str:
     parts = [_qualified_name(fn)]
     code = getattr(fn, "__code__", None)
     if code is not None:
-        parts.append("code:" + _sha(code.co_code.hex()
-                                    + _clean_repr(code.co_consts))[:16])
+        parts.append("code:" + _sha(_code_text(code))[:16])
     defaults = getattr(fn, "__defaults__", None)
     if defaults:
         parts.append("defaults:" + describe_value(defaults))
@@ -253,6 +253,18 @@ def _describe_callable(fn) -> str:
     return "|".join(parts)
 
 
+def _code_text(code: types.CodeType) -> str:
+    """A code object's bytecode, the names it loads and its constants,
+    nested code objects (inner functions, lambdas, comprehensions)
+    described the same way.  The names matter: a global or attribute
+    load names its target only by an index into ``co_names``, so
+    ``lambda x: np.tanh(x)`` and ``lambda x: np.sin(x)`` share their
+    bytecode and constants."""
+    consts = ",".join(_code_text(const) if isinstance(const, types.CodeType)
+                      else _clean_repr(const) for const in code.co_consts)
+    return f"{code.co_code.hex()}|{code.co_names}|({consts})"
+
+
 #: A never-reused token per class, so a class redefined under the same
 #: name (or a new class at a freed class's address) digests differently.
 _CLASS_TOKENS: "weakref.WeakKeyDictionary[type, int]" = \
@@ -261,12 +273,39 @@ _NEXT_TOKEN = itertools.count()
 
 
 class _ContentPickler(pickle.Pickler):
-    """Pickles callables as their :func:`describe_callable` and classes
-    as their token; everything else as pickle does, by value."""
+    """Pickles a function as its name, code, defaults and closure
+    contents, a bound method as its function and ``self``, a code
+    object as its bytecode, names and constants, a module as its name
+    and a class as its token; everything else as pickle does, by value.
+    The parts are pickled by this pickler in turn, so what a function
+    reaches (a session behind ``session.process``, an array in a
+    closure) enters by content too."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        #: Functions and methods reduced so far, held so no id is
+        #: reused.  Pickle memoizes an object only once its parts are
+        #: written, so meeting one here again means a cycle (a function
+        #: in its own closure), which a marker ends.
+        self._reducing: Dict[int, Any] = {}
 
     def reducer_override(self, obj):
-        if isinstance(obj, _FUNCTIONS):
-            return str, ("callable:" + describe_callable(obj),)
+        if isinstance(obj, (types.FunctionType, types.MethodType)):
+            if id(obj) in self._reducing:
+                return str, ("<recursive callable>",)
+            self._reducing[id(obj)] = obj
+            if isinstance(obj, types.MethodType):
+                return tuple, (("method", obj.__func__, obj.__self__),)
+            cells = tuple(_cell_contents(cell)
+                          for cell in obj.__closure__ or ())
+            return tuple, (("function", obj.__module__, obj.__qualname__,
+                            obj.__code__, obj.__defaults__,
+                            obj.__kwdefaults__, cells),)
+        if isinstance(obj, types.CodeType):
+            return tuple, (("code", obj.co_code, obj.co_names,
+                            obj.co_consts),)
+        if isinstance(obj, types.ModuleType):
+            return str, ("module:" + obj.__name__,)
         if isinstance(obj, type) and obj.__module__ != "builtins":
             token = _CLASS_TOKENS.get(obj)
             if token is None:
@@ -275,23 +314,33 @@ class _ContentPickler(pickle.Pickler):
         return NotImplemented
 
 
+def _cell_contents(cell):
+    try:
+        return cell.cell_contents
+    except ValueError:  # yet-unbound cell, e.g. a recursive inner fn
+        return "<empty cell>"
+
+
 def content_digest(value) -> Optional[bytes]:
     """A sha256 of ``value``'s content in this process, or ``None`` when
     it cannot be pickled.
 
-    One pickle pass, with functions, lambdas, partials and bound
-    methods reduced to :func:`describe_callable` and each class to a
+    One pickle pass, with each function reduced to its name, code
+    (bytecode, loaded names, constants), defaults and closure contents,
+    each bound method to its function and ``self``, and each class to a
     token unique in this process (never its name: a class redefined
     under the same name digests differently).  Faster than
     :func:`describe_value` because numbers, arrays and object state go
     through pickle's C code, but not stable across processes, so it
-    keys in-process memos, never journals.
+    keys in-process memos, never journals.  Any error while pickling
+    (a lock, a generator, a ctypes pointer) gives ``None``: the memo
+    it keys is only a shortcut.
     """
     buffer = io.BytesIO()
     try:
-        _ContentPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
-    except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
-        return None         # an unpicklable field: a lock, a generator
+        _ContentPickler(buffer).dump(value)
+    except Exception:
+        return None
     return hashlib.sha256(buffer.getbuffer()).digest()
 
 

@@ -10,6 +10,7 @@ out no shared array.
 """
 
 import concurrent.futures
+import ctypes
 import gc
 import multiprocessing
 import sys
@@ -24,7 +25,8 @@ from repro.analysis import isi
 from repro.analysis.isi import pulse_response, pulse_response_batch
 from repro.link import session as session_module
 from repro.link.session import ChannelConfig, LinkSession, RxConfig, TxConfig
-from repro.lti import Block, GainBlock, LinearBlock, Pipeline, TanhLimiter
+from repro.lti import (Block, GainBlock, LinearBlock, Pipeline,
+                       StaticNonlinearity, TanhLimiter)
 from repro.lti.transfer_function import pole_zero_tf
 from repro.signals.modulation import Nrz, Pam4
 from repro.stateye import StatEye
@@ -168,6 +170,54 @@ def test_lambdas_with_different_closure_constants_miss():
     assert len(isi._PULSES) == 2
 
 
+# Same bytecode and constants: only the attribute each one loads differs.
+TANH = lambda x: np.tanh(x)  # noqa: E731
+SIN = lambda x: np.sin(x)  # noqa: E731
+
+
+def test_lambdas_loading_different_names_miss():
+    cursors = []
+    for func in (TANH, SIN):
+        system = StaticNonlinearity(func)
+        got = pulse_response(system, BIT_RATE, samples_per_bit=SPB)
+        assert_same_pulse(got, oracle.pulse_response(system, BIT_RATE,
+                                                     samples_per_bit=SPB))
+        cursors.append(got.cursors)
+    assert not np.array_equal(*cursors)
+    assert len(isi._PULSES) == 2
+
+
+def test_in_place_change_behind_a_bound_method_stage_misses():
+    inner = link()
+    outer = LinkSession([inner.process], bit_rate=BIT_RATE)
+    before = pulse_response(outer, BIT_RATE, samples_per_bit=SPB,
+                            amplitude=0.25)
+    inner.transmitter.driver.first_stage.tail_current *= 1.2
+    after = pulse_response(outer, BIT_RATE, samples_per_bit=SPB,
+                           amplitude=0.25)
+    assert not np.array_equal(after.cursors, before.cursors)
+    assert_same_pulse(after, oracle.pulse_response(
+        outer, BIT_RATE, samples_per_bit=SPB, amplitude=0.25))
+
+
+def self_calling(gain):
+    def scale(data, depth=1):
+        return scale(data * gain, depth - 1) if depth else data
+    return scale
+
+
+def test_function_in_its_own_closure_keys_the_memo():
+    system = StaticNonlinearity(self_calling(2.0))
+    want = oracle.pulse_response(system, BIT_RATE, samples_per_bit=SPB)
+    for _ in range(2):
+        assert_same_pulse(pulse_response(system, BIT_RATE,
+                                         samples_per_bit=SPB), want)
+    other = StaticNonlinearity(self_calling(3.0))
+    assert pulse_response(other, BIT_RATE, samples_per_bit=SPB).main_cursor \
+        == pytest.approx(3.0, rel=1e-3)
+    assert len(isi._PULSES) == 2
+
+
 # -- hits, isolation, bounds ----------------------------------------------------
 
 def test_rebuilt_identical_session_hits(monkeypatch):
@@ -244,8 +294,18 @@ class Locked(GainBlock):
         self.lock = threading.Lock()
 
 
-def test_unpicklable_system_is_simulated_every_call():
-    system = Locked(2.0)
+class Pointing(GainBlock):
+    """A block holding a ctypes pointer, whose pickling raises
+    ``ValueError``."""
+
+    def __init__(self, gain):
+        super().__init__(gain)
+        self.pointer = ctypes.c_char_p(b"x")
+
+
+@pytest.mark.parametrize("unpicklable", [Locked, Pointing])
+def test_unpicklable_system_is_simulated_every_call(unpicklable):
+    system = unpicklable(2.0)
     want = oracle.pulse_response(system, BIT_RATE, samples_per_bit=SPB)
     for _ in range(2):
         assert_same_pulse(pulse_response(system, BIT_RATE,

@@ -93,6 +93,24 @@ def test_fingerprint_sees_the_middle_of_a_large_array():
     assert describe_value(base) != describe_value(base.reshape(384, 128))
 
 
+def test_callables_loading_different_names_are_told_apart():
+    # Same bytecode and constants; a load names its target by an index.
+    assert describe_callable(lambda x: np.tanh(x)) \
+        != describe_callable(lambda x: np.sin(x))
+
+    def tanh_maker():
+        return lambda x: np.tanh(x)
+
+    def sin_maker():
+        return lambda x: np.sin(x)
+
+    def code_part(fn):
+        return describe_callable(fn).split("|")[1]
+
+    # The difference sits only in the nested lambda's code.
+    assert code_part(tanh_maker) != code_part(sin_maker)
+
+
 def test_describe_value_recurses_and_sorts():
     assert describe_value({"b": 1, "a": (2.0, [3])}) \
         == describe_value({"a": (2.0, [3]), "b": 1})
