@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..lti.blocks import Block
-from ..signals.batch import WaveformBatch
+from ..signals.batch import WaveformBatch, _apply_processor
 from ..signals.modulation import Modulation
 from ..signals.nrz import bits_to_nrz
 from ..signals.waveform import Waveform
@@ -151,10 +151,11 @@ def pulse_response_batch(system: Block, bit_rate: float,
     """Pulse responses at several stimulus amplitudes in one batched pass.
 
     Builds the lone-one stimulus and the all-zero baseline for every
-    amplitude, pushes them through ``system`` as one batch (blocks are
-    batch-transparent), and extracts one :class:`PulseResponse` per
-    amplitude — the nonlinear-compression view of ISI across a drive
-    range without re-running the pipeline per point.
+    amplitude, pushes them through ``system`` as one batch (a block's
+    ``process``, or ``system`` itself when it is a batch callable; both
+    must be batch-transparent), and extracts one :class:`PulseResponse`
+    per amplitude — the nonlinear-compression view of ISI across a
+    drive range without re-running the pipeline per point.
 
     **Memo.**  The responses of the last 16 distinct calls are kept, so
     repeated queries on an unchanged link (a statistical eye swept over
@@ -170,11 +171,17 @@ def pulse_response_batch(system: Block, bit_rate: float,
     therefore misses.  A class is keyed by its identity in this
     process, not by its source: a redefined class (same name, new
     ``process``) misses.  The limit is that what a class or function
-    reaches through module globals is not in the key.  A system that
-    cannot be pickled (or whose pickling raises anything else) is
-    simulated on every call.  Each call returns fresh arrays, so a caller writing
-    into one cannot change a later result, and the memo holds no
-    reference to ``system``.
+    reaches through module globals is not in the key.  Only what
+    ``system`` holds is keyed: pass the chain alone (as
+    :meth:`~repro.link.LinkSession.statistical_eye` does, a partial of
+    the chain loop over its stages), and links that differ only in
+    what runs after the chain share one entry.  A system that cannot
+    be pickled (or whose pickling raises anything else) is simulated
+    on every call.  The key is in-process only; sweep journals use
+    :func:`~repro.sweep.checkpoint.journal_key`, the same reduction
+    made stable across processes.  Each call returns fresh arrays, so
+    a caller writing into one cannot change a later result, and the
+    memo holds no reference to ``system``.
     """
     amplitudes = list(amplitudes)
     if not amplitudes:
@@ -213,7 +220,7 @@ def _simulate_pulses(system, bit_rate, amplitudes, samples_per_bit,
                      n_lead_bits, n_lag_bits) -> Tuple[np.ndarray, float]:
     """The lone-one minus all-zero responses, one row per amplitude."""
     lone_one = np.array([0] * n_lead_bits + [1] + [0] * n_lag_bits)
-    out = system.process(WaveformBatch.stack([
+    out = _apply_processor(system, WaveformBatch.stack([
         bits_to_nrz(bits, bit_rate, amplitude=a,
                     samples_per_bit=samples_per_bit)
         for bits in (lone_one, np.zeros_like(lone_one)) for a in amplitudes

@@ -355,25 +355,6 @@ class LinkSession:
         session._configs = (tx, channel, rx)
         return session
 
-    def sweep_fingerprint(self) -> Dict[str, Any]:
-        """What determines this session's results, for the sweep
-        journal's key (:func:`repro.sweep.checkpoint.describe_value`):
-        the configs (or, without them, the stages), the rate and line
-        code, the CDR config, the DFE, and the measurement settings.
-        Never the built chain or a cache, so running the session does
-        not change it."""
-        return {
-            "configs": self._configs,
-            "stages": self.stages if self._configs is None else None,
-            "bit_rate": self.bit_rate,
-            "modulation": self.modulation,
-            "cdr": self.cdr_config,
-            "dfe": self.dfe,
-            "skip_ui": self.skip_ui,
-            "dfe_skip_bits": self.dfe_skip_bits,
-            "measure_eye": self.measure_eye,
-        }
-
     @staticmethod
     def _build_chain(tx: Optional[TxConfig], channel: Optional[ChannelConfig],
                      rx: Optional[RxConfig], bit_rate: float):
@@ -418,9 +399,11 @@ class LinkSession:
         of a given engine.  ``amplitude`` must match the peak-to-peak
         stimulus swing of the time-domain runs being modeled.  Returns
         a :class:`~repro.stateye.StatEyeResult`.  The pulse is memoized
-        on the chain's content (see
+        on the content of the chain :meth:`process` runs (see
         :func:`~repro.analysis.isi.pulse_response_batch`), so queries
-        that vary only the engine simulate an unchanged chain once.
+        that vary only the engine simulate an unchanged chain once, and
+        sessions that differ only in CDR, DFE or measurement settings
+        share one entry.
         """
         from ..stateye import StatEye
 
@@ -433,7 +416,8 @@ class LinkSession:
             n_lead_bits = max(4, engine.n_precursors + 4)
         if n_lag_bits is None:
             n_lag_bits = max(8, engine.n_postcursors + 4)
-        pulse = pulse_response(self, self.bit_rate,
+        pulse = pulse_response(functools.partial(_run_chain, self.stages),
+                               self.bit_rate,
                                samples_per_bit=samples_per_bit,
                                n_lead_bits=n_lead_bits,
                                n_lag_bits=n_lag_bits, amplitude=amplitude)

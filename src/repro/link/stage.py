@@ -42,10 +42,6 @@ class CdrStage(Block):
         self.cdr = cdr
         self.n_bits = n_bits
 
-    def sweep_fingerprint(self):
-        """The CDR config and bit count, for the sweep journal's key."""
-        return {"cdr": self.cdr.config, "n_bits": self.n_bits}
-
     def recover(self, signal: Signal, n_bits: Optional[int] = None,
                 initial_phase_ui: Optional[np.ndarray] = None,
                 initial_frequency_ppm: Optional[np.ndarray] = None
@@ -75,10 +71,6 @@ class DfeStage(Block):
 
     def __init__(self, dfe: DecisionFeedbackEqualizer):
         self.dfe = dfe
-
-    def sweep_fingerprint(self):
-        """The equalizer, for the sweep journal's key."""
-        return {"dfe": self.dfe}
 
     def equalize(self, signal: Signal) -> Tuple[np.ndarray, np.ndarray]:
         """``(decisions, corrected)`` (see

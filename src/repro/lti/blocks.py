@@ -247,11 +247,6 @@ class Pipeline(Block):
         self._blocks: List[Block] = list(blocks)
         self.name = name
 
-    def sweep_fingerprint(self):
-        """The name and blocks, for content-keyed sweep journals
-        (:func:`repro.sweep.checkpoint.describe_value`)."""
-        return {"name": self.name, "blocks": self._blocks}
-
     def process(self, wave: Waveform) -> Waveform:
         for block in self._blocks:
             wave = block.process(wave)

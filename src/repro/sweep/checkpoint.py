@@ -25,27 +25,26 @@ without its 32 KiB blocks.
 **Fingerprint.**  ``key`` hashes everything that determines a unit's
 results: the grid's axes, the stimulus / build / measure callables,
 the chunk size, the failure policy (quarantine decisions are
-journaled) and the reducers.  Values enter through
-:func:`describe_value`, by content — an ndarray by its dtype, shape
-and a sha256 of its bytes (numpy's ``repr`` elides the middle of large
-arrays), a :class:`~repro.link.LinkSession` by its
-``sweep_fingerprint()`` — and callables by their bytecode (with the
-names it loads, nested code included), defaults, closure cells and
-bound ``self``.  Caches that fill while a sweep runs stay out: the
-fingerprint must read the same before and after a run, or a resume
-would never find its journal.  Other objects are their
-type plus their attributes; only objects with neither a ``__dict__``
-nor ``__slots__`` fall back to an address-stripped ``repr``.
-:func:`content_digest` is the in-process counterpart: faster, but
-keyed on class identity, so it keys memos, never journals.  Old
-``units/*.pkl`` journals (version 4 and older) are never replayed;
-opening warns once per directory.
+journaled) and the reducers.  It is :func:`journal_key`, one pickle
+pass over all of them by content: functions by their code (bytecode,
+the names it loads, constants, nested code included), defaults and
+closure contents, bound methods by their function and ``self``, and
+every other object (an ndarray, a :class:`~repro.link.LinkSession`
+and the chain it built) as pickle stores it, by value.  Classes are
+named by module and qualname, and set, frozenset and dict items are
+written in an order fixed by their content, so the key is the same in
+a new interpreter under any ``PYTHONHASHSEED``.  A value that cannot
+be pickled (a lock, a generator) raises ``TypeError``.  Caches must
+not fill while a sweep runs: the key must read the same before and
+after a run, or a resume would never find its journal.
+:func:`content_digest` is the in-process counterpart: the same
+reduction, faster, but classes keyed by their identity, so it keys
+memos, never journals.  Old ``units/*.pkl`` journals (version 4 and
+older) are never replayed; opening warns once per directory.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import io
 import itertools
@@ -53,9 +52,7 @@ import json
 import os
 import pathlib
 import pickle
-import re
 import struct
-import threading
 import types
 import warnings
 import weakref
@@ -64,205 +61,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CheckpointJournal", "content_digest", "describe_callable",
-           "describe_value"]
+__all__ = ["CheckpointJournal", "content_digest", "journal_key"]
 
-_ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
-_SCALARS = (str, bytes, int, float, complex, type(None), np.generic)
+#: Leaf types :func:`_numbers` packs into one array.
 _NUMBERS = (int, float, complex, np.number, np.bool_)
-#: Described by :func:`describe_callable`, wherever they sit: their
-#: ``repr`` names no content.  Other callable objects are described by
-#: their state.
-_FUNCTIONS = (types.FunctionType, types.MethodType, functools.partial)
-#: Ids of the callables and objects being described on this thread
-#: (see :func:`_once`).
-_DESCRIBING = threading.local()
 #: Record frame: payload length, CRC32 of the payload.
 _FRAME = struct.Struct("<II")
 _LOG = "journal.log"
 
 
-def _clean_repr(obj) -> str:
-    """A ``repr`` with memory addresses stripped (stable across runs)."""
-    try:
-        text = repr(obj)
-    except Exception:
-        text = f"<unreprable {type(obj).__qualname__}>"
-    return _ADDRESS.sub("0x", text)
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def describe_value(value) -> str:
-    """The canonical, content-based description of a value.
-
-    ndarrays are their dtype, shape and a sha256 of their bytes;
-    dataclasses are their fields and lists, tuples, sets and dicts
-    their items (dict keys and set items sorted), all recursively — a
-    list or tuple of numbers of one type, or of equal-length lists of
-    them, is hashed as one exact ndarray; scalars and strings are their
-    ``repr``; functions, lambdas, partials and bound methods are
-    :func:`describe_callable`; objects defining ``sweep_fingerprint()``
-    are described by what it returns.  Any other object with a
-    ``__dict__`` or ``__slots__`` is its type's module and qualname
-    plus its attributes, so two instances of a plain class that differ
-    in a stored constant differ here.  Anything else (a class, a
-    module, a builtin object) is its ``repr`` with memory addresses
-    stripped."""
-    if isinstance(value, _SCALARS):
-        return repr(value)
-    if isinstance(value, _FUNCTIONS):
-        return describe_callable(value)
-    if isinstance(value, np.ndarray):
-        if value.dtype.hasobject:
-            return f"ndarray[object]({describe_value(value.tolist())})"
-        digest = hashlib.sha256(np.ascontiguousarray(value)).hexdigest()
-        return f"ndarray[{value.dtype.str}]{value.shape}:{digest}"
-    if isinstance(value, (list, tuple)):
-        numbers = _describe_numbers(value)
-        if numbers is not None:
-            return numbers
-        items = ",".join(describe_value(item) for item in value)
-        return f"[{items}]" if isinstance(value, list) else f"({items})"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(describe_value(item)
-                                     for item in value)) + "}"
-    if isinstance(value, dict):
-        items = sorted((describe_value(key), describe_value(item))
-                       for key, item in value.items())
-        return "{" + ",".join(f"{key}:{item}" for key, item in items) + "}"
-    fingerprint = getattr(value, "sweep_fingerprint", None)
-    if callable(fingerprint) and not isinstance(value, type):
-        return (f"{type(value).__qualname__}"
-                f"<{describe_value(fingerprint())}>")
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = ",".join(
-            f"{field.name}={describe_value(getattr(value, field.name))}"
-            for field in dataclasses.fields(value))
-        return f"{type(value).__qualname__}({fields})"
-    state = _object_state(value)
-    if state is None:
-        return _clean_repr(value)
-    name = f"{type(value).__module__}.{type(value).__qualname__}"
-    return _once(value, name, lambda obj: name + describe_value(state))
-
-
-def _object_state(value) -> Optional[Dict[str, Any]]:
-    """An instance's attributes, its ``__dict__`` and set ``__slots__``;
-    ``None`` for a class, a module or an object with neither."""
-    if isinstance(value, (type, types.ModuleType)):
-        return None
-    has_state = hasattr(value, "__dict__")
-    state = dict(getattr(value, "__dict__", {}))
-    for cls in type(value).__mro__:
-        slots = cls.__dict__.get("__slots__", ())
-        for slot in [slots] if isinstance(slots, str) else slots:
-            if slot in ("__dict__", "__weakref__"):
-                continue
-            has_state = True
-            if slot.startswith("__") and not slot.endswith("__"):
-                slot = f"_{cls.__name__.lstrip('_')}{slot}"  # mangled
-            if hasattr(value, slot):
-                state[slot] = getattr(value, slot)
-    return state if has_state else None
-
-
-def _once(obj, name: str, describe) -> str:
-    """``describe(obj)``, or a ``<recursive name>`` marker when ``obj``
-    is already being described on this thread, so a cycle (a function
-    reachable from its own closure, an object from its own state) ends."""
-    active = _DESCRIBING.__dict__.setdefault("ids", set())
-    if id(obj) in active:
-        return f"<recursive {name}>"
-    active.add(id(obj))
-    try:
-        return describe(obj)
-    finally:
-        active.discard(id(obj))
-
-
-def _describe_numbers(value) -> Optional[str]:
-    """A list or tuple of numbers of one type, or of equal-length lists
-    (or equal-length tuples) of them, described as one exact ndarray: a
-    long sweep axis costs one hash instead of a ``repr`` per number.
-    ``None`` for anything else."""
-    leaves, inner = set(), set()
-    for item in value:
-        if isinstance(item, (list, tuple)):
-            inner.add(type(item))
-            leaves.update(map(type, item))
-        else:
-            leaves.add(type(item))
-    if len(leaves) != 1 or len(inner) > 1 \
-            or not issubclass(leaves.pop(), _NUMBERS):
-        return None
-    try:
-        numbers = np.array(value)
-    except (OverflowError, ValueError):  # ragged, or beyond int64
-        return None
-    if numbers.dtype.hasobject:
-        return None
-    nested = "".join(kind.__qualname__ for kind in inner)
-    return f"{type(value).__name__}[{nested}]:{describe_value(numbers)}"
-
-
-def _describe_cell(cell) -> str:
-    try:
-        return describe_value(cell.cell_contents)
-    except ValueError:  # yet-unbound cell, e.g. a recursive inner fn
-        return "<empty cell>"
-
-
-def describe_callable(fn) -> str:
-    """A stable, content-sensitive fingerprint of a callable."""
-    if fn is None:
-        return "None"
-    return _once(fn, _qualified_name(fn), _describe_callable)
-
-
-def _qualified_name(fn) -> str:
-    return (f"{getattr(fn, '__module__', '?')}."
-            f"{getattr(fn, '__qualname__', type(fn).__qualname__)}")
-
-
-def _describe_callable(fn) -> str:
-    if isinstance(fn, functools.partial):
-        keywords = sorted((fn.keywords or {}).items())
-        return (f"partial({describe_callable(fn.func)}, "
-                f"args={describe_value(fn.args)}, "
-                f"kw={describe_value(keywords)})")
-    parts = [_qualified_name(fn)]
-    code = getattr(fn, "__code__", None)
-    if code is not None:
-        parts.append("code:" + _sha(_code_text(code))[:16])
-    defaults = getattr(fn, "__defaults__", None)
-    if defaults:
-        parts.append("defaults:" + describe_value(defaults))
-    closure = getattr(fn, "__closure__", None)
-    if closure:
-        cells = [_describe_cell(cell) for cell in closure]
-        parts.append("closure:" + _sha("|".join(cells))[:16])
-    self_obj = getattr(fn, "__self__", None)  # bound methods
-    if self_obj is not None:
-        parts.append("self:" + describe_value(self_obj))
-    if code is None and self_obj is None:
-        # Callable object: described by its state.
-        parts.append("obj:" + describe_value(fn))
-    return "|".join(parts)
-
-
-def _code_text(code: types.CodeType) -> str:
-    """A code object's bytecode, the names it loads and its constants,
-    nested code objects (inner functions, lambdas, comprehensions)
-    described the same way.  The names matter: a global or attribute
-    load names its target only by an index into ``co_names``, so
-    ``lambda x: np.tanh(x)`` and ``lambda x: np.sin(x)`` share their
-    bytecode and constants."""
-    consts = ",".join(_code_text(const) if isinstance(const, types.CodeType)
-                      else _clean_repr(const) for const in code.co_consts)
-    return f"{code.co_code.hex()}|{code.co_names}|({consts})"
 
 
 #: A never-reused token per class, so a class redefined under the same
@@ -329,12 +138,11 @@ def content_digest(value) -> Optional[bytes]:
     (bytecode, loaded names, constants), defaults and closure contents,
     each bound method to its function and ``self``, and each class to a
     token unique in this process (never its name: a class redefined
-    under the same name digests differently).  Faster than
-    :func:`describe_value` because numbers, arrays and object state go
-    through pickle's C code, but not stable across processes, so it
-    keys in-process memos, never journals.  Any error while pickling
-    (a lock, a generator, a ctypes pointer) gives ``None``: the memo
-    it keys is only a shortcut.
+    under the same name digests differently).  Not stable across
+    processes, so it keys in-process memos, never journals (see
+    :func:`journal_key`).  Any error while pickling (a lock, a
+    generator, a ctypes pointer) gives ``None``: the memo it keys is
+    only a shortcut.
     """
     buffer = io.BytesIO()
     try:
@@ -342,6 +150,93 @@ def content_digest(value) -> Optional[bytes]:
     except Exception:
         return None
     return hashlib.sha256(buffer.getbuffer()).digest()
+
+
+class _JournalPickler(_ContentPickler):
+    """:class:`_ContentPickler` made stable across processes: a class
+    is its module and qualname, and set, frozenset and dict items are
+    written in an order fixed by their content, not by hash or
+    insertion order (a ``x in {"a", "b"}`` test compiles to a frozenset
+    constant, iterated in ``PYTHONHASHSEED`` order)."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, type) and obj.__module__ != "builtins":
+            return str, (f"class:{obj.__module__}.{obj.__qualname__}",)
+        return super().reducer_override(obj)
+
+    def persistent_id(self, obj):
+        kind = type(obj)
+        if kind is dict:
+            items = sorted(obj.items(),
+                           key=lambda item: _content_order(item[0]))
+            return "dict", list(itertools.chain.from_iterable(items))
+        if kind is set or kind is frozenset:
+            return kind.__name__, sorted(obj, key=_content_order)
+        if kind is tuple or kind is list:
+            return _numbers(obj)
+        return None
+
+
+def _numbers(seq) -> Optional[Tuple[str, bytes]]:
+    """A tuple or list of numbers of one type, or of equal-length tuples
+    (or lists) of them, as the bytes of one exact ndarray and a label
+    (kinds, dtype, shape); ``None`` for anything else.  A Monte Carlo
+    axis of numpy scalars then costs one write instead of numpy's
+    reduce per scalar (≈4 µs each, so ≈90 ms for a 10k-die axis of
+    offset/scale pairs).  Only strings and bytes come back, so nothing
+    here is packed again."""
+    rows = set(map(type, seq))
+    if len(rows) == 1 and rows <= {tuple, list}:
+        leaves = set(map(type, itertools.chain.from_iterable(seq)))
+    else:
+        leaves, rows = rows, set()
+    if len(leaves) != 1 or not issubclass(leaves.pop(), _NUMBERS):
+        return None
+    try:
+        array = np.array(seq)
+    except (OverflowError, ValueError):  # ragged, or beyond int64
+        return None
+    if array.dtype.hasobject:
+        return None
+    nested = "".join(kind.__name__ for kind in rows)
+    return (f"{type(seq).__name__}[{nested}]{array.dtype.str}{array.shape}",
+            array.tobytes())
+
+
+def _content_order(value) -> Tuple[int, Any]:
+    """A sort key fixed by ``value``'s content: a string itself, any
+    other value the digest of its stable pickle."""
+    if type(value) is str:
+        return 0, value
+    return 1, _journal_sha(value).digest()
+
+
+def _journal_sha(value):
+    # Hash what pickle writes instead of keeping it, so a large array
+    # captured by a stimulus is never copied whole.
+    sha = hashlib.sha256()
+    _JournalPickler(types.SimpleNamespace(write=sha.update)).dump(value)
+    return sha
+
+
+def journal_key(value) -> str:
+    """A sha256 (hex) of ``value``'s content, the same in every process.
+
+    The reduction of :func:`content_digest`, with classes named by
+    module and qualname and set, frozenset and dict items in content
+    order, so a sweep resumed in a new interpreter (under any
+    ``PYTHONHASHSEED``) finds its journal.  A value that cannot be
+    pickled raises ``TypeError`` naming the cause: a key blind to part
+    of a sweep could replay another sweep's rows.
+    """
+    try:
+        return _journal_sha(value).hexdigest()
+    except Exception as error:
+        raise TypeError(
+            "a checkpointed sweep keys its journal on the content of its "
+            "grid, callables and reducers, and this one cannot be pickled "
+            f"({type(error).__name__}: {error})"
+        ) from error
 
 
 def _append(log: pathlib.Path, unit_key: Optional[str], record) -> None:

@@ -74,7 +74,6 @@ __all__ = [
     "HistogramResult",
     "QuantilesResult",
     "YieldResult",
-    "describe_reducers",
 ]
 
 
@@ -82,10 +81,10 @@ __all__ = [
 class Reducer(Protocol):
     """The streaming-aggregation contract (see the module docstring).
 
-    ``describe()`` is the reducer's checkpoint fingerprint: everything
-    that determines its finalized value (class, bin edges, quantile
-    list, extract callable) must appear in it, so a journal written
-    under one reducer configuration is never consumed under another.
+    A checkpointed sweep keys its journal on each reducer's pickled
+    content (:func:`~repro.sweep.checkpoint.journal_key`), so a reducer
+    must pickle, and everything that determines its finalized value
+    (bin edges, quantile list, extract callable) must be in its state.
     """
 
     def init(self) -> Any: ...
@@ -96,8 +95,6 @@ class Reducer(Protocol):
     def merge(self, a: Any, b: Any) -> Any: ...
 
     def finalize(self, state: Any) -> Any: ...
-
-    def describe(self) -> str: ...
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +200,6 @@ class YieldResult:
 # Shared extraction plumbing.
 # ---------------------------------------------------------------------------
 
-def _describe_extract(fn) -> str:
-    from .checkpoint import describe_callable
-    return describe_callable(fn)
-
-
 @dataclasses.dataclass(frozen=True)
 class _ScalarReducer:
     """Base for the built-ins: one float per scenario via ``extract``.
@@ -238,15 +230,6 @@ class _ScalarReducer:
                     ) from error
             kept.append(float(value))
         return np.asarray(kept, dtype=float)
-
-    def describe(self) -> str:
-        config = [
-            f"{field.name}={_describe_extract(getattr(self, field.name))}"
-            if field.name == "extract"
-            else f"{field.name}={getattr(self, field.name)!r}"
-            for field in dataclasses.fields(self)
-        ]
-        return f"{type(self).__name__}({', '.join(config)})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -456,17 +439,3 @@ class Yield(_ScalarReducer):
 
     def finalize(self, state) -> YieldResult:
         return YieldResult(n_pass=int(state[0]), n_total=int(state[1]))
-
-    def describe(self) -> str:
-        return (f"Yield(predicate={_describe_extract(self.predicate)}, "
-                f"extract={_describe_extract(self.extract)})")
-
-
-def describe_reducers(reducers: Optional[Dict[str, Reducer]]
-                      ) -> Optional[Dict[str, str]]:
-    """Checkpoint fingerprint of a reducer configuration (sorted by
-    name; ``None`` for a dense sweep), so a journal written under one
-    reducer setup is never consumed under another."""
-    if reducers is None:
-        return None
-    return {name: reducers[name].describe() for name in sorted(reducers)}

@@ -56,9 +56,9 @@ import numpy as np
 
 from ..signals.batch import WaveformBatch, _apply_processor
 from ..signals.waveform import Waveform
-from .checkpoint import CheckpointJournal, describe_callable, describe_value
+from .checkpoint import CheckpointJournal, journal_key
 from .grid import ScenarioGrid
-from .reducers import Reducer, describe_reducers
+from .reducers import Reducer
 
 __all__ = ["SweepRunner", "SweepResult", "SweepFailure",
            "closed_loop_cdr_measure", "dfe_measure"]
@@ -610,28 +610,17 @@ class SweepRunner:
         failure policy (``on_error`` / ``max_attempts`` / ``timeout``),
         so e.g. quarantine decisions journaled by an
         ``on_error="quarantine"`` run are never replayed as silent
-        ``None`` rows under ``on_error="raise"``, and (version 3) the
-        streaming-aggregation config (``reducers`` / ``keep_results``),
-        so a journal written by a dense run is never consumed by a
-        streaming run or vice versa.  Version 4: ``measure`` is the
-        only (batch) measurement.  Version 5: values are described by
-        content (:func:`~repro.sweep.checkpoint.describe_value`) and
-        units go to an append-only log, so older journals never
-        replay."""
-        return {
-            "version": 5,
-            "grid": describe_value(self.grid.axes),
-            "stimulus": describe_callable(self.stimulus),
-            "build": describe_callable(self.build),
-            "measure": describe_callable(self.measure),
-            "chunk_rows": self.chunk_rows,
-            "nan_guard": self.nan_guard,
-            "on_error": self.on_error,
-            "max_attempts": self.max_attempts,
-            "timeout": self.timeout,
-            "reducers": describe_reducers(self.reducers),
-            "keep_results": self.keep_results,
-        }
+        ``None`` rows under ``on_error="raise"``, and the streaming
+        config (``reducers`` / ``keep_results``), so a journal written
+        by a dense run is never consumed by a streaming run or vice
+        versa.  Version 6: one :func:`~repro.sweep.checkpoint.journal_key`
+        over all of it, by content (a session's built chain included),
+        so older journals never replay."""
+        return {"version": 6, "key": journal_key((
+            self.grid.axes, self.stimulus, self.build, self.measure,
+            self.chunk_rows, self.nan_guard, self.on_error,
+            self.max_attempts, self.timeout, self.reducers,
+            self.keep_results))}
 
     def _load_covering(self, unit: _Unit, journal: CheckpointJournal
                        ) -> Optional[List[_UnitOutcome]]:

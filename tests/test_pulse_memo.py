@@ -24,7 +24,8 @@ import serial_oracles as oracle
 from repro.analysis import isi
 from repro.analysis.isi import pulse_response, pulse_response_batch
 from repro.link import session as session_module
-from repro.link.session import ChannelConfig, LinkSession, RxConfig, TxConfig
+from repro.link.session import (ChannelConfig, DfeConfig, LinkSession,
+                                RxConfig, TxConfig)
 from repro.lti import (Block, GainBlock, LinearBlock, Pipeline,
                        StaticNonlinearity, TanhLimiter)
 from repro.lti.transfer_function import pole_zero_tf
@@ -109,6 +110,26 @@ def test_statistical_eye_hit_matches_uncached(modulation):
                                       samples_per_bit=SPB)
         if noise_rms == 5e-3:
             np.testing.assert_array_equal(got.surfaces, want.surfaces)
+    assert len(isi._PULSES) == 1
+
+
+def test_statistical_eye_keys_only_the_chain():
+    # The pulse is the chain's: sessions that differ only in what runs
+    # after it (CDR, DFE, eye measurement) share one entry.
+    plain = link()
+    receiving = LinkSession.from_configs(
+        tx=TxConfig(), channel=ChannelConfig(0.3),
+        rx=RxConfig(equalizer_control_voltage=0.6), cdr=True,
+        dfe=DfeConfig(taps=(0.05,)), measure_eye=False, skip_ui=8)
+    engine = StatEye(noise_rms=5e-3)
+    want = engine.analyze(oracle.pulse_response(
+        plain, BIT_RATE, samples_per_bit=SPB,
+        n_lead_bits=max(4, engine.n_precursors + 4),
+        n_lag_bits=max(8, engine.n_postcursors + 4), amplitude=0.25))
+    for session in (plain, receiving):
+        got = session.statistical_eye(engine, amplitude=0.25,
+                                      samples_per_bit=SPB)
+        np.testing.assert_array_equal(got.surfaces, want.surfaces)
     assert len(isi._PULSES) == 1
 
 

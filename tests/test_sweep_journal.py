@@ -1,15 +1,25 @@
 """The sweep journal: content-keyed fingerprints and the append-only log.
 
-Two stale-replay bugs are pinned here: numpy elides the middle of a
-large array's ``repr``, and a :class:`~repro.link.LinkSession` once
-entered the key only by its address, so two different sweeps could
-share one journal key.  The log tests cut or corrupt ``journal.log``
-and check that exactly the units after the last good record re-run.
-The helpers are module-level so the journal key of a runner is stable.
+Stale-replay bugs are pinned here: numpy elides the middle of a large
+array's ``repr``, a :class:`~repro.link.LinkSession` once entered the
+key only by its address and later only by its configs (not the chain
+it built), so two different sweeps could share one journal key; and a
+frozenset constant once entered in ``PYTHONHASHSEED`` order, so a new
+interpreter never found its journal.  The log tests cut or corrupt
+``journal.log`` and check that exactly the units after the last good
+record re-run.  The helpers are module-level so the journal key of a
+runner is stable.
 """
 
+import json
+import os
+import pathlib
 import pickle
+import random
 import struct
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,9 +29,9 @@ from repro import LinkSession, RxConfig, bits_to_nrz, prbs7
 from repro.analysis import measure_eye_batch
 from repro.lti import GainBlock, Pipeline, StaticNonlinearity
 from repro.signals import Waveform
-from repro.sweep import CheckpointJournal, ScenarioGrid, SweepAxis, \
-    SweepRunner
-from repro.sweep.checkpoint import describe_callable, describe_value
+from repro.sweep import CheckpointJournal, MeanVar, ScenarioGrid, \
+    SweepAxis, SweepRunner, Yield
+from repro.sweep.checkpoint import journal_key
 
 FS = 160e9
 BIT_RATE = 10e9
@@ -85,18 +95,18 @@ def test_fingerprint_sees_the_middle_of_a_large_array():
     def closure_over(noise):
         return lambda params: noise[params["draw"]]
 
-    assert describe_callable(closure_over(base)) \
-        != describe_callable(closure_over(other))
-    assert describe_callable(closure_over(base)) \
-        == describe_callable(closure_over(base.copy()))
-    assert describe_value(base) != describe_value(base.astype(np.float32))
-    assert describe_value(base) != describe_value(base.reshape(384, 128))
+    assert journal_key(closure_over(base)) \
+        != journal_key(closure_over(other))
+    assert journal_key(closure_over(base)) \
+        == journal_key(closure_over(base.copy()))
+    assert journal_key(base) != journal_key(base.astype(np.float32))
+    assert journal_key(base) != journal_key(base.reshape(384, 128))
 
 
 def test_callables_loading_different_names_are_told_apart():
     # Same bytecode and constants; a load names its target by an index.
-    assert describe_callable(lambda x: np.tanh(x)) \
-        != describe_callable(lambda x: np.sin(x))
+    assert journal_key(lambda x: np.tanh(x)) \
+        != journal_key(lambda x: np.sin(x))
 
     def tanh_maker():
         return lambda x: np.tanh(x)
@@ -104,21 +114,63 @@ def test_callables_loading_different_names_are_told_apart():
     def sin_maker():
         return lambda x: np.sin(x)
 
-    def code_part(fn):
-        return describe_callable(fn).split("|")[1]
-
     # The difference sits only in the nested lambda's code.
-    assert code_part(tanh_maker) != code_part(sin_maker)
+    assert journal_key(tanh_maker.__code__) \
+        != journal_key(sin_maker.__code__)
 
 
-def test_describe_value_recurses_and_sorts():
-    assert describe_value({"b": 1, "a": (2.0, [3])}) \
-        == describe_value({"a": (2.0, [3]), "b": 1})
-    assert describe_value(frozenset({"x", "y"})) \
-        == describe_value(frozenset({"y", "x"}))
-    assert describe_value(RxConfig(equalizer_control_voltage=0.5)) \
-        != describe_value(RxConfig(equalizer_control_voltage=0.7))
-    assert describe_value(object()) == describe_value(object())
+WORDS = [f"corner-{i:02d}" for i in range(64)]
+
+
+def shuffled_words(count):
+    rng = random.Random(7)
+    return [rng.sample(WORDS, len(WORDS)) for _ in range(count)]
+
+
+def test_journal_key_recurses_and_sorts():
+    assert journal_key({"b": 1, "a": (2.0, [3])}) \
+        == journal_key({"a": (2.0, [3]), "b": 1})
+    assert journal_key(frozenset({"x", "y"})) \
+        == journal_key(frozenset({"y", "x"}))
+    # Sets built in different orders iterate in different orders (so a
+    # key following iteration order differs), and dicts always do.
+    orders = shuffled_words(20)
+    sets = [set(order) for order in orders]
+    assert len({tuple(words) for words in sets}) > 1
+    assert len({journal_key(words) for words in sets}) == 1
+    assert len({journal_key(frozenset(words)) for words in sets}) == 1
+    dicts = [{word: WORDS.index(word) for word in order}
+             for order in orders]
+    assert len({tuple(words) for words in dicts}) > 1
+    assert len({journal_key(words) for words in dicts}) == 1
+    assert journal_key(set(WORDS)) != journal_key(frozenset(WORDS))
+    assert journal_key(set(WORDS)) != journal_key(sorted(WORDS))
+    assert journal_key(set(WORDS)) != journal_key(set(WORDS[1:]))
+    # Mixed keys (not all strings) sort by their stable pickle.
+    assert journal_key({1: "a", "b": 2, (3,): 4.0}) \
+        == journal_key({(3,): 4.0, "b": 2, 1: "a"})
+    assert journal_key(RxConfig(equalizer_control_voltage=0.5)) \
+        != journal_key(RxConfig(equalizer_control_voltage=0.7))
+    assert journal_key(object()) == journal_key(object())
+
+
+def test_number_sequences_are_keyed_exactly():
+    # Packed as one array, a sequence of numbers still keys its type,
+    # its nesting and every value.
+    def draw():
+        return tuple(zip(np.linspace(-1e-3, 1e-3, 10_000), np.ones(10_000)))
+
+    dies = draw()
+    moved = dies[:5000] + ((dies[5000][0], 1.0 + 1e-12),) + dies[5001:]
+    assert journal_key(dies) == journal_key(draw())
+    assert journal_key(dies) != journal_key(moved)
+    assert journal_key(dies) != journal_key(list(dies))
+    assert journal_key(dies) != journal_key(tuple(map(list, dies)))
+    assert journal_key((1, 2)) != journal_key((1.0, 2.0))
+    assert journal_key((1, 2)) != journal_key((True, 2))
+    assert journal_key((1, 2)) != journal_key((1, 2.0))
+    assert journal_key((1, 2)) != journal_key(((1,), (2,)))
+    assert journal_key((2**70, 1)) != journal_key((2**70, 2))
 
 
 def session_stimulus(params):
@@ -197,8 +249,8 @@ def test_sessions_built_from_stages_never_share_a_journal(tmp_path,
 
     low = LinkSession([make_stage(2.0)], bit_rate=BIT_RATE, skip_ui=8)
     high = LinkSession([make_stage(3.0)], bit_rate=BIT_RATE, skip_ui=8)
-    assert describe_value(low) \
-        == describe_value(LinkSession([make_stage(2.0)], bit_rate=BIT_RATE,
+    assert journal_key(low) \
+        == journal_key(LinkSession([make_stage(2.0)], bit_rate=BIT_RATE,
                                       skip_ui=8))
     fresh_low, fresh_high = heights(low), heights(high)
     assert not np.array_equal(fresh_low, fresh_high)
@@ -215,11 +267,11 @@ def test_functions_inside_values_are_described_by_content():
     # one replayed the other's rows.
     doubling = Pipeline([StaticNonlinearity(lambda x: 2 * x)])
     tripling = Pipeline([StaticNonlinearity(lambda x: 3 * x)])
-    assert describe_value(doubling) != describe_value(tripling)
-    assert describe_value(doubling) \
-        == describe_value(Pipeline([StaticNonlinearity(lambda x: 2 * x)]))
-    assert describe_value(LinkSession([doubling])) \
-        != describe_value(LinkSession([tripling]))
+    assert journal_key(doubling) != journal_key(tripling)
+    assert journal_key(doubling) \
+        == journal_key(Pipeline([StaticNonlinearity(lambda x: 2 * x)]))
+    assert journal_key(LinkSession([doubling])) \
+        != journal_key(LinkSession([tripling]))
 
     def countdown():
         def step(n):
@@ -227,7 +279,7 @@ def test_functions_inside_values_are_described_by_content():
         return step
 
     # A function reachable from its own closure still ends.
-    assert describe_value(countdown()) == describe_value(countdown())
+    assert journal_key(countdown()) == journal_key(countdown())
 
 
 class Scale:
@@ -243,10 +295,10 @@ class Scale:
 def test_bound_methods_of_plain_objects_are_described_by_state(tmp_path):
     # Both once described as ``...Scale.apply|...|self:<...Scale object
     # at 0x>``, so a resumed sweep of one replayed the other's rows.
-    assert describe_value(Scale(2.0).apply) \
-        != describe_value(Scale(3.0).apply)
-    assert describe_value(Scale(2.0).apply) \
-        == describe_value(Scale(2.0).apply)
+    assert journal_key(Scale(2.0).apply) \
+        != journal_key(Scale(3.0).apply)
+    assert journal_key(Scale(2.0).apply) \
+        == journal_key(Scale(2.0).apply)
 
     def run(scale):
         grid = ScenarioGrid([SweepAxis("level", (0.25, 0.5, 0.75))])
@@ -262,19 +314,113 @@ def test_bound_methods_of_plain_objects_are_described_by_state(tmp_path):
 
 def test_session_fingerprint_is_stable_and_survives_a_run(tmp_path):
     a, b = corner_session(0.6), corner_session(0.6)
-    assert describe_value(a) == describe_value(b)
-    assert describe_value(a) != describe_value(corner_session(0.5))
-    before = describe_value(a)
+    assert journal_key(a) == journal_key(b)
+    assert journal_key(a) != journal_key(corner_session(0.5))
+    before = journal_key(a)
     CALLS["stimulus"] = 0
     first = sweep_heights(a, checkpoint_dir=tmp_path)
     assert CALLS["stimulus"] == 6
-    assert describe_value(a) == before
+    assert journal_key(a) == before
     # A second run, even through an identically built session, replays
     # every unit.
     CALLS["stimulus"] = 0
     np.testing.assert_array_equal(
         sweep_heights(b, checkpoint_dir=tmp_path), first)
     assert CALLS["stimulus"] == 0
+
+
+def row_means(batch, params_list):
+    return [float(row.mean()) for row in batch.data]
+
+
+def test_change_to_the_built_chain_is_never_replayed(tmp_path):
+    # The key once listed the session's configs, not the chain the
+    # sweep runs, so a block changed in place replayed the old rows.
+    session = corner_session(0.6)
+    grid = ScenarioGrid([SweepAxis("scale", (0.8, 1.0, 1.2))])
+
+    def means(**kwargs):
+        return session.sweep(grid, session_stimulus, measure=row_means,
+                             **kwargs).results
+
+    means(checkpoint_dir=tmp_path)
+    session.receiver.limiting_amplifier.input_offset_voltage = 0.05
+    fresh = means()
+    assert means(checkpoint_dir=tmp_path) == fresh
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+SLOW_CORNERS = frozenset({"ss", "sf"})
+CORNER_GRID = ScenarioGrid([
+    SweepAxis("corner", ("tt", "ss", "ff", "sf", "fs", "snap")),
+])
+
+
+def corner_stimulus(slow):
+    def stimulus(params):
+        scale = 0.8 if params["corner"] in slow else 1.0
+        if params["corner"] in {"ff", "fs", "snap"}:
+            scale *= 1.2
+        return session_stimulus({"scale": scale})
+    return stimulus
+
+
+def tall(height, params):
+    return height > 0.2
+
+
+def corner_sweep(checkpoint_dir):
+    """A journaled corner sweep; returns its stimulus calls and
+    results."""
+    CALLS["stimulus"] = 0
+    result = corner_session(0.6).sweep(
+        CORNER_GRID, corner_stimulus(SLOW_CORNERS), measure=eye_heights,
+        chunk_rows=1, checkpoint_dir=checkpoint_dir,
+        reducers={"height": MeanVar(), "tall": Yield(tall)})
+    return {"calls": CALLS["stimulus"], "results": result.results,
+            "tall": result.aggregates["tall"].n_pass}
+
+
+def corner_sweep_in_new_interpreter(checkpoint_dir, hash_seed):
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, test_sweep_journal as t\n"
+         "print(json.dumps(t.corner_sweep(sys.argv[1])))\n",
+         str(checkpoint_dir)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_sweep_resumes_in_a_new_interpreter_under_another_hash_seed(
+        tmp_path):
+    # A str-set literal compiles to a frozenset constant, iterated in
+    # PYTHONHASHSEED order; the key once followed that order, so a new
+    # interpreter re-ran every stimulus.
+    first = corner_sweep_in_new_interpreter(tmp_path, hash_seed=1)
+    assert first["calls"] == 6
+    second = corner_sweep_in_new_interpreter(tmp_path, hash_seed=2)
+    assert second["calls"] == 0
+    assert second == {**first, "calls": 0}
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_unpicklable_journal_key_raises_naming_the_cause(tmp_path):
+    lock = threading.Lock()
+
+    def locked_stimulus(params):
+        with lock:
+            return stimulus(params)
+
+    grid = ScenarioGrid([SweepAxis("level", (0.25, 0.5))])
+    runner = SweepRunner(grid, stimulus=locked_stimulus, measure=measure)
+    with pytest.raises(TypeError, match="cannot pickle '_thread.lock'"):
+        runner.run(checkpoint_dir=tmp_path)
+    assert runner.run().results == [0.25, 0.5]
 
 
 # -- the log --------------------------------------------------------------------

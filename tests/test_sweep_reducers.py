@@ -19,7 +19,7 @@ from repro.reporting import (format_aggregates, format_quantile_table,
 from repro.signals import Waveform
 from repro.sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
                          ScenarioGrid, SweepAxis, SweepRunner, Yield)
-from repro.sweep.reducers import describe_reducers
+from repro.sweep.checkpoint import journal_key
 from serial_oracles import serial_sweep
 
 FS = 160e9
@@ -227,13 +227,13 @@ def test_reducer_validation():
         Yield()
 
 
-def test_describe_reducers_is_stable_and_config_sensitive():
-    assert describe_reducers(None) is None
-    a = describe_reducers({"h": Histogram(0.0, 1.0, n_bins=8)})
-    assert a == describe_reducers({"h": Histogram(0.0, 1.0, n_bins=8)})
-    assert a != describe_reducers({"h": Histogram(0.0, 1.0, n_bins=9)})
-    assert describe_reducers({"y": Yield(passes)}) \
-        != describe_reducers({"y": Yield(lambda v, p: v > 2.0)})
+def test_reducer_journal_key_is_stable_and_config_sensitive():
+    assert journal_key(None) != journal_key({})
+    a = journal_key({"h": Histogram(0.0, 1.0, n_bins=8)})
+    assert a == journal_key({"h": Histogram(0.0, 1.0, n_bins=8)})
+    assert a != journal_key({"h": Histogram(0.0, 1.0, n_bins=9)})
+    assert journal_key({"y": Yield(passes)}) \
+        != journal_key({"y": Yield(lambda v, p: v > 2.0)})
 
 
 # -- runner streaming path ----------------------------------------------------
@@ -317,7 +317,7 @@ def test_streaming_and_dense_journals_never_mix(tmp_path):
     dense = make_runner(chunk_rows=2)
     streaming = make_runner(chunk_rows=2, reducers=make_reducers(),
                             keep_results=False)
-    assert dense._fingerprint()["version"] == 5
+    assert dense._fingerprint()["version"] == 6
     assert dense._fingerprint() != streaming._fingerprint()
     dense.run(checkpoint_dir=tmp_path)
     streaming.run(checkpoint_dir=tmp_path)

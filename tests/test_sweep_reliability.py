@@ -23,7 +23,7 @@ from repro.sweep import (CheckpointJournal, Count, Histogram, MeanVar,
                          SweepFailure, SweepRunner, Yield)
 import sweep_faults as faults_mod
 from sweep_faults import FaultInjected, FaultRule, inject_faults
-from repro.sweep.checkpoint import describe_callable
+from repro.sweep.checkpoint import journal_key
 from repro.sweep.runner import _has_nonfinite
 
 FS = 160e9
@@ -244,31 +244,32 @@ def test_abort_stays_observable_when_its_raise_is_lost(tmp_path):
     faults_mod.on_unit_start((1, 4, 6))           # no plan: nothing fires
 
 
-def test_describe_callable_is_stable_and_content_sensitive():
-    assert describe_callable(None) == "None"
-    assert describe_callable(measure) == describe_callable(measure)
-    assert describe_callable(measure) != describe_callable(measure_batch)
+def test_journal_key_is_stable_and_content_sensitive():
+    assert journal_key(None) == journal_key(None)
+    assert journal_key(measure) == journal_key(measure)
+    assert journal_key(measure) != journal_key(measure_batch)
 
     def closure_over(value):
         return lambda p: value
 
-    assert describe_callable(closure_over(1)) \
-        != describe_callable(closure_over(2))
+    assert journal_key(closure_over(1)) \
+        != journal_key(closure_over(2))
 
 
-def test_describe_callable_tolerates_empty_closure_cell():
+def test_journal_key_tolerates_empty_closure_cell():
     # A closure cell can be observed before it is bound (recursive
     # inner functions, fingerprinting mid-construction); it must
-    # fingerprint as a placeholder, not crash run(checkpoint_dir=...).
+    # key as a placeholder, not crash run(checkpoint_dir=...).
     def outer():
         def fn(params):
             return inner_value
-        description = describe_callable(fn)
+        unbound = journal_key(fn)
         inner_value = 1
         assert fn(None) == inner_value
-        return description
+        return unbound, journal_key(fn)
 
-    assert "closure:" in outer()
+    unbound, bound = outer()
+    assert unbound != bound
 
 
 def test_checkpoint_key_separates_failure_policy(tmp_path):
