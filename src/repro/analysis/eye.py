@@ -22,6 +22,23 @@ rows (:class:`EyeDiagramBatch`); :class:`EyeDiagram` is a batch of one.
 A sample rate that is not a whole multiple of the bit rate is resampled
 row by row to ``max(8, ceil(samples/UI))`` samples per UI before folding.
 
+A batch computes three things once and caches them:
+
+* **The fold**: every sub-eye's vertical opening at every (row, phase).
+  Each level cluster's extremes are a minimum or maximum over the UI of
+  a masked copy of the traces.  The copy is laid out so that the UI axis
+  is either outermost, ``(UI, rows, phase)``, or contiguous,
+  ``(rows, phase, UI)``, whichever gives the reduction the longer
+  contiguous runs.  A wide batch folds UI-major and one long record
+  folds phase-major.  One masked copy is alive at a time.
+* **The decision thresholds** (estimated from the traces for ``L > 2``).
+* **Each sub-eye's crossing pass**: the crossings, their circular
+  centring and each row's spread.
+
+A measurement at given phases then takes its heights from the fold and
+its level means and sigmas from one ``(rows, UI)`` column of samples,
+and it builds each record field as one column for the whole batch.
+
 NaN samples count low, as in the CDR and DFE kernels: the level slicer
 files a NaN in the lowest level and the crossing detector treats it as
 below the threshold.  Statistics that include a NaN sample (a level's
@@ -51,19 +68,32 @@ __all__ = ["EyeMeasurement", "EyeDiagram", "EyeDiagramBatch",
 MIN_EYE_UI = 8
 
 
-def _slice_levels(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _slice_levels(values: np.ndarray, thresholds: np.ndarray,
+                  axis: int = 0) -> np.ndarray:
     """Level index of every sample: the count of the row's thresholds
-    strictly below it (NaN counts low).
+    strictly below it (NaN counts low), C-ordered.
 
-    ``values`` has one row per scenario and ``thresholds`` is
-    ``(n_rows, L - 1)``.
+    ``values`` has one row per scenario along ``axis`` and
+    ``thresholds`` is ``(n_rows, L - 1)``.
     """
     level = np.zeros(values.shape,
                      dtype=np.min_scalar_type(thresholds.shape[1]))
-    shape = (-1,) + (1,) * (values.ndim - 1)
+    shape = [1] * values.ndim
+    shape[axis] = -1
     for e in range(thresholds.shape[1]):
-        level += values > thresholds[:, e].reshape(shape)
+        level += np.greater(values, thresholds[:, e].reshape(shape),
+                            order="C")
     return level
+
+
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """``x`` modulo 1, bit for bit as ``np.mod(x, 1.0)`` gives it.
+
+    For finite ``x`` both round ``x + k`` once, where ``k`` is the
+    integer that puts the exact sum in ``[0, 1]``.  NaN and ``inf`` give
+    NaN in both.
+    """
+    return x - np.floor(x)
 
 
 def _fill_cluster_means(means: np.ndarray, flat: np.ndarray,
@@ -164,6 +194,13 @@ class EyeMeasurement:
         return self.eye_height > 0 and self.eye_width_ui > 0
 
 
+_FIELD_NAMES = tuple(field.name
+                     for field in dataclasses.fields(EyeMeasurement))
+#: A degenerate (closed) record's fields from ``worst_eye`` on: defaults.
+_CLOSED_TAIL = tuple(field.default for field in dataclasses.fields(
+    EyeMeasurement)[_FIELD_NAMES.index("worst_eye"):])
+
+
 class EyeDiagram:
     """A waveform folded at the unit interval.
 
@@ -218,8 +255,7 @@ class EyeDiagram:
     def eye_heights_at(self, phase_index: int) -> np.ndarray:
         """Per-sub-eye vertical opening at a sampling phase (negative
         when that sub-eye is closed, ``-inf`` when a level is missing)."""
-        phases = np.array([phase_index], dtype=np.intp)
-        return self._batch._level_stats(phases)[3][:, 0]
+        return self._batch._fold()[:, 0, phase_index].copy()
 
     def eye_height_at(self, phase_index: int) -> float:
         """Worst-sub-eye vertical opening at a sampling phase."""
@@ -271,12 +307,13 @@ class EyeDiagramBatch:
     """Every row of a :class:`WaveformBatch` folded at the unit interval.
 
     Each measurement is one vectorized pass over all scenarios: the
-    per-phase vertical-opening search, the level statistics at each
-    row's sampling phase, the crossing extraction and its circular
-    centring.  Only the final :class:`EyeMeasurement` records are built
-    row by row.  Multi-level batches estimate decision thresholds per
-    row from that row's own traces, so a row's results do not depend on
-    the other rows in the batch.
+    per-phase vertical-opening search (the fold), the level statistics
+    at each row's sampling phase, the crossing extraction and its
+    circular centring.  The fold, thresholds and crossings are computed
+    once per batch, and each :class:`EyeMeasurement` field is built as
+    one column for the batch.  Multi-level batches estimate decision
+    thresholds per row from that row's own traces, so a row's results
+    do not depend on the other rows in the batch.
 
     A sample rate that is not an integer multiple of ``bit_rate`` (the
     encoder always gives one) is first resampled row by row through
@@ -320,6 +357,7 @@ class EyeDiagramBatch:
         self.n_ui = n_ui
         self.n_scenarios = batch.n_scenarios
         self._thresholds: Optional[np.ndarray] = None
+        self._heights: Optional[np.ndarray] = None
         self._crossings: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     # -- vertical measurements ---------------------------------------------
@@ -337,64 +375,76 @@ class EyeDiagramBatch:
                                                         self.modulation)
         return self._thresholds
 
-    def eye_heights(self) -> np.ndarray:
-        """Worst-sub-eye vertical opening per (scenario, phase), shape
-        ``(n_scenarios, samples_per_ui)`` — one vectorized pass.
+    def _fold(self) -> np.ndarray:
+        """Per-sub-eye vertical opening per (scenario, phase), shape
+        ``(L - 1, n_scenarios, samples_per_ui)``, computed once.
 
         Sub-eye ``e`` opens between level clusters ``e`` and ``e + 1``:
         ``min(upper cluster) - max(lower cluster)``, negative when that
-        sub-eye is closed and ``-inf`` when a cluster is empty."""
+        sub-eye is closed and ``-inf`` when a cluster is empty.
+        """
+        if self._heights is not None:
+            return self._heights
+        n_rows, n_ui, samples_per_ui = self.traces.shape
+        # Masked copies follow the C-ordered mask's layout.  A reduction
+        # over the UI is cheapest along long contiguous runs: over
+        # whole UI-slices of the batch (UI-major) when a slice holds at
+        # least as many samples as a row has UI, else along each
+        # (row, phase)'s run of UI (phase-major).
+        if n_rows * samples_per_ui >= n_ui:
+            folded, ui_axis, row_axis = self.traces.transpose(1, 0, 2), 0, 1
+        else:
+            folded, ui_axis, row_axis = self.traces.transpose(0, 2, 1), 2, 0
         if self.modulation.n_levels == 2:
             # Binary fast path: threshold exactly 0, single sub-eye.
-            ones_mask = self.traces > 0
-            ones_min = np.min(np.where(ones_mask, self.traces, np.inf),
-                              axis=1)
-            zeros_max = np.max(np.where(ones_mask, -np.inf, self.traces),
-                               axis=1)
-            valid = ones_mask.any(axis=1) & (~ones_mask).any(axis=1)
-            return np.where(valid, ones_min - zeros_max, -np.inf)
-        counts = _slice_levels(self.traces, self.decision_thresholds())
-        worst: Optional[np.ndarray] = None
-        for e in range(self.modulation.n_eyes):
-            upper_mask = counts == e + 1
-            lower_mask = counts == e
-            upper_min = np.min(np.where(upper_mask, self.traces, np.inf),
-                               axis=1)
-            lower_max = np.max(np.where(lower_mask, self.traces, -np.inf),
-                               axis=1)
-            valid = upper_mask.any(axis=1) & lower_mask.any(axis=1)
-            height = np.where(valid, upper_min - lower_max, -np.inf)
-            worst = height if worst is None else np.minimum(worst, height)
-        return worst
+            high = np.greater(folded, 0.0, order="C")
+            upper_min = np.where(high, folded, np.inf).min(axis=ui_axis)
+            lower_max = np.where(high, -np.inf, folded).max(axis=ui_axis)
+            valid = high.any(axis=ui_axis) & ~high.all(axis=ui_axis)
+            self._heights = np.where(valid, upper_min - lower_max,
+                                     -np.inf)[np.newaxis]
+            return self._heights
+        level = _slice_levels(folded, self.decision_thresholds(), row_axis)
+        self._heights = np.empty((self.modulation.n_eyes, n_rows,
+                                  samples_per_ui))
+        upper = level == 0
+        for e, heights in enumerate(self._heights):
+            lower, upper = upper, level == e + 1
+            upper_min = np.where(upper, folded, np.inf).min(axis=ui_axis)
+            lower_max = np.where(lower, folded, -np.inf).max(axis=ui_axis)
+            valid = upper.any(axis=ui_axis) & lower.any(axis=ui_axis)
+            heights[...] = np.where(valid, upper_min - lower_max, -np.inf)
+        return self._heights
+
+    def eye_heights(self) -> np.ndarray:
+        """Worst-sub-eye vertical opening per (scenario, phase), shape
+        ``(n_scenarios, samples_per_ui)`` (see :meth:`_fold`)."""
+        return self._fold().min(axis=0)
 
     def best_phase_indices(self) -> np.ndarray:
         """Per-scenario sampling phase maximizing the vertical opening."""
         return np.argmax(self.eye_heights(), axis=1)
 
     def _level_stats(self, phases: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Level clusters of each row's samples at its sampling phase.
 
         Returns per-level ``counts``, ``means`` and ``sigmas``, shape
-        ``(L, n_scenarios)``, and per-sub-eye ``heights``, shape
-        ``(L - 1, n_scenarios)`` (``-inf`` where a cluster is empty).
+        ``(L, n_scenarios)``, from the ``(n_scenarios, n_ui)`` column of
+        samples at the rows' phases.  Each level sums the whole column
+        with zeros outside the level, so the pairwise summation order
+        does not depend on which samples the level holds.
         """
-        columns = np.take_along_axis(self.traces, phases[:, None, None],
-                                     axis=2)[:, :, 0]
+        columns = self.traces[np.arange(self.n_scenarios), :, phases]
         level = _slice_levels(columns, self.decision_thresholds())
-        masks = level == np.arange(self.modulation.n_levels)[:, None, None]
-        counts = masks.sum(axis=2)
+        masks = level == np.arange(self.modulation.n_levels,
+                                   dtype=level.dtype)[:, None, None]
+        counts = np.count_nonzero(masks, axis=2)
         n = np.maximum(counts, 1)
         means = np.where(masks, columns, 0.0).sum(axis=2) / n
         deviation = np.where(masks, columns - means[:, :, None], 0.0)
         sigmas = np.sqrt((deviation * deviation).sum(axis=2) / n)
-        lowest = np.where(masks, columns, np.inf).min(axis=2)
-        highest = np.where(masks, columns, -np.inf).max(axis=2)
-        observed = counts > 0
-        heights = np.where(observed[1:] & observed[:-1],
-                           lowest[1:] - highest[:-1], -np.inf)
-        return counts, means, sigmas, heights
+        return counts, means, sigmas
 
     # -- horizontal measurements (vectorized extraction) -------------------
     def _eye_index(self, eye: Optional[int]) -> int:
@@ -421,20 +471,24 @@ class EyeDiagramBatch:
         if np.any(thresholds != 0.0):
             flat = flat - thresholds[:, None]
         high = flat >= 0.0
-        rows, cols = np.nonzero(high[:, 1:] != high[:, :-1])
+        # The edges' flat indices into the (rows, samples - 1) change
+        # mask come sorted, so row starts are a search away.
+        span = flat.shape[1] - 1
+        edges = np.flatnonzero(high[:, 1:] != high[:, :-1])
+        rows, cols = np.divmod(edges, span)
+        offsets = np.searchsorted(edges, np.arange(0, n_rows * span + 1, span))
+        counts = np.diff(offsets)
         v0 = flat[rows, cols]
         v1 = flat[rows, cols + 1]
-        times = np.mod((cols + v0 / (v0 - v1)) / self.samples_per_ui, 1.0)
+        times = _wrap((cols + v0 / (v0 - v1)) / self.samples_per_ui)
         # Crossing positions live on the UI circle: a cluster straddling
         # the 0/1 seam defeats any linear centring (its median lands
         # mid-range).  The circular mean always points at the cluster, so
         # moving the seam half a UI away from it unwraps every cluster.
         angles = 2.0 * np.pi * times
-        counts = np.bincount(rows, minlength=n_rows)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
         sin_sum = np.bincount(rows, np.sin(angles), minlength=n_rows)
         cos_sum = np.bincount(rows, np.cos(angles), minlength=n_rows)
-        center = np.mod(np.arctan2(sin_sum, cos_sum) / (2.0 * np.pi), 1.0)
+        center = _wrap(np.arctan2(sin_sum, cos_sum) / (2.0 * np.pi))
         # Where the resultant nearly cancels (crossings spread evenly
         # round the circle) the centre is set by rounding, a crossing
         # within rounding of the seam wraps either way, and a centre
@@ -442,21 +496,23 @@ class EyeDiagramBatch:
         # crossings by a whole UI.  Recompute such rows with the per-row
         # mean, so the result does not depend on the batch's summation
         # order.
-        seam = np.abs(np.mod(times - center[rows], 1.0) - 0.5)
-        near_seam = np.bincount(rows, seam < 1e-9, minlength=n_rows) > 0
-        weak = np.hypot(sin_sum, cos_sum) < 1e-6 * counts
-        edge = (counts > 0) & (np.minimum(center, 1.0 - center) < 1e-9)
-        for row in np.flatnonzero(near_seam | weak | edge):
-            row_angles = angles[offsets[row]:offsets[row + 1]]
-            center[row] = np.mod(np.arctan2(
-                np.mean(np.sin(row_angles)), np.mean(np.cos(row_angles)),
-            ) / (2.0 * np.pi), 1.0)
-        center = center[rows]
-        times = np.mod(times - center + 0.5, 1.0) - 0.5 + center
+        centers = center.take(rows)
+        seam = np.abs(_wrap(times - centers) - 0.5)
+        suspect = np.hypot(sin_sum, cos_sum) < 1e-6 * counts
+        suspect |= (counts > 0) & (np.minimum(center, 1.0 - center) < 1e-9)
+        suspect[rows[seam < 1e-9]] = True
+        if suspect.any():
+            for row in np.flatnonzero(suspect):
+                row_angles = angles[offsets[row]:offsets[row + 1]]
+                center[row] = _wrap(np.arctan2(
+                    np.mean(np.sin(row_angles)), np.mean(np.cos(row_angles)),
+                ) / (2.0 * np.pi))
+            centers = center.take(rows)
+        times = _wrap(times - centers + 0.5) - 0.5 + centers
 
         n = np.maximum(counts, 1)
         mean = np.bincount(rows, times, minlength=n_rows) / n
-        rms = np.sqrt(np.bincount(rows, (times - mean[rows]) ** 2,
+        rms = np.sqrt(np.bincount(rows, (times - mean.take(rows)) ** 2,
                                   minlength=n_rows) / n)
         pp = np.zeros(n_rows)
         seen = counts > 0
@@ -506,9 +562,11 @@ class EyeDiagramBatch:
     def measure_at(self, phases) -> List[EyeMeasurement]:
         """One :class:`EyeMeasurement` per scenario at the given
         sampling-phase index (a scalar, or one per row)."""
-        phases = np.broadcast_to(np.asarray(phases, dtype=np.intp),
-                                 (self.n_scenarios,))
-        counts, means, sigmas, heights = self._level_stats(phases)
+        phases = np.asarray(phases, dtype=np.intp)
+        if phases.shape != (self.n_scenarios,):
+            phases = np.broadcast_to(phases, (self.n_scenarios,))
+        counts, means, sigmas = self._level_stats(phases)
+        heights = self._fold()[:, np.arange(self.n_scenarios), phases]
         n_eyes = self.modulation.n_eyes
         rms = np.empty((n_eyes, self.n_scenarios))
         pp = np.empty((n_eyes, self.n_scenarios))
@@ -520,7 +578,8 @@ class EyeDiagramBatch:
         q_factors = np.divide(separation, spread,
                               out=np.full_like(separation, np.inf),
                               where=spread != 0)
-        columns = zip(
+        # One list per field, in field order.
+        columns = [
             heights.min(axis=0).tolist(), widths.min(axis=0).tolist(),
             (means[-1] - means[0]).tolist(), means[-1].tolist(),
             means[0].tolist(),
@@ -528,43 +587,35 @@ class EyeDiagramBatch:
             (pp.max(axis=0) * self.unit_interval).tolist(),
             q_factors.min(axis=0).tolist(),
             ((phases + 0.5) / self.samples_per_ui).tolist(),
-            heights.argmin(axis=0).tolist(), heights.T.tolist(),
-            widths.T.tolist(), rms.T.tolist(), pp.T.tolist(),
-            q_factors.T.tolist(), means.T.tolist(),
-        )
+            [self.n_ui] * self.n_scenarios,
+            [self.modulation.n_levels] * self.n_scenarios,
+            heights.argmin(axis=0).tolist(),
+        ] + [list(zip(*by_eye.tolist()))
+             for by_eye in (heights, widths, rms, pp, q_factors, means)]
         # A level never observed at the sampling phase: the signal is
         # degenerate, report a closed eye at the row's mean level.
-        degenerate = (counts == 0).any(axis=0)
-        mean_level = np.zeros(self.n_scenarios)
-        if degenerate.any():
-            mean_level[degenerate] = self.traces[degenerate].reshape(
-                int(degenerate.sum()), -1).mean(axis=1)
-        n_levels = self.modulation.n_levels
-        out = []
-        for row, (height, width, amplitude, one, zero, jitter_rms,
-                  jitter_pp, q, phase_ui, worst, by_height, by_width,
-                  by_rms, by_pp, by_q, levels) in enumerate(columns):
-            if degenerate[row]:
-                level = float(mean_level[row])
-                out.append(EyeMeasurement(
-                    eye_height=-float("inf"), eye_width_ui=0.0,
-                    eye_amplitude=0.0, level_one=level, level_zero=level,
-                    jitter_rms=0.0, jitter_pp=0.0, q_factor=0.0,
-                    sampling_phase_ui=phase_ui, n_ui=self.n_ui,
-                    n_levels=n_levels,
-                ))
-                continue
-            out.append(EyeMeasurement(
-                eye_height=height, eye_width_ui=width,
-                eye_amplitude=amplitude, level_one=one, level_zero=zero,
-                jitter_rms=jitter_rms, jitter_pp=jitter_pp, q_factor=q,
-                sampling_phase_ui=phase_ui, n_ui=self.n_ui,
-                n_levels=n_levels, worst_eye=worst,
-                eye_heights=tuple(by_height), eye_widths_ui=tuple(by_width),
-                eye_jitter_rms_ui=tuple(by_rms),
-                eye_jitter_pp_ui=tuple(by_pp), q_factors=tuple(by_q),
-                levels=tuple(levels),
-            ))
+        degenerate = np.flatnonzero((counts == 0).any(axis=0))
+        if degenerate.size:
+            mean_level = self.traces[degenerate].reshape(
+                degenerate.size, -1).mean(axis=1).tolist()
+            for row, level in zip(degenerate.tolist(), mean_level):
+                # eye_height .. q_factor, then the defaults' tail.
+                closed = (-float("inf"), 0.0, 0.0, level, level, 0.0, 0.0,
+                          0.0)
+                for column, value in zip(columns, closed):
+                    column[row] = value
+                for column, value in zip(columns[-len(_CLOSED_TAIL):],
+                                         _CLOSED_TAIL):
+                    column[row] = value
+        # The records' ``__dict__``s are filled column by column, in
+        # field order, not through the frozen ``__init__``: they are
+        # equal, hashable and picklable as ``__init__`` builds them.
+        out = [object.__new__(EyeMeasurement)
+               for _ in range(self.n_scenarios)]
+        records = [record.__dict__ for record in out]
+        for name, column in zip(_FIELD_NAMES, columns):
+            for record, value in zip(records, column):
+                record[name] = value
         return out
 
 

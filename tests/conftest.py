@@ -21,11 +21,13 @@ BIT_RATE = 10e9
 SAMPLES_PER_BIT = 16
 N_BITS = 280
 
-# A deep run of the kernel oracles and the statistical-eye surfaces and
-# run-finder properties (CI step "Kernel oracle deep run"):
+# A deep run of the kernel oracles, the statistical-eye surfaces and
+# run-finder properties and the eye oracle (CI step "Kernel oracle deep
+# run"):
 #   pytest tests/test_numpy_kernel_oracle.py \
 #     tests/test_stateye.py::test_surfaces_property \
 #     tests/test_stateye.py::test_run_finder_and_flat_center_property \
+#     tests/test_eye_oracle.py::test_batched_eye_matches_frozen_scalar_oracle \
 #     --hypothesis-profile=kernel-deep
 settings.register_profile("kernel-deep", max_examples=500, deadline=None)
 

@@ -5,25 +5,31 @@ the per-row scalar eye measurement as it was before the measurement ran
 as one pass over the batch (``searchsorted`` level clusters, per-eye
 Python loops, one circular centring per row).  The property test
 asserts that :class:`~repro.analysis.eye.EyeDiagramBatch` reproduces
-them over NRZ and PAM4, 1, 2 or 64 rows, crossing clusters that
-straddle the 0/1 UI seam, rows with fewer than two crossings and
-degenerate rows (a level never observed): heights, best phase,
-``worst_eye``, ``n_ui`` and ``n_levels`` exactly, level means, Q,
-jitter and widths within 1e-12.  The one intended difference is the
-degenerate record's ``sampling_phase_ui``, which is now centred in its
-sample like every other record's.  The inputs are finite; the NaN rule
-is pinned separately below.
+them over NRZ and PAM4, 1, 2 or 64 rows at 4, 8 or 16 samples per UI,
+single rows of 900-1000 UI, crossing clusters that straddle the 0/1 UI
+seam, rows with fewer than two crossings and degenerate rows (a level
+never observed): heights, best phase, ``worst_eye``, ``n_ui`` and
+``n_levels`` exactly, level means, Q, jitter and widths within 1e-12.
+The one intended difference is the degenerate record's
+``sampling_phase_ui``, which is now centred in its sample like every
+other record's.  The property runs a quick sample by default and the
+``kernel-deep`` profile's count under
+``--hypothesis-profile=kernel-deep``.  The inputs are finite; the NaN
+rule is pinned separately below, with the records' dataclass behaviour.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import EyeDiagram, EyeDiagramBatch
+from repro.analysis import EyeDiagram, EyeDiagramBatch, EyeMeasurement
+from repro.analysis.eye import _wrap
 from repro.signals import Nrz, Pam4, WaveformBatch
+from test_numpy_kernel_oracle import examples
 
 BIT_RATE = 10e9
 AMPLITUDE = 0.5
@@ -250,18 +256,33 @@ def _assert_matches(got, want, phase, samples_per_ui):
                                        rtol=TOL, atol=TOL, err_msg=name)
 
 
-eye_cases = st.fixed_dictionaries({
+_case_flags = {
     "seed": st.integers(0, 2**32 - 1),
-    "n_rows": st.sampled_from([1, 2, 64]),
     "modulation": st.sampled_from(sorted(MODULATIONS)),
-    "n_ui": st.integers(8, 40),
-    "samples_per_ui": st.sampled_from([4, 8]),
     "seam": st.booleans(),
     "quantize": st.booleans(),
-})
+}
+# Short records of 1, 2 or 64 rows, and one long row at 16 samples/UI
+# (the shape of a single-waveform link run).  Between them the fold
+# runs in both of its layouts: UI-major when rows x samples/UI reach
+# the UI count, phase-major otherwise.
+eye_cases = st.one_of(
+    st.fixed_dictionaries({
+        **_case_flags,
+        "n_rows": st.sampled_from([1, 2, 64]),
+        "n_ui": st.integers(8, 40),
+        "samples_per_ui": st.sampled_from([4, 8, 16]),
+    }),
+    st.fixed_dictionaries({
+        **_case_flags,
+        "n_rows": st.just(1),
+        "n_ui": st.integers(900, 1000),
+        "samples_per_ui": st.just(16),
+    }),
+)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(case=eye_cases)
 # PAM4 thresholds once summed each level cluster over the whole row
 # (zeros elsewhere), not as the oracle's flat[mask].mean(): the last
@@ -281,6 +302,7 @@ def test_batched_eye_matches_frozen_scalar_oracle(case):
     fixed_phase = int(rng.integers(0, spu))
     at_fixed = eye.measure_at(fixed_phase)
     best = eye.best_phase_indices()
+    assert measured == eye.measure_at(best)
     thresholds = eye.decision_thresholds()
     crossings = [eye.crossing_times_ui(e) for e in range(modulation.n_eyes)]
     for i in range(case["n_rows"]):
@@ -363,3 +385,67 @@ def test_nan_sample_counts_low_and_rows_match_batch_of_one(name):
         assert nan_row.eye_heights is None
     for i in (0, 2, 3):
         _assert_same_record(measured[i], clean.measure_all()[i])
+
+
+# ---------------------------------------------------------------------------
+# Batch rows are ordinary frozen EyeMeasurement records.
+# ---------------------------------------------------------------------------
+
+def _has_nan(row):
+    return any(np.isnan(value) for value in np.hstack([
+        value for value in dataclasses.astuple(row) if value is not None]))
+
+
+@pytest.mark.parametrize("name", ["nrz", "pam4"])
+def test_batch_rows_are_ordinary_frozen_records(name):
+    modulation = MODULATIONS[name]
+    rng = np.random.default_rng(11)
+    traces = _traces(rng, 16, 24, 8, modulation, seam=False, quantize=False)
+    traces[0] = 0.25                       # one level only: degenerate
+    traces[1, 5, :] = np.nan               # a NaN at every phase
+    batch = _batch(traces)
+    rows = EyeDiagramBatch(batch, BIT_RATE, skip_ui=0,
+                           modulation=modulation).measure_all()
+    assert rows[0].eye_heights is None and rows[0].eye_height == -np.inf
+    assert _has_nan(rows[1])
+    assert any(row.eye_heights is not None for row in rows)
+    for row, wave in zip(rows, batch.rows()):
+        assert type(row) is EyeMeasurement
+        assert list(vars(row)) == [f.name for f in
+                                   dataclasses.fields(EyeMeasurement)]
+        rebuilt = EyeMeasurement(**dataclasses.asdict(row))
+        assert rebuilt == row and hash(rebuilt) == hash(row)
+        assert dataclasses.replace(row) == row
+        moved = dataclasses.replace(row, eye_height=1.0)
+        assert moved.eye_height == 1.0
+        assert dataclasses.astuple(moved)[1:] == dataclasses.astuple(row)[1:]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.eye_height = 0.0
+        # A pickle round trip gives new NaN objects, so compare bits.
+        copy = pickle.loads(pickle.dumps(row))
+        assert type(copy) is EyeMeasurement
+        assert pickle.dumps(copy) == pickle.dumps(row)
+        _assert_same_record(copy, row)
+        if not _has_nan(row):
+            assert copy == row and hash(copy) == hash(row)
+        single = EyeDiagram(wave, BIT_RATE, skip_ui=0,
+                            modulation=modulation).measure()
+        assert pickle.dumps(single) == pickle.dumps(row)
+
+
+def test_wrap_is_mod_one_bit_for_bit():
+    """The crossing pass wraps with ``x - floor(x)``, which must give
+    ``np.mod(x, 1.0)``'s bits: random values at many scales, signed
+    zeros, subnormals, values a rounding away from an integer, NaN and
+    the infinities."""
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.normal(0.0, scale, 20000)
+                        for scale in (1e-12, 1e-6, 0.5, 3.0, 1e3, 1e12)]
+                       + [rng.integers(-1000, 1000, 1000).astype(float),
+                          [0.0, -0.0, 0.5, -0.5, 1 - 2**-53, -(1 - 2**-53),
+                           2**-1074, -2**-1074, 2**52 + 0.5, -2**52 - 0.5,
+                           1e300, -1e300, np.nan, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):
+        want = np.mod(x, 1.0)
+        got = _wrap(x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -6,6 +6,7 @@ picklable callables.  ``CALLS`` counts stimulus invocations in-process
 (resume tests assert journaled units are genuinely skipped).
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -128,6 +129,19 @@ def test_has_nonfinite_handles_sweep_value_shapes():
     assert _has_nonfinite((1.0, float("inf")))
     assert _has_nonfinite(Waveform(np.array([1.0, np.nan]), FS))
     assert not _has_nonfinite(Waveform(np.ones(4), FS))
+    # Plain Python numbers take the math/cmath path; an int is always
+    # finite, however large.
+    assert not _has_nonfinite(3) and not _has_nonfinite(10**400)
+    assert not _has_nonfinite(True)
+    assert _has_nonfinite(float("-inf"))
+    assert not _has_nonfinite(1 + 2j)
+    assert _has_nonfinite(complex(0.0, float("inf")))
+    assert _has_nonfinite(complex(float("nan"), 0.0))
+    # numpy scalars keep the numpy path.
+    assert _has_nonfinite(np.float32("nan"))
+    assert _has_nonfinite(np.complex128(complex(1.0, float("-inf"))))
+    assert not _has_nonfinite(np.int64(7))
+    assert not _has_nonfinite(np.float64(0.5))
 
 
 # -- fault harness ------------------------------------------------------------
@@ -345,6 +359,57 @@ def test_nan_guard_quarantines_poisoned_rows(tmp_path):
     grid, expected = expected_values(runner)
     expected[1, 2] = expected[1, 5] = np.nan
     np.testing.assert_array_equal(values, expected)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Reading:
+    height: float
+    label: str = "eye"
+
+
+#: One poisoned measurement per value kind the guard must see through.
+POISONS = {
+    "float nan": float("nan"),
+    "float inf": float("inf"),
+    "float -inf": float("-inf"),
+    "numpy float64 nan": np.float64("nan"),
+    "numpy float32 -inf": np.float32("-inf"),
+    "complex nan": complex(1.0, float("nan")),
+    "dataclass field inf": _Reading(float("inf")),
+    "tuple item -inf": (1.0, float("-inf")),
+}
+#: (gain, level) of the poisoned rows: rows 2 and 5 of the second point.
+POISONED = {(3.0, 0.375), (3.0, 0.75)}
+
+
+def poisoned_measure(name):
+    """A batch measure returning ``POISONS[name]`` on the rows in
+    ``POISONED`` and a finite value of the same kind elsewhere."""
+    poison = POISONS[name]
+    healthy = {"dataclass field inf": _Reading,
+               "tuple item -inf": lambda v: (v, v)}.get(name, type(poison))
+
+    def measure(batch, params_list):
+        return [poison if (p["gain"], p["level"]) in POISONED else healthy(v)
+                for p, v in zip(params_list, batch.data.mean(axis=1).tolist())]
+    return measure
+
+
+@pytest.mark.parametrize("name", sorted(POISONS))
+def test_nan_guard_finds_every_value_kind_on_the_same_rows(name):
+    runner = make_runner(measure=poisoned_measure(name), nan_guard=True,
+                         on_error="quarantine", max_attempts=2)
+    result = runner.run()
+    assert {(f.params["gain"], f.params["level"])
+            for f in result.failures} == POISONED
+    assert {f.kind for f in result.failures} == {"non-finite"}
+    kept = [r for p, r in zip(result.params, result.results)
+            if (p["gain"], p["level"]) not in POISONED]
+    assert len(kept) == 14 and all(r is not None for r in kept)
+    strict = make_runner(measure=poisoned_measure(name), nan_guard=True)
+    with pytest.raises(ValueError,
+                       match=r"rows \[2\] of structural point 1"):
+        strict.run()
 
 
 def test_nan_guard_raises_without_quarantine(tmp_path):
