@@ -16,10 +16,11 @@ row.  This bench times one call at the shapes the repository benchmark
   0.1 m channel (three sub-eyes).
 
 For each shape it records the median of one whole call and of its
-layers on a fresh batch: ``fold`` (the per-phase heights and the best
-phase), ``level_stats`` (level means and sigmas at the best phase),
-``crossings`` (every sub-eye's crossing pass) and ``rows`` (the records,
-with fold and crossings cached and the level statistics taken off).
+layers on a fresh batch: ``fold`` (construction, the per-phase heights
+and the best phase), ``level_stats`` (level means and sigmas at the best
+phase), ``crossings`` (every sub-eye's crossing pass) and ``rows`` (the
+records, with fold and crossings cached and the level statistics taken
+off).
 
 Only correctness is gated, at any scale: every row of the batched call
 must equal, field for field and bit for bit, the ``EyeDiagram``

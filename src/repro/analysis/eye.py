@@ -607,15 +607,14 @@ class EyeDiagramBatch:
                 for column, value in zip(columns[-len(_CLOSED_TAIL):],
                                          _CLOSED_TAIL):
                     column[row] = value
-        # The records' ``__dict__``s are filled column by column, in
-        # field order, not through the frozen ``__init__``: they are
+        # Each record's ``__dict__`` is filled in one call, in field
+        # order, not through the frozen ``__init__``: the records are
         # equal, hashable and picklable as ``__init__`` builds them.
-        out = [object.__new__(EyeMeasurement)
-               for _ in range(self.n_scenarios)]
-        records = [record.__dict__ for record in out]
-        for name, column in zip(_FIELD_NAMES, columns):
-            for record, value in zip(records, column):
-                record[name] = value
+        out = []
+        for values in zip(*columns):
+            record = object.__new__(EyeMeasurement)
+            record.__dict__.update(zip(_FIELD_NAMES, values))
+            out.append(record)
         return out
 
 
