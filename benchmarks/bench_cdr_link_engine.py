@@ -17,13 +17,22 @@ Acceptance: the batched path is >= 5x faster wall-clock, and every
 row's decisions, phase track, votes, lock index and slip count match
 the scalar reference loop (``tests/serial_oracles.py``) exactly.
 
+The same record holds the kernel's own cost at three shapes: one
+1000-bit record at 16 samples/bit through the paper's tx -> 0.3 m
+channel -> rx chain (the ``link_single`` benchmark request), 64 such
+rows of 300 bits (``link_batch``) and the scenarios above.  Each shape
+records the best kernel time and the kernel's work: its sweeps (one
+commit each), its passes (one evaluation of a sweep's window each) and
+the row-steps it evaluated per step it committed.
+
 A second section exercises the framed link end to end:
 :func:`~repro.link.run_framed_link` serializes a payload once, fans it
 out over per-scenario noise, recovers all scenarios with one batched
 CDR pass and decodes each stream — producing a frame-error-rate /
 lock-yield table per noise level.
 
-``BENCH_CDR_SCENARIOS`` shrinks the scenario count for CI smoke runs;
+``BENCH_CDR_SCENARIOS`` shrinks the scenario count for CI smoke runs,
+and with it the single record (300 bits) and the kernel-time repeats;
 the speedup floor is only enforced at full scale (row-exactness always
 is).
 """
@@ -32,9 +41,11 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from conftest import run_once
 from serial_oracles import SerialCdr, run_link, serial_sweep
+from repro import kernels
 from repro.cdr import BangBangCdr, CdrConfig
 from repro.reporting import format_table
 from repro.signals import (
@@ -42,9 +53,11 @@ from repro.signals import (
     RandomJitter,
     WaveformBatch,
     add_awgn,
+    bits_to_nrz,
     prbs7,
+    prbs15,
 )
-from repro.link import run_framed_link
+from repro.link import ChannelConfig, LinkSession, RxConfig, run_framed_link
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner, \
     closed_loop_cdr_measure
 
@@ -53,6 +66,10 @@ N_SCENARIOS = int(os.environ.get("BENCH_CDR_SCENARIOS", "500"))
 N_BITS = 280
 SAMPLES_PER_BIT = 8
 SPEEDUP_FLOOR = 5.0
+FULL_SCALE = N_SCENARIOS >= 500
+# Kernel-time repeats (best of) per shape: single record, 64 rows, the
+# scenarios.
+REPEATS = (20, 10, 3) if FULL_SCALE else (3, 2, 1)
 
 
 def make_batch(n_scenarios):
@@ -67,6 +84,57 @@ def make_batch(n_scenarios):
                               edge_offsets=jitter.offsets(N_BITS, BIT_RATE))
         waves.append(add_awgn(wave, rms_volts=0.02, seed=seed))
     return WaveformBatch.stack(waves)
+
+
+def chain_output(n_bits, seeds, pattern):
+    """The paper's chain output for one 0.25 V, 16 samples/bit NRZ
+    pattern with 3 mV AWGN per seed: the benchmark's link requests."""
+    session = LinkSession.from_configs(
+        channel=ChannelConfig(0.3),
+        rx=RxConfig(equalizer_control_voltage=0.6))
+    wave = bits_to_nrz(pattern(n_bits), BIT_RATE, amplitude=0.25,
+                       samples_per_bit=16)
+    return session.process(WaveformBatch.with_noise_seeds(wave, 3e-3, seeds))
+
+
+def kernel_work(cdr, batch, repeats):
+    """Best kernel time of ``cdr.recover(batch)``, and the kernel's
+    sweeps, passes and row-steps evaluated per step committed."""
+    calls, per_sweep, evaluated = [], [], []
+    kernel = kernels.cdr_recover_batch
+    sample, passes = kernels.sample_uniform, kernels._passes
+
+    def counted_sample(data, t0, sample_rate, times, row_offsets=None):
+        if per_sweep:        # not the step-0 sample before the sweeps
+            per_sweep[-1] += 1
+            evaluated.append(np.size(times) // 2)
+        return sample(data, t0, sample_rate, times, row_offsets)
+
+    def counted_passes(n_rows):
+        per_sweep.append(0)
+        return passes(n_rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "cdr_recover_batch",
+                      lambda *args: calls.append(args) or kernel(*args))
+        patch.setattr(kernels, "sample_uniform", counted_sample)
+        patch.setattr(kernels, "_passes", counted_passes)
+        result = cdr.recover(batch)
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        kernel(*calls[0])
+        best = min(best, time.perf_counter() - t0)
+    # Every step but step 0 of a row is committed by a sweep.
+    committed = int(np.maximum(result.n_bits - 1, 0).sum())
+    return {
+        "rows": batch.n_scenarios,
+        "bits": int(result.decisions.shape[1]),
+        "kernel_ms": 1e3 * best,
+        "sweeps": len(per_sweep),
+        "passes": sum(per_sweep),
+        "row_steps_per_step": sum(evaluated) / committed,
+    }
 
 
 def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
@@ -103,6 +171,19 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
         and batched.row(i).slips == ref.slips
         for i, ref in enumerate(reference)
     )
+
+    link_cdr = BangBangCdr(CdrConfig(bit_rate=BIT_RATE))
+    shapes = {
+        "single_record": (link_cdr, chain_output(
+            1000 if FULL_SCALE else 300, [1], prbs15)),
+        "rows_64": (link_cdr, chain_output(300, range(1, 65), prbs7)),
+        "scenarios": (cdr, batch),
+    }
+    work = {name: kernel_work(shape_cdr, signal, repeats)
+            for (name, (shape_cdr, signal)), repeats
+            in zip(shapes.items(), REPEATS)}
+    save_report("cdr_kernel_work", format_table(
+        [{"shape": name, **row} for name, row in work.items()]))
     save_json("cdr_link_engine", {
         "scenarios": N_SCENARIOS,
         "bits_per_scenario": N_BITS,
@@ -111,7 +192,8 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
         "speedup_x": speedup,
         "row_exact": row_exact,
         "lock_yield": batched.lock_yield(),
-        "speedup_floor_enforced": N_SCENARIOS >= 500,
+        "speedup_floor_enforced": FULL_SCALE,
+        "kernel": work,
     })
 
     for i, ref in enumerate(reference):
@@ -129,7 +211,7 @@ def test_batched_cdr_speedup_and_row_exactness(save_report, save_json):
     # Row-exactness is always enforced; the wall-clock gate only at
     # full scale (smoke runs time tens of milliseconds, where a CI
     # scheduler hiccup would make the ratio meaningless).
-    if N_SCENARIOS >= 500:
+    if FULL_SCALE:
         assert speedup >= SPEEDUP_FLOOR, (
             f"batched CDR only {speedup:.1f}x faster than serial "
             f"(need >= {SPEEDUP_FLOOR}x)"

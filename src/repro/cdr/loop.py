@@ -57,6 +57,9 @@ class CdrConfig:
     thresholds; irrelevant for NRZ, whose only threshold is 0 V at any
     swing — symmetric alphabets keep a 0 V middle threshold, so edge
     votes never depend on it either).
+
+    Every numeric field must be finite: a NaN passes every ordering
+    check, so it is rejected by name instead.
     """
 
     bit_rate: float
@@ -68,6 +71,10 @@ class CdrConfig:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, (int, float)) and not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.bit_rate <= 0:
             raise ValueError(f"bit_rate must be positive, got {self.bit_rate}")
         if self.kp <= 0 or self.ki < 0:
@@ -215,7 +222,7 @@ class BangBangCdr:
         one and returns its :class:`CdrResult`.  All rows share the
         config; ``initial_phase_ui`` / ``initial_frequency_ppm``
         optionally override the starting state per row (for lock-time
-        or pull-in yield studies).
+        or pull-in yield studies); every override must be finite.
         """
         batch, was_single = _lift(signal)
         config = self.config
@@ -223,7 +230,7 @@ class BangBangCdr:
         total_bits = self._usable_bits(batch.duration, n_bits)
         n_rows = batch.n_scenarios
 
-        def _state(override, default):
+        def _state(override, default, name):
             if override is None:
                 return np.full(n_rows, default, dtype=float)
             state = np.asarray(override, dtype=float)
@@ -232,11 +239,15 @@ class BangBangCdr:
                     f"per-row override must have shape ({n_rows},), "
                     f"got {state.shape}"
                 )
+            if not np.isfinite(state).all():
+                raise ValueError(f"{name} must be finite in every row")
             return state.copy()
 
-        phase = _state(initial_phase_ui, config.initial_phase_ui)
+        phase = _state(initial_phase_ui, config.initial_phase_ui,
+                       "initial_phase_ui")
         integral = _state(initial_frequency_ppm,
-                          config.initial_frequency_ppm) * 1e-6
+                          config.initial_frequency_ppm,
+                          "initial_frequency_ppm") * 1e-6
 
         decisions, phases, votes, slips, row_bits = \
             kernels.cdr_recover_batch(

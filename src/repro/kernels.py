@@ -17,9 +17,14 @@ al., https://arxiv.org/abs/2305.10427).  A sweep
 * rebuilds the trajectory from those votes or decisions.
 
 The DFE repeats this on a block of bits until the decisions stop
-changing.  The CDR commits, after every sweep, the steps whose guessed
-phase the rebuilt track confirms, and slides its window past them,
-carrying the rest of the rebuilt track as the next guess.
+changing.  A CDR sweep repeats it too, in passes over the same window:
+each pass takes the rebuilt track as its guess, until the window is
+stable (the guess equals the track it rebuilds) or a small cap of
+passes is reached.  Only then does the sweep commit, once, the steps
+whose guessed phase its last pass confirms, and slide its window past
+them, carrying the rest of the rebuilt track as the next guess.  The
+passes change only the guess a window commits from, never the commit
+rule.
 
 Why the answer is exactly the bit-serial one:
 
@@ -32,8 +37,8 @@ Why the answer is exactly the bit-serial one:
 * the first bit of a window depends only on committed state, and bit m
   only on the guess for the bits before it.  So where the guess agrees
   with the rebuilt trajectory on bits 0..m-1, those bits are the serial
-  ones (by induction on m), and every sweep makes at least one more bit
-  exact: a block of B bits converges in at most B + 1 sweeps, and a CDR
+  ones (by induction on m), and every pass makes at least one more bit
+  exact: a block of B bits converges in at most B + 1 passes, and a CDR
   sweep commits at least one step.
 
 Each CDR row is an independent loop at its own position.  A row's
@@ -139,12 +144,25 @@ def _slice(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 # than _CDR_MIN_BLOCK steps per row: a single row spreads the per-call
 # overhead over a long window, while a wide batch, whose cost is the
 # element work, re-evaluates fewer of the steps a sweep leaves inexact.
-# (Measured: 1 row is fastest at 64 steps, 64 rows at 32 to 64 and
-# 500 rows at 8 to 16; 2 to 4 steps pay more per-sweep overhead than
-# they save.)  A DFE sweep is far cheaper, so its blocks are longer.
-_CDR_BLOCK = 64
+# A sweep takes up to _passes(rows) passes over its window before it
+# commits: _CDR_PASSES for up to _CDR_PASS_ROWS // _CDR_PASSES live
+# rows, fewer for more rows, and never fewer than 2.  A pass skips the
+# commit bookkeeping, about half of a sweep's NumPy calls, which is
+# what a few rows pay for; but it re-evaluates every row until the
+# slowest is stable, element work that a wide batch pays for.
+# (Measured, kernel time against the earlier one pass per sweep at 64
+# steps and 2048 row-steps, medians of 7 interleaved rounds: 1 row of
+# 1000 bits 0.62x, 2 rows of 300 bits 0.74x, 8 rows 0.83x, 16 rows
+# 0.98x, 32 rows 0.87x, 64 rows 0.86x, 128 rows of 280 bits 0.89x,
+# 500 rows 0.91x.  A flat cap of 8 passes with a 4096 row-step budget
+# made 32, 128 and 500 rows 1.13x to 1.28x slower; windows of 256 steps
+# are slower for one row.)  A DFE sweep is far cheaper, so its blocks
+# are longer.
+_CDR_BLOCK = 128
 _CDR_MIN_BLOCK = 8
 _CDR_BUDGET = 2048
+_CDR_PASSES = 8
+_CDR_PASS_ROWS = 128
 _DFE_BLOCK = 256
 
 
@@ -153,18 +171,23 @@ def _window(n_rows: int) -> int:
     return min(_CDR_BLOCK, max(_CDR_MIN_BLOCK, _CDR_BUDGET // n_rows))
 
 
+def _passes(n_rows: int) -> int:
+    """Most passes a CDR sweep takes over its window for ``n_rows``
+    live rows."""
+    return min(_CDR_PASSES, max(2, _CDR_PASS_ROWS // n_rows))
+
+
 # [data, edge] instant of a bit-step, in UI past the step index.
 _DATA_EDGE = np.array([[0.5], [1.0]])
 
 
-def _instants(steps, bit_offset, phase, ui):
+def _unphased(steps, bit_offset):
     """Data and edge instants ``(B, 2, L)`` of the bit-steps ``steps``
-    ``(B, L)`` on the phase track ``phase`` ``(B, L)``, in the serial
-    loop's order: ``(k + 0.5 + bit_offset) + phase``, then ``* ui``."""
+    ``(B, L)`` before the phase, in UI: ``k + 0.5 + bit_offset``.  The
+    serial loop then adds the phase and scales by ``ui``, in that
+    order."""
     instants = steps[:, np.newaxis, :] + _DATA_EDGE
     instants += bit_offset
-    instants += phase[:, np.newaxis, :]
-    instants *= ui
     return instants
 
 
@@ -232,8 +255,9 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
 
     # Step 0 samples the first bit but casts no vote: the loop state is
     # untouched, whatever the initial integral.
-    instants = _instants(np.zeros((1, n_rows), dtype=np.int64), bit_offset,
-                         phase[np.newaxis], ui)
+    instants = _unphased(np.zeros((1, n_rows), dtype=np.int64), bit_offset)
+    instants += phase
+    instants *= ui
     live = (instants[0, 1] < t_last) & (total_bits > 0)
     row_bits[~live] = 0
     if not live.any():
@@ -258,33 +282,43 @@ def cdr_recover_batch(data: np.ndarray, t0: float, sample_rate: float,
     while rows.size:
         width = len(guess)
         steps = step + block[:width]
-        instants = _instants(steps, bit_offset, guess, ui)
-        samples = sample_uniform(data, t0, sample_rate, instants,
-                                 row_offsets[rows])
-        high = (samples >= center).view(np.int8)
-        # Alexander vote of each step from A (previous data), T
-        # (previous edge) and B (data): (T ^ B) - (T ^ A) is +1 when T
-        # agrees with A across a transition (EARLY), -1 when it agrees
-        # with B (LATE) and 0 without a transition.
-        before = np.concatenate((previous[np.newaxis], high[:-1]))
-        edge = before[:, 1]
-        vote = (edge ^ high[:, 0]) - (edge ^ before[:, 0])
-        # The loop's updates as left folds, in its operation order.
-        integrals = ki * vote
-        integrals[0] += integral
-        np.add.accumulate(integrals, axis=0, out=integrals)
-        track = kp * vote + integrals
-        track[0] += phase
-        np.add.accumulate(track, axis=0, out=track)   # phase after a step
+        unphased = _unphased(steps, bit_offset)
+        row_starts = row_offsets[rows]
+        passes = _passes(rows.size)
+        for sweep_pass in range(passes):
+            instants = unphased + guess[:, np.newaxis]
+            instants *= ui
+            samples = sample_uniform(data, t0, sample_rate, instants,
+                                     row_starts)
+            high = (samples >= center).view(np.int8)
+            # Alexander vote of each step from A (previous data), T
+            # (previous edge) and B (data): (T ^ B) - (T ^ A) is +1 when
+            # T agrees with A across a transition (EARLY), -1 when it
+            # agrees with B (LATE) and 0 without a transition.
+            before = np.concatenate((previous[np.newaxis], high[:-1]))
+            edge = before[:, 1]
+            vote = (edge ^ high[:, 0]) - (edge ^ before[:, 0])
+            # The loop's updates as left folds, in its operation order.
+            integrals = ki * vote
+            integrals[0] += integral
+            np.add.accumulate(integrals, axis=0, out=integrals)
+            track = kp * vote + integrals
+            track[0] += phase
+            np.add.accumulate(track, axis=0, out=track)  # phase after a step
+            # The steps before the first one whose guessed phase differs
+            # from the rebuilt track were sampled at the serial instants:
+            # exact.
+            changed = guess[1:] != track[:-1]
+            if sweep_pass == passes - 1 or not changed.any():
+                break
+            # Not yet stable: the rebuilt track is the next pass's guess.
+            guess[1:] = track[:-1]
         # Write the whole window: a later sweep rewrites every step that
         # this one does not make exact.
         at = steps * n_rows + rows
         for out, values in zip(flat, (samples[:, 0], guess, vote)):
             out[at] = values
 
-        # The steps before the first one whose guessed phase differs from
-        # the rebuilt track were sampled at the serial instants: exact.
-        changed = guess[1:] != track[:-1]
         count = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1,
                          width)
         # A row's first event, once exact, ends its commit: the row's end

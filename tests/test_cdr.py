@@ -178,6 +178,39 @@ def test_cdr_validation():
         BangBangCdr(CdrConfig(bit_rate=BIT_RATE)).recover(short)
 
 
+FLOAT_FIELDS = ("bit_rate", "kp", "ki", "initial_phase_ui",
+                "initial_frequency_ppm", "amplitude")
+
+
+def test_float_fields_are_every_numeric_config_field():
+    numeric = [f.name for f in dataclasses.fields(CdrConfig)
+               if isinstance(getattr(CdrConfig(bit_rate=BIT_RATE), f.name),
+                             (int, float))]
+    assert tuple(numeric) == FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_config_rejects_non_finite_fields(field, value):
+    # A NaN passes every ordering check (``nan <= 0`` is False): before
+    # the finite check a NaN or inf phase gave an empty never-locked
+    # result, and a NaN ppm or kp an IndexError inside the sampler.
+    with pytest.raises(ValueError, match=field):
+        CdrConfig(**{"bit_rate": BIT_RATE, field: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("override", ["initial_phase_ui",
+                                      "initial_frequency_ppm"])
+def test_recover_rejects_non_finite_overrides(override, value):
+    batch = jittered_batch(n_rows=3)
+    state = np.zeros(3)
+    state[1] = value
+    with pytest.raises(ValueError, match=override):
+        BangBangCdr(CdrConfig(bit_rate=BIT_RATE)).recover(
+            batch, **{override: state})
+
+
 def test_result_accessors_require_lock():
     from repro.cdr import CdrResult
 

@@ -17,7 +17,11 @@ fixed-point iteration, so the properties also draw record lengths on
 either side of the CDR window and the DFE block, and DFE taps large
 enough to need several sweeps; pinned hard cases cover a near-closed
 eye, forced cycle slips, a nonzero initial integral on a one-window
-record and a large-tap PAM4 DFE.  Every property runs a quick sample by
+record and a large-tap PAM4 DFE.  A CDR sweep re-evaluates its window
+in passes until it is stable or a cap is reached, so a property with
+large loop gains and frequency offsets drives windows to the cap, with
+slips and row ends inside them, and a work-count guard pins the sweeps
+and passes on a 1000-bit record.  Every property runs a quick sample by
 default and the ``kernel-deep`` profile's count under
 ``--hypothesis-profile=kernel-deep`` (see ``conftest.py``).
 """
@@ -391,6 +395,118 @@ def test_cdr_initial_integral_on_one_window_record(n_rows):
     got = kernels.cdr_recover_batch(*args)
     _assert_cdr_equal(got, _old_cdr_recover_batch(*args))
     np.testing.assert_array_equal(got[1][:, 1], args[7])
+
+
+# ---------------------------------------------------------------------------
+# Windows that take several passes before a sweep commits.
+# ---------------------------------------------------------------------------
+
+class _PassLog:
+    """Counts the CDR kernel's sweeps (one ``_passes`` call each), the
+    live rows and pass cap of each sweep and its passes (one
+    ``sample_uniform`` call each, after the step-0 sample that precedes
+    every sweep)."""
+
+    def __init__(self, monkeypatch):
+        self.per_sweep, self.rows, self.caps = [], [], []
+        sample, passes = kernels.sample_uniform, kernels._passes
+
+        def counted_sample(data, t0, sample_rate, times, row_offsets=None):
+            if self.per_sweep:
+                self.per_sweep[-1] += 1
+            return sample(data, t0, sample_rate, times, row_offsets)
+
+        def counted_passes(n_rows):
+            self.per_sweep.append(0)
+            self.rows.append(n_rows)
+            self.caps.append(passes(n_rows))
+            return self.caps[-1]
+
+        monkeypatch.setattr(kernels, "sample_uniform", counted_sample)
+        monkeypatch.setattr(kernels, "_passes", counted_passes)
+
+    @property
+    def sweeps(self):
+        return len(self.per_sweep)
+
+    @property
+    def passes(self):
+        return sum(self.per_sweep)
+
+
+multi_pass_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n_rows": st.sampled_from([1, 2, 64]),
+    "modulation": st.sampled_from(sorted(MODULATIONS)),
+    # Proportional steps of 5 % to 50 % of a UI and frequency offsets
+    # of 2 % to 10 %: votes flip under every pass, so windows run to
+    # the pass cap, phases wrap again and again and rows run out of
+    # waveform inside a window.
+    "kp": st.floats(0.05, 0.5),
+    "ki": st.floats(0.0, 1e-2),
+    "offset": st.floats(0.02, 0.1),
+    "noise": st.sampled_from([0.0, 0.25]),
+})
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(case=multi_pass_cases, total_bits=st.sampled_from(CDR_LENGTHS))
+def test_multi_pass_windows_match_frozen_oracle(case, total_bits):
+    rng = np.random.default_rng(case["seed"])
+    n_rows = case["n_rows"]
+    data = _waveforms(rng, n_rows, total_bits + 2, case["modulation"])
+    data += rng.normal(0.0, case["noise"], data.shape)
+    sign = rng.choice([-1.0, 1.0], n_rows)
+    args = _cdr_args(data, rng.uniform(-0.9, 0.9, n_rows),
+                     sign * case["offset"], total_bits, case["modulation"],
+                     kp=case["kp"], ki=case["ki"])
+    _assert_cdr_equal(kernels.cdr_recover_batch(*args),
+                      _old_cdr_recover_batch(*args))
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 64])
+def test_capped_windows_with_slips_and_row_ends(monkeypatch, n_rows):
+    # Pinned: sweeps that stop at the pass cap, cycle slips and rows
+    # that end inside a window all occur, and every output is exact.
+    rng = np.random.default_rng(15)
+    data = _waveforms(rng, n_rows, 600, "nrz")
+    data += rng.normal(0.0, 0.25, data.shape)
+    sign = np.where(np.arange(n_rows) % 2, -1.0, 1.0)
+    args = _cdr_args(data, np.full(n_rows, 0.3), sign * 0.05, 598,
+                     kp=0.2, ki=1e-3)
+    want = _old_cdr_recover_batch(*args)
+    log = _PassLog(monkeypatch)
+    got = kernels.cdr_recover_batch(*args)
+    _assert_cdr_equal(got, want)
+    assert any(p == cap > 1 for p, cap in zip(log.per_sweep, log.caps))
+    assert np.abs(got[3]).max() > 0         # slips
+    assert got[4].min() < 598               # rows that end early
+    # A row ends in a sweep of several passes (the next sweep has fewer
+    # live rows, or there is none).
+    after = log.rows[1:] + [0]
+    assert any(p > 1 and later < rows for p, rows, later
+               in zip(log.per_sweep, log.rows, after))
+
+
+# Passes and sweeps of the kernel on the pinned 1000-bit record below:
+# 120 and 16 as measured, plus 20 %.  One pass per sweep (64-step
+# windows) took 121 sweeps on it.
+WORK_PASSES = 144
+WORK_SWEEPS = 19
+
+
+def test_single_record_work_count(monkeypatch):
+    """A lone 1000-bit row: the passes confirm most of each window
+    before it commits, so the sweeps stay few.  A silent fall-back to one pass per sweep (or a
+    shorter window) multiplies the sweeps and fails here."""
+    rng = np.random.default_rng(16)
+    data = _waveforms(rng, 1, 1002, "nrz")
+    args = _cdr_args(data, [0.25], [0.0], 1000, kp=4e-3, ki=1e-5)
+    log = _PassLog(monkeypatch)
+    got = kernels.cdr_recover_batch(*args)
+    _assert_cdr_equal(got, _old_cdr_recover_batch(*args))
+    assert log.sweeps <= WORK_SWEEPS
+    assert log.passes <= WORK_PASSES
 
 
 def test_large_tap_pam4_dfe_matches_frozen_oracle():
