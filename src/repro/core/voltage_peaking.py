@@ -142,15 +142,16 @@ class Differentiator(Block):
     def process(self, wave: Waveform) -> Waveform:
         delayed = self.delay.process(wave)
 
-        def saturate(v: np.ndarray) -> np.ndarray:
+        def saturate(v: np.ndarray, out=None) -> np.ndarray:
             # Sharp current steering: settled levels (+-logic_amplitude/2)
             # land at tanh(4) ~ 0.9993 of full steering.
-            steered = np.divide(v, self.logic_amplitude / 8.0)
+            steered = np.divide(v, self.logic_amplitude / 8.0, out=out)
             return np.tanh(steered, out=steered)
 
-        # 0.5 * (S(x) - S(x_delayed)) * height, in place.
+        # 0.5 * (S(x) - S(x_delayed)) * height, in place (the delayed
+        # copy is this call's own).
         spikes = saturate(wave.data)
-        spikes -= saturate(delayed.data)
+        spikes -= saturate(delayed.data, out=delayed.data)
         spikes *= 0.5
         spikes *= self.spike_height
         return wave.with_data(spikes)
@@ -182,7 +183,9 @@ class VoltagePeakingCircuit(Block):
         if not self.enabled:
             return wave
         spikes = self.differentiator.process(wave)
-        return wave + spikes
+        # The sum goes into the spikes' own array.
+        np.add(wave.data, spikes.data, out=spikes.data)
+        return spikes
 
     def disabled(self) -> "VoltagePeakingCircuit":
         """The Fig 16(a) variant."""

@@ -47,6 +47,7 @@ from ..serdes.serializer import (
     _decode_payload,
     _serialize_payload,
 )
+from ..lti.blocks import Pipeline
 from ..signals.batch import RowStack, WaveformBatch, _apply_processor, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
@@ -175,14 +176,31 @@ def _chain_entry(processor):
     return processor
 
 
+def _stages(processors):
+    """The chain's processors with every pipeline opened up: an entry
+    with ``to_pipeline()`` (an interface, the limiting amplifier, the
+    tapered driver; their ``process`` is that pipeline's) and a
+    ``Pipeline`` yield their blocks in order."""
+    for processor in processors:
+        if hasattr(processor, "to_pipeline"):
+            processor = processor.to_pipeline()
+        if isinstance(processor, Pipeline):
+            yield from _stages(processor.stages())
+        else:
+            yield processor
+
+
 def _run_chain(processors, signal):
     """The one chain loop: lift the input to a batch, apply each
     processor, lower the result.  ``Waveform`` in → ``Waveform`` out,
     ``WaveformBatch`` in → ``WaveformBatch`` out; a processor may fan
     one row out to many (noise fan-out), and the batch then stays a
-    batch."""
+    batch.  Pipelines run block by block here (:func:`_stages`), so a
+    block's input is released as soon as its output exists instead of
+    being held by a nested pipeline call (a transmitter's output through
+    the whole receiver, say)."""
     batch, was_single = _lift(signal)
-    for processor in processors:
+    for processor in _stages(processors):
         batch = _apply_processor(processor, batch)
     return batch[0] if was_single and batch.n_scenarios == 1 else batch
 

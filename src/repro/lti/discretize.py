@@ -9,8 +9,15 @@ at 160 GHz, far above every circuit pole we model).
 
 The bilinear transform itself is implemented from scratch (it is the
 substrate this library owes its transient results to); the inner
-direct-form filtering loop is delegated to :func:`scipy.signal.lfilter`
-purely as a vectorized kernel.
+direct-form filtering loop is scipy's compiled ``_linear_filter`` (the
+loop behind ``scipy.signal.lfilter``), used purely as a vectorized
+kernel.  It is loaded straight from its extension file, because
+importing the ``scipy.signal`` package also imports ``scipy.stats``,
+``interpolate``, ``optimize`` and ``spatial`` and used to be most of
+``import repro``'s time and memory.  :func:`_lfilter` and
+:func:`_lfilter_zi` repeat ``lfilter``'s dispatch and ``lfilter_zi``'s
+arithmetic, so every filtered sample is bit-identical to the
+``scipy.signal`` calls.
 
 Two properties matter for multi-scenario throughput:
 
@@ -22,7 +29,7 @@ Two properties matter for multi-scenario throughput:
   :func:`repro.core.cml_buffer.lowered_block`, so neither the analog nor
   the digital coefficients are rebuilt per call);
 * filtering is **batched** — :func:`simulate_tf` accepts a 2-D
-  ``(n_scenarios, n_samples)`` array and runs one ``lfilter`` call over
+  ``(n_scenarios, n_samples)`` array and runs one filter call over
   the last axis with per-row steady-state initial conditions, which is
   what makes :class:`~repro.signals.batch.WaveformBatch` pipelines fast.
 """
@@ -30,15 +37,46 @@ Two properties matter for multi-scenario throughput:
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from typing import Tuple
 
 import numpy as np
-from scipy.signal import lfilter, lfilter_zi
+import scipy
 
 from .transfer_function import RationalTF
 
 __all__ = ["bilinear_transform", "simulate_tf", "impulse_response",
            "step_response"]
+
+
+def _load_linear_filter():
+    """scipy's compiled direct-form II transposed loop, loaded on its own.
+
+    The extension ``scipy.signal._sigtools`` is executed from its file
+    without running ``scipy/signal/__init__.py`` and is not entered in
+    ``sys.modules``.
+    """
+    name = "scipy.signal._sigtools"
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "signal"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    module = None
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    if not hasattr(module, "_linear_filter"):
+        raise ImportError(
+            f"repro needs the compiled filter loop {name}._linear_filter, "
+            f"which scipy {scipy.__version__} does not provide; "
+            "install scipy>=1.10")
+    return module._linear_filter
+
+
+_linear_filter = _load_linear_filter()
 
 
 @functools.lru_cache(maxsize=128)
@@ -165,13 +203,46 @@ def simulate_tf(tf: RationalTF, data: np.ndarray, sample_rate: float,
     return _steady_state_lfilter(b, a, data, x0, tf, sample_rate)
 
 
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x)`` along the last axis, float64.
+
+    The same dispatch: a one-coefficient denominator (a pure gain)
+    convolves each row with ``b / a[0]``; longer ones run the compiled
+    loop.
+    """
+    if len(a) == 1:
+        b = b / a[0]
+        out = np.apply_along_axis(lambda row: np.convolve(b, row), -1, x)
+        return out[..., :x.shape[-1]]
+    return _linear_filter(b, a, x, -1)
+
+
+def _lfilter_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter_zi(b, a)`` for ``b`` and ``a`` of one
+    length (as the bilinear transform gives): the unit-step state.
+
+    Solves ``zi = A zi + B`` with the companion matrix ``A`` of the
+    normalized denominator, in scipy's operation order.  Raises
+    ``ValueError`` for an order-0 filter (it has no state) and
+    ``LinAlgError`` for a pole at ``z = 1``.
+    """
+    if a[0] != 1.0:
+        b, a = b / a[0], a / a[0]
+    if len(a) < 2:
+        raise ValueError("an order-0 filter has no state")
+    companion_t = np.eye(len(a) - 1, k=1)
+    companion_t[:, 0] = -a[1:] / a[0]
+    return np.linalg.solve(np.eye(len(a) - 1) - companion_t,
+                           b[1:] - a[1:] * b[0])
+
+
 @functools.lru_cache(maxsize=4096)
 def _lfilter_zi_cached(b_key: bytes, a_key: bytes,
                        n: int) -> np.ndarray:
-    """Unit-step-state ``lfilter_zi`` memoized on the coefficient bytes."""
+    """:func:`_lfilter_zi` memoized on the coefficient bytes."""
     b = np.frombuffer(b_key, dtype=float, count=n)
     a = np.frombuffer(a_key, dtype=float)
-    zi = lfilter_zi(b, a)
+    zi = _lfilter_zi(b, a)
     zi.setflags(write=False)
     return zi
 
@@ -179,7 +250,7 @@ def _lfilter_zi_cached(b_key: bytes, a_key: bytes,
 def _steady_state_lfilter(b: np.ndarray, a: np.ndarray, data: np.ndarray,
                           x0: np.ndarray, tf: RationalTF,
                           sample_rate: float) -> np.ndarray:
-    """lfilter with initial conditions matching a constant input ``x0``.
+    """Filter with initial conditions matching a constant input ``x0``.
 
     Works on 1-D data (scalar ``x0``) and on 2-D batches (``x0`` of
     shape ``(n_scenarios,)`` giving per-row initial conditions).
@@ -192,12 +263,10 @@ def _steady_state_lfilter(b: np.ndarray, a: np.ndarray, data: np.ndarray,
         n_warm = _settle_samples(tf, sample_rate)
         warm = np.broadcast_to(x0[..., np.newaxis],
                                data.shape[:-1] + (n_warm,))
-        y_all = lfilter(b, a, np.concatenate([warm, data], axis=-1),
-                        axis=-1)
-        return np.asarray(y_all[..., n_warm:])
+        y_all = _lfilter(b, a, np.concatenate([warm, data], axis=-1))
+        return y_all[..., n_warm:]
     zi = zi_unit * x0[..., np.newaxis]
-    y, _ = lfilter(b, a, data, axis=-1, zi=zi)
-    return np.asarray(y)
+    return _linear_filter(b, a, data, -1, zi)[0]
 
 
 def _settle_samples(tf: RationalTF, sample_rate: float,

@@ -9,8 +9,9 @@ a shared sample rate.  It shares one implementation of the
 :class:`Waveform` timebase, statistics and arithmetic operations (each
 written over the last axis), so every pipeline block processes a batch
 transparently — the inner
-loops then run as vectorized kernels (``scipy.signal.lfilter`` over the
-last axis) instead of per-scenario Python calls.
+loops then run as vectorized kernels (scipy's compiled direct-form
+filter loop over the last axis, see :mod:`repro.lti.discretize`)
+instead of per-scenario Python calls.
 
 Row ``i`` of a batch pushed through a pipeline is numerically identical
 to pushing ``batch[i]`` through the same pipeline on its own: the

@@ -44,7 +44,8 @@ a real pulse are *sub-bin* (every level spike lands within one grid
 step of zero): per (scenario, phase) row those 3-tap kernels are
 convolved directly and transformed once, and only a cursor wider than a
 bin on a row pays its own ``rfft`` there.  Everything is
-vectorized over ``(scenario, phase)`` rows, giving a full
+vectorized over ``(scenario, phase)`` rows, in passes of
+``_PHASE_BLOCK`` phases wherever a full-width grid is built, giving a full
 ``(n_scenarios, n_eyes, n_phases, n_voltages)`` BER surface stack in
 milliseconds per scenario; ``chunk_scenarios`` bounds the working-set
 memory and ``keep_surfaces=False`` keeps only the per-scenario
@@ -82,6 +83,13 @@ __all__ = ["StatEye"]
 # the jitter fold's sizes that hand-off saves nothing, and it stalls a
 # call for milliseconds when the other cores are busy.
 _SERIAL_PRODUCT_SIZE = 4 * 65536
+
+# Phases per pass (of every scenario in a chunk) over full-width grids:
+# the ISI kernel transforms and the level loop's shift factors, PDFs and
+# tails.  Over all 64 phases of a query at once those temporaries took
+# ≈1.3 MiB of fresh heap, which glibc trimmed after the call and
+# faulted back in on the next (≈500 faults, ≈1.2 ms a query).
+_PHASE_BLOCK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,6 +359,7 @@ class StatEye:
         isi = np.delete(cursors, self.n_precursors, axis=-1).reshape(
             n_scen * n_phases, n_cursors - 1)
         narrow = level_max * np.abs(isi) / dv < 1.0
+        block = n_scen * _PHASE_BLOCK  # rows per full-width pass
         spectrum = np.ones((isi.shape[0], m // 2 + 1), dtype=complex)
         grouped = narrow & (isi != 0.0)
         rows = np.flatnonzero(grouped.any(axis=1))
@@ -377,20 +386,28 @@ class StatEye:
                 new[:, :-1] += np.multiply(down, taps[:, lo + 1:hi],
                                            out=step)
                 taps, out = out, taps
-            # Tap j sits at offset j - G: fold it onto bin (j - G) mod m
-            # by laying the taps out from bin -G mod m and summing the
-            # m-bin blocks (several taps per bin when 2G + 1 > m).
-            start = -cols.size % m
-            n_blocks = -(-(start + n_taps) // m)
-            kernel = np.zeros((rows.size, n_blocks * m))
-            kernel[:, start:start + n_taps] = taps
-            spectrum[rows] = np.fft.rfft(
-                kernel.reshape(rows.size, n_blocks, m).sum(axis=1), axis=-1)
+            # Tap j sits at offset j - G: fold it onto bin (j - G) mod m,
+            # one run of consecutive bins at a time in tap order (several
+            # taps per bin when 2G + 1 > m), and transform, a block of
+            # rows at a time.
+            for start in range(0, rows.size, block):
+                part = slice(start, start + block)
+                kernel = np.zeros((taps[part].shape[0], m))
+                j = 0
+                while j < n_taps:
+                    first = (j - cols.size) % m
+                    run = min(n_taps - j, m - first)
+                    kernel[:, first:first + run] += taps[part, j:j + run]
+                    j += run
+                spectrum[rows[part]] = np.fft.rfft(kernel, axis=-1)
+            del kernel
         wide = ~narrow
         for k in np.flatnonzero(wide.any(axis=0)):
             hit = np.flatnonzero(wide[:, k])
-            spectrum[hit] *= np.fft.rfft(self._spikes(isi[hit, k], dv, m),
-                                         axis=-1)
+            for start in range(0, hit.size, block):
+                part = hit[start:start + block]
+                spectrum[part] *= np.fft.rfft(
+                    self._spikes(isi[part, k], dv, m), axis=-1)
         return spectrum.reshape(n_scen, n_phases, m // 2 + 1)
 
     def _jitter_kernel(self) -> Optional[np.ndarray]:
@@ -435,6 +452,41 @@ class StatEye:
         if self.noise_rms > 0.0:
             spectrum *= np.exp(-0.5 * (self.noise_rms * omega) ** 2)
         main = cursors[:, :, self.n_precursors]
+        surfaces = np.zeros((n_scen, top, n_phases, m))
+        for start in range(0, n_phases, _PHASE_BLOCK):
+            rows = slice(start, start + _PHASE_BLOCK)
+            self._add_tails(surfaces[:, :, rows], spectrum[:, rows],
+                            omega, main[:, rows], origin)
+        surfaces *= 0.5
+        np.clip(surfaces, 0.0, 0.5, out=surfaces)
+        kernel = self._jitter_kernel()
+        if kernel is not None:
+            # The symbol stream is stationary, so the sampled-voltage
+            # distribution is periodic in phase: jitter folds in as a
+            # circular convolution along the phase axis, one circulant
+            # product per (scenario, eye) surface, taken in voltage
+            # blocks that BLAS runs on the calling thread.
+            index = np.arange(n_phases)
+            circulant = kernel[(index[:, None] - index) % n_phases]
+            block = max(1, _SERIAL_PRODUCT_SIZE // n_phases ** 2)
+            folded = np.empty_like(surfaces)
+            for start in range(0, m, block):
+                columns = slice(start, start + block)
+                np.matmul(circulant, surfaces[..., columns],
+                          out=folded[..., columns])
+            surfaces = folded
+            np.clip(surfaces, 0.0, 0.5, out=surfaces)
+        return surfaces
+
+    def _add_tails(self, surfaces: np.ndarray, spectrum: np.ndarray,
+                   omega: np.ndarray, main: np.ndarray, origin: int) -> None:
+        """Add every level's tail probabilities to a block of phase rows
+        of the surfaces, ``(n_scenarios, n_eyes, rows, n_voltages)``,
+        from those rows' ISI+noise ``spectrum`` and main cursors.
+        """
+        m = self.n_voltages
+        levels = np.asarray(self.modulation.levels, dtype=float)
+        top = levels.size - 1
         # On a symmetric alphabet the ISI and noise PDFs are even, so
         # conditioning on -l gives the PDF of +l mirrored through the
         # grid origin: bin j <-> (2 * origin - j) mod m.  That is a
@@ -442,16 +494,17 @@ class StatEye:
         # partner and mirrors onto itself (``wrap``).
         paired = bool(np.array_equal(levels, -levels[::-1]))
         wrap = 2 * origin - m + 1
-        surfaces = np.zeros((n_scen, top, n_phases, m))
         for li, level in enumerate(levels):
             mate = top - li
             if paired and mate < li:
                 continue  # served by its mirror image
             # Conditioning on the transmitted level shifts the ISI+noise
             # distribution by level * main_cursor — a phase factor.
-            pdf = np.roll(np.fft.irfft(
-                spectrum * _phase_ramp(omega, level * main), n=m, axis=-1),
-                origin, axis=-1)
+            shifted = _phase_ramp(omega, level * main)
+            np.multiply(spectrum, shifted, out=shifted)
+            pdf = np.fft.irfft(shifted, n=m, axis=-1)
+            del shifted
+            pdf = np.roll(pdf, origin, axis=-1)
             # The irfft leaves ~1e-17 of zero-mean noise per bin; it is
             # deliberately NOT rectified here — clipping would bias
             # every tail bin positive and the bias would accumulate
@@ -492,26 +545,6 @@ class StatEye:
                         above[..., wrap:wrap + m][..., ::-1]
                     if wrap:
                         surfaces[:, mate - 1] += pdf[..., :wrap]
-        surfaces *= 0.5
-        np.clip(surfaces, 0.0, 0.5, out=surfaces)
-        kernel = self._jitter_kernel()
-        if kernel is not None:
-            # The symbol stream is stationary, so the sampled-voltage
-            # distribution is periodic in phase: jitter folds in as a
-            # circular convolution along the phase axis, one circulant
-            # product per (scenario, eye) surface, taken in voltage
-            # blocks that BLAS runs on the calling thread.
-            index = np.arange(n_phases)
-            circulant = kernel[(index[:, None] - index) % n_phases]
-            block = max(1, _SERIAL_PRODUCT_SIZE // n_phases ** 2)
-            folded = np.empty_like(surfaces)
-            for start in range(0, m, block):
-                columns = slice(start, start + block)
-                np.matmul(circulant, surfaces[..., columns],
-                          out=folded[..., columns])
-            surfaces = folded
-            np.clip(surfaces, 0.0, 0.5, out=surfaces)
-        return surfaces
 
 
 def _phase_ramp(omega: np.ndarray, offset: np.ndarray) -> np.ndarray:

@@ -65,14 +65,26 @@ def test_numpy_backend_always_available():
 
 def test_import_repro_with_default_selection():
     """`import repro` works in a fresh interpreter and reports the
-    NumPy kernels."""
+    NumPy kernels, and neither the import nor a link run and a
+    statistical eye load the heavy scipy packages (``scipy.signal``
+    alone used to be most of the import time and memory)."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c",
+         "import sys\n"
          "import repro\n"
          "from repro import kernels\n"
+         "from repro import ChannelConfig, LinkSession, bits_to_nrz, prbs7\n"
+         "session = LinkSession.from_configs(channel=ChannelConfig(0.1))\n"
+         "wave = bits_to_nrz(prbs7(40), 10e9, amplitude=0.25,\n"
+         "                   samples_per_bit=8)\n"
+         "assert session.run(wave).eye.eye_height > 0\n"
+         "assert 0 <= session.statistical_eye(noise_rms=5e-3).ber < 0.5\n"
+         "for name in ('scipy.signal', 'scipy.stats', 'scipy.interpolate',\n"
+         "             'scipy.optimize'):\n"
+         "    assert name not in sys.modules, name\n"
          "print(kernels.backend_name())\n"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

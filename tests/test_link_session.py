@@ -14,6 +14,7 @@ Pins the api-redesign contract:
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,32 @@ def test_stage_dispatch_lti_blocks_and_pipeline():
                      LinearBlock(first_order_lowpass(8e9)),
                      limiter])
     _dispatch_check(LinkSession([pipe]).process, pipe.process, batch)
+
+
+def test_chain_releases_each_block_input_inside_pipelines():
+    """A pipeline entry runs block by block in the chain loop, so the
+    previous entry's output is freed once the pipeline's first block
+    has its output, not held through the whole pipeline."""
+    seen = {}
+
+    class Remember(GainBlock):
+        def process(self, wave):
+            seen["input"] = weakref.ref(wave.data)
+            return super().process(wave)
+
+    class Check(GainBlock):
+        def process(self, wave):
+            seen["alive"] = seen["input"]() is not None
+            return super().process(wave)
+
+    batch = scenario_batch(2)
+    first = Pipeline([GainBlock(2.0), LinearBlock(first_order_lowpass(8e9))])
+    second = Pipeline([Remember(1.5), Check(0.5)])
+    session = LinkSession([first, second])
+    out = session.process(batch)
+    assert seen == {"input": seen["input"], "alive": False}
+    np.testing.assert_array_equal(
+        out.data, second.process(first.process(batch)).data)
 
 
 def test_stage_dispatch_channel():

@@ -142,6 +142,22 @@ def test_peaking_boosts_edges_above_settled_level():
     assert peaked.data.max() > settled * 1.1
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["wave", "batch"])
+def test_peaking_sums_in_place_without_touching_its_input(batch):
+    # The sum is written into the spikes' own array: bit-identical to
+    # ``wave + spikes`` and the input samples stay as they were.
+    peaking = make_peaking(width_ui=0.37)
+    wave = square_wave()
+    if batch:
+        wave = WaveformBatch.stack([wave, wave * -0.5, wave * 1.5])
+    before = wave.data.copy()
+    want = wave.data + peaking.differentiator.process(wave).data
+    got = peaking.process(wave)
+    assert type(got) is type(wave)
+    assert got.data.tobytes() == want.tobytes()
+    assert wave.data.tobytes() == before.tobytes()
+
+
 def test_disabled_peaking_is_passthrough():
     peaking = make_peaking().disabled()
     wave = square_wave()
