@@ -23,6 +23,12 @@ the binary formula.
 The horizontal equivalent — BER versus sampling-phase offset, with the
 two crossing distributions encroaching from either side — is the
 *bathtub curve* used to specify timing margin at a target BER.
+
+``erfc`` and ``erfcinv`` come from ``scipy.special``, imported inside
+the functions that call them: importing it loads scipy's array-API
+layer, and no link run or statistical eye needs it, so ``import repro``
+and the simulations leave it unloaded until a Q/BER helper is first
+called.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from .eye import EyeDiagram, EyeMeasurement, measure_eye_batch
 from ..signals.batch import WaveformBatch, _lift
@@ -48,6 +53,8 @@ def q_to_ber(q: float) -> float:
     """BER of a Gaussian decision problem with quality factor ``q``."""
     if q < 0:
         raise ValueError(f"Q must be >= 0, got {q}")
+    from scipy.special import erfc
+
     return float(0.5 * erfc(q / math.sqrt(2.0)))
 
 
@@ -55,6 +62,8 @@ def ber_to_q(ber: float) -> float:
     """Inverse of :func:`q_to_ber`."""
     if not 0 < ber < 0.5:
         raise ValueError(f"BER must be in (0, 0.5), got {ber}")
+    from scipy.special import erfcinv
+
     return float(math.sqrt(2.0) * erfcinv(2.0 * ber))
 
 
@@ -88,6 +97,8 @@ def ber_from_q_factors(q_factors: Sequence[float],
             f"expected {modulation.n_eyes} Q-factors for "
             f"{modulation.name}, got {len(q_factors)}"
         )
+    from scipy.special import erfc
+
     total = 0.0
     for q in q_factors:
         if q == math.inf:
@@ -131,6 +142,8 @@ def ber_from_eye_batch(batch: WaveformBatch, bit_rate: float,
     qs = np.array([m.q_factors if m.q_factors is not None
                    else (m.q_factor,) * modulation.n_eyes
                    for m in measurements])
+    from scipy.special import erfc
+
     # Eye Q-factors are >= 0 (or NaN) and erfc(inf) == 0.0 exactly.
     per_eye = 0.5 * erfc(qs / math.sqrt(2.0))
     # For NRZ the factors below are exactly 1: the binary expression.
@@ -221,6 +234,7 @@ def bathtub_from_waveform(wave: Waveform, bit_rate: float,
     mu_right, sigma_right = fit_side(crossings[crossings > center])
 
     phases = np.linspace(0.0, 1.0, n_phases)
+    from scipy.special import erfc
 
     def tail(x: np.ndarray, sigma: float) -> np.ndarray:
         return 0.5 * erfc(x / (sigma * math.sqrt(2.0)))

@@ -15,7 +15,6 @@ import math
 from typing import List
 
 import numpy as np
-from scipy.special import erfcinv
 
 from ..signals.batch import WaveformBatch, _lift
 from ..signals.waveform import Waveform
@@ -37,6 +36,8 @@ class JitterDecomposition:
         """TJ(BER) = DJ + 2 Q(BER) RJ."""
         if not 0 < ber < 0.5:
             raise ValueError(f"ber must be in (0, 0.5), got {ber}")
+        from scipy.special import erfcinv
+
         q = math.sqrt(2.0) * float(erfcinv(2.0 * ber))
         return self.dj_pp + 2.0 * q * self.rj_rms
 
@@ -91,6 +92,8 @@ def decompose_crossings(crossings_s: np.ndarray,
 
 def _gaussian_quantile(p: float) -> float:
     """Standard normal quantile via erfcinv."""
+    from scipy.special import erfcinv
+
     return -math.sqrt(2.0) * float(erfcinv(2.0 * p))
 
 

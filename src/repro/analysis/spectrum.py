@@ -71,7 +71,9 @@ def band_power(wave: Waveform, f_lo: float, f_hi: float,
     if not np.any(mask):
         raise ValueError("band contains no PSD bins; widen it or use a "
                          "longer segment")
-    return float(np.trapezoid(psd[mask], freq[mask]))
+    # numpy's trapezoid rule, term for term (``np.trapezoid`` is numpy>=2).
+    f, p = freq[mask], psd[mask]
+    return float((np.diff(f) * (p[1:] + p[:-1]) / 2.0).sum())
 
 
 def spectral_centroid(wave: Waveform, segment_length: int = 1024) -> float:

@@ -20,6 +20,13 @@ The paper never specifies its backplane; :data:`FR4_DEFAULT` is a
 representative FR-4 stripline (loss tangent ~0.02) and the default
 20-inch (0.5 m) length gives ~13 dB loss at 5 GHz — a typical mid-2000s
 switch-fabric path.
+
+The impulse response is applied by FFT convolution with ``numpy.fft``
+at the 5-smooth length ``scipy.fft.next_fast_len`` would pick, so
+importing the channel loads no scipy package.  On numpy 2.x, whose FFT
+is the same pocketfft code as ``scipy.fft``, every sample is
+bit-identical to the ``scipy.fft`` convolution; numpy 1.x has an older
+FFT and agrees to round-off.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft
 
 from ..lti.blocks import Block
 from ..signals.waveform import Waveform
@@ -169,8 +175,8 @@ class BackplaneChannel(Block):
         x0 = data[..., :1]
         n_conv, spectrum, dc_gain = _channel_spectrum(
             self.params, self.length_m, self.include_delay, wave.dt, n)
-        filtered = scipy.fft.irfft(
-            scipy.fft.rfft(data - x0, n=n_conv, axis=-1) * spectrum,
+        filtered = np.fft.irfft(
+            np.fft.rfft(data - x0, n=n_conv, axis=-1) * spectrum,
             n=n_conv, axis=-1)[..., :n]
         return wave.with_data(filtered + x0 * dc_gain)
 
@@ -229,7 +235,27 @@ def _channel_spectrum(params: ChannelParameters, length_m: float,
     if include_delay:
         h_min = h_min * np.exp(-2j * np.pi * freq * channel.propagation_delay)
     h = np.fft.irfft(h_min, n=n_fft)
-    n_conv = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    spectrum = scipy.fft.rfft(h[:n], n=n_conv)
+    n_conv = _fast_real_fft_length(2 * n - 1)
+    spectrum = np.fft.rfft(h[:n], n=n_conv)
     spectrum.flags.writeable = False
     return n_conv, spectrum, float(np.sum(h))
+
+
+def _fast_real_fft_length(target: int) -> int:
+    """The smallest ``2**a * 3**b * 5**c >= target``.
+
+    This is the length ``scipy.fft.next_fast_len(target, real=True)``
+    returns, and the channel's results depend on it: every sample of
+    :meth:`BackplaneChannel.process` changes with the convolution length.
+    For each ``3**b * 5**c`` below the best length so far, the smallest
+    power-of-two multiple that reaches ``target`` is a candidate.
+    """
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best

@@ -11,10 +11,11 @@ The bilinear transform itself is implemented from scratch (it is the
 substrate this library owes its transient results to); the inner
 direct-form filtering loop is scipy's compiled ``_linear_filter`` (the
 loop behind ``scipy.signal.lfilter``), used purely as a vectorized
-kernel.  It is loaded straight from its extension file, because
-importing the ``scipy.signal`` package also imports ``scipy.stats``,
-``interpolate``, ``optimize`` and ``spatial`` and used to be most of
-``import repro``'s time and memory.  :func:`_lfilter` and
+kernel.  It is loaded straight from its extension file, found without
+importing scipy itself, because importing the ``scipy.signal`` package
+also imports ``scipy.stats``, ``interpolate``, ``optimize`` and
+``spatial`` and used to be most of ``import repro``'s time and memory;
+it is the only scipy module ``import repro`` loads.  :func:`_lfilter` and
 :func:`_lfilter_zi` repeat ``lfilter``'s dispatch and ``lfilter_zi``'s
 arithmetic, so every filtered sample is bit-identical to the
 ``scipy.signal`` calls.
@@ -43,7 +44,6 @@ import os
 from typing import Tuple
 
 import numpy as np
-import scipy
 
 from .transfer_function import RationalTF
 
@@ -54,13 +54,19 @@ __all__ = ["bilinear_transform", "simulate_tf", "impulse_response",
 def _load_linear_filter():
     """scipy's compiled direct-form II transposed loop, loaded on its own.
 
-    The extension ``scipy.signal._sigtools`` is executed from its file
-    without running ``scipy/signal/__init__.py`` and is not entered in
-    ``sys.modules``.
+    scipy's directory is found with ``importlib.util.find_spec``, so
+    neither ``scipy/__init__.py`` nor ``scipy/signal/__init__.py`` runs.
+    Executing the extension enters it in ``sys.modules`` as
+    ``scipy.signal._sigtools`` (it uses single-phase initialization), so
+    a later ``import scipy.signal`` reuses this module and
+    ``scipy.signal.lfilter`` runs the same ``_linear_filter``.
     """
     name = "scipy.signal._sigtools"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("repro needs scipy>=1.10", name="scipy")
     finder = importlib.machinery.FileFinder(
-        os.path.join(os.path.dirname(scipy.__file__), "signal"),
+        os.path.join(os.path.dirname(scipy_spec.origin), "signal"),
         (importlib.machinery.ExtensionFileLoader,
          importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
@@ -69,9 +75,10 @@ def _load_linear_filter():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     if not hasattr(module, "_linear_filter"):
+        from importlib.metadata import version
         raise ImportError(
             f"repro needs the compiled filter loop {name}._linear_filter, "
-            f"which scipy {scipy.__version__} does not provide; "
+            f"which scipy {version('scipy')} does not provide; "
             "install scipy>=1.10")
     return module._linear_filter
 

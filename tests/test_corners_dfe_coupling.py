@@ -300,6 +300,20 @@ def test_sine_band_power():
     assert inside == pytest.approx(0.5, rel=0.15)
 
 
+@pytest.mark.parametrize("f_lo, f_hi", [(0.0, 5e9), (3e9, 5e9),
+                                        (4.9e9, 5e9), (10e9, 20e9)])
+def test_band_power_is_numpys_trapezoid_rule(f_lo, f_hi):
+    # band_power spells out the trapezoid rule so it also runs on
+    # numpy 1.x, which has np.trapz (the same rule) but no np.trapezoid.
+    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+    wave = bits_to_nrz(prbs7(2000), BIT_RATE, amplitude=0.5,
+                       samples_per_bit=8)
+    freq, psd = power_spectral_density(wave, segment_length=1024)
+    mask = (freq >= f_lo) & (freq <= f_hi)
+    assert band_power(wave, f_lo, f_hi, segment_length=1024) \
+        == float(trapezoid(psd[mask], freq[mask]))
+
+
 def test_preemphasis_raises_spectral_centroid():
     from repro.baselines import FirPreEmphasis
 

@@ -63,32 +63,85 @@ def test_numpy_backend_always_available():
     assert kernels.backend_name() == "numpy"
 
 
-def test_import_repro_with_default_selection():
-    """`import repro` works in a fresh interpreter and reports the
-    NumPy kernels, and neither the import nor a link run and a
-    statistical eye load the heavy scipy packages (``scipy.signal``
-    alone used to be most of the import time and memory)."""
+def _fresh_interpreter(script: str) -> str:
+    """Run ``script`` in a new interpreter with ``src`` on the path and
+    return its standard output."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "import repro\n"
-         "from repro import kernels\n"
-         "from repro import ChannelConfig, LinkSession, bits_to_nrz, prbs7\n"
-         "session = LinkSession.from_configs(channel=ChannelConfig(0.1))\n"
-         "wave = bits_to_nrz(prbs7(40), 10e9, amplitude=0.25,\n"
-         "                   samples_per_bit=8)\n"
-         "assert session.run(wave).eye.eye_height > 0\n"
-         "assert 0 <= session.statistical_eye(noise_rms=5e-3).ber < 0.5\n"
-         "for name in ('scipy.signal', 'scipy.stats', 'scipy.interpolate',\n"
-         "             'scipy.optimize'):\n"
-         "    assert name not in sys.modules, name\n"
-         "print(kernels.backend_name())\n"],
-        env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
+    return proc.stdout
+
+
+def test_import_repro_with_default_selection():
+    """`import repro` works in a fresh interpreter and reports the
+    NumPy kernels, and neither the import nor a link run, a batch, a
+    statistical eye and a journaled sweep load any scipy package: the
+    only scipy module in ``sys.modules`` is the compiled filter loop
+    (``scipy.signal`` alone used to be most of the import time and
+    memory, ``scipy.fft`` and ``scipy.special`` most of the rest)."""
+    stdout = _fresh_interpreter(
+        "import sys, tempfile\n"
+        "import repro\n"
+        "from repro import kernels\n"
+        "from repro import (ChannelConfig, Count, LinkSession, MeanVar,\n"
+        "                   ScenarioGrid, SweepAxis, Waveform, WaveformBatch,\n"
+        "                   bits_to_nrz, prbs7)\n"
+        "from repro.analysis import measure_eye_batch\n"
+        "session = LinkSession.from_configs(channel=ChannelConfig(0.1))\n"
+        "wave = bits_to_nrz(prbs7(40), 10e9, amplitude=0.25,\n"
+        "                   samples_per_bit=8)\n"
+        "assert session.run(wave).eye.eye_height > 0\n"
+        "batch = WaveformBatch.with_noise_seeds(wave, 3e-3, [1, 2, 3])\n"
+        "assert session.run_batch(batch).n_scenarios == 3\n"
+        "assert 0 <= session.statistical_eye(noise_rms=5e-3).ber < 0.5\n"
+        "def stimulus(params):\n"
+        "    return Waveform(wave.data * params['gain'], wave.sample_rate)\n"
+        "def heights(out, params):\n"
+        "    return [eye.eye_height for eye in measure_eye_batch(out, 10e9)]\n"
+        "grid = ScenarioGrid([SweepAxis('gain', (0.8, 1.0, 1.2))])\n"
+        "with tempfile.TemporaryDirectory() as journal:\n"
+        "    aggregates = session.sweep(\n"
+        "        grid, stimulus, measure=heights, chunk_rows=2,\n"
+        "        reducers={'count': Count(), 'height': MeanVar()},\n"
+        "        keep_results=False, checkpoint_dir=journal).aggregates\n"
+        "assert aggregates['count'] == 3\n"
+        "loaded = sorted(name for name in sys.modules\n"
+        "                if name == 'scipy' or name.startswith('scipy.'))\n"
+        "assert loaded == ['scipy.signal._sigtools'], loaded\n"
+        "print(kernels.backend_name())\n")
+    assert stdout.strip() == "numpy"
+
+
+def test_q_ber_helpers_load_scipy_special_on_first_call():
+    stdout = _fresh_interpreter(
+        "import sys\n"
+        "from repro.analysis import ber_to_q, q_to_ber\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "print(q_to_ber(7.0), ber_to_q(1e-12))\n"
+        "assert 'scipy.special' in sys.modules\n")
+    ber, q = map(float, stdout.split())
+    assert ber == pytest.approx(1.28e-12, rel=1e-2)
+    assert q == pytest.approx(7.034, rel=1e-3)
+
+
+def test_later_scipy_signal_import_shares_the_filter_loop():
+    """The filter loop repro loads is the module a later
+    ``import scipy.signal`` finds: one ``_linear_filter`` in the
+    process, run by both ``scipy.signal.lfilter`` and repro."""
+    stdout = _fresh_interpreter(
+        "import sys\n"
+        "from repro.lti import discretize\n"
+        "sigtools = sys.modules['scipy.signal._sigtools']\n"
+        "assert sigtools._linear_filter is discretize._linear_filter\n"
+        "import scipy.signal\n"
+        "from scipy.signal import _signaltools\n"
+        "assert sys.modules['scipy.signal._sigtools'] is sigtools\n"
+        "assert _signaltools._sigtools is sigtools\n"
+        "print('shared')\n")
+    assert stdout.strip() == "shared"
 
 
 # ---------------------------------------------------------------------------
