@@ -14,7 +14,12 @@ contracts that redesign must honor:
   only; its wall clock must stay within 5 % of the hand-batched path.
 
 A second section checks ``LinkSession.sweep`` against a hand-built
-:class:`~repro.sweep.runner.SweepRunner` over the same grid.
+:class:`~repro.sweep.runner.SweepRunner` over the same grid.  A third
+sweeps three receiver corners behind one transmitter and channel: the
+facade runs that shared prefix once per row chunk, the hand-built
+runner once per corner and chunk.  Rows must match exactly; both wall
+clocks and the transmitter and channel runs per sweep are recorded in
+``benchmarks/results/BENCH_structural_sweep.json``.
 
 ``BENCH_LINK_SCENARIOS`` shrinks the scenario count for CI smoke runs;
 the overhead gate is only enforced at full scale (row-exactness always
@@ -27,7 +32,7 @@ import time
 import numpy as np
 
 from conftest import run_once
-from repro import ChannelConfig, LinkSession, RxConfig
+from repro import ChannelConfig, LinkSession, RxConfig, TxConfig
 from repro.analysis import measure_eye_batch
 from repro.cdr import BangBangCdr, CdrConfig
 from repro.core import build_input_interface
@@ -168,3 +173,107 @@ def test_facade_sweep_matches_hand_built_runner(benchmark, save_report):
     }]))
     np.testing.assert_array_equal(facade, hand)
     assert np.all(facade > 0)
+
+
+class _Counted:
+    """A chain entry that counts the sweeps' calls, then delegates."""
+
+    def __init__(self, inner, counts, name):
+        self.inner = inner
+        self.counts = counts
+        self.name = name
+
+    def process(self, batch):
+        self.counts[self.name] += 1
+        return self.inner.process(batch)
+
+
+def _count_legs(monkeypatch, counts):
+    """Count every call of a transmitter or channel the configs build."""
+    for name, config in (("tx", TxConfig), ("channel", ChannelConfig)):
+        def counted(self, *args, _build=config.build, _name=name):
+            return _Counted(_build(self, *args), counts, _name)
+        monkeypatch.setattr(config, "build", counted)
+
+
+def test_structural_corners_share_the_transmitter_and_channel(
+        monkeypatch, save_report, save_json):
+    """Rx corners behind one tx + channel: the facade's shared prefix
+    against a hand-built runner that rebuilds the whole chain per
+    corner."""
+    corners = (0.5, 0.6, 0.7)
+    n_draws = max(8, N_SCENARIOS // 4)
+    chunk_rows = -(-n_draws // 2)
+    n_chunks = -(-n_draws // chunk_rows)
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.3),
+                                       skip_ui=SKIP_UI)
+    grid = ScenarioGrid([
+        SweepAxis("equalizer_control_voltage", corners, structural=True),
+        SweepAxis("seed", tuple(range(1, n_draws + 1))),
+    ])
+    base = bits_to_nrz(prbs7(N_BITS), BIT_RATE, amplitude=0.25,
+                       samples_per_bit=SAMPLES_PER_BIT)
+
+    def stimulus(params):
+        return add_awgn(base, 3e-3, seed=params["seed"])
+
+    def measure(batch, _params):
+        return [eye.eye_height
+                for eye in measure_eye_batch(batch, BIT_RATE,
+                                             skip_ui=SKIP_UI)]
+
+    def hand_build(point):
+        tx = TxConfig().build(BIT_RATE)
+        channel = ChannelConfig(0.3).build()
+        rx = RxConfig(**point).build()
+        return lambda batch: rx.process(channel.process(tx.process(batch)))
+
+    def facade():
+        return session.sweep(grid, stimulus, measure=measure,
+                             chunk_rows=chunk_rows).results
+
+    hand_runner = SweepRunner(grid, stimulus=stimulus, build=hand_build,
+                              measure=measure, chunk_rows=chunk_rows)
+
+    facade(), hand_runner.run()
+    t_facade = min(_timed(facade) for _ in range(3))
+    t_hand = min(_timed(hand_runner.run) for _ in range(3))
+
+    counts = {"tx": 0, "channel": 0}
+    _count_legs(monkeypatch, counts)
+    shared = facade()
+    facade_runs = dict(counts)
+    counts.update(tx=0, channel=0)
+    unshared = hand_runner.run().results
+    hand_runs = dict(counts)
+    monkeypatch.undo()
+
+    row_exact = shared == unshared
+    save_report("link_session_structural_sweep", format_table([{
+        "corners": len(corners),
+        "draws": n_draws,
+        "chunks": n_chunks,
+        "hand-built (s)": t_hand,
+        "facade (s)": t_facade,
+        "tx runs (facade/hand)": f"{facade_runs['tx']}/{hand_runs['tx']}",
+        "channel runs (facade/hand)":
+            f"{facade_runs['channel']}/{hand_runs['channel']}",
+    }]))
+    save_json("structural_sweep", {
+        "corners": list(corners),
+        "draws": n_draws,
+        "chunk_rows": chunk_rows,
+        "samples_per_row": len(base.data),
+        "t_facade_s": t_facade,
+        "t_hand_built_s": t_hand,
+        "facade_speedup": t_hand / t_facade,
+        "tx_runs_per_sweep": {"facade": facade_runs["tx"],
+                              "hand_built": hand_runs["tx"]},
+        "channel_runs_per_sweep": {"facade": facade_runs["channel"],
+                                   "hand_built": hand_runs["channel"]},
+        "row_exact": row_exact,
+    })
+    assert row_exact
+    assert facade_runs == {"tx": n_chunks, "channel": n_chunks}
+    assert hand_runs == {"tx": len(corners) * n_chunks,
+                         "channel": len(corners) * n_chunks}

@@ -25,6 +25,7 @@ runs the same chain loop over the same batched kernels:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -203,6 +204,114 @@ def _run_chain(processors, signal):
     for processor in _stages(processors):
         batch = _apply_processor(processor, batch)
     return batch[0] if was_single and batch.n_scenarios == 1 else batch
+
+
+def _same_input(seen: WaveformBatch, batch: WaveformBatch) -> bool:
+    """``batch`` is exactly ``seen``: the same timebase, shape and
+    samples."""
+    return (seen.sample_rate == batch.sample_rate and seen.t0 == batch.t0
+            and np.array_equal(seen.data, batch.data))
+
+
+class _SharedPrefix:
+    """Leading blocks of a rebuilt chain (the transmitter, or the
+    transmitter and the channel) that several structural points of one
+    sweep share.
+
+    ``slot`` is one chain level's memo, ``[key, input, output]``,
+    shared by every prefix at that level; ``key`` names the prefix by
+    its configs (the prefix itself there would make a reference cycle,
+    which only the cyclic collector frees).  A call on exactly the
+    input the slot's own prefix last ran (:func:`_same_input`) returns
+    that output again; any other input runs the blocks and takes the
+    slot.  So the sibling points of one row chunk run the prefix once, a
+    stimulus that reads the structural value recomputes, and every
+    result is bit-identical to a chain that shares nothing.  The kept
+    output is read-only, so a later block that writes into its input
+    raises instead of corrupting the next point's input.
+    """
+
+    def __init__(self, key: Tuple, blocks: Tuple, slot: List):
+        self.key = key
+        self.blocks = blocks
+        self.slot = slot
+
+    def process(self, batch: WaveformBatch) -> WaveformBatch:
+        key, seen, out = self.slot
+        if key is not self.key or not _same_input(seen, batch):
+            out = _run_chain(self.blocks, batch)
+            out.data.flags.writeable = False
+            self.slot[:] = (self.key, batch, out)
+        return out
+
+
+class _PointBuilder:
+    """``build(structural_params)`` of a sweep with structural axes.
+
+    Each point gets the session's configs with the matching fields
+    replaced, rebuilt into a fresh chain that only the sweep holds and
+    is therefore lowered once (:func:`_stages`), here.  A leading leg
+    whose configs, from the transmitter on, equal those of another
+    point, and that another leg follows, runs as one
+    :class:`_SharedPrefix` for all of those points, with one memo slot
+    per chain level.  The memo lives in this builder alone: a pickled
+    builder (the journal key, a pool task) carries the session and the
+    grid, so the key reads the same before and after a run and each
+    pool worker starts with its own empty memo.
+    """
+
+    def __init__(self, session: "LinkSession", grid: ScenarioGrid):
+        self.session = session
+        self.grid = grid
+        self._counts = collections.Counter(
+            configs[:depth + 1]
+            for configs in map(self._configs, grid.structural_points())
+            for depth in range(len(configs)))
+        self._prefixes: Dict[Tuple, _SharedPrefix] = {}
+        self._slots = ([None] * 3, [None] * 3)
+
+    def __reduce__(self):
+        return type(self), (self.session, self.grid)
+
+    def _configs(self, structural_params: Dict) -> Tuple:
+        """The session's tx/channel/rx configs with the point's fields
+        replaced."""
+        used = set()
+
+        def override(config):
+            if config is None:
+                return None
+            names = {field.name for field in dataclasses.fields(config)}
+            hits = {key: value for key, value in structural_params.items()
+                    if key in names}
+            used.update(hits)
+            return dataclasses.replace(config, **hits) if hits else config
+
+        configs = tuple(map(override, self.session._configs))
+        unknown = set(structural_params) - used
+        if unknown:
+            raise KeyError(
+                f"structural parameters {sorted(unknown)} match no field "
+                "of the session's tx/channel/rx configs"
+            )
+        return configs
+
+    def __call__(self, structural_params: Dict):
+        configs = self._configs(structural_params)
+        _, built = LinkSession._build_chain(*configs,
+                                            self.session.bit_rate)
+        legs = [(configs[:depth + 1], block)
+                for depth, block in enumerate(built) if block is not None]
+        chain: List = []
+        for level, (key, block) in enumerate(legs):
+            if level == len(legs) - 1 or self._counts[key] < 2:
+                chain.extend(_stages([block]))
+                continue
+            if key not in self._prefixes:
+                self._prefixes[key] = _SharedPrefix(
+                    key, tuple(_stages([block])), self._slots[level])
+            chain.append(self._prefixes[key])
+        return functools.partial(_run_chain, tuple(chain))
 
 
 def _require_rate(what: str, rate: float, bit_rate: float) -> None:
@@ -623,6 +732,23 @@ class LinkSession:
         batchable scenarios stream through the chain in row-chunks of
         at most that size, row-exact vs the monolithic pass.
 
+        Each structural point's chain is built and lowered once per
+        sweep.  A chain prefix that several points share — the
+        transmitter, or the transmitter and the channel, whose configs
+        are equal across those points — runs once for all of them per
+        row chunk: units run row-chunk-major (every structural point of
+        one chunk, then the next chunk), and the prefix keeps its last
+        output, read-only, with the input it came from.  It returns
+        that output again only for exactly that input (the same
+        ``sample_rate``, ``t0``, shape and samples, by
+        ``np.array_equal``) and otherwise recomputes, so a stimulus
+        that reads a structural value still gets its own prefix, and
+        every result is bit-identical to a chain that shares nothing.
+        The memo holds one chunk-sized input and output per shared
+        chain level (two levels at most), lives in this call only, and
+        is not part of the journal key; under a pool, each unit builds
+        its own chain, so sharing is an in-process saving.
+
         The remaining knobs are :class:`SweepRunner`'s reliability
         layer, passed through verbatim: ``checkpoint_dir`` journals
         finished units for bit-exact resume, ``timeout`` /
@@ -680,32 +806,7 @@ class LinkSession:
                 "LinkSession.from_configs (configs are required to "
                 "rebuild the chain)"
             )
-        return self._rebuild_processor
-
-    def _rebuild_processor(self, structural_params: Dict):
-        """A processor for one structural point: the configs with the
-        matching fields replaced, rebuilt into a fresh stage chain."""
-        tx, channel, rx = self._configs
-        used = set()
-
-        def override(config):
-            if config is None:
-                return None
-            names = {field.name for field in dataclasses.fields(config)}
-            hits = {key: value for key, value in structural_params.items()
-                    if key in names}
-            used.update(hits)
-            return dataclasses.replace(config, **hits) if hits else config
-
-        blocks, _ = self._build_chain(override(tx), override(channel),
-                                      override(rx), self.bit_rate)
-        unknown = set(structural_params) - used
-        if unknown:
-            raise KeyError(
-                f"structural parameters {sorted(unknown)} match no field "
-                "of the session's tx/channel/rx configs"
-            )
-        return functools.partial(_run_chain, tuple(blocks))
+        return _PointBuilder(self, grid)
 
     # -- framed link -------------------------------------------------------
     def run_framed(self, payload: bytes, *,

@@ -582,6 +582,12 @@ class SweepRunner:
         bit-exact vs an uninterrupted run (the journal is keyed by a
         canonical hash of the grid + runner config, so a mismatched
         runner never reuses stale entries).
+
+        Units run row-chunk-major (:meth:`_plan_units`): in-process,
+        the structural points of one row chunk follow each other, so a
+        ``build`` whose processors keep their last output for an equal
+        input (as :meth:`~repro.link.LinkSession.sweep`'s do) serves
+        every sibling point from it.
         """
         units = self._plan_units()
         journal = (CheckpointJournal.open(checkpoint_dir,
@@ -605,14 +611,19 @@ class SweepRunner:
 
     # -- unit planning / merging -------------------------------------------
     def _plan_units(self) -> List[_Unit]:
+        """Every unit, row-chunk-major: the structural points of one row
+        chunk run one after another.  Their stimuli are the same rows,
+        so a ``build`` that keeps a chain prefix's last output (as
+        :meth:`~repro.link.LinkSession.sweep` does) reuses it for each
+        sibling point while holding one entry per chain level.  Results
+        do not depend on the order: rows are placed by index and
+        reducer partials merge in unit-key order."""
         n_batch = self.grid.n_batch_scenarios()
         step = self.chunk_rows or n_batch
-        units: List[_Unit] = []
-        for si, sp in enumerate(self.grid.structural_points()):
-            for start in range(0, n_batch, step):
-                stop = min(start + step, n_batch)
-                units.append(_Unit(si, sp, start, stop, self.grid))
-        return units
+        points = list(self.grid.structural_points())
+        return [_Unit(si, sp, start, min(start + step, n_batch), self.grid)
+                for start in range(0, n_batch, step)
+                for si, sp in enumerate(points)]
 
     def _fingerprint(self) -> Dict[str, Any]:
         """What the checkpoint journal keys on: everything that

@@ -37,6 +37,7 @@ from repro import (
     run_framed_link,
     sample_uniform,
 )
+from repro.analysis import measure_eye_batch
 from repro.baselines import (
     DecisionFeedbackEqualizer,
     FirPreEmphasis,
@@ -50,6 +51,7 @@ from repro.link import CdrStage, DfeStage
 from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
     first_order_lowpass
 from repro.signals import NrzEncoder, RandomJitter, add_awgn
+from repro.sweep import Count, MeanVar, MinMax, Yield
 from serial_oracles import SerialCdr, SerialDfe, run_link
 
 BIT_RATE = 10e9
@@ -453,6 +455,193 @@ def test_session_sweep_structural_axes_require_configs():
                          SweepAxis("seed", (1,))])
     with pytest.raises(ValueError):
         session.sweep(grid, lambda p: scenario_batch(1)[0])
+
+# -- structural points sharing a chain prefix ---------------------------------
+#
+# Module-level stimulus and measure, so the pool can pickle them.
+
+RX_CORNERS = (0.5, 0.6, 0.7)
+SHARED_SEEDS = tuple(range(1, 7))
+_STIMULUS_CALLS = []
+
+
+def _seeded_prbs(params):
+    _STIMULUS_CALLS.append(params)
+    wave = bits_to_nrz(prbs7(64), BIT_RATE, amplitude=0.25,
+                       samples_per_bit=8)
+    return add_awgn(wave, 3e-3, seed=params["seed"])
+
+
+def _eye_heights(batch, params):
+    return [eye.eye_height
+            for eye in measure_eye_batch(batch, BIT_RATE, skip_ui=16)]
+
+
+def _corner_grid(*leading_axes):
+    return ScenarioGrid([
+        *leading_axes,
+        SweepAxis("equalizer_control_voltage", RX_CORNERS, structural=True),
+        SweepAxis("seed", SHARED_SEEDS),
+    ])
+
+
+def _eye_is_open(height, params):
+    return height > 0.05
+
+
+def _eye_reducers():
+    return {"n": Count(), "extent": MinMax(), "moments": MeanVar(),
+            "open": Yield(_eye_is_open)}
+
+
+class _Counting:
+    """A chain entry that records the batches it runs, then delegates."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def process(self, batch):
+        self.log.append(batch)
+        return self.inner.process(batch)
+
+
+def _count_builds(monkeypatch, config_class, log):
+    """Wrap every block ``config_class.build`` returns in a counter."""
+    build = config_class.build
+
+    def counted(self, *args):
+        block = build(self, *args)
+        return None if block is None else _Counting(block, log)
+
+    monkeypatch.setattr(config_class, "build", counted)
+
+
+@pytest.mark.parametrize("processes", [None, 2])
+def test_shared_prefix_sweep_equals_each_points_own_session(processes):
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.3))
+    grid = _corner_grid()
+    _STIMULUS_CALLS.clear()
+    dense = session.sweep(grid, _seeded_prbs, measure=_eye_heights,
+                          chunk_rows=4, processes=processes)
+    # Under the pool, every stimulus ran in a worker.
+    assert bool(_STIMULUS_CALLS) == (processes is None)
+    streamed = session.sweep(grid, _seeded_prbs, measure=_eye_heights,
+                             chunk_rows=4, processes=processes,
+                             reducers=_eye_reducers(), keep_results=False)
+
+    # Each point alone: its own session, one run_batch, nothing shared.
+    seeds = WaveformBatch.stack(
+        [_seeded_prbs({"seed": seed}) for seed in SHARED_SEEDS])
+    expected = []
+    for voltage in RX_CORNERS:
+        point = LinkSession.from_configs(
+            TxConfig(), ChannelConfig(0.3),
+            RxConfig(equalizer_control_voltage=voltage))
+        expected.extend(eye.eye_height
+                        for eye in point.run_batch(seeds).eyes)
+    assert dense.results == expected
+    assert dense.params == list(grid.points())
+
+    unshared = SweepRunner(
+        grid, stimulus=_seeded_prbs, chunk_rows=4, measure=_eye_heights,
+        build=lambda point: LinkSession.from_configs(
+            TxConfig(), ChannelConfig(0.3), RxConfig(**point)).process,
+        reducers=_eye_reducers(), keep_results=False).run()
+    assert streamed.aggregates == unshared.aggregates
+    assert streamed.aggregates["n"] == len(expected)
+
+
+def test_transmitter_runs_once_per_chunk_and_channel_once_per_length(
+        monkeypatch):
+    tx_calls, channel_calls = [], []
+    _count_builds(monkeypatch, TxConfig, tx_calls)
+    _count_builds(monkeypatch, ChannelConfig, channel_calls)
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.3))
+    grid = _corner_grid(SweepAxis("length_m", (0.2, 0.5), structural=True))
+    result = session.sweep(grid, _seeded_prbs, measure=_eye_heights,
+                           chunk_rows=3)
+
+    # 2 lengths x 3 rx corners x 2 row chunks of 3 seeds.
+    assert [batch.n_scenarios for batch in tx_calls] == [3, 3]
+    assert [batch.n_scenarios for batch in channel_calls] == [3] * 4
+    assert len(result.results) == 2 * 3 * 6
+
+
+def test_a_stimulus_reading_the_structural_value_gets_its_own_prefix(
+        monkeypatch):
+    tx_calls = []
+    _count_builds(monkeypatch, TxConfig, tx_calls)
+
+    def scaled(params):
+        wave = _seeded_prbs(params)
+        return wave.with_data(wave.data * params["equalizer_control_voltage"])
+
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.3))
+    grid = _corner_grid()
+    result = session.sweep(grid, scaled, measure=_eye_heights, chunk_rows=3)
+
+    assert len(tx_calls) == len(RX_CORNERS) * 2
+    expected = []
+    for voltage in RX_CORNERS:
+        point = LinkSession.from_configs(
+            TxConfig(), ChannelConfig(0.3),
+            RxConfig(equalizer_control_voltage=voltage))
+        stimuli = WaveformBatch.stack([
+            scaled({"seed": seed, "equalizer_control_voltage": voltage})
+            for seed in SHARED_SEEDS])
+        expected.extend(eye.eye_height
+                        for eye in point.run_batch(stimuli).eyes)
+    assert result.results == expected
+
+
+def test_shared_prefix_output_is_read_only_and_freed_with_the_sweep(
+        monkeypatch):
+    rx_inputs = []
+
+    class Recorder:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def process(self, batch):
+            rx_inputs.append((weakref.ref(batch.data),
+                              batch.data.flags.writeable))
+            return self.inner.process(batch)
+
+    build = RxConfig.build
+    monkeypatch.setattr(RxConfig, "build",
+                        lambda self: Recorder(build(self)))
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.3))
+    session.sweep(_corner_grid(), _seeded_prbs, measure=_eye_heights,
+                  chunk_rows=3)
+    assert [writeable for _, writeable in rx_inputs] == [False] * 6
+    assert all(data() is None for data, _ in rx_inputs)
+
+    class InPlace:
+        def process(self, batch):
+            batch.data[...] *= 0.5
+            return batch
+
+    monkeypatch.setattr(RxConfig, "build", lambda self: InPlace())
+    with pytest.raises(ValueError, match="read-only"):
+        session.sweep(_corner_grid(), _seeded_prbs, measure=_eye_heights)
+
+
+def test_shared_prefix_leaves_the_journal_key_alone(tmp_path):
+    session = LinkSession.from_configs(TxConfig(), ChannelConfig(0.3))
+    grid = _corner_grid()
+    runner = SweepRunner(grid, stimulus=_seeded_prbs, chunk_rows=3,
+                         build=session._builder_for(grid),
+                         measure=_eye_heights)
+    before = runner._fingerprint()
+    first = runner.run(checkpoint_dir=tmp_path)
+    assert runner._fingerprint() == before
+
+    _STIMULUS_CALLS.clear()
+    resumed = session.sweep(grid, _seeded_prbs, measure=_eye_heights,
+                            chunk_rows=3, checkpoint_dir=tmp_path)
+    assert _STIMULUS_CALLS == []
+    assert resumed.results == first.results
 
 
 # -- input validation ---------------------------------------------------------
