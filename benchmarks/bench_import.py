@@ -1,10 +1,24 @@
 """Start-up cost of a fresh process: interpreter, ``import repro``, first run.
 
 Every perfbench workload and every spawned sweep worker starts in a new
-interpreter and pays the imports before its first request.  This bench
-starts ``BENCH_IMPORT_RUNS`` (default 12, at least 10) fresh
-interpreters one after another, with BLAS/OpenMP pinned to one thread,
-and records in each:
+interpreter and pays the imports before its first request.  How much of
+that is compiling source to bytecode depends on the host: with
+``PYTHONDONTWRITEBYTECODE`` set (``sys.flags.dont_write_bytecode``,
+recorded as ``host_dont_write_bytecode``) a source checkout compiles
+every ``repro`` module in every process, while an installed wheel ships
+its bytecode.  So the bench measures both ways, each with
+``PYTHONPYCACHEPREFIX`` pointed at a temporary directory so that no
+bytecode file lands in the repository:
+
+* ``uncached_bytecode`` — an empty prefix that nothing is written to:
+  every Python module (numpy's too) compiles from source;
+* ``cached_bytecode`` — a prefix that one unrecorded process filled
+  first: every module loads from bytecode.
+
+It starts ``BENCH_IMPORT_RUNS`` (default 12, at least 10) fresh
+interpreters per way, alternating the two ways so that a change in the
+host's speed hits both, with BLAS/OpenMP pinned to one thread, and
+records in each:
 
 * ``interpreter_numpy_s`` — from just before the process is launched
   to just after ``import numpy`` in it (wall clock, ``time.time``, the
@@ -17,7 +31,7 @@ and records in each:
 * ``scipy_modules`` — the ``scipy`` modules in ``sys.modules`` at the
   end.
 
-Medians and quartiles over the processes go to
+Medians and quartiles over the processes of each way go to
 ``benchmarks/results/BENCH_import.json``.  The gate is the module list:
 every process must have loaded exactly ``scipy.signal._sigtools`` (the
 compiled filter loop) and no scipy package.  The times are on record,
@@ -31,6 +45,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 from repro.reporting import format_table
@@ -84,19 +99,36 @@ def test_import_cost(save_report, save_json):
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep
                + os.environ.get("PYTHONPATH", ""))
     env.update({var: "1" for var in THREAD_VARS})
-    records = [_fresh_process(env) for _ in range(RUNS)]
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     metrics = ("interpreter_numpy_s", "import_repro_s", "first_request_s",
                "peak_rss_mib")
-    summary = {name: _spread([r[name] for r in records]) for name in metrics}
-    module_lists = sorted({tuple(r["scipy_modules"]) for r in records})
+    records = {"uncached_bytecode": [], "cached_bytecode": []}
+    with tempfile.TemporaryDirectory() as empty, \
+            tempfile.TemporaryDirectory() as filled:
+        envs = {
+            "uncached_bytecode": dict(env, PYTHONPYCACHEPREFIX=empty,
+                                      PYTHONDONTWRITEBYTECODE="1"),
+            "cached_bytecode": dict(env, PYTHONPYCACHEPREFIX=filled),
+        }
+        _fresh_process(envs["cached_bytecode"])  # fills the prefix
+        for _ in range(RUNS):
+            for way, way_env in envs.items():
+                records[way].append(_fresh_process(way_env))
+    summary = {way: {name: _spread([r[name] for r in rows])
+                     for name in metrics}
+               for way, rows in records.items()}
+    module_lists = sorted({tuple(r["scipy_modules"])
+                           for rows in records.values() for r in rows})
     modules_ok = module_lists == [tuple(EXPECTED_SCIPY_MODULES)]
     save_report("import", format_table(
-        [{"metric": name, **summary[name]} for name in metrics]
+        [{"bytecode": way.split("_")[0], "metric": name, **summary[way][name]}
+         for way in summary for name in metrics]
         + [{"metric": "scipy modules",
             "median": "; ".join(", ".join(m) for m in module_lists)}]))
     save_json("import", {
         "runs": RUNS,
         "blas_threads": 1,
+        "host_dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         **summary,
         "scipy_modules": [list(m) for m in module_lists],
         "only_the_filter_loop_loaded": modules_ok,

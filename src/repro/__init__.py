@@ -23,96 +23,33 @@ Quick start (the batch-first ``repro.link`` facade)::
 
 from .signals import (
     Waveform,
-    DifferentialWaveform,
     WaveformBatch,
-    sample_uniform,
-    PrbsGenerator,
     prbs7,
     prbs15,
-    prbs31,
     bits_to_nrz,
-    bits_to_pam4,
-    NrzEncoder,
-    Modulation,
     Nrz,
     Pam4,
     SymbolEncoder,
-    RandomJitter,
-    SinusoidalJitter,
-    JitterBudget,
-    WhiteNoise,
     thermal_noise_rms,
 )
-from .lti import (
-    RationalTF,
-    Pipeline,
-    LinearBlock,
-    TanhLimiter,
-    first_order_lowpass,
-    second_order_lowpass,
-    pole_zero_tf,
-)
-from .devices import (
-    Technology,
-    TSMC180,
-    Mosfet,
-    nmos,
-    pmos,
-    ActiveInductor,
-    MosVaractor,
-    SpiralInductor,
-)
-from .channel import BackplaneChannel, ChannelParameters, FR4_DEFAULT
+from .channel import BackplaneChannel
 from .core import (
-    CmlBuffer,
-    CherryHooperEqualizer,
-    GainStage,
-    LimitingAmplifier,
-    TaperedDriver,
-    VoltagePeakingCircuit,
-    BetaMultiplierReference,
-    InputInterface,
-    OutputInterface,
-    CmlIoInterface,
-    PowerAreaBudget,
     build_input_interface,
     build_output_interface,
     build_io_interface,
 )
-from .analysis import (
-    EyeDiagram,
-    EyeDiagramBatch,
-    EyeMeasurement,
-    measure_eye_batch,
-    measure_tf,
-    measure_sensitivity,
-    measure_dynamic_range,
-    q_to_ber,
-    bathtub_from_waveform,
-    pulse_response,
-)
-from .baselines import (
-    table1_rows,
-    measured_this_work,
-    paper_style_comparison,
-    FirPreEmphasis,
-    zero_forcing_taps,
-)
-from .cdr import BangBangCdr, CdrConfig, CdrResult
-from .serdes import Serializer, Deserializer, LinkReport
-from .stateye import (StatEye, StatEyeBatchResult, StatEyeResult,
-                      stat_eye_measure, stat_eye_stimulus)
+from .analysis import EyeDiagram, measure_sensitivity, measure_dynamic_range
+from .baselines import paper_style_comparison
+from .cdr import CdrConfig
+from .stateye import StatEye
 from .sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
-                    ScenarioGrid, SweepAxis, SweepFailure, SweepResult,
-                    SweepRunner, Yield, modulation_axis)
+                    ScenarioGrid, SweepAxis, Yield, modulation_axis)
 from .link import (
     LinkSession,
     TxConfig,
     ChannelConfig,
     RxConfig,
     DfeConfig,
-    LinkResult,
-    LinkBatchResult,
     run_framed_link,
 )
 
@@ -120,102 +57,37 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Waveform",
-    "DifferentialWaveform",
     "WaveformBatch",
-    "sample_uniform",
-    "PrbsGenerator",
     "prbs7",
     "prbs15",
-    "prbs31",
     "bits_to_nrz",
-    "bits_to_pam4",
-    "NrzEncoder",
-    "Modulation",
     "Nrz",
     "Pam4",
     "SymbolEncoder",
-    "RandomJitter",
-    "SinusoidalJitter",
-    "JitterBudget",
-    "WhiteNoise",
     "thermal_noise_rms",
-    "RationalTF",
-    "Pipeline",
-    "LinearBlock",
-    "TanhLimiter",
-    "first_order_lowpass",
-    "second_order_lowpass",
-    "pole_zero_tf",
-    "Technology",
-    "TSMC180",
-    "Mosfet",
-    "nmos",
-    "pmos",
-    "ActiveInductor",
-    "MosVaractor",
-    "SpiralInductor",
     "BackplaneChannel",
-    "ChannelParameters",
-    "FR4_DEFAULT",
-    "CmlBuffer",
-    "CherryHooperEqualizer",
-    "GainStage",
-    "LimitingAmplifier",
-    "TaperedDriver",
-    "VoltagePeakingCircuit",
-    "BetaMultiplierReference",
-    "InputInterface",
-    "OutputInterface",
-    "CmlIoInterface",
-    "PowerAreaBudget",
     "build_input_interface",
     "build_output_interface",
     "build_io_interface",
     "EyeDiagram",
-    "EyeDiagramBatch",
-    "EyeMeasurement",
-    "measure_eye_batch",
-    "measure_tf",
     "measure_sensitivity",
     "measure_dynamic_range",
-    "q_to_ber",
-    "bathtub_from_waveform",
-    "pulse_response",
-    "StatEye",
-    "StatEyeResult",
-    "StatEyeBatchResult",
-    "stat_eye_measure",
-    "stat_eye_stimulus",
-    "table1_rows",
-    "measured_this_work",
     "paper_style_comparison",
-    "FirPreEmphasis",
-    "zero_forcing_taps",
-    "BangBangCdr",
     "CdrConfig",
-    "CdrResult",
-    "Serializer",
-    "Deserializer",
-    "LinkReport",
+    "StatEye",
     "ScenarioGrid",
     "SweepAxis",
     "modulation_axis",
-    "SweepFailure",
-    "SweepRunner",
     "Count",
     "MinMax",
     "MeanVar",
     "Histogram",
     "Quantiles",
     "Yield",
-    "SweepResult",
     "LinkSession",
     "TxConfig",
     "ChannelConfig",
     "RxConfig",
     "DfeConfig",
-    "LinkResult",
-    "LinkBatchResult",
     "run_framed_link",
-    "__version__",
 ]

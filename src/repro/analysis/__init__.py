@@ -1,9 +1,8 @@
 """Measurement substrate: the oscilloscope/BERT/VNA the paper's
 evaluation was read with.
 
-Eye diagrams, BER/bathtub estimation, AC response measurement (analytic
-and stimulus-based), receiver sensitivity/dynamic-range sweeps and
-pulse-response ISI analysis.
+Eye diagrams, BER/bathtub estimation, receiver sensitivity/dynamic-range
+sweeps, eye masks and pulse-response ISI analysis.
 """
 
 from .eye import (
@@ -14,22 +13,11 @@ from .eye import (
 )
 from .ber import (
     q_to_ber,
-    ber_to_q,
-    ser_to_ber,
     ber_from_q_factors,
-    ber_from_measurement,
     ber_from_eye,
     ber_from_eye_batch,
     BathtubCurve,
     bathtub_from_waveform,
-)
-from .ac import (
-    AcMeasurement,
-    measure_tf,
-    goertzel_amplitude,
-    measure_gain_at,
-    measure_frequency_response,
-    measure_bandwidth_stimulus,
 )
 from .sensitivity import (
     SensitivityResult,
@@ -42,17 +30,8 @@ from .isi import (
     PulseResponse,
     pulse_response,
     pulse_response_batch,
-    worst_case_eye_opening,
-)
-from .jitter_decomposition import (
-    JitterDecomposition,
-    decompose_jitter,
-    decompose_jitter_batch,
-    decompose_crossings,
 )
 from .mask import EyeMask, MaskResult, check_mask
-from .spectrum import power_spectral_density, band_power, spectral_centroid
-from .bert import BertResult, check_prbs
 
 __all__ = [
     "EyeMeasurement",
@@ -60,20 +39,11 @@ __all__ = [
     "EyeDiagramBatch",
     "measure_eye_batch",
     "q_to_ber",
-    "ber_to_q",
-    "ser_to_ber",
     "ber_from_q_factors",
-    "ber_from_measurement",
     "ber_from_eye",
     "ber_from_eye_batch",
     "BathtubCurve",
     "bathtub_from_waveform",
-    "AcMeasurement",
-    "measure_tf",
-    "goertzel_amplitude",
-    "measure_gain_at",
-    "measure_frequency_response",
-    "measure_bandwidth_stimulus",
     "SensitivityResult",
     "eye_is_good",
     "measure_sensitivity",
@@ -82,17 +52,7 @@ __all__ = [
     "PulseResponse",
     "pulse_response",
     "pulse_response_batch",
-    "worst_case_eye_opening",
-    "JitterDecomposition",
-    "decompose_jitter",
-    "decompose_jitter_batch",
-    "decompose_crossings",
     "EyeMask",
     "MaskResult",
     "check_mask",
-    "power_spectral_density",
-    "band_power",
-    "spectral_centroid",
-    "BertResult",
-    "check_prbs",
 ]

@@ -24,7 +24,7 @@ The horizontal equivalent — BER versus sampling-phase offset, with the
 two crossing distributions encroaching from either side — is the
 *bathtub curve* used to specify timing margin at a target BER.
 
-``erfc`` and ``erfcinv`` come from ``scipy.special``, imported inside
+``erfc`` comes from ``scipy.special``, imported inside
 the functions that call them: importing it loads scipy's array-API
 layer, and no link run or statistical eye needs it, so ``import repro``
 and the simulations leave it unloaded until a Q/BER helper is first
@@ -39,14 +39,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eye import EyeDiagram, EyeMeasurement, measure_eye_batch
+from .eye import EyeDiagram, measure_eye_batch
 from ..signals.batch import WaveformBatch, _lift
 from ..signals.modulation import Modulation, Nrz
 from ..signals.waveform import Waveform
 
-__all__ = ["q_to_ber", "ber_to_q", "ser_to_ber", "ber_from_q_factors",
-           "ber_from_measurement", "ber_from_eye", "ber_from_eye_batch",
-           "BathtubCurve", "bathtub_from_waveform"]
+__all__ = ["q_to_ber", "ber_from_q_factors", "ber_from_eye",
+           "ber_from_eye_batch", "BathtubCurve", "bathtub_from_waveform"]
 
 
 def q_to_ber(q: float) -> float:
@@ -56,27 +55,6 @@ def q_to_ber(q: float) -> float:
     from scipy.special import erfc
 
     return float(0.5 * erfc(q / math.sqrt(2.0)))
-
-
-def ber_to_q(ber: float) -> float:
-    """Inverse of :func:`q_to_ber`."""
-    if not 0 < ber < 0.5:
-        raise ValueError(f"BER must be in (0, 0.5), got {ber}")
-    from scipy.special import erfcinv
-
-    return float(math.sqrt(2.0) * erfcinv(2.0 * ber))
-
-
-def ser_to_ber(ser: float, modulation: Optional[Modulation] = None) -> float:
-    """Symbol-error ratio -> bit-error ratio under Gray coding.
-
-    Adjacent-level slicer errors dominate, and Gray coding makes each
-    of them a single-bit error among ``bits_per_symbol`` bits.
-    """
-    modulation = Nrz() if modulation is None else modulation
-    if ser < 0:
-        raise ValueError(f"SER must be >= 0, got {ser}")
-    return float(ser) / modulation.bits_per_symbol
 
 
 def ber_from_q_factors(q_factors: Sequence[float],
@@ -108,15 +86,6 @@ def ber_from_q_factors(q_factors: Sequence[float],
         total += float(0.5 * erfc(q / math.sqrt(2.0)))
     ser = (2.0 / modulation.n_levels) * total
     return ser / modulation.bits_per_symbol
-
-
-def ber_from_measurement(measurement: EyeMeasurement,
-                         modulation: Optional[Modulation] = None) -> float:
-    """BER of an :class:`EyeMeasurement` (per-sub-eye when present)."""
-    q_factors = (measurement.q_factors
-                 if measurement.q_factors is not None
-                 else (measurement.q_factor,))
-    return ber_from_q_factors(q_factors, modulation)
 
 
 def ber_from_eye(wave: Waveform, bit_rate: float, skip_ui: int = 8,

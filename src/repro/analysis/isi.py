@@ -28,8 +28,7 @@ from ..signals.nrz import bits_to_nrz
 from ..signals.waveform import Waveform
 from ..sweep.checkpoint import content_digest
 
-__all__ = ["PulseResponse", "pulse_response", "pulse_response_batch",
-           "worst_case_eye_opening"]
+__all__ = ["PulseResponse", "pulse_response", "pulse_response_batch"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,8 +50,7 @@ class PulseResponse:
         """Interpret an already-measured (baseline-free) response.
 
         ``wave`` must be the system's response to a lone unit pulse
-        with the baseline removed — e.g. the processed difference
-        stimulus of :func:`repro.stateye.stat_eye_stimulus`.  Cursors
+        with the baseline removed.  Cursors
         are sampled at UI spacing through the peak, exactly as
         :func:`pulse_response` does.
         """
@@ -228,13 +226,3 @@ def _simulate_pulses(system, bit_rate, amplitudes, samples_per_bit,
     responses = out.data[:len(amplitudes)] - out.data[len(amplitudes):]
     responses.flags.writeable = False
     return responses, out.sample_rate
-
-
-def worst_case_eye_opening(system: Block, bit_rate: float,
-                           samples_per_bit: int = 32,
-                           amplitude: float = 1.0,
-                           modulation: Optional[Modulation] = None) -> float:
-    """One-call peak-distortion eye bound for a system (worst sub-eye
-    of ``modulation`` when given, two-level NRZ otherwise)."""
-    return pulse_response(system, bit_rate, samples_per_bit=samples_per_bit,
-                          amplitude=amplitude).worst_case_opening(modulation)

@@ -25,7 +25,6 @@ from .published import (
 from .digital_preemphasis import (
     FirPreEmphasis,
     zero_forcing_taps,
-    taps_equivalent_to_peaking,
 )
 from .ctle import GenericCtle, ctle_matching_equalizer
 from .dfe import (
@@ -49,7 +48,6 @@ __all__ = [
     "table1_rows",
     "FirPreEmphasis",
     "zero_forcing_taps",
-    "taps_equivalent_to_peaking",
     "GenericCtle",
     "ctle_matching_equalizer",
     "DecisionFeedbackEqualizer",

@@ -23,8 +23,7 @@ from ..analysis.isi import pulse_response
 from ..lti.blocks import Block
 from ..signals.waveform import Waveform
 
-__all__ = ["FirPreEmphasis", "zero_forcing_taps",
-           "taps_equivalent_to_peaking"]
+__all__ = ["FirPreEmphasis", "zero_forcing_taps"]
 
 
 @dataclasses.dataclass
@@ -112,18 +111,3 @@ def zero_forcing_taps(channel: Block, bit_rate: float, n_taps: int = 3,
     target[0] = h[0]  # preserve the main-cursor amplitude
     taps, *_ = np.linalg.lstsq(matrix, target, rcond=None)
     return taps
-
-
-def taps_equivalent_to_peaking(spike_height: float,
-                               signal_amplitude: float) -> np.ndarray:
-    """The 2-tap FIR equivalent of the analog voltage-peaking circuit.
-
-    Same mapping as ``VoltagePeakingCircuit.equivalent_fir_taps``:
-    ``k = spike_height / (2 * amplitude)`` gives taps ``(1 + k, -k)``.
-    """
-    if signal_amplitude <= 0:
-        raise ValueError(
-            f"signal_amplitude must be positive, got {signal_amplitude}"
-        )
-    k = spike_height / (2.0 * signal_amplitude)
-    return np.array([1.0 + k, -k])

@@ -14,17 +14,9 @@ batch of one and gives its :class:`CdrResult`.  A
 delegates to this entry point.
 """
 
-from .phase_detector import (
-    PdVote,
-    alexander_votes,
-    vote_step,
-)
 from .loop import CdrConfig, CdrResult, CdrBatchResult, BangBangCdr
 
 __all__ = [
-    "PdVote",
-    "alexander_votes",
-    "vote_step",
     "CdrConfig",
     "CdrResult",
     "CdrBatchResult",

@@ -25,6 +25,8 @@ re-sampling or skipping a bit with an unchanged bit index.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
 
@@ -39,6 +41,21 @@ __all__ = ["CdrConfig", "CdrResult", "CdrBatchResult", "BangBangCdr"]
 # waveform's span (its last edge instant must stay on the waveform).
 _MIN_BITS = 16
 _SHORT_UI = 2
+
+
+def _check_finite(config) -> None:
+    """Raise ``ValueError`` naming the first numeric field (or entry of
+    a sequence field) of a config dataclass that is NaN or infinite."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        items = (enumerate(value)
+                 if isinstance(value, (tuple, list, np.ndarray))
+                 else [(None, value)])
+        for index, item in items:
+            if isinstance(item, numbers.Real) and not math.isfinite(item):
+                name = (field.name if index is None
+                        else f"{field.name}[{index}]")
+                raise ValueError(f"{name} must be finite, got {item}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,10 +88,7 @@ class CdrConfig:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, (int, float)) and not np.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+        _check_finite(self)
         if self.bit_rate <= 0:
             raise ValueError(f"bit_rate must be positive, got {self.bit_rate}")
         if self.kp <= 0 or self.ki < 0:

@@ -1,44 +1,24 @@
 """Channel substrate: the backplane the I/O interface drives.
 
 Replaces the paper's physical FR-4 backplane with a parametric
-skin + dielectric loss model (causal minimum-phase response) plus
-termination/reflection bookkeeping.
+skin + dielectric loss model (causal minimum-phase response), an RLGC
+line, crosstalk and the driver-swing bookkeeping of a terminated line.
 """
 
 from .backplane import ChannelParameters, FR4_DEFAULT, BackplaneChannel
-from .fitting import (
-    fit_channel_parameters,
-    fit_channel,
-    parse_s21_text,
-    format_s21_text,
-)
+from .fitting import fit_channel_parameters
 from .rlgc import RlgcLine, microstrip_like
 from .crosstalk import CrosstalkAggressor, CrosstalkChannel
-from .terminations import (
-    reflection_coefficient,
-    return_loss_db,
-    cml_output_swing,
-    required_drive_current,
-    Termination,
-    ReflectiveLink,
-)
+from .terminations import cml_output_swing
 
 __all__ = [
     "ChannelParameters",
     "FR4_DEFAULT",
     "BackplaneChannel",
     "fit_channel_parameters",
-    "fit_channel",
-    "parse_s21_text",
-    "format_s21_text",
     "RlgcLine",
     "microstrip_like",
     "CrosstalkAggressor",
     "CrosstalkChannel",
-    "reflection_coefficient",
-    "return_loss_db",
     "cml_output_swing",
-    "required_drive_current",
-    "Termination",
-    "ReflectiveLink",
 ]

@@ -4,21 +4,16 @@ Real backplane characterization hands you |S21| points from a VNA (or a
 Touchstone file).  This module fits the library's parametric
 skin + dielectric model to such data by linear least squares — the loss
 model ``alpha(f) = k_skin sqrt(f) + k_diel f`` is linear in its
-coefficients — and provides a minimal Touchstone-like text parser so
-recorded traces can be replayed through the simulator.
+coefficients.
 """
 
 from __future__ import annotations
 
-import io
-from typing import Tuple
-
 import numpy as np
 
-from .backplane import BackplaneChannel, ChannelParameters
+from .backplane import ChannelParameters
 
-__all__ = ["fit_channel_parameters", "fit_channel", "parse_s21_text",
-           "format_s21_text"]
+__all__ = ["fit_channel_parameters"]
 
 
 def fit_channel_parameters(freq_hz: np.ndarray, loss_db: np.ndarray,
@@ -51,47 +46,3 @@ def fit_channel_parameters(freq_hz: np.ndarray, loss_db: np.ndarray,
     if k_skin == 0.0 and k_diel == 0.0:
         raise ValueError("fit collapsed to zero loss; check the data")
     return ChannelParameters(k_skin=k_skin, k_dielectric=k_diel)
-
-
-def fit_channel(freq_hz: np.ndarray, loss_db: np.ndarray,
-                length_m: float = 1.0) -> BackplaneChannel:
-    """Fit and wrap into a ready-to-use channel of the given length."""
-    params = fit_channel_parameters(freq_hz, loss_db, length_m)
-    return BackplaneChannel(length_m=length_m, params=params)
-
-
-def parse_s21_text(text: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Parse a minimal Touchstone-like |S21| trace.
-
-    Accepts lines of ``<freq_hz> <s21_db>`` with ``!``/``#`` comment and
-    option lines ignored — the common subset of exported VNA traces.
-    Returns (freq_hz, loss_db) with loss as *positive* dB.
-    """
-    freqs = []
-    losses = []
-    for raw in io.StringIO(text):
-        line = raw.strip()
-        if not line or line.startswith(("!", "#")):
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"malformed S21 line: {line!r}")
-        freq = float(parts[0])
-        s21_db = float(parts[1])
-        freqs.append(freq)
-        losses.append(max(0.0, -s21_db))
-    if len(freqs) < 2:
-        raise ValueError("S21 trace needs at least two data lines")
-    return np.asarray(freqs), np.asarray(losses)
-
-
-def format_s21_text(channel: BackplaneChannel, freq_hz: np.ndarray,
-                    comment: str = "exported by repro") -> str:
-    """Export a channel's |S21| as the same text format."""
-    freq_hz = np.asarray(freq_hz, dtype=float)
-    if freq_hz.size < 2:
-        raise ValueError("need at least two frequency points")
-    lines = [f"! {comment}", "# HZ S DB R 50"]
-    for f, s in zip(freq_hz, channel.s21_db(freq_hz)):
-        lines.append(f"{f:.6e} {s:.4f}")
-    return "\n".join(lines) + "\n"

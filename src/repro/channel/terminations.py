@@ -1,50 +1,14 @@
-"""Termination and impedance-matching models.
+"""The swing of a current-mode driver into a terminated line.
 
-The paper's input equalizer provides "50 ohm input impedance matching"
-and the last driver stage sources ~8 mA into a 50 ohm load for a 250 mV
-swing.  This module provides the small amount of transmission-line
-bookkeeping those claims rest on: reflection coefficients, return loss,
-the swing of a current-mode driver into a terminated line, and a
-first-order model of the residual ISI echo produced by imperfect
-terminations at both ends of a trace.
+The last driver stage of the paper sources ~8 mA into a 50 ohm load
+for a 250 mV swing; this is the bookkeeping that claim rests on.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
-from typing import Optional
-
-import numpy as np
-
-from ..lti.blocks import Block
-from ..signals.waveform import Waveform
-
-__all__ = [
-    "reflection_coefficient",
-    "return_loss_db",
-    "cml_output_swing",
-    "required_drive_current",
-    "Termination",
-    "ReflectiveLink",
-]
+__all__ = ["cml_output_swing"]
 
 Z0_DEFAULT = 50.0
-
-
-def reflection_coefficient(z_load: float, z0: float = Z0_DEFAULT) -> float:
-    """Gamma = (Zl - Z0)/(Zl + Z0)."""
-    if z_load < 0 or z0 <= 0:
-        raise ValueError("impedances must be non-negative (Z0 positive)")
-    return (z_load - z0) / (z_load + z0)
-
-
-def return_loss_db(z_load: float, z0: float = Z0_DEFAULT) -> float:
-    """Return loss in positive dB; infinite for a perfect match."""
-    gamma = abs(reflection_coefficient(z_load, z0))
-    if gamma == 0:
-        return math.inf
-    return -20.0 * math.log10(gamma)
 
 
 def cml_output_swing(tail_current: float, load_ohm: float = Z0_DEFAULT,
@@ -64,90 +28,3 @@ def cml_output_swing(tail_current: float, load_ohm: float = Z0_DEFAULT,
         raise ValueError(f"load must be positive, got {load_ohm}")
     r_eff = load_ohm / 2.0 if double_terminated else load_ohm
     return tail_current * r_eff
-
-
-def required_drive_current(swing_v: float, load_ohm: float = Z0_DEFAULT,
-                           double_terminated: bool = True) -> float:
-    """Tail current needed for a target single-ended swing."""
-    if swing_v <= 0:
-        raise ValueError(f"swing must be positive, got {swing_v}")
-    r_eff = load_ohm / 2.0 if double_terminated else load_ohm
-    return swing_v / r_eff
-
-
-@dataclasses.dataclass(frozen=True)
-class Termination:
-    """One end of a link: its impedance looking into the line."""
-
-    impedance: float
-    z0: float = Z0_DEFAULT
-
-    def __post_init__(self) -> None:
-        if self.impedance < 0 or self.z0 <= 0:
-            raise ValueError("impedances must be non-negative (Z0 positive)")
-
-    @property
-    def gamma(self) -> float:
-        return reflection_coefficient(self.impedance, self.z0)
-
-    @property
-    def return_loss(self) -> float:
-        return return_loss_db(self.impedance, self.z0)
-
-    def is_matched(self, tolerance_pct: float = 10.0) -> bool:
-        """Within a percentage band of Z0 (lab-style match criterion)."""
-        return abs(self.impedance - self.z0) <= self.z0 * tolerance_pct / 100.0
-
-
-@dataclasses.dataclass
-class ReflectiveLink(Block):
-    """First-order reflection (echo) model of a doubly-terminated trace.
-
-    The dominant artifact of imperfect terminations is a single echo:
-    energy reflects off the far end (gamma_rx), travels back, reflects
-    off the near end (gamma_tx) and arrives one round trip later,
-    attenuated by the trace twice.  The output is
-
-        y(t) = x(t) + g_tx*g_rx*A_rt * y(t - t_rt)
-
-    truncated to ``n_echoes`` terms.  Benches use this to show the
-    equalizer's 50 ohm match (Cherry-Hooper input stage) suppresses the
-    echo compared with a badly-matched receiver.
-    """
-
-    round_trip_delay: float
-    round_trip_loss_db: float
-    tx: Termination
-    rx: Termination
-    n_echoes: int = 3
-    name: str = "reflective-link"
-
-    def __post_init__(self) -> None:
-        if self.round_trip_delay <= 0:
-            raise ValueError("round_trip_delay must be positive")
-        if self.round_trip_loss_db < 0:
-            raise ValueError("round_trip_loss_db must be >= 0")
-        if self.n_echoes < 0:
-            raise ValueError("n_echoes must be >= 0")
-
-    @property
-    def echo_gain(self) -> float:
-        """Amplitude of the first echo relative to the main signal."""
-        attenuation = 10.0 ** (-self.round_trip_loss_db / 20.0)
-        return self.tx.gamma * self.rx.gamma * attenuation
-
-    def process(self, wave: Waveform) -> Waveform:
-        out = wave.data.copy()
-        gain = self.echo_gain
-        if gain == 0 or self.n_echoes == 0:
-            return wave.with_data(out)
-        echo: Optional[np.ndarray] = wave.data
-        accumulated = 1.0
-        for _ in range(self.n_echoes):
-            accumulated *= gain
-            if abs(accumulated) < 1e-9:
-                break
-            echo_wave = wave.with_data(echo).delayed(self.round_trip_delay)
-            echo = echo_wave.data
-            out = out + accumulated * echo
-        return wave.with_data(out)

@@ -45,7 +45,6 @@ from .adaptation import (
     AdaptationResult,
     adapt_equalizer,
     adapt_peaking,
-    eye_quality_metric,
     eye_quality_metric_batch,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "AdaptationResult",
     "adapt_equalizer",
     "adapt_peaking",
-    "eye_quality_metric",
     "eye_quality_metric_batch",
 ]

@@ -17,8 +17,7 @@ Candidates are scored in batches; a single waveform is a batch of one:
 
 * :func:`eye_quality_metric_batch` scores a
   :class:`~repro.signals.batch.WaveformBatch` in one vectorized pass
-  (shared fold, vectorized phase search and crossing extraction), and
-  :func:`eye_quality_metric` is its one-row call;
+  (shared fold, vectorized phase search and crossing extraction);
 * :meth:`ScalarKnobSearch.maximize_batch` drives a batched objective
   ``objective_batch(np.ndarray) -> np.ndarray``: the coarse grid is
   evaluated through ONE call (all candidates at once), golden-section
@@ -41,14 +40,13 @@ import numpy as np
 
 from ..analysis.eye import EyeDiagramBatch
 from ..channel.backplane import BackplaneChannel
-from ..signals.batch import WaveformBatch, _lift
+from ..signals.batch import WaveformBatch
 from ..signals.nrz import NrzEncoder
 from ..signals.prbs import prbs7
 from ..signals.waveform import Waveform
 
 __all__ = ["ScalarKnobSearch", "AdaptationResult", "adapt_equalizer",
-           "adapt_peaking", "eye_quality_metric",
-           "eye_quality_metric_batch"]
+           "adapt_peaking", "eye_quality_metric_batch"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -162,22 +160,13 @@ class ScalarKnobSearch:
                                 history=tuple(history))
 
 
-def eye_quality_metric(wave: Waveform, bit_rate: float,
-                       skip_ui: int = 16) -> float:
-    """The adaptation objective: eye width minus a jitter penalty.
-
-    Width (UI) dominates; RMS jitter (UI) is subtracted so that among
-    equal-width settings the cleaner crossing wins.  Returns a large
-    negative value for waveforms whose eye cannot be measured.  A
-    one-row :func:`eye_quality_metric_batch`.
-    """
-    return float(eye_quality_metric_batch(_lift(wave)[0],
-                                          bit_rate, skip_ui)[0])
-
-
 def eye_quality_metric_batch(batch: WaveformBatch, bit_rate: float,
                              skip_ui: int = 16) -> np.ndarray:
-    """Per-row :func:`eye_quality_metric`, one vectorized pass.
+    """The adaptation objective per row: eye width minus a jitter
+    penalty, one vectorized pass.
+
+    Width (UI) dominates; RMS jitter (UI) is subtracted so that among
+    equal-width settings the cleaner crossing wins.
 
     Folds the whole batch once; the vertical phase search and the
     crossing extraction run vectorized across all scenarios.  Rows

@@ -9,20 +9,13 @@ from .technology import Technology, TSMC180
 from .mosfet import Mosfet, nmos, pmos
 from .active_inductor import ActiveInductor
 from .varactor import MosVaractor, neutralized_input_capacitance
-from .passives import (
-    Resistor,
-    Capacitor,
-    SpiralInductor,
-    rc_lowpass_tf,
-    rl_shunt_peaking_tf,
-)
+from .passives import SpiralInductor
 from .mismatch import (
     MismatchModel,
     pair_offset_sigma,
     chain_offset_sigma,
     sample_offsets,
 )
-from .corners import ProcessCorner, corner_technology, all_corners
 
 __all__ = [
     "Technology",
@@ -33,16 +26,9 @@ __all__ = [
     "ActiveInductor",
     "MosVaractor",
     "neutralized_input_capacitance",
-    "Resistor",
-    "Capacitor",
     "SpiralInductor",
-    "rc_lowpass_tf",
-    "rl_shunt_peaking_tf",
     "MismatchModel",
     "pair_offset_sigma",
     "chain_offset_sigma",
     "sample_offsets",
-    "ProcessCorner",
-    "corner_technology",
-    "all_corners",
 ]

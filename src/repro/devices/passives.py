@@ -1,5 +1,4 @@
-"""Passive components: resistors, capacitors and the spiral-inductor
-baseline.
+"""The spiral-inductor baseline.
 
 The spiral inductor model exists to ground the paper's headline area
 claim: "these techniques can reduce 80 % of the circuit area compared to
@@ -17,51 +16,9 @@ import math
 
 import numpy as np
 
-from ..lti.transfer_function import RationalTF
 from .._units import MICRO
 
-__all__ = ["Resistor", "Capacitor", "SpiralInductor", "rc_lowpass_tf",
-           "rl_shunt_peaking_tf"]
-
-
-@dataclasses.dataclass(frozen=True)
-class Resistor:
-    """An on-chip (poly) resistor with a process tolerance band."""
-
-    resistance: float
-    tolerance: float = 0.15
-    """Fractional +-3-sigma process spread (poly sheet-rho ~ +-15 %)."""
-
-    def __post_init__(self) -> None:
-        if self.resistance <= 0:
-            raise ValueError(f"resistance must be positive, got {self.resistance}")
-        if not 0 <= self.tolerance < 1:
-            raise ValueError(f"tolerance must be in [0, 1), got {self.tolerance}")
-
-    def corner(self, sigma: float) -> float:
-        """Resistance at a process corner, sigma in [-3, 3]."""
-        if not -3.0 <= sigma <= 3.0:
-            raise ValueError(f"sigma must be within +-3, got {sigma}")
-        return self.resistance * (1.0 + self.tolerance * sigma / 3.0)
-
-
-@dataclasses.dataclass(frozen=True)
-class Capacitor:
-    """A capacitor (MIM on-chip, or the off-chip offset-loop capacitors)."""
-
-    capacitance: float
-    is_off_chip: bool = False
-
-    def __post_init__(self) -> None:
-        if self.capacitance <= 0:
-            raise ValueError(
-                f"capacitance must be positive, got {self.capacitance}"
-            )
-
-    def impedance(self, freq_hz: np.ndarray) -> np.ndarray:
-        """Complex impedance 1/(j w C)."""
-        w = 2.0 * np.pi * np.asarray(freq_hz, dtype=float)
-        return 1.0 / (1j * w * self.capacitance)
+__all__ = ["SpiralInductor"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,28 +72,3 @@ class SpiralInductor:
                        * self.inductance)
         y = 1.0 / z_series + 1j * w * c_par
         return 1.0 / y
-
-
-def rc_lowpass_tf(resistance: float, capacitance: float,
-                  gain: float = 1.0) -> RationalTF:
-    """``gain / (1 + s R C)`` — the ubiquitous load-pole model."""
-    if resistance <= 0 or capacitance <= 0:
-        raise ValueError("R and C must be positive")
-    return RationalTF(np.array([gain]),
-                      np.array([resistance * capacitance, 1.0]))
-
-
-def rl_shunt_peaking_tf(resistance: float, inductance: float,
-                        capacitance: float, gm: float = 1.0) -> RationalTF:
-    """Classic shunt-peaked stage: gm into (R + sL) || 1/(sC).
-
-        H(s) = gm (R + s L) / (1 + s R C + s^2 L C)
-
-    This is the spiral-inductor reference response the active-inductor
-    load is compared against in the area-ablation bench.
-    """
-    if min(resistance, inductance, capacitance) <= 0:
-        raise ValueError("R, L and C must all be positive")
-    num = np.array([gm * inductance, gm * resistance])
-    den = np.array([inductance * capacitance, resistance * capacitance, 1.0])
-    return RationalTF(num, den)

@@ -53,8 +53,7 @@ The module is deliberately self-contained (NumPy only, no imports from
 the rest of ``repro``) so it can be imported at any point of package
 import without a cycle.  :func:`sample_uniform` here is the one home of
 the interpolation arithmetic (``repro.signals.sample_uniform`` is this
-function).  The slicers follow one convention, shared with
-``repro.cdr.phase_detector.vote_step``: a sample counts above a
+function).  The slicers follow one convention: a sample counts above a
 threshold only when ``sample > threshold`` (so NaN counts low), and the
 Alexander vote counts a sample at or above the middle threshold high.
 """

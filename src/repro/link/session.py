@@ -38,7 +38,13 @@ from ..baselines.dfe import (
     DecisionFeedbackEqualizer,
     inner_eye_height_from_corrected,
 )
-from ..cdr.loop import BangBangCdr, CdrBatchResult, CdrConfig, CdrResult
+from ..cdr.loop import (
+    BangBangCdr,
+    CdrBatchResult,
+    CdrConfig,
+    CdrResult,
+    _check_finite,
+)
 from ..channel.backplane import BackplaneChannel
 from ..core.interface import build_input_interface, build_output_interface
 from ..serdes.serializer import (
@@ -87,6 +93,9 @@ class TxConfig:
     spike_current: float = 1.5e-3
     modulation: Modulation = Nrz()
 
+    def __post_init__(self) -> None:
+        _check_finite(self)
+
     def build(self, bit_rate: float):
         return build_output_interface(
             peaking_enabled=self.peaking_enabled,
@@ -102,6 +111,9 @@ class ChannelConfig:
 
     length_m: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_finite(self)
+
     def build(self) -> Optional[BackplaneChannel]:
         if self.length_m <= 0.0:
             return None
@@ -114,6 +126,9 @@ class RxConfig:
 
     equalizer_enabled: bool = True
     equalizer_control_voltage: float = 0.7
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     def build(self):
         rx = build_input_interface(
@@ -136,6 +151,9 @@ class DfeConfig:
     sample_phase_ui: float = 0.5
     skip_bits: int = 16
     modulation: Optional[Modulation] = None
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     def build(self, bit_rate: float,
               modulation: Optional[Modulation] = None

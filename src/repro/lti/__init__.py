@@ -6,51 +6,27 @@ via the bilinear transform; ``blocks`` composes linear and nonlinear
 stages into full signal paths.
 """
 
-from .transfer_function import (
-    RationalTF,
-    first_order_lowpass,
-    second_order_lowpass,
-    pole_zero_tf,
-)
-from .discretize import (
-    bilinear_transform,
-    simulate_tf,
-    impulse_response,
-    step_response,
-)
+from .transfer_function import RationalTF, first_order_lowpass, pole_zero_tf
+from .discretize import bilinear_transform, simulate_tf
 from .blocks import (
     Block,
     LinearBlock,
-    StaticNonlinearity,
     TanhLimiter,
     WienerHammersteinBlock,
-    GainBlock,
     OffsetBlock,
-    DelayBlock,
-    SummingNode,
     Pipeline,
 )
-from .coupling import AcCoupling, worst_case_wander_fraction
 
 __all__ = [
     "RationalTF",
     "first_order_lowpass",
-    "second_order_lowpass",
     "pole_zero_tf",
     "bilinear_transform",
     "simulate_tf",
-    "impulse_response",
-    "step_response",
     "Block",
     "LinearBlock",
-    "StaticNonlinearity",
     "TanhLimiter",
     "WienerHammersteinBlock",
-    "GainBlock",
     "OffsetBlock",
-    "DelayBlock",
-    "SummingNode",
     "Pipeline",
-    "AcCoupling",
-    "worst_case_wander_fraction",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +35,9 @@ from .transfer_function import RationalTF
 __all__ = [
     "Block",
     "LinearBlock",
-    "StaticNonlinearity",
     "TanhLimiter",
     "WienerHammersteinBlock",
-    "GainBlock",
     "OffsetBlock",
-    "DelayBlock",
-    "SummingNode",
     "Pipeline",
 ]
 
@@ -77,17 +73,6 @@ class LinearBlock(Block):
 
     def transfer_function(self) -> RationalTF:
         return self.tf
-
-
-@dataclasses.dataclass
-class StaticNonlinearity(Block):
-    """A memoryless nonlinearity ``y[n] = f(x[n])``."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    name: str = "nonlinearity"
-
-    def process(self, wave: Waveform) -> Waveform:
-        return wave.with_data(np.asarray(self.func(wave.data), dtype=float))
 
 
 @dataclasses.dataclass
@@ -163,20 +148,6 @@ class WienerHammersteinBlock(Block):
 
 
 @dataclasses.dataclass
-class GainBlock(Block):
-    """A frequency-independent gain (ideal wideband amplifier/attenuator)."""
-
-    gain: float
-    name: str = "gain"
-
-    def process(self, wave: Waveform) -> Waveform:
-        return wave * self.gain
-
-    def transfer_function(self) -> RationalTF:
-        return RationalTF.constant(self.gain)
-
-
-@dataclasses.dataclass
 class OffsetBlock(Block):
     """A constant added to every sample (a DC offset at the node)."""
 
@@ -188,51 +159,6 @@ class OffsetBlock(Block):
 
     def transfer_function(self) -> RationalTF:
         return RationalTF.constant(1.0)
-
-
-@dataclasses.dataclass
-class DelayBlock(Block):
-    """An ideal (possibly fractional-sample) pure delay."""
-
-    delay_s: float
-    name: str = "delay"
-
-    def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay_s}")
-
-    def process(self, wave: Waveform) -> Waveform:
-        return wave.delayed(self.delay_s)
-
-
-@dataclasses.dataclass
-class SummingNode(Block):
-    """Sum the main input with side branches fed from the same input.
-
-    Models current summing at a CML output node: each branch processes a
-    copy of the node's input and the results are added with weights.
-    The voltage-peaking circuit is exactly this: main path + weighted
-    differentiator branch.
-    """
-
-    branches: Sequence[Block]
-    weights: Optional[Sequence[float]] = None
-    include_input: bool = True
-    name: str = "summing-node"
-
-    def __post_init__(self) -> None:
-        if self.weights is not None and len(self.weights) != len(self.branches):
-            raise ValueError(
-                f"{len(self.weights)} weights for {len(self.branches)} branches"
-            )
-
-    def process(self, wave: Waveform) -> Waveform:
-        total = (wave.data.copy() if self.include_input
-                 else np.zeros_like(wave.data))
-        weights = self.weights or [1.0] * len(self.branches)
-        for weight, branch in zip(weights, self.branches):
-            total = total + weight * branch.process(wave).data
-        return wave.with_data(total)
 
 
 class Pipeline(Block):

@@ -47,8 +47,7 @@ import numpy as np
 
 from .transfer_function import RationalTF
 
-__all__ = ["bilinear_transform", "simulate_tf", "impulse_response",
-           "step_response"]
+__all__ = ["bilinear_transform", "simulate_tf"]
 
 
 def _load_linear_filter():
@@ -286,38 +285,3 @@ def _settle_samples(tf: RationalTF, sample_rate: float,
     slowest_tau = 1.0 / np.min(np.abs(stable.real))
     n = int(np.ceil(settle_factor * slowest_tau * sample_rate))
     return int(np.clip(n, 16, 2_000_000))
-
-
-def impulse_response(tf: RationalTF, sample_rate: float,
-                     duration: float,
-                     prewarp_hz: float | None = None) -> np.ndarray:
-    """Discrete-time impulse response (scaled by fs to approximate h(t)).
-
-    Routed through :func:`simulate_tf` with a zero pre-history, so the
-    result is consistent with transient simulations even for transfer
-    functions whose ``lfilter_zi`` is degenerate (e.g. an s=0 pole).
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = max(2, int(round(duration * sample_rate)))
-    impulse = np.zeros(n)
-    impulse[0] = sample_rate  # unit-area discrete impulse
-    return simulate_tf(tf, impulse, sample_rate, prewarp_hz=prewarp_hz,
-                       initial_value=0.0)
-
-
-def step_response(tf: RationalTF, sample_rate: float,
-                  duration: float,
-                  prewarp_hz: float | None = None) -> np.ndarray:
-    """Unit step response of the transfer function.
-
-    The input is held at zero before t=0 (the same steady-state
-    initialization as :func:`simulate_tf`), so the step transient agrees
-    with a transient simulation of the same 0-to-1 input.
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = max(2, int(round(duration * sample_rate)))
-    step = np.ones(n)
-    return simulate_tf(tf, step, sample_rate, prewarp_hz=prewarp_hz,
-                       initial_value=0.0)

@@ -18,8 +18,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RationalTF", "first_order_lowpass", "second_order_lowpass",
-           "pole_zero_tf"]
+__all__ = ["RationalTF", "first_order_lowpass", "pole_zero_tf"]
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -270,23 +269,6 @@ def first_order_lowpass(pole_hz: float, gain: float = 1.0) -> RationalTF:
         raise ValueError(f"pole frequency must be positive, got {pole_hz}")
     wp = 2.0 * np.pi * pole_hz
     return RationalTF(np.array([gain]), np.array([1.0 / wp, 1.0]))
-
-
-def second_order_lowpass(natural_hz: float, q: float,
-                         gain: float = 1.0) -> RationalTF:
-    """``gain * wn^2 / (s^2 + wn/Q s + wn^2)``.
-
-    The canonical resonant low-pass; active feedback turns a cascade of
-    two real poles into this form with Q set by the loop gain, which is
-    how Cherry-Hooper stages extend bandwidth.
-    """
-    if natural_hz <= 0:
-        raise ValueError(f"natural frequency must be positive, got {natural_hz}")
-    if q <= 0:
-        raise ValueError(f"Q must be positive, got {q}")
-    wn = 2.0 * np.pi * natural_hz
-    return RationalTF(np.array([gain * wn**2]),
-                      np.array([1.0, wn / q, wn**2]))
 
 
 def pole_zero_tf(pole_hz: Sequence[float], zero_hz: Sequence[float] = (),

@@ -9,9 +9,7 @@ the full framed link.
 from .encoding import (
     Encoder8b10b,
     Decoder8b10b,
-    K28_5,
     encode_bytes,
-    decode_bits,
     CodingError,
 )
 from .serializer import (
@@ -25,9 +23,7 @@ from .serializer import (
 __all__ = [
     "Encoder8b10b",
     "Decoder8b10b",
-    "K28_5",
     "encode_bytes",
-    "decode_bits",
     "CodingError",
     "Serializer",
     "Deserializer",

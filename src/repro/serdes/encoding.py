@@ -19,8 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["Encoder8b10b", "Decoder8b10b", "K28_5", "encode_bytes",
-           "decode_bits", "CodingError"]
+__all__ = ["Encoder8b10b", "Decoder8b10b", "encode_bytes", "CodingError"]
 
 
 class CodingError(ValueError):
@@ -63,9 +62,6 @@ _K28_6B_RD_NEG: Tuple[int, ...] = (0, 0, 1, 1, 1, 1)
 _K_3B4B_RD_NEG: Dict[int, Tuple[int, ...]] = {
     5: (1, 0, 1, 0),
 }
-
-#: K28.5 — the comma control character used for word alignment.
-K28_5 = ("K", 28, 5)
 
 
 def _invert(bits: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -226,8 +222,3 @@ class Decoder8b10b:
 def encode_bytes(payload: bytes, prepend_commas: int = 2) -> np.ndarray:
     """One-shot encode with a fresh encoder."""
     return Encoder8b10b().encode(payload, prepend_commas=prepend_commas)
-
-
-def decode_bits(bits: np.ndarray, strip_commas: bool = True) -> bytes:
-    """One-shot decode with a fresh decoder."""
-    return Decoder8b10b().decode(bits, strip_commas=strip_commas)

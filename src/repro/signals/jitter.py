@@ -9,8 +9,7 @@ implemented:
   peak amplitude and modulation frequency, the standard proxy for
   deterministic/periodic jitter in tolerance testing.
 
-Both can be combined with :class:`JitterBudget`, which mirrors the way a
-lab characterizes a pattern generator.
+Independent components combine by adding their offsets.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RandomJitter", "SinusoidalJitter", "JitterBudget",
-           "dual_dirac_total_jitter"]
+__all__ = ["RandomJitter", "SinusoidalJitter"]
 
 
 @dataclasses.dataclass
@@ -84,46 +82,3 @@ class SinusoidalJitter:
         return self.peak_seconds * np.sin(
             2.0 * np.pi * self.frequency * edge_times + self.phase
         )
-
-
-@dataclasses.dataclass
-class JitterBudget:
-    """Combined RJ + SJ jitter source.
-
-    Either component may be ``None``.  ``offsets`` sums the individual
-    contributions, which is how independent jitter mechanisms physically
-    combine at an edge.
-    """
-
-    random: Optional[RandomJitter] = None
-    sinusoidal: Optional[SinusoidalJitter] = None
-
-    def offsets(self, n_bits: int, bit_rate: float) -> np.ndarray:
-        total = np.zeros(n_bits)
-        if self.random is not None:
-            total = total + self.random.offsets(n_bits, bit_rate)
-        if self.sinusoidal is not None:
-            total = total + self.sinusoidal.offsets(n_bits, bit_rate)
-        return total
-
-    def is_empty(self) -> bool:
-        """True when no jitter component is configured."""
-        return self.random is None and self.sinusoidal is None
-
-
-def dual_dirac_total_jitter(rj_rms: float, dj_pp: float,
-                            ber: float = 1e-12) -> float:
-    """Total jitter at a BER via the dual-Dirac model: TJ = DJ + 2 Q sigma.
-
-    This is the standard formula used to extrapolate scope measurements
-    down to low bit-error ratios.  ``Q`` is the two-sided Gaussian
-    quantile for the target BER (Q ~ 7.03 at 1e-12).
-    """
-    if rj_rms < 0 or dj_pp < 0:
-        raise ValueError("jitter components must be non-negative")
-    if not 0 < ber < 0.5:
-        raise ValueError(f"ber must be in (0, 0.5), got {ber}")
-    from scipy.special import erfcinv
-
-    q = np.sqrt(2.0) * erfcinv(2.0 * ber)
-    return dj_pp + 2.0 * q * rj_rms

@@ -40,7 +40,7 @@ import numpy as np
 from ..kernels import _slice
 from .waveform import Waveform
 
-__all__ = ["Modulation", "Nrz", "Pam4", "SymbolEncoder", "bits_to_pam4"]
+__all__ = ["Modulation", "Nrz", "Pam4", "SymbolEncoder"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,13 +315,3 @@ class SymbolEncoder:
         per *symbol*, matching :meth:`encode`)."""
         return self.encode(self.modulation.bits_to_symbols(bits),
                            edge_offsets)
-
-
-def bits_to_pam4(bits: np.ndarray, symbol_rate: float,
-                 amplitude: float = 1.0, samples_per_symbol: int = 32,
-                 rise_time: Optional[float] = None) -> Waveform:
-    """Convenience wrapper: Gray-coded PAM4 waveform from a bit stream."""
-    encoder = SymbolEncoder(symbol_rate=symbol_rate, modulation=Pam4(),
-                            samples_per_symbol=samples_per_symbol,
-                            amplitude=amplitude, rise_time=rise_time)
-    return encoder.encode_bits(np.asarray(bits))

@@ -21,7 +21,7 @@ import numpy as np
 from .modulation import Nrz, SymbolEncoder
 from .waveform import Waveform
 
-__all__ = ["NrzEncoder", "bits_to_nrz", "ideal_square_wave"]
+__all__ = ["NrzEncoder", "bits_to_nrz"]
 
 
 @dataclasses.dataclass
@@ -121,16 +121,3 @@ def bits_to_nrz(bits: np.ndarray, bit_rate: float,
     encoder = NrzEncoder(bit_rate=bit_rate, samples_per_bit=samples_per_bit,
                          amplitude=amplitude, rise_time=rise_time)
     return encoder.encode(np.asarray(bits))
-
-
-def ideal_square_wave(frequency: float, n_cycles: int,
-                      amplitude: float = 1.0,
-                      samples_per_cycle: int = 64) -> Waveform:
-    """A +-amplitude/2 square wave, for step/settling experiments."""
-    if frequency <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency}")
-    if n_cycles < 1:
-        raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
-    bits = np.tile([1, 0], n_cycles)
-    return bits_to_nrz(bits, bit_rate=2 * frequency, amplitude=amplitude,
-                       samples_per_bit=samples_per_cycle // 2, rise_time=0.0)

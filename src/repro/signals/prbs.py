@@ -3,8 +3,7 @@
 The paper's eye-diagram experiments (Figs 14-16) all use a 2^7 - 1 PRBS
 pattern at 10 Gb/s.  This module implements the standard ITU-T linear
 feedback shift register (LFSR) patterns via their characteristic
-polynomials, plus a couple of deterministic utility patterns used by
-tests and benches.
+polynomials.
 """
 
 from __future__ import annotations
@@ -14,17 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = [
-    "PrbsGenerator",
-    "prbs_sequence",
-    "prbs7",
-    "prbs9",
-    "prbs15",
-    "prbs23",
-    "prbs31",
-    "alternating_pattern",
-    "run_length_histogram",
-]
+__all__ = ["PrbsGenerator", "prbs7", "prbs15"]
 
 # Characteristic polynomial taps (x^a + x^b + 1) for the standard PRBS
 # orders: a is the register length, and feedback XORs bits a and b.
@@ -96,61 +85,11 @@ class PrbsGenerator:
         return self.bits(self.period)
 
 
-def prbs_sequence(order: int, n_bits: int, seed: int = 1) -> np.ndarray:
-    """Return ``n_bits`` of the standard PRBS of the given order."""
-    return PrbsGenerator(order=order, seed=seed).bits(n_bits)
-
-
 def prbs7(n_bits: int, seed: int = 1) -> np.ndarray:
     """2^7 - 1 PRBS — the pattern used throughout the paper's figures."""
-    return prbs_sequence(7, n_bits, seed)
-
-
-def prbs9(n_bits: int, seed: int = 1) -> np.ndarray:
-    """2^9 - 1 PRBS."""
-    return prbs_sequence(9, n_bits, seed)
+    return PrbsGenerator(order=7, seed=seed).bits(n_bits)
 
 
 def prbs15(n_bits: int, seed: int = 1) -> np.ndarray:
     """2^15 - 1 PRBS."""
-    return prbs_sequence(15, n_bits, seed)
-
-
-def prbs23(n_bits: int, seed: int = 1) -> np.ndarray:
-    """2^23 - 1 PRBS."""
-    return prbs_sequence(23, n_bits, seed)
-
-
-def prbs31(n_bits: int, seed: int = 1) -> np.ndarray:
-    """2^31 - 1 PRBS."""
-    return prbs_sequence(31, n_bits, seed)
-
-
-def alternating_pattern(n_bits: int) -> np.ndarray:
-    """A 1010... clock-like pattern (the fastest toggling stimulus).
-
-    Used by the active-inductor bench: a 101010 pattern at 10 Gb/s is a
-    5 GHz square wave, the stress case for buffer bandwidth.
-    """
-    if n_bits < 0:
-        raise ValueError(f"n_bits must be >= 0, got {n_bits}")
-    return (np.arange(n_bits) % 2).astype(np.int8)
-
-
-def run_length_histogram(bits: np.ndarray) -> Dict[int, int]:
-    """Histogram of run lengths in a bit sequence.
-
-    A maximal-length PRBS of order *n* contains exactly one run of
-    length *n* (of ones) and one of length *n - 1* (of zeros) per period;
-    tests use this as a structural check of the generator.
-    """
-    bits = np.asarray(bits)
-    if bits.size == 0:
-        return {}
-    change = np.flatnonzero(np.diff(bits) != 0)
-    edges = np.concatenate(([0], change + 1, [bits.size]))
-    lengths = np.diff(edges)
-    histogram: Dict[int, int] = {}
-    for length in lengths:
-        histogram[int(length)] = histogram.get(int(length), 0) + 1
-    return histogram
+    return PrbsGenerator(order=15, seed=seed).bits(n_bits)

@@ -3,9 +3,7 @@
 Everything the simulator passes between circuit blocks is a
 :class:`Waveform`: a uniformly sampled real-valued signal with an explicit
 sample rate.  CML circuits are fully differential; by convention a
-waveform carries the *differential-mode* voltage ``v_p - v_n``, and
-:class:`DifferentialWaveform` is available when the two legs (and their
-common mode) must be tracked separately, e.g. for DC-offset studies.
+waveform carries the *differential-mode* voltage ``v_p - v_n``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 # through it; re-exported here as the public sampling primitive.
 from ..kernels import sample_uniform
 
-__all__ = ["Waveform", "DifferentialWaveform", "sample_uniform"]
+__all__ = ["Waveform", "sample_uniform"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,50 +232,3 @@ class Waveform(_Sampled):
         new_t = self.t0 + np.arange(new_n) / sample_rate
         new_data = np.interp(new_t, self.time, self.data)
         return Waveform(new_data, sample_rate, t0=self.t0)
-
-
-@dataclasses.dataclass(frozen=True)
-class DifferentialWaveform:
-    """A differential signal tracked as explicit positive and negative legs.
-
-    CML circuits are differential end to end.  Most of the library only
-    needs the differential mode and uses :class:`Waveform`; this class is
-    for studies where the common mode or a leg-to-leg DC offset matters
-    (e.g. the limiting amplifier's offset-cancellation loop).
-    """
-
-    positive: Waveform
-    negative: Waveform
-
-    def __post_init__(self) -> None:
-        self.positive._check_compatible(self.negative)
-
-    @classmethod
-    def from_differential(cls, diff: Waveform,
-                          common_mode: float = 0.0) -> "DifferentialWaveform":
-        """Split a differential-mode waveform into two legs around a CM level."""
-        half = diff * 0.5
-        return cls(positive=half + common_mode, negative=(-half) + common_mode)
-
-    @property
-    def sample_rate(self) -> float:
-        return self.positive.sample_rate
-
-    def differential(self) -> Waveform:
-        """The differential-mode component ``v_p - v_n``."""
-        return self.positive - self.negative
-
-    def common_mode(self) -> Waveform:
-        """The common-mode component ``(v_p + v_n) / 2``."""
-        return (self.positive + self.negative) * 0.5
-
-    def with_offset(self, offset_v: float) -> "DifferentialWaveform":
-        """Add a static leg-to-leg imbalance (models device mismatch)."""
-        half = offset_v / 2.0
-        return DifferentialWaveform(self.positive + half, self.negative - half)
-
-    def map_each(self, func: Callable[[np.ndarray], np.ndarray]
-                 ) -> "DifferentialWaveform":
-        """Apply the same elementwise function to both legs."""
-        return DifferentialWaveform(self.positive.map(func),
-                                    self.negative.map(func))

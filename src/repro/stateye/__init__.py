@@ -15,19 +15,14 @@ Entry points:
 
 * :class:`StatEye` — the engine (``analyze`` / ``analyze_batch``);
 * :meth:`repro.link.LinkSession.statistical_eye` — the facade mode;
-* :func:`stat_eye_measure` / :func:`stat_eye_stimulus` — the sweep
-  measure pair for ``SweepRunner``/reducer aggregation;
 * :class:`StatEyeResult` / :class:`StatEyeBatchResult` — typed results.
 """
 
 from .engine import StatEye
-from .measure import stat_eye_measure, stat_eye_stimulus
 from .result import StatEyeBatchResult, StatEyeResult
 
 __all__ = [
     "StatEye",
     "StatEyeResult",
     "StatEyeBatchResult",
-    "stat_eye_measure",
-    "stat_eye_stimulus",
 ]

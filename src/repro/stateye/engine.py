@@ -157,18 +157,19 @@ class StatEye:
             )
         for name in ("noise_rms", "rj_rms_ui", "dj_pp_ui"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
         if self.dj_pp_ui >= 1.0:
             raise ValueError(
                 f"dj_pp_ui must be < 1 UI (a full-UI deterministic "
                 f"offset closes the eye by construction), got "
                 f"{self.dj_pp_ui}"
             )
-        if self.v_half_span is not None and self.v_half_span <= 0:
-            raise ValueError(
-                f"v_half_span must be positive, got {self.v_half_span}"
-            )
+        if self.v_half_span is not None and not (
+                np.isfinite(self.v_half_span) and self.v_half_span > 0):
+            raise ValueError(f"v_half_span must be finite and positive, "
+                             f"got {self.v_half_span}")
         if not 0.0 < self.target_ber < 0.5:
             raise ValueError(
                 f"target_ber must be in (0, 0.5), got {self.target_ber}"

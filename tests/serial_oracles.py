@@ -10,8 +10,8 @@ floating-point expression order as the kernels, so a kernel row must
 match it bit for bit:
 
 * :class:`SerialCdr` — the scalar bang-bang loop (Alexander votes
-  through :func:`repro.cdr.vote_step`, proportional + integral update,
-  cycle-slip wrap) and its scalar lock detector;
+  through :func:`vote_step`, proportional + integral update, cycle-slip
+  wrap) and its scalar lock detector;
 * :func:`detect_lock_batch` — the batched lock detector with its
   window peak-to-peak taken over every window in full (``np.ptp`` of a
   sliding-window view, O(n * window)), which the library's O(n)
@@ -22,8 +22,8 @@ match it bit for bit:
   scalar CDR, deserialize) for one waveform;
 * :func:`serial_sweep` — a :class:`~repro.sweep.SweepRunner`'s grid
   walked one scenario at a time, the loop the batched sweep replaces;
-* :func:`eye_diagram`, :func:`eye_quality_metric`, :func:`ber_from_eye`,
-  :func:`decompose_jitter` and :func:`pulse_response` — the
+* :func:`eye_diagram`, :func:`eye_quality_metric`, :func:`ber_from_eye`
+  and :func:`pulse_response` — the
   per-waveform measurement layer above the eye fold: ``eye_diagram``
   resamples a non-integer samples/UI waveform on its own before
   folding, ``ber_from_eye`` converts Q to BER in scalar Python and
@@ -58,16 +58,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ber import ber_from_measurement
+from repro.analysis.ber import ber_from_q_factors
 from repro.analysis.eye import EyeDiagram
 from repro.analysis.isi import PulseResponse
-from repro.analysis.jitter_decomposition import (
-    JitterDecomposition,
-    decompose_crossings,
-)
 from repro.baselines.dfe import inner_eye_height_from_corrected
 from repro.cdr import CdrConfig, CdrResult
-from repro.cdr.phase_detector import vote_step
 from repro.core.adaptation import (
     AdaptationResult,
     ScalarKnobSearch,
@@ -85,6 +80,21 @@ from repro.signals.modulation import Modulation
 from repro.signals.nrz import bits_to_nrz
 from repro.signals.waveform import Waveform, sample_uniform
 from repro.sweep import SweepResult
+
+
+def vote_step(previous_data: np.ndarray, samples_edge: np.ndarray,
+              samples_data: np.ndarray) -> np.ndarray:
+    """One Alexander vote per row from aligned A/T/B samples: +1 EARLY
+    (T agrees with A), -1 LATE (T agrees with B), 0 without a
+    transition.  A sample counts high at or above zero, so NaN counts
+    low (the kernels' slicer convention)."""
+    a, t, b = (np.where(np.asarray(v, dtype=float) >= 0.0, 1.0, -1.0)
+               for v in (previous_data, samples_edge, samples_data))
+    transition = a != b
+    votes = np.zeros(np.shape(t), dtype=np.int8)
+    votes[transition & (t == a)] = 1
+    votes[transition & (t == b)] = -1
+    return votes
 
 
 class SerialCdr:
@@ -455,15 +465,10 @@ def ber_from_eye(wave: Waveform, bit_rate: float, skip_ui: int = 8,
     """BER from the eye's Q-factor(s), summed in scalar Python."""
     measurement = eye_diagram(wave, bit_rate, skip_ui=skip_ui,
                               modulation=modulation).measure()
-    return ber_from_measurement(measurement, modulation)
-
-
-def decompose_jitter(wave: Waveform, bit_rate: float,
-                     skip_ui: int = 8) -> JitterDecomposition:
-    """Dual-Dirac decomposition of one waveform's crossing jitter."""
-    crossings_ui = eye_diagram(wave, bit_rate,
-                               skip_ui=skip_ui).crossing_times_ui()
-    return decompose_crossings(crossings_ui / bit_rate)
+    q_factors = (measurement.q_factors
+                 if measurement.q_factors is not None
+                 else (measurement.q_factor,))
+    return ber_from_q_factors(q_factors, modulation)
 
 
 def pulse_response(system, bit_rate: float, samples_per_bit: int = 32,

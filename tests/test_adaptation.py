@@ -9,9 +9,9 @@ from repro.core import (
     ScalarKnobSearch,
     adapt_equalizer,
     adapt_peaking,
-    eye_quality_metric,
+    eye_quality_metric_batch,
 )
-from repro.signals import bits_to_nrz, prbs7
+from repro.signals import WaveformBatch, bits_to_nrz, prbs7
 import serial_oracles as oracle
 
 BIT_RATE = 10e9
@@ -55,8 +55,9 @@ def test_metric_ranks_clean_above_degraded():
     clean = bits_to_nrz(prbs7(260), BIT_RATE, amplitude=0.3,
                         samples_per_bit=16)
     degraded = BackplaneChannel(0.6).process(clean)
-    assert eye_quality_metric(clean, BIT_RATE) \
-        > eye_quality_metric(degraded, BIT_RATE)
+    metrics = eye_quality_metric_batch(
+        WaveformBatch.stack([clean, degraded]), BIT_RATE)
+    assert metrics[0] > metrics[1]
 
 
 def test_metric_penalizes_unmeasurable_waves():
@@ -64,7 +65,8 @@ def test_metric_penalizes_unmeasurable_waves():
     import numpy as np
 
     flat = Waveform(np.zeros(200), 160e9)
-    assert eye_quality_metric(flat, BIT_RATE) < 0
+    assert eye_quality_metric_batch(WaveformBatch.stack([flat]),
+                                    BIT_RATE)[0] < 0
 
 
 # -- adapters -----------------------------------------------------------

@@ -1,17 +1,13 @@
-"""Clock-data recovery: phase detector votes, loop locking, cycle
-slips, and batch rows against the scalar reference loop."""
+"""Clock-data recovery: the reference loop's phase-detector votes, loop
+locking, cycle slips, and batch rows against the scalar reference
+loop."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.cdr import (
-    BangBangCdr,
-    CdrConfig,
-    PdVote,
-    alexander_votes,
-)
+from repro.cdr import BangBangCdr, CdrConfig
 from repro.signals import (
     RandomJitter,
     NrzEncoder,
@@ -19,71 +15,29 @@ from repro.signals import (
     bits_to_nrz,
     prbs7,
 )
-from serial_oracles import SerialCdr
+from serial_oracles import SerialCdr, vote_step
 
 BIT_RATE = 10e9
 
 
-# -- phase detector -----------------------------------------------------------
+# -- phase detector (the scalar loop's Alexander vote) -----------------------
 
 def test_votes_on_transitions_only():
     # Data +1 -> +1: no transition, HOLD regardless of edge sample.
-    votes = alexander_votes(np.array([1.0, 1.0]), np.array([0.5]))
-    assert votes[0] == PdVote.HOLD
+    assert vote_step(np.array([1.0]), np.array([0.5]), np.array([1.0]))[0] == 0
 
 
 def test_early_vote():
     # Transition +1 -> -1 with edge sample still at the OLD value:
     # the edge came after the crossing sample -> clock EARLY.
-    votes = alexander_votes(np.array([1.0, -1.0]), np.array([0.8]))
-    assert votes[0] == PdVote.EARLY
+    assert vote_step(np.array([1.0]), np.array([0.8]),
+                     np.array([-1.0]))[0] == 1
 
 
 def test_late_vote():
     # Edge sample already at the NEW value -> clock LATE.
-    votes = alexander_votes(np.array([1.0, -1.0]), np.array([-0.8]))
-    assert votes[0] == PdVote.LATE
-
-
-def test_votes_vectorized():
-    data = np.array([1.0, -1.0, -1.0, 1.0])
-    edge = np.array([0.9, -0.5, 0.9])
-    votes = alexander_votes(data, edge)
-    # Edge sample at the old level (0.9 = prev bit) -> EARLY; no
-    # transition -> HOLD; edge sample at the new level -> LATE.
-    assert list(votes) == [PdVote.EARLY, PdVote.HOLD, PdVote.LATE]
-
-
-def test_votes_length_validation():
-    with pytest.raises(ValueError):
-        alexander_votes(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-
-
-def test_votes_batch_matches_rows():
-    # A 2-D stack votes per row; the oracle is the rule spelled out
-    # one sample triple at a time.
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(6, 40))
-    edge = rng.normal(size=(6, 39))
-    data[0, 3] = 0.0                 # zero slices high
-    batched = alexander_votes(data, edge)
-    assert batched.shape == (6, 39)
-    for i in range(len(data)):
-        for k in range(39):
-            a, t, b = (data[i, k] >= 0, edge[i, k] >= 0,
-                       data[i, k + 1] >= 0)
-            expected = (PdVote.HOLD if a == b
-                        else PdVote.EARLY if t == a else PdVote.LATE)
-            assert batched[i, k] == expected
-
-
-def test_votes_batch_validation():
-    with pytest.raises(ValueError):
-        alexander_votes(np.ones((2, 5)), np.ones((2, 5)))
-    with pytest.raises(ValueError):
-        alexander_votes(np.ones((2, 5)), np.ones(4))
-    with pytest.raises(ValueError):
-        alexander_votes(np.ones(5), np.ones((2, 4)))
+    assert vote_step(np.array([1.0]), np.array([-0.8]),
+                     np.array([-1.0]))[0] == -1
 
 
 # -- loop ---------------------------------------------------------------

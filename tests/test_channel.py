@@ -1,4 +1,4 @@
-"""Backplane channel and termination models."""
+"""Backplane channel and driver-swing models."""
 
 import math
 
@@ -11,12 +11,7 @@ from repro.channel import (
     BackplaneChannel,
     ChannelParameters,
     FR4_DEFAULT,
-    ReflectiveLink,
-    Termination,
     cml_output_swing,
-    reflection_coefficient,
-    required_drive_current,
-    return_loss_db,
 )
 from repro.channel.backplane import _channel_spectrum
 from repro.signals import Waveform, WaveformBatch, bits_to_nrz, prbs7
@@ -255,18 +250,6 @@ def test_channel_batch_rows_equal_single_waveforms(n_rows, n, seed):
 
 # -- terminations ------------------------------------------------------------
 
-def test_reflection_coefficient_signs():
-    assert reflection_coefficient(50.0) == 0.0
-    assert reflection_coefficient(100.0) > 0
-    assert reflection_coefficient(25.0) < 0
-    assert reflection_coefficient(0.0) == -1.0
-
-
-def test_return_loss():
-    assert math.isinf(return_loss_db(50.0))
-    # 10% mismatch: RL ~ 26 dB.
-    assert return_loss_db(55.0) == pytest.approx(26.4, abs=0.5)
-
 
 def test_cml_swing_8ma():
     # The paper's 8 mA into a doubly terminated 50-ohm line: 200 mV.
@@ -275,56 +258,8 @@ def test_cml_swing_8ma():
         == pytest.approx(0.400)
 
 
-def test_required_drive_current_inverts_swing():
-    swing = cml_output_swing(8e-3)
-    assert required_drive_current(swing) == pytest.approx(8e-3)
-
-
-def test_termination_matching():
-    assert Termination(52.0).is_matched()
-    assert not Termination(80.0).is_matched()
-    assert Termination(50.0).gamma == 0.0
-
-
-def test_reflective_link_echo():
-    link = ReflectiveLink(
-        round_trip_delay=1e-9, round_trip_loss_db=6.0,
-        tx=Termination(65.0), rx=Termination(65.0),
-    )
-    w = bits_to_nrz(np.concatenate([np.ones(5, dtype=int),
-                                    np.zeros(35, dtype=int)]),
-                    1e9, samples_per_bit=16, rise_time=0.0)
-    out = link.process(w)
-    # Echo arrives 1 ns (16 samples) after the pulse with the expected gain.
-    gain = link.echo_gain
-    assert gain > 0
-    echo_region = out.data[16 * 6: 16 * 9]
-    assert np.max(np.abs(echo_region - (-0.5))) > 0.5 * gain
-
-
-def test_matched_link_has_no_echo():
-    link = ReflectiveLink(
-        round_trip_delay=1e-9, round_trip_loss_db=6.0,
-        tx=Termination(50.0), rx=Termination(50.0),
-    )
-    w = bits_to_nrz(prbs7(40), 1e9, samples_per_bit=8)
-    out = link.process(w)
-    np.testing.assert_allclose(out.data, w.data)
-
-
-def test_reflective_link_validation():
-    with pytest.raises(ValueError):
-        ReflectiveLink(round_trip_delay=0.0, round_trip_loss_db=6.0,
-                       tx=Termination(50.0), rx=Termination(50.0))
-    with pytest.raises(ValueError):
-        ReflectiveLink(round_trip_delay=1e-9, round_trip_loss_db=-1.0,
-                       tx=Termination(50.0), rx=Termination(50.0))
-
-
 def test_swing_helpers_validation():
     with pytest.raises(ValueError):
         cml_output_swing(0.0)
     with pytest.raises(ValueError):
-        required_drive_current(-0.1)
-    with pytest.raises(ValueError):
-        reflection_coefficient(-1.0)
+        cml_output_swing(8e-3, load_ohm=0.0)

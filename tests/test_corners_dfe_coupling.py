@@ -1,81 +1,19 @@
-"""Process corners, DFE baseline, AC coupling, spectrum estimation."""
-
-import math
+"""DFE baseline."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    band_power,
-    power_spectral_density,
-    spectral_centroid,
-)
 from repro.baselines import (
     DecisionFeedbackEqualizer,
     dfe_taps_from_channel,
     inner_eye_height_from_corrected,
 )
 from repro.channel import BackplaneChannel
-from repro.devices import (
-    ProcessCorner,
-    all_corners,
-    corner_technology,
-    nmos,
-)
-from repro.lti import AcCoupling, worst_case_wander_fraction
 from repro.signals import Waveform, WaveformBatch, add_awgn, bits_to_nrz, \
     prbs7
 from serial_oracles import SerialDfe
 
 BIT_RATE = 10e9
-
-
-# -- corners ----------------------------------------------------------------
-
-def test_corner_mobility_and_threshold_shifts():
-    slow = corner_technology(ProcessCorner.SLOW)
-    fast = corner_technology(ProcessCorner.FAST)
-    typical = corner_technology(ProcessCorner.TYPICAL)
-    assert slow.u_n_cox < typical.u_n_cox < fast.u_n_cox
-    assert slow.vth_n > typical.vth_n > fast.vth_n
-
-
-def test_corner_devices_order_gm():
-    gms = {}
-    for corner, tech in all_corners().items():
-        gms[corner] = nmos(20e-6, 0.18e-6, 1e-3, tech=tech).gm
-    assert gms[ProcessCorner.SLOW] < gms[ProcessCorner.TYPICAL] \
-        < gms[ProcessCorner.FAST]
-
-
-def test_corner_interface_stays_functional():
-    # Rebuild the input-buffer stage on each corner: bandwidth moves
-    # but the stage stays usable (the BMVR absorbs the bias side).
-    from repro.core import CmlBuffer, ActiveInductorLoad
-    from repro.devices import ActiveInductor, pmos
-
-    bandwidths = {}
-    for corner, tech in all_corners().items():
-        buf = CmlBuffer(
-            input_pair=nmos(20e-6, 0.18e-6, 1e-3, tech=tech),
-            load=ActiveInductorLoad(ActiveInductor(
-                pmos(40e-6, 0.18e-6, 1e-3, tech=tech), 1200.0)),
-            tail_current=2e-3, c_load_ext=54e-15,
-            source_resistance=250.0, feedback_loop_gain=1.2,
-        )
-        bandwidths[corner] = buf.bandwidth_3db()
-    assert bandwidths[ProcessCorner.SLOW] \
-        < bandwidths[ProcessCorner.FAST]
-    assert bandwidths[ProcessCorner.SLOW] > 0.6 * bandwidths[
-        ProcessCorner.TYPICAL]
-
-
-def test_typical_corner_is_base():
-    base = corner_technology(ProcessCorner.TYPICAL)
-    from repro.devices import TSMC180
-
-    assert base.u_n_cox == TSMC180.u_n_cox
-    assert base.vth_n == TSMC180.vth_n
 
 
 # -- DFE -----------------------------------------------------------------
@@ -217,126 +155,6 @@ def test_inner_eye_height_from_corrected_degenerate_rows():
     assert heights[2] == -float("inf")
     assert inner_eye_height_from_corrected(corrected[0], skip_bits=4) \
         == heights[0]
-
-
-# -- AC coupling ----------------------------------------------------------
-
-def test_coupling_corner():
-    coupling = AcCoupling(capacitance=100e-9, termination=50.0)
-    assert coupling.highpass_corner_hz == pytest.approx(
-        1.0 / (2 * math.pi * 50.0 * 100e-9)
-    )
-    assert coupling.highpass_corner_hz < 100e3
-
-
-def test_coupling_blocks_dc_passes_data():
-    coupling = AcCoupling(capacitance=1e-12, termination=50.0)
-    # Deliberately tiny cap -> corner at 3.2 GHz: visible droop.  The
-    # run of ones starts mid-waveform so the capacitor is settled to
-    # the zero level first.
-    bits = np.concatenate([np.zeros(5, dtype=int),
-                           np.ones(20, dtype=int),
-                           np.zeros(15, dtype=int)])
-    wave = bits_to_nrz(bits, BIT_RATE, amplitude=0.4, samples_per_bit=16)
-    out = coupling.process(wave)
-    run_start = out.data[16 * 6]      # shortly after the rising edge
-    run_end = out.data[16 * 24]       # end of the ones run
-    assert abs(run_end) < abs(run_start) * 0.5
-
-
-def test_big_cap_is_transparent_to_short_patterns():
-    coupling = AcCoupling(capacitance=100e-9)
-    wave = bits_to_nrz(prbs7(100), BIT_RATE, amplitude=0.4,
-                       samples_per_bit=16)
-    out = coupling.process(wave)
-    np.testing.assert_allclose(out.data, wave.data - wave.data[0],
-                               atol=1e-3)
-
-
-def test_wander_budget_8b10b_vs_uncoded():
-    coupling = AcCoupling(capacitance=10e-9)
-    coded = worst_case_wander_fraction(coupling, BIT_RATE, max_run_bits=5)
-    uncoded = worst_case_wander_fraction(coupling, BIT_RATE,
-                                         max_run_bits=31)
-    pathological = worst_case_wander_fraction(coupling, BIT_RATE,
-                                              max_run_bits=100000)
-    assert coded < uncoded < pathological
-    assert coded < 2e-3            # 8b/10b keeps wander sub-mUI-scale
-    assert uncoded > 5 * coded     # ~ the 31/5 run-length ratio
-
-
-def test_coupling_validation():
-    with pytest.raises(ValueError):
-        AcCoupling(capacitance=0.0)
-    with pytest.raises(ValueError):
-        AcCoupling(termination=-50.0)
-    with pytest.raises(ValueError):
-        AcCoupling().droop_over(-1.0)
-    with pytest.raises(ValueError):
-        worst_case_wander_fraction(AcCoupling(), 0.0, 5)
-
-
-# -- spectrum -----------------------------------------------------------
-
-def test_nrz_spectrum_has_null_at_bit_rate():
-    wave = bits_to_nrz(prbs7(2000), BIT_RATE, amplitude=1.0,
-                       samples_per_bit=8, rise_time=0.0)
-    freq, psd = power_spectral_density(wave, segment_length=2048)
-    # Compare PSD near 5 GHz (in-band) vs near the 10 GHz null.
-    in_band = psd[np.argmin(np.abs(freq - 5e9))]
-    at_null = psd[np.argmin(np.abs(freq - 10e9))]
-    assert at_null < 0.05 * in_band
-
-
-def test_sine_band_power():
-    fs = 64e9
-    f0 = 4e9
-    t = np.arange(8192) / fs
-    wave = Waveform(np.sin(2 * np.pi * f0 * t), fs)
-    inside = band_power(wave, 3e9, 5e9, segment_length=2048)
-    outside = band_power(wave, 10e9, 20e9, segment_length=2048)
-    assert inside > 100 * outside
-    # A unit sine has power 0.5 V^2.
-    assert inside == pytest.approx(0.5, rel=0.15)
-
-
-@pytest.mark.parametrize("f_lo, f_hi", [(0.0, 5e9), (3e9, 5e9),
-                                        (4.9e9, 5e9), (10e9, 20e9)])
-def test_band_power_is_numpys_trapezoid_rule(f_lo, f_hi):
-    # band_power spells out the trapezoid rule so it also runs on
-    # numpy 1.x, which has np.trapz (the same rule) but no np.trapezoid.
-    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-    wave = bits_to_nrz(prbs7(2000), BIT_RATE, amplitude=0.5,
-                       samples_per_bit=8)
-    freq, psd = power_spectral_density(wave, segment_length=1024)
-    mask = (freq >= f_lo) & (freq <= f_hi)
-    assert band_power(wave, f_lo, f_hi, segment_length=1024) \
-        == float(trapezoid(psd[mask], freq[mask]))
-
-
-def test_preemphasis_raises_spectral_centroid():
-    from repro.baselines import FirPreEmphasis
-
-    wave = bits_to_nrz(prbs7(2000), BIT_RATE, amplitude=0.5,
-                       samples_per_bit=8)
-    fir = FirPreEmphasis(taps=(1.4, -0.4), bit_rate=BIT_RATE)
-    plain_centroid = spectral_centroid(wave, segment_length=1024)
-    shaped_centroid = spectral_centroid(fir.process(wave),
-                                        segment_length=1024)
-    assert shaped_centroid > 1.1 * plain_centroid
-
-
-def test_spectrum_validation():
-    wave = bits_to_nrz(prbs7(100), BIT_RATE, samples_per_bit=8)
-    with pytest.raises(ValueError):
-        power_spectral_density(wave, segment_length=8)
-    with pytest.raises(ValueError):
-        power_spectral_density(wave, segment_length=1024, overlap=1.0)
-    with pytest.raises(ValueError):
-        band_power(wave, 5e9, 1e9)
-    tiny = Waveform(np.zeros(64), 1e9)
-    with pytest.raises(ValueError):
-        power_spectral_density(tiny, segment_length=128)
 
 
 def test_inner_eye_height_all_bits_skipped_reports_no_eye():

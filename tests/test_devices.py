@@ -8,18 +8,14 @@ import pytest
 
 from repro.devices import (
     ActiveInductor,
-    Capacitor,
     MosVaractor,
     Mosfet,
-    Resistor,
     SpiralInductor,
     TSMC180,
     Technology,
     neutralized_input_capacitance,
     nmos,
     pmos,
-    rc_lowpass_tf,
-    rl_shunt_peaking_tf,
 )
 
 
@@ -238,20 +234,6 @@ def test_neutralization_rejects_negative():
 
 # -- passives -------------------------------------------------------------
 
-def test_resistor_corners():
-    r = Resistor(100.0, tolerance=0.15)
-    assert r.corner(3.0) == pytest.approx(115.0)
-    assert r.corner(-3.0) == pytest.approx(85.0)
-    with pytest.raises(ValueError):
-        r.corner(5.0)
-
-
-def test_capacitor_impedance():
-    c = Capacitor(1e-12)
-    z = c.impedance(np.array([1e9]))[0]
-    assert abs(z) == pytest.approx(1 / (2 * np.pi * 1e9 * 1e-12), rel=1e-9)
-    assert z.imag < 0
-
 
 def test_spiral_area_scales_with_sqrt_inductance():
     small = SpiralInductor(1e-9)
@@ -271,29 +253,6 @@ def test_spiral_impedance_inductive_below_srf():
     assert z[1].imag > z[0].imag > 0
 
 
-def test_rc_lowpass_tf():
-    tf = rc_lowpass_tf(100.0, 1e-12, gain=2.0)
-    assert tf.dc_gain() == pytest.approx(2.0)
-    assert tf.bandwidth_3db() == pytest.approx(1 / (2 * np.pi * 1e-10),
-                                               rel=1e-2)
-
-
-def test_shunt_peaking_extends_bandwidth():
-    r, c = 200.0, 100e-15
-    plain = rc_lowpass_tf(r, c)
-    # Optimal shunt peaking: L ~ 0.4 R^2 C.
-    peaked = rl_shunt_peaking_tf(r, 0.4 * r * r * c, c, gm=1.0 / r)
-    assert peaked.bandwidth_3db() > 1.5 * plain.bandwidth_3db()
-
-
 def test_passive_validation():
     with pytest.raises(ValueError):
-        Resistor(0.0)
-    with pytest.raises(ValueError):
-        Capacitor(-1e-12)
-    with pytest.raises(ValueError):
         SpiralInductor(0.0)
-    with pytest.raises(ValueError):
-        rc_lowpass_tf(-1.0, 1e-12)
-    with pytest.raises(ValueError):
-        rl_shunt_peaking_tf(1.0, 0.0, 1e-12)

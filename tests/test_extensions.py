@@ -1,26 +1,15 @@
-"""Extension modules: digital pre-emphasis baseline, jitter
-decomposition, mismatch Monte Carlo, channel fitting."""
+"""Extension modules: digital pre-emphasis baseline, mismatch Monte
+Carlo, channel fitting."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
     FirPreEmphasis,
-    taps_equivalent_to_peaking,
     zero_forcing_taps,
 )
-from repro.analysis import (
-    EyeDiagram,
-    decompose_crossings,
-    decompose_jitter,
-)
-from repro.channel import (
-    BackplaneChannel,
-    fit_channel,
-    fit_channel_parameters,
-    format_s21_text,
-    parse_s21_text,
-)
+from repro.analysis import EyeDiagram
+from repro.channel import BackplaneChannel, fit_channel_parameters
 from repro.devices import (
     MismatchModel,
     chain_offset_sigma,
@@ -28,13 +17,7 @@ from repro.devices import (
     pair_offset_sigma,
     sample_offsets,
 )
-from repro.signals import (
-    NrzEncoder,
-    RandomJitter,
-    SinusoidalJitter,
-    bits_to_nrz,
-    prbs7,
-)
+from repro.signals import bits_to_nrz, prbs7
 
 BIT_RATE = 10e9
 
@@ -89,76 +72,9 @@ def test_zero_forcing_improves_channel_eye():
     assert m_shaped.eye_height > 1.2 * m_plain.eye_height
 
 
-def test_equivalence_with_analog_peaking():
-    taps = taps_equivalent_to_peaking(spike_height=37.5e-3,
-                                      signal_amplitude=0.1)
-    assert taps[0] == pytest.approx(1.1875)
-    assert taps[1] == pytest.approx(-0.1875)
-    with pytest.raises(ValueError):
-        taps_equivalent_to_peaking(0.01, 0.0)
-
-
 def test_zero_forcing_validation():
     with pytest.raises(ValueError):
         zero_forcing_taps(BackplaneChannel(0.5), BIT_RATE, n_taps=1)
-
-
-# -- jitter decomposition ------------------------------------------------------
-
-def test_decompose_pure_rj():
-    encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=32,
-                         amplitude=0.4, rise_time=10e-12)
-    rj_injected = 2e-12
-    bits = prbs7(800)
-    wave = encoder.encode(
-        bits, edge_offsets=RandomJitter(rj_injected, seed=5).offsets(
-            800, BIT_RATE)
-    )
-    decomposition = decompose_jitter(wave, BIT_RATE)
-    assert decomposition.rj_rms == pytest.approx(rj_injected, rel=0.6)
-    assert decomposition.dj_pp < 2.5 * rj_injected
-
-
-def test_decompose_dominant_dj():
-    encoder = NrzEncoder(bit_rate=BIT_RATE, samples_per_bit=32,
-                         amplitude=0.4, rise_time=10e-12)
-    bits = prbs7(800)
-    sj = SinusoidalJitter(peak_seconds=5e-12, frequency=97e6)
-    rj = RandomJitter(0.5e-12, seed=6)
-    offsets = sj.offsets(800, BIT_RATE) + rj.offsets(800, BIT_RATE)
-    wave = encoder.encode(bits, edge_offsets=offsets)
-    decomposition = decompose_jitter(wave, BIT_RATE)
-    # DJ (10 ps pp injected) must dominate the RJ estimate.
-    assert decomposition.dj_pp > 3 * decomposition.rj_rms
-    assert decomposition.dj_pp > 4e-12
-
-
-def test_total_jitter_monotone_in_ber():
-    decomposition = decompose_crossings(
-        np.random.default_rng(1).normal(0, 1e-12, 500)
-    )
-    assert decomposition.total_jitter(1e-15) > decomposition.total_jitter(
-        1e-9
-    )
-    with pytest.raises(ValueError):
-        decomposition.total_jitter(0.9)
-
-
-def test_decompose_validation():
-    with pytest.raises(ValueError):
-        decompose_crossings(np.zeros(10))
-    with pytest.raises(ValueError):
-        decompose_crossings(np.zeros(100), tail_fraction=0.5)
-
-
-def test_eye_closure_ui():
-    decomposition = decompose_crossings(
-        np.random.default_rng(2).normal(0, 1e-12, 500)
-    )
-    closure = decomposition.eye_closure_ui(BIT_RATE)
-    assert 0 < closure < 1.0
-    with pytest.raises(ValueError):
-        decomposition.eye_closure_ui(0.0)
 
 
 # -- mismatch --------------------------------------------------------------
@@ -226,31 +142,10 @@ def test_fit_recovers_known_parameters():
 def test_fit_channel_reproduces_loss():
     truth = BackplaneChannel(0.5)
     freqs = np.linspace(1e9, 8e9, 20)
-    fitted = fit_channel(freqs, truth.loss_db(freqs), length_m=0.5)
+    fitted = BackplaneChannel(0.5, fit_channel_parameters(
+        freqs, truth.loss_db(freqs), length_m=0.5))
     np.testing.assert_allclose(fitted.loss_db(freqs),
                                truth.loss_db(freqs), rtol=0.05)
-
-
-def test_s21_text_roundtrip():
-    channel = BackplaneChannel(0.5)
-    freqs = np.linspace(1e9, 10e9, 10)
-    text = format_s21_text(channel, freqs)
-    parsed_freqs, parsed_loss = parse_s21_text(text)
-    np.testing.assert_allclose(parsed_freqs, freqs)
-    np.testing.assert_allclose(parsed_loss, channel.loss_db(freqs),
-                               atol=1e-3)
-    # Fit from the exported trace reproduces the channel.
-    refit = fit_channel(parsed_freqs, parsed_loss, length_m=0.5)
-    assert refit.nyquist_loss_db(10e9) == pytest.approx(
-        channel.nyquist_loss_db(10e9), rel=0.02
-    )
-
-
-def test_parse_skips_comments():
-    text = "! comment\n# HZ S DB R 50\n1e9 -3.0\n2e9 -5.0\n"
-    freqs, loss = parse_s21_text(text)
-    np.testing.assert_allclose(freqs, [1e9, 2e9])
-    np.testing.assert_allclose(loss, [3.0, 5.0])
 
 
 def test_fitting_validation():
@@ -262,7 +157,3 @@ def test_fitting_validation():
     with pytest.raises(ValueError):
         fit_channel_parameters(np.array([1e9, 2e9]),
                                np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        parse_s21_text("! nothing\n")
-    with pytest.raises(ValueError):
-        parse_s21_text("1e9\n2e9 -1\n3e9 -2\n")

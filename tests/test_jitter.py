@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.signals import (
-    JitterBudget,
-    RandomJitter,
-    SinusoidalJitter,
-    dual_dirac_total_jitter,
-)
+from repro.signals import RandomJitter, SinusoidalJitter
 
 
 def test_random_jitter_rms():
@@ -55,39 +50,3 @@ def test_sinusoidal_rejects_bad_args():
         SinusoidalJitter(-1e-12, 1e8)
     with pytest.raises(ValueError):
         SinusoidalJitter(1e-12, 0.0)
-
-
-def test_budget_sums_components():
-    budget = JitterBudget(
-        random=RandomJitter(1e-12, seed=1),
-        sinusoidal=SinusoidalJitter(2e-12, 1e8),
-    )
-    total = budget.offsets(500, 10e9)
-    rj = RandomJitter(1e-12, seed=1).offsets(500, 10e9)
-    sj = SinusoidalJitter(2e-12, 1e8).offsets(500, 10e9)
-    np.testing.assert_allclose(total, rj + sj)
-
-
-def test_empty_budget():
-    budget = JitterBudget()
-    assert budget.is_empty()
-    np.testing.assert_allclose(budget.offsets(10, 1e9), 0.0)
-
-
-def test_dual_dirac_at_1e12():
-    # TJ = DJ + 2*Q*RJ with Q ~ 7.03 at BER 1e-12.
-    tj = dual_dirac_total_jitter(rj_rms=1e-12, dj_pp=10e-12, ber=1e-12)
-    assert tj == pytest.approx(10e-12 + 2 * 7.034 * 1e-12, rel=0.01)
-
-
-def test_dual_dirac_monotone_in_ber():
-    tight = dual_dirac_total_jitter(1e-12, 0.0, ber=1e-15)
-    loose = dual_dirac_total_jitter(1e-12, 0.0, ber=1e-9)
-    assert tight > loose
-
-
-def test_dual_dirac_rejects_bad_args():
-    with pytest.raises(ValueError):
-        dual_dirac_total_jitter(-1e-12, 0.0)
-    with pytest.raises(ValueError):
-        dual_dirac_total_jitter(1e-12, 0.0, ber=0.7)

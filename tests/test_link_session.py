@@ -14,6 +14,7 @@ Pins the api-redesign contract:
 """
 
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -23,19 +24,14 @@ from repro import (
     ChannelConfig,
     CdrConfig,
     DfeConfig,
-    LinkBatchResult,
-    LinkResult,
     LinkSession,
     RxConfig,
     ScenarioGrid,
     SweepAxis,
-    SweepRunner,
     TxConfig,
     WaveformBatch,
     bits_to_nrz,
     prbs7,
-    run_framed_link,
-    sample_uniform,
 )
 from repro.analysis import measure_eye_batch
 from repro.baselines import (
@@ -47,11 +43,12 @@ from repro.baselines import (
 from repro.cdr import BangBangCdr
 from repro.channel import BackplaneChannel
 from repro.core import build_input_interface
-from repro.link import CdrStage, DfeStage
-from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
-    first_order_lowpass
-from repro.signals import NrzEncoder, RandomJitter, add_awgn
-from repro.sweep import Count, MeanVar, MinMax, Yield
+from repro.link import (CdrStage, DfeStage, LinkBatchResult, LinkResult,
+                        run_framed_link)
+from repro.lti import LinearBlock, Pipeline, TanhLimiter, first_order_lowpass
+from repro.signals import NrzEncoder, RandomJitter, add_awgn, sample_uniform
+from repro.sweep import Count, MeanVar, MinMax, SweepRunner, Yield
+from toy_blocks import GainBlock
 from serial_oracles import SerialCdr, SerialDfe, run_link
 
 BIT_RATE = 10e9
@@ -456,6 +453,55 @@ def test_session_sweep_structural_axes_require_configs():
     with pytest.raises(ValueError):
         session.sweep(grid, lambda p: scenario_batch(1)[0])
 
+
+NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+CONFIG_FIELDS = [(TxConfig, "spike_width_ui"), (TxConfig, "spike_current"),
+                 (ChannelConfig, "length_m"),
+                 (RxConfig, "equalizer_control_voltage"),
+                 (DfeConfig, "decision_amplitude"),
+                 (DfeConfig, "sample_phase_ui"), (DfeConfig, "skip_bits")]
+
+
+@NON_FINITE
+@pytest.mark.parametrize("config, field", CONFIG_FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, f in CONFIG_FIELDS])
+def test_configs_reject_non_finite_fields(config, field, value):
+    # A NaN channel length or equalizer voltage used to build a session
+    # whose every output sample was NaN; a NaN spike width failed deep
+    # in the driver with a float-to-int conversion error.
+    required = {"taps": (0.1,)} if config is DfeConfig else {}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        config(**required, **{field: value})
+
+
+@NON_FINITE
+@pytest.mark.parametrize("index", [0, 1])
+def test_dfe_config_rejects_non_finite_taps(index, value):
+    taps = [0.1, -0.05]
+    taps[index] = value
+    with pytest.raises(ValueError, match=rf"^taps\[{index}\] must be finite"):
+        DfeConfig(taps=tuple(taps))
+
+
+def test_structural_sweep_checks_each_override():
+    session = LinkSession.from_configs(channel=ChannelConfig(0.2))
+
+    def stimulus(params):
+        return scenario_batch(1)[0]
+
+    finite = ScenarioGrid([SweepAxis("length_m", (0.1, 0.3), structural=True),
+                           SweepAxis("seed", (1,))])
+    heights = session.sweep(finite, stimulus).values(
+        lambda r: r.eye.eye_height)
+    assert np.isfinite(heights).all()
+    bad = ScenarioGrid([SweepAxis("length_m", (0.1, math.nan),
+                                  structural=True),
+                        SweepAxis("seed", (1,))])
+    with pytest.raises(ValueError, match="^length_m must be finite"):
+        session.sweep(bad, stimulus)
+
+
 # -- structural points sharing a chain prefix ---------------------------------
 #
 # Module-level stimulus and measure, so the pool can pickle them.
@@ -802,18 +848,19 @@ def test_public_exports_cover_the_facade_and_kernel():
     import repro
     import repro.signals
 
-    for name in ("sample_uniform", "LinkSession",
-                 "TxConfig", "ChannelConfig", "RxConfig", "DfeConfig",
-                 "LinkResult", "LinkBatchResult", "run_framed_link"):
-        assert name in repro.__all__, name
-        assert hasattr(repro, name), name
-    # One chain protocol: the Stage adapter layer is gone.
     import repro.link
+
+    for name in ("LinkSession", "TxConfig", "ChannelConfig", "RxConfig",
+                 "DfeConfig"):
+        assert name in repro.__all__, name
+        assert getattr(repro, name) is getattr(repro.link, name), name
+    for name in ("LinkResult", "LinkBatchResult", "run_framed_link"):
+        assert name in repro.link.__all__, name
+    # One chain protocol: the Stage adapter layer is gone.
     for name in ("Stage", "BlockStage", "stage"):
         assert name not in repro.__all__, name
         assert name not in repro.link.__all__, name
         assert not hasattr(repro, name), name
-    assert repro.sample_uniform is sample_uniform
     assert repro.signals.sample_uniform is sample_uniform
     # The kernel really is the shared interpolator.
     out = sample_uniform(np.array([0.0, 1.0]), 0.0, 1.0, 0.5)

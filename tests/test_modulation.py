@@ -15,12 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    ber_from_measurement,
     ber_from_q_factors,
     q_to_ber,
-    ser_to_ber,
 )
-from repro.analysis.eye import EyeMeasurement
 from repro.signals import (
     Modulation,
     Nrz,
@@ -29,7 +26,6 @@ from repro.signals import (
     RandomJitter,
     SymbolEncoder,
     bits_to_nrz,
-    bits_to_pam4,
 )
 
 
@@ -229,15 +225,6 @@ def test_symbol_encoder_validation():
         enc.encode(np.array([0, 1]), edge_offsets=np.zeros(3))
 
 
-def test_bits_to_pam4_convenience():
-    bits = np.random.default_rng(2).integers(0, 2, 40)
-    w = bits_to_pam4(bits, symbol_rate=5e9, amplitude=0.3,
-                     samples_per_symbol=8)
-    assert len(w) == 20 * 8
-    assert w.sample_rate == pytest.approx(40e9)
-    assert np.abs(w.data).max() <= 0.15 + 1e-12
-
-
 def test_nrz_encoder_exposes_modulation():
     assert NrzEncoder(bit_rate=10e9).modulation == Nrz()
     w_old = bits_to_nrz(np.array([0, 1, 1, 0]), 10e9, amplitude=0.2)
@@ -249,12 +236,6 @@ def test_nrz_encoder_exposes_modulation():
 # ---------------------------------------------------------------------------
 # Symbol-error → bit-error accounting.
 # ---------------------------------------------------------------------------
-
-def test_ser_to_ber_gray_scaling():
-    assert ser_to_ber(1e-6) == pytest.approx(1e-6)
-    assert ser_to_ber(1e-6, Pam4()) == pytest.approx(5e-7)
-    with pytest.raises(ValueError):
-        ser_to_ber(-1e-6)
 
 
 def test_ber_from_q_factors_nrz_matches_q_to_ber():
@@ -269,16 +250,6 @@ def test_ber_from_q_factors_pam4():
     assert ber_from_q_factors((q, q, q), Pam4()) == pytest.approx(expected)
     with pytest.raises(ValueError, match="expected 3 Q-factors"):
         ber_from_q_factors((q,), Pam4())
-
-
-def test_ber_from_measurement_uses_per_eye_qs():
-    m = EyeMeasurement(
-        eye_height=0.1, eye_width_ui=0.9, eye_amplitude=0.3,
-        level_one=0.15, level_zero=-0.15, jitter_rms=1e-12,
-        jitter_pp=5e-12, q_factor=5.0, sampling_phase_ui=0.5, n_ui=100,
-        n_levels=4, q_factors=(5.0, 7.0, 6.0))
-    assert ber_from_measurement(m, Pam4()) == pytest.approx(
-        ber_from_q_factors((5.0, 7.0, 6.0), Pam4()))
 
 
 def test_modulation_survives_dataclasses_replace():

@@ -1,4 +1,4 @@
-"""Noise sources and SNR helpers."""
+"""Noise sources."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.signals import (
     Waveform,
-    WhiteNoise,
     add_awgn,
-    snr_db,
     thermal_noise_rms,
 )
 
@@ -19,37 +17,24 @@ def flat_wave(n=20000, fs=1e9):
 
 
 def test_white_noise_rms():
-    noisy = WhiteNoise(rms_volts=3e-3, seed=3).apply(flat_wave())
+    noisy = add_awgn(flat_wave(), 3e-3, seed=3)
     assert noisy.rms() == pytest.approx(3e-3, rel=0.05)
 
 
 def test_white_noise_zero_is_identity():
     w = flat_wave(10)
-    assert WhiteNoise(0.0).apply(w) is w
+    assert add_awgn(w, 0.0) is w
 
 
 def test_white_noise_reproducible():
-    a = WhiteNoise(1e-3, seed=5).apply(flat_wave(100))
-    b = WhiteNoise(1e-3, seed=5).apply(flat_wave(100))
+    a = add_awgn(flat_wave(100), 1e-3, seed=5)
+    b = add_awgn(flat_wave(100), 1e-3, seed=5)
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_white_noise_rejects_negative():
     with pytest.raises(ValueError):
-        WhiteNoise(-1.0)
-
-
-def test_from_density():
-    # 1 nV/rtHz over 10 GHz -> 100 uV RMS.
-    source = WhiteNoise.from_density(1e-9, 10e9)
-    assert source.rms_volts == pytest.approx(1e-4)
-
-
-def test_from_density_rejects_bad_args():
-    with pytest.raises(ValueError):
-        WhiteNoise.from_density(-1e-9, 1e9)
-    with pytest.raises(ValueError):
-        WhiteNoise.from_density(1e-9, 0.0)
+        add_awgn(flat_wave(10), -1.0)
 
 
 def test_thermal_noise_50ohm_10ghz():
@@ -71,15 +56,3 @@ def test_add_awgn_convenience():
     w = Waveform(np.ones(5000), 1e9)
     noisy = add_awgn(w, 0.1, seed=1)
     assert np.std(noisy.data - w.data) == pytest.approx(0.1, rel=0.1)
-
-
-def test_snr_db():
-    signal = Waveform(np.full(100, 0.1), 1e9)
-    assert snr_db(signal, 0.01) == pytest.approx(20.0)
-
-
-def test_snr_rejects_degenerate():
-    with pytest.raises(ValueError):
-        snr_db(Waveform(np.zeros(10), 1e9), 0.01)
-    with pytest.raises(ValueError):
-        snr_db(Waveform(np.ones(10), 1e9), 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.signals import NrzEncoder, bits_to_nrz, ideal_square_wave
+from repro.signals import NrzEncoder, bits_to_nrz
 
 
 def test_levels_map_to_half_amplitude():
@@ -95,35 +95,6 @@ def test_dc_balance_of_alternating():
     # DC is bounded by one sample per edge, not exactly zero.
     w = bits_to_nrz(np.tile([0, 1], 50), 10e9, rise_time=0.0)
     assert abs(w.mean()) < 2e-3
-
-
-def test_ideal_square_wave():
-    w = ideal_square_wave(5e9, n_cycles=4, amplitude=1.0,
-                          samples_per_cycle=64)
-    assert w.peak_to_peak() == pytest.approx(1.0)
-    # Fundamental period = 64 samples.
-    np.testing.assert_allclose(w.data[:32], 0.5)
-    np.testing.assert_allclose(w.data[32:64], -0.5)
-
-
-def test_ideal_square_wave_rejects_bad_args():
-    with pytest.raises(ValueError):
-        ideal_square_wave(0.0, 4)
-    with pytest.raises(ValueError):
-        ideal_square_wave(1e9, 0)
-
-
-def test_ideal_square_wave_length_and_rate():
-    # Dyadic frequency: every edge time and sample time is an exact
-    # float, so the square is perfect (at 10 GHz-style rates, edges
-    # quantize to the sample grid within one sample instead).
-    w = ideal_square_wave(2.0, n_cycles=3, amplitude=0.6,
-                          samples_per_cycle=10)
-    assert len(w) == 30
-    assert w.sample_rate == pytest.approx(20.0)
-    # Exactly two levels, half a cycle each, no intermediate samples.
-    np.testing.assert_allclose(np.unique(w.data), [-0.3, 0.3])
-    assert np.count_nonzero(w.data > 0) == 15
 
 
 def test_ideal_edges_land_on_bit_boundaries():

@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.eye import EyeDiagramBatch
 from repro.baselines import DecisionFeedbackEqualizer
 from repro.cdr import BangBangCdr, CdrConfig
-from repro.cdr.phase_detector import vote_step
 from repro.link import ChannelConfig, DfeConfig, LinkSession, TxConfig
 from repro.signals import (
     NrzEncoder,
@@ -27,6 +26,7 @@ from repro.signals import (
 )
 from repro.signals.waveform import Waveform, sample_uniform
 from repro.sweep import ScenarioGrid, SweepAxis
+from serial_oracles import vote_step
 
 BIT_RATE = 10e9
 

@@ -33,9 +33,9 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.baselines import DecisionFeedbackEqualizer
-from repro.cdr import BangBangCdr, CdrConfig, vote_step
+from repro.cdr import BangBangCdr, CdrConfig
 from repro.signals import Nrz, Pam4, Waveform, WaveformBatch
-from serial_oracles import SerialCdr, SerialDfe
+from serial_oracles import SerialCdr, SerialDfe, vote_step
 from serial_oracles import detect_lock_batch as oracle_detect_lock
 
 BIT_RATE = 10e9

@@ -27,7 +27,6 @@ from repro.signals import (
     SymbolEncoder,
     WaveformBatch,
     add_awgn,
-    bits_to_pam4,
 )
 from repro.sweep import ScenarioGrid, SweepAxis, modulation_axis
 from serial_oracles import SerialCdr, SerialDfe
@@ -101,8 +100,9 @@ def test_dfe_recovers_bits_over_clean_channel():
     pam4 = Pam4()
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2, 800)
-    wave = bits_to_pam4(bits, SYMBOL_RATE, amplitude=0.5,
-                        samples_per_symbol=16)
+    wave = SymbolEncoder(symbol_rate=SYMBOL_RATE, modulation=pam4,
+                         samples_per_symbol=16,
+                         amplitude=0.5).encode_bits(bits)
     dfe = DecisionFeedbackEqualizer(taps=(1e-12,), bit_rate=SYMBOL_RATE,
                                     decision_amplitude=0.25,
                                     modulation=pam4)

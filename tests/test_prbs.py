@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.signals import (
-    PrbsGenerator,
-    alternating_pattern,
-    prbs7,
-    prbs9,
-    prbs15,
-    prbs_sequence,
-    run_length_histogram,
-)
+from repro.signals import PrbsGenerator, prbs7
+
+
+def run_length_histogram(bits):
+    """Run length -> number of runs of that length in ``bits``."""
+    edges = np.flatnonzero(np.diff(bits) != 0) + 1
+    lengths = np.diff(np.concatenate(([0], edges, [len(bits)])))
+    return {int(n): int(c) for n, c in zip(*np.unique(lengths,
+                                                      return_counts=True))}
 
 
 def test_prbs7_period_is_127():
@@ -42,7 +42,7 @@ def test_prbs7_max_run_length_is_order():
 
 
 def test_prbs9_is_maximal_length():
-    seq = prbs9(511)
+    seq = PrbsGenerator(order=9).bits(511)
     assert int(seq.sum()) == 256
     histogram = run_length_histogram(np.tile(seq, 2))
     assert max(histogram) == 9
@@ -78,23 +78,7 @@ def test_zero_seed_rejected():
 
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
-        prbs_sequence(7, -1)
-
-
-def test_alternating_pattern():
-    pattern = alternating_pattern(6)
-    np.testing.assert_array_equal(pattern, [0, 1, 0, 1, 0, 1])
-    histogram = run_length_histogram(pattern)
-    assert histogram == {1: 6}
-
-
-def test_run_length_histogram_empty():
-    assert run_length_histogram(np.array([])) == {}
-
-
-def test_run_length_histogram_counts():
-    histogram = run_length_histogram(np.array([1, 1, 0, 1, 1, 1, 0, 0]))
-    assert histogram == {2: 2, 1: 1, 3: 1}
+        prbs7(-1)
 
 
 def test_prbs7_run_length_distribution():

@@ -16,19 +16,17 @@ from repro.core.cml_buffer import apply_active_feedback
 from repro.devices import nmos
 from repro.analysis.isi import PulseResponse
 from repro.lti import (
-    DelayBlock,
-    GainBlock,
     LinearBlock,
     Pipeline,
     RationalTF,
     bilinear_transform,
     first_order_lowpass,
     pole_zero_tf,
-    second_order_lowpass,
     simulate_tf,
 )
 from repro.signals import Nrz, Pam4, PrbsGenerator, Waveform, bits_to_nrz
 from repro.stateye import StatEye
+from toy_blocks import GainBlock
 
 
 # -- strategies ---------------------------------------------------------------
@@ -47,7 +45,9 @@ def stable_tfs(draw):
         return RationalTF.constant(gain)
     if kind == 1:
         return first_order_lowpass(draw(pole_freqs), gain=gain)
-    return second_order_lowpass(draw(pole_freqs), draw(q_values), gain=gain)
+    wn = 2.0 * np.pi * draw(pole_freqs)
+    return RationalTF(np.array([gain * wn**2]),
+                      np.array([1.0, wn / draw(q_values), wn**2]))
 
 
 # -- LTI algebra ----------------------------------------------------------------
@@ -176,8 +176,8 @@ scales = st.floats(min_value=-3.0, max_value=3.0)
 
 @given(st.one_of(lti_paths.map(lambda path: path[0]),
                  st.floats(min_value=0.0, max_value=20.0).map(
-                     lambda samples: _block_path(
-                         DelayBlock(samples / LTI_FS)))),
+                     lambda samples: lambda data: Waveform(
+                         data, LTI_FS).delayed(samples / LTI_FS).data)),
        signals, signals, scales, scales)
 @settings(max_examples=60, deadline=None)
 @example(run=_block_path(GainBlock(5e-324)), x=np.ones(64), y=np.ones(64),

@@ -1,7 +1,6 @@
 """Property-based tests for the extension subsystems: 8b/10b coding,
-FIR pre-emphasis, DFE, AC coupling, channel fitting, masks."""
+FIR pre-emphasis, DFE, channel fitting, masks."""
 
-import math
 
 import numpy as np
 import pytest
@@ -11,8 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.mask import EyeMask
 from repro.baselines import FirPreEmphasis
 from repro.channel import BackplaneChannel, fit_channel_parameters
-from repro.lti import AcCoupling
-from repro.serdes import decode_bits, encode_bytes
+from repro.serdes import Decoder8b10b, encode_bytes
 from repro.signals import Waveform, bits_to_nrz
 
 BIT_RATE = 10e9
@@ -24,7 +22,7 @@ BIT_RATE = 10e9
 @settings(max_examples=60, deadline=None)
 def test_8b10b_roundtrip_any_payload(payload):
     bits = encode_bytes(payload)
-    assert decode_bits(bits) == payload
+    assert Decoder8b10b().decode(bits) == payload
 
 
 @given(st.binary(min_size=4, max_size=64))
@@ -83,29 +81,6 @@ def test_fir_settled_level_is_tap_sum(taps):
     out = fir.process(wave)
     expected = 0.1 * sum(taps)
     assert out.data[-1] == pytest.approx(expected, abs=1e-9)
-
-
-# -- AC coupling --------------------------------------------------------------
-
-@given(st.floats(min_value=1e-12, max_value=1e-6),
-       st.floats(min_value=10.0, max_value=200.0))
-@settings(max_examples=50, deadline=None)
-def test_coupling_corner_formula(capacitance, termination):
-    coupling = AcCoupling(capacitance=capacitance,
-                          termination=termination)
-    assert coupling.highpass_corner_hz == pytest.approx(
-        1.0 / (2 * math.pi * termination * capacitance)
-    )
-
-
-@given(st.floats(min_value=0.0, max_value=1e-3))
-@settings(max_examples=50, deadline=None)
-def test_droop_is_monotone_and_bounded(run_seconds):
-    coupling = AcCoupling(capacitance=10e-9)
-    droop = coupling.droop_over(run_seconds)
-    assert 0.0 <= droop <= 1.0
-    longer = coupling.droop_over(run_seconds * 2.0)
-    assert longer >= droop - 1e-15
 
 
 # -- channel fitting -----------------------------------------------------------

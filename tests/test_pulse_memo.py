@@ -26,11 +26,11 @@ from repro.analysis.isi import pulse_response, pulse_response_batch
 from repro.link import session as session_module
 from repro.link.session import (ChannelConfig, DfeConfig, LinkSession,
                                 RxConfig, TxConfig)
-from repro.lti import (Block, GainBlock, LinearBlock, Pipeline,
-                       StaticNonlinearity, TanhLimiter)
+from repro.lti import Block, LinearBlock, Pipeline, TanhLimiter
 from repro.lti.transfer_function import pole_zero_tf
 from repro.signals.modulation import Nrz, Pam4
 from repro.stateye import StatEye
+from toy_blocks import GainBlock, StaticNonlinearity
 
 BIT_RATE = 10e9
 SPB = 16

@@ -10,12 +10,12 @@ from repro.analysis import (
     measure_sensitivity,
     measure_overload,
     pulse_response,
-    worst_case_eye_opening,
 )
 from repro.analysis.eye import EyeDiagram
 from repro.channel import BackplaneChannel
-from repro.lti import GainBlock, LinearBlock, first_order_lowpass
+from repro.lti import LinearBlock, first_order_lowpass
 from repro.signals import bits_to_nrz, prbs7
+from toy_blocks import GainBlock
 
 
 def test_sensitivity_of_ideal_amplifier():
@@ -104,10 +104,10 @@ def test_pulse_response_of_channel_shows_postcursor_isi():
 
 
 def test_worst_case_opening_degrades_with_length():
-    short = worst_case_eye_opening(BackplaneChannel(0.2), 10e9,
-                                   samples_per_bit=16)
-    long = worst_case_eye_opening(BackplaneChannel(0.6), 10e9,
-                                  samples_per_bit=16)
+    short = pulse_response(BackplaneChannel(0.2), 10e9,
+                           samples_per_bit=16).worst_case_opening()
+    long = pulse_response(BackplaneChannel(0.6), 10e9,
+                          samples_per_bit=16).worst_case_opening()
     assert long < short
 
 

@@ -11,7 +11,6 @@ from repro.serdes import (
     Encoder8b10b,
     Serializer,
     align_to_comma,
-    decode_bits,
     encode_bytes,
 )
 from repro.signals import WaveformBatch, add_awgn
@@ -55,7 +54,7 @@ def test_comma_roundtrip():
 def test_stream_roundtrip_random_payload():
     rng = np.random.default_rng(7)
     payload = bytes(rng.integers(0, 256, 300).tolist())
-    assert decode_bits(encode_bytes(payload)) == payload
+    assert Decoder8b10b().decode(encode_bytes(payload)) == payload
 
 
 def test_run_length_bounded():
@@ -92,7 +91,7 @@ def test_decoder_validation():
     with pytest.raises(CodingError):
         Decoder8b10b().decode_symbol(np.zeros(8, dtype=np.int8))
     with pytest.raises(CodingError):
-        decode_bits(np.zeros(15, dtype=np.int8))
+        Decoder8b10b().decode(np.zeros(15, dtype=np.int8))
 
 
 # -- alignment --------------------------------------------------------------

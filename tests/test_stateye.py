@@ -9,6 +9,7 @@ reach (BER >= 1e-4), for NRZ and PAM4 over several channels.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,23 +18,13 @@ from hypothesis import strategies as st
 
 import repro
 import serial_oracles as oracle
-from repro import (
-    LinkSession,
-    ScenarioGrid,
-    StatEye,
-    StatEyeBatchResult,
-    StatEyeResult,
-    SweepAxis,
-    SweepRunner,
-    stat_eye_measure,
-    stat_eye_stimulus,
-)
+from repro import LinkSession, StatEye
+from repro.stateye import StatEyeBatchResult, StatEyeResult
 from repro.analysis.ber import bathtub_from_waveform, ber_from_eye
 from repro.analysis.isi import PulseResponse, pulse_response
 from repro.channel.backplane import BackplaneChannel
 from repro.link.session import ChannelConfig, RxConfig, TxConfig
 from repro.reporting import render_bathtub, render_stateye
-from repro.signals.batch import WaveformBatch
 from repro.signals.modulation import Modulation, Nrz, Pam4, SymbolEncoder
 from repro.signals.noise import add_awgn
 from repro.signals.nrz import bits_to_nrz
@@ -665,40 +656,18 @@ def test_session_statistical_eye_modulation_override():
     np.testing.assert_array_equal(result.surfaces, via_engine.surfaces)
 
 
-# -- sweep measure pair -------------------------------------------------------
-
-def test_stat_eye_measure_serial_batch_parity():
-    engine = StatEye(noise_rms=8e-3, v_half_span=0.6)
-    measure = stat_eye_measure(engine, BIT_RATE)
-    stimulus = stat_eye_stimulus(BIT_RATE)
-    channel = BackplaneChannel(0.3)
-    waves = [channel.process(stimulus({"amplitude": a}))
-             for a in (0.2, 0.4, 0.6)]
-    serial = [engine.analyze(PulseResponse.from_waveform(w, BIT_RATE))
-              for w in waves]
-    batched = measure(WaveformBatch.stack(waves), [{}] * 3)
-    for s, b in zip(serial, batched):
-        np.testing.assert_array_equal(s.voltages, b.voltages)
-        np.testing.assert_allclose(s.surfaces, b.surfaces, atol=1e-12)
-
-
-def test_stat_eye_measure_in_sweep_runner():
-    engine = StatEye(noise_rms=8e-3, v_half_span=0.6, n_phases=16,
-                     n_voltages=65)
-    measure = stat_eye_measure(engine, BIT_RATE, reduce=lambda r, p: r.ber)
-    grid = ScenarioGrid([SweepAxis("amplitude", [0.2, 0.4, 0.6])])
-    channel = BackplaneChannel(0.3)
-    result = SweepRunner(
-        grid, stimulus=stat_eye_stimulus(BIT_RATE),
-        build=lambda p: channel,
-        measure=measure,
-    ).run()
-    bers = [result.results[i] for i in range(3)]
-    # More swing, more margin: BER improves monotonically.
-    assert bers[0] > bers[1] > bers[2]
-
-
 # -- validation / exports -----------------------------------------------------
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["noise_rms", "rj_rms_ui", "dj_pp_ui",
+                                   "v_half_span"])
+def test_engine_rejects_non_finite_settings(field, value):
+    # NaN noise or span used to give all-NaN surfaces (min_ber nan), an
+    # infinite span a non-finite voltage axis, and a NaN RJ ran as zero.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        StatEye(**{field: value})
+
 
 def test_engine_rejects_invalid_grids():
     with pytest.raises(ValueError, match="phase resolution"):
@@ -749,10 +718,7 @@ def test_engine_rejects_non_finite_pulses(bad):
 
 
 def test_top_level_exports():
-    for name in ("StatEye", "StatEyeResult", "StatEyeBatchResult",
-                 "stat_eye_measure", "stat_eye_stimulus"):
-        assert name in repro.__all__
-        assert getattr(repro, name) is not None
+    assert "StatEye" in repro.__all__
     assert repro.StatEye is StatEye
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import measure_eye_batch
-from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
-    first_order_lowpass
+from repro.lti import LinearBlock, Pipeline, TanhLimiter, first_order_lowpass
 from repro.signals import Waveform, bits_to_nrz, prbs7
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner
+from toy_blocks import GainBlock
 from serial_oracles import SerialCdr, SerialDfe, serial_sweep
 
 BIT_RATE = 10e9

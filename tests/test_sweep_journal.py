@@ -27,11 +27,12 @@ import pytest
 
 from repro import LinkSession, RxConfig, bits_to_nrz, prbs7
 from repro.analysis import measure_eye_batch
-from repro.lti import GainBlock, Pipeline, StaticNonlinearity
+from repro.lti import Pipeline
 from repro.signals import Waveform
 from repro.sweep import CheckpointJournal, MeanVar, ScenarioGrid, \
     SweepAxis, SweepRunner, Yield
 from repro.sweep.checkpoint import journal_key
+from toy_blocks import GainBlock, StaticNonlinearity
 
 FS = 160e9
 BIT_RATE = 10e9

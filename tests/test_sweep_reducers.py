@@ -13,13 +13,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.lti import GainBlock
 from repro.reporting import (format_aggregates, format_quantile_table,
                              render_histogram)
 from repro.signals import Waveform
 from repro.sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
                          ScenarioGrid, SweepAxis, SweepRunner, Yield)
 from repro.sweep.checkpoint import journal_key
+from toy_blocks import GainBlock
 from serial_oracles import serial_sweep
 
 FS = 160e9

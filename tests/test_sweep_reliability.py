@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.lti import GainBlock
 from repro.signals import Waveform
 from repro.sweep import (CheckpointJournal, Count, Histogram, MeanVar,
                          MinMax, Quantiles, ScenarioGrid, SweepAxis,
                          SweepFailure, SweepRunner, Yield)
+from toy_blocks import GainBlock
 import sweep_faults as faults_mod
 from sweep_faults import FaultInjected, FaultRule, inject_faults
 from repro.sweep.checkpoint import journal_key
@@ -557,9 +557,9 @@ import multiprocessing
 
 import numpy as np
 
-from repro.lti import GainBlock
 from repro.signals import Waveform
 from repro.sweep import ScenarioGrid, SweepAxis, SweepRunner
+from toy_blocks import GainBlock
 
 
 def stimulus(params):
@@ -595,8 +595,10 @@ def test_spawned_pool_does_not_charge_worker_start_up(tmp_path):
     script = tmp_path / "spawn_sweep.py"
     script.write_text(SPAWN_SWEEP)
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, tests,
+                                         env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.signals import DifferentialWaveform, Waveform, WaveformBatch
+from repro.signals import Waveform, WaveformBatch
 
 
 def make(data, fs=1e9, t0=0.0):
@@ -219,29 +219,6 @@ def test_resample_same_rate_is_identity():
 def test_map_applies_elementwise():
     w = make([1.0, -2.0]).map(np.abs)
     np.testing.assert_allclose(w.data, [1.0, 2.0])
-
-
-# -- differential ------------------------------------------------------------
-
-def test_differential_roundtrip():
-    diff = make([0.2, -0.2, 0.2])
-    pair = DifferentialWaveform.from_differential(diff, common_mode=0.9)
-    np.testing.assert_allclose(pair.differential().data, diff.data)
-    np.testing.assert_allclose(pair.common_mode().data, 0.9)
-
-
-def test_differential_offset_moves_legs_not_cm():
-    diff = make([0.0, 0.0])
-    pair = DifferentialWaveform.from_differential(diff).with_offset(0.01)
-    np.testing.assert_allclose(pair.differential().data, 0.01)
-    np.testing.assert_allclose(pair.common_mode().data, 0.0, atol=1e-15)
-
-
-def test_differential_map_each():
-    diff = make([1.0, -1.0])
-    pair = DifferentialWaveform.from_differential(diff)
-    doubled = pair.map_each(lambda x: 2.0 * x)
-    np.testing.assert_allclose(doubled.differential().data, [2.0, -2.0])
 
 
 # -- interpolated sampling ----------------------------------------------------
